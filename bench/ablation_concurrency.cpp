@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     spec.trace_gops = 8;
     spec.enforce_admission = true;
     Workload workload = build_vbr_mix(config, spec, rng);
-    const std::size_t connections = workload.connections();
+    const std::size_t connections = workload.size();
     const double admitted_load =
         workload.generated_load(config.time_base());
     MmrSimulation simulation(config, std::move(workload));

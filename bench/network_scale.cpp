@@ -119,8 +119,13 @@ int main(int argc, char** argv) {
     base.warmup_cycles = 500;
     base.measure_cycles = 2'000;
   }
-  apply_overrides(base, args.config_overrides);
-  base.validate_network();
+  try {
+    apply_overrides(base, args.config_overrides);
+    validate_specs(base);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
+  }
 
   std::vector<Fabric> fabrics;
   fabrics.push_back({"torus64", NetworkTopology::torus2d(8, 8, base.ports)});

@@ -108,8 +108,13 @@ int main(int argc, char** argv) {
   base.vcs_per_link = 32;
   base.warmup_cycles = 200;
   base.measure_cycles = 800;
-  apply_overrides(base, args.config_overrides);
-  base.validate_network();
+  try {
+    apply_overrides(base, args.config_overrides);
+    validate_specs(base);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
+  }
 
   std::cout << "==== network shard equivalence soak: " << args.seeds
             << " seeds x {torus 4x4, fat-tree k=4}, serial vs "

@@ -10,11 +10,9 @@
 #include <iostream>
 
 #include "mmr/network/network.hpp"
-#include "mmr/router/qd_spec.hpp"
 #include "mmr/sim/table.hpp"
 #include "mmr/snapshot/signals.hpp"
 #include "mmr/snapshot/spec.hpp"
-#include "mmr/trace/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
@@ -41,13 +39,8 @@ int main(int argc, char** argv) {
   }
   try {
     apply_overrides(config, overrides);
-    // Fail fast on a bad trace= spec (parsed again at construction).
-    if (!config.trace_spec.empty())
-      (void)trace::TraceSpec::parse(config.trace_spec);
-    if (!config.qd_spec.empty())
-      (void)QdSpec::parse(config.qd_spec);
-    snapshot::validate_spec(config);
-    config.validate_network();  // e.g. flow=shared conflicts with a network
+    // Fail fast on a bad spec (parsed again at construction).
+    validate_specs(config);
   } catch (const std::exception& error) {
     const std::string what = error.what();
     std::cerr << (what.rfind("error:", 0) == 0 ? "" : "error: ") << what

@@ -14,10 +14,8 @@
 #include <iostream>
 
 #include "mmr/network/network.hpp"
-#include "mmr/router/qd_spec.hpp"
 #include "mmr/snapshot/signals.hpp"
 #include "mmr/snapshot/spec.hpp"
-#include "mmr/trace/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
@@ -43,12 +41,7 @@ int main(int argc, char** argv) {
   try {
     apply_overrides(config, overrides);
     (void)FaultPlan::parse(fault_spec);  // fail fast on a bad fault= spec
-    if (!config.trace_spec.empty())
-      (void)trace::TraceSpec::parse(config.trace_spec);
-    if (!config.qd_spec.empty())
-      (void)QdSpec::parse(config.qd_spec);
-    snapshot::validate_spec(config);
-    config.validate_network();  // e.g. flow=shared conflicts with a network
+    validate_specs(config);
   } catch (const std::exception& error) {
     const std::string what = error.what();
     std::cerr << (what.rfind("error:", 0) == 0 ? "" : "error: ") << what

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
               config.ports, config.ports, config.arbiter.c_str(),
               qos_load * 100, be_load * 100);
   std::printf("  %zu connections (%.1f%% total generated load)\n\n",
-              workload.connections(),
+              workload.size(),
               workload.generated_load(config.time_base()) * 100);
 
   MmrSimulation simulation(config, std::move(workload));

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
               config.ports, config.ports, config.arbiter.c_str(),
               mmr::to_string(config.priority_scheme));
   std::printf("  workload: %zu CBR connections, generated load %.1f%%\n",
-              workload.connections(),
+              workload.size(),
               workload.generated_load(config.time_base()) * 100.0);
 
   mmr::MmrSimulation simulation(config, std::move(workload));

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
 
   std::printf("Video server: %zu MPEG-2 streams, %s injection, %s arbiter, "
               "target load %.0f%%\n",
-              workload.connections(), to_string(model),
+              workload.size(), to_string(model),
               config.arbiter.c_str(), load * 100);
 
   // Per-sequence stream census.

@@ -49,6 +49,7 @@ python3 scripts/snap_lint.py build/SNAP_smoke.snap
 echo
 echo "=== network-scale stage (sharded engine equivalence + scaling smoke) ==="
 ./build/bench/network_scale_soak seeds=50 big=1
+./build/bench/network_scale_soak seeds=10 flow=shared police=shape
 ./build/bench/network_scale mode=smoke out=build/BENCH_network_smoke.json
 python3 scripts/bench_compare.py --check build/BENCH_network_smoke.json
 
@@ -78,6 +79,9 @@ cmake -B build-tsan -S . -DSANITIZE=thread
 cmake --build build-tsan -j "${JOBS}" --target network_scale_soak
 TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/bench/network_scale_soak seeds=5 threads=4
+TSAN_OPTIONS=halt_on_error=1 \
+  ./build-tsan/bench/network_scale_soak seeds=3 threads=4 flow=shared \
+  police=shape
 
 echo
 echo "all checks passed"

@@ -26,21 +26,20 @@ std::uint32_t credit_accounted_slots(const CreditManager& credits,
          pipe.in_flight_on_vc(vc) + buffered;
 }
 
-SimAuditor::SimAuditor(const SimConfig& config)
+SimAuditor::SimAuditor(const SimConfig& config, std::vector<Feed> feeds)
     : ports_(config.ports),
       vcs_(config.vcs_per_link),
       period_(config.audit_every),
+      feeds_(std::move(feeds)),
       tails_(static_cast<std::size_t>(config.ports) * config.vcs_per_link),
       input_used_(config.ports, 0),
       output_used_(config.ports, 0) {
   MMR_ASSERT(period_ >= 1);
 }
 
-void SimAuditor::on_cycle(Cycle now, const MmrRouter& router,
-                          const std::vector<Nic>& nics,
-                          const std::vector<LinkPipeline>& links,
-                          const std::vector<MmrRouter::Departure>& departures,
-                          const mmu::SharedBufferMmu* mmu) {
+void SimAuditor::on_departures(
+    Cycle now, const MmrRouter& router,
+    const std::vector<MmrRouter::Departure>& departures) {
   ++cycles_;
 
   // The crossbar forwards at most one flit per output port per scheduling
@@ -81,38 +80,34 @@ void SimAuditor::on_cycle(Cycle now, const MmrRouter& router,
   MMR_ASSERT_MSG(router.flits_departed() == departed_seen_,
                  "audit: router departed-count disagrees with the "
                  "departures it reported");
-
-  if (now % period_ == 0) {
-    sweep(router, nics, links, mmu);
-    ++sweeps_;
-    MMR_TRACE_EVENT(trace::audit_sweep_event(now, sweeps_));
-  }
 }
 
-void SimAuditor::sweep(const MmrRouter& router, const std::vector<Nic>& nics,
-                       const std::vector<LinkPipeline>& links,
-                       const mmu::SharedBufferMmu* mmu) const {
-  MMR_ASSERT(nics.size() == ports_ && links.size() == ports_);
+void SimAuditor::sweep(Cycle now, const MmrRouter& router,
+                       const mmu::SharedBufferMmu* mmu, bool exact) {
+  MMR_ASSERT(feeds_.size() == ports_);
   std::uint64_t buffered = 0;
   for (std::uint32_t port = 0; port < ports_; ++port) {
-    const Nic& nic = nics[port];
-    const std::uint32_t capacity = nic.credits().capacity_per_vc();
+    const Feed& feed = feeds_[port];
+    const std::uint32_t capacity = feed.credits->capacity_per_vc();
     std::uint64_t queued = 0;
     for (std::uint32_t vc = 0; vc < vcs_; ++vc) {
       // Credit conservation: every VC buffer slot is an available credit, a
       // credit travelling back, a flit on the wire, or a flit the router
-      // holds for the VC (VC FIFO, VOQs, or crosspoints, per discipline).
-      // The single-router engine has no faults, so equality is exact.
+      // holds for the VC (VC FIFO, VOQs, or crosspoints, per discipline) —
+      // on host links and inter-router channels alike.
       const std::uint32_t held = router.vc_occupancy(port, vc);
-      MMR_ASSERT_MSG(credit_accounted_slots(nic.credits(), links[port], held,
-                                            vc) == capacity,
+      const std::uint32_t accounted =
+          credit_accounted_slots(*feed.credits, *feed.pipe, held, vc);
+      MMR_ASSERT_MSG(exact ? accounted == capacity : accounted <= capacity,
                      "audit: credit conservation violated");
       buffered += held;
-      queued += nic.queued(vc);
+      if (feed.nic != nullptr) queued += feed.nic->queued(vc);
     }
     // NIC bandwidth accounting: everything deposited either left on the
     // link or is still queued.
-    MMR_ASSERT_MSG(nic.total_queued() == nic.total_sent() + queued,
+    MMR_ASSERT_MSG(feed.nic == nullptr ||
+                       feed.nic->total_queued() ==
+                           feed.nic->total_sent() + queued,
                    "audit: NIC deposited/sent/queued accounting broken");
   }
   // Router bandwidth accounting: lifetime accepted - departed - drained
@@ -128,6 +123,8 @@ void SimAuditor::sweep(const MmrRouter& router, const std::vector<Nic>& nics,
     MMR_ASSERT_MSG(mmu->occupancy() == buffered,
                    "audit: mmu pool charges disagree with buffered flits");
   }
+  ++sweeps_;
+  MMR_TRACE_EVENT(trace::audit_sweep_event(now, sweeps_));
 }
 
 void SimAuditor::snap(mmr::snapshot::Walker& w) {

@@ -1,11 +1,12 @@
 // Simulation-level invariant auditor (opt-in via the `audit=` SimConfig
-// override).  Piggybacks on the router tick: cheap departure-stream checks
-// every cycle (per-VC FIFO order, one flit per port, departed-count
-// reconciliation) and a full credit-conservation + bandwidth-accounting
-// sweep every `audit_every` cycles — the same conservation law the fault
-// layer's credit-resync watchdog enforces, factored into
-// credit_accounted_slots() so both use one definition.  Violations abort
-// via MMR_ASSERT like every other contract check in the engine.
+// override), one per router.  Piggybacks on the router tick: cheap
+// departure-stream checks every cycle (per-VC FIFO order, one flit per port,
+// departed-count reconciliation) and a full credit-conservation +
+// bandwidth-accounting sweep every `audit_every` cycles, on host links and
+// inter-router channels alike — the same conservation law the fault layer's
+// credit-resync watchdog enforces, factored into credit_accounted_slots() so
+// both use one definition.  Violations abort via MMR_ASSERT like every other
+// contract check in the engine.
 //
 // This file lives in mmr/audit but is compiled into mmr_core (see
 // src/CMakeLists.txt): the auditor needs the router/NIC/link types, and
@@ -48,22 +49,35 @@ namespace mmr::audit {
                                                    std::uint32_t buffered,
                                                    std::uint32_t vc);
 
+/// Runtime invariant auditor of one router and the links feeding it.
 class SimAuditor {
  public:
-  /// `config.audit_every` sets the sweep period (the caller only constructs
-  /// the auditor when it is >= 1).
-  explicit SimAuditor(const SimConfig& config);
+  /// What fills one input link: the upstream credit loop and the wire, plus
+  /// the NIC on a host-facing link (null on an inter-router channel).
+  struct Feed {
+    const CreditManager* credits = nullptr;
+    const LinkPipeline* pipe = nullptr;
+    const Nic* nic = nullptr;
+  };
 
-  /// Called at the end of every MmrSimulation::step_one with that cycle's
-  /// departures.  `mmu` is non-null in flow=shared runs; each sweep then
-  /// additionally asserts the MMU's pool-accounting conservation (reserved +
-  /// shared + headroom charges sum to the router's buffered occupancy).
-  /// Aborts (MMR_ASSERT) on any invariant violation.
-  void on_cycle(Cycle now, const MmrRouter& router,
-                const std::vector<Nic>& nics,
-                const std::vector<LinkPipeline>& links,
-                const std::vector<MmrRouter::Departure>& departures,
-                const mmu::SharedBufferMmu* mmu = nullptr);
+  /// `config.audit_every` sets the sweep period (the caller only constructs
+  /// the auditor when it is >= 1); `feeds` holds one Feed per input port.
+  SimAuditor(const SimConfig& config, std::vector<Feed> feeds);
+
+  /// Departure-stream checks, called right after the router's step with
+  /// that cycle's departures.  Aborts (MMR_ASSERT) on any violation.
+  void on_departures(Cycle now, const MmrRouter& router,
+                     const std::vector<MmrRouter::Departure>& departures);
+
+  [[nodiscard]] bool sweep_due(Cycle now) const { return now % period_ == 0; }
+
+  /// The full sweep: credit conservation on every input link, NIC and
+  /// router flit accounting and, when `mmu` is non-null (flow=shared), MMU
+  /// pool conservation.  `exact` = false under a fault plan, whose lost
+  /// flits and credits leave deficits for the resync watchdog: conservation
+  /// then bounds the accounted slots from above.
+  void sweep(Cycle now, const MmrRouter& router,
+             const mmu::SharedBufferMmu* mmu, bool exact);
 
   [[nodiscard]] std::uint64_t cycles_audited() const { return cycles_; }
   [[nodiscard]] std::uint64_t sweeps() const { return sweeps_; }
@@ -79,13 +93,10 @@ class SimAuditor {
     std::uint64_t seq = 0;
   };
 
-  void sweep(const MmrRouter& router, const std::vector<Nic>& nics,
-             const std::vector<LinkPipeline>& links,
-             const mmu::SharedBufferMmu* mmu) const;
-
   std::uint32_t ports_;
   std::uint32_t vcs_;
   std::uint32_t period_;
+  std::vector<Feed> feeds_;
   std::vector<VcTail> tails_;  ///< (input * vcs + vc) -> last departure
   std::uint64_t departed_seen_ = 0;
   std::uint64_t cycles_ = 0;

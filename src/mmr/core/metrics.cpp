@@ -39,6 +39,7 @@ SimulationMetrics merge_runs(const std::vector<SimulationMetrics>& runs) {
     merged.flits_generated += run.flits_generated;
     merged.flits_delivered += run.flits_delivered;
     merged.flit_delay_us.merge(run.flit_delay_us);
+    merged.delivered_hops.merge(run.delivered_hops);
     for (const ClassMetrics& cls : run.per_class) {
       ClassMetrics* mine = nullptr;
       for (ClassMetrics& candidate : merged.per_class) {
@@ -204,12 +205,15 @@ std::string class_label(const ConnectionDescriptor& descriptor) {
 }
 
 MetricsCollector::MetricsCollector(const ConnectionTable& table,
-                                   const SimConfig& config)
+                                   const SimConfig& config,
+                                   std::uint32_t local_inputs,
+                                   std::uint32_t local_outputs)
     : table_(table),
       time_base_(config.time_base()),
       warmup_(config.warmup_cycles),
       measure_cycles_(config.measure_cycles),
-      ports_(config.ports),
+      local_inputs_(local_inputs),
+      local_outputs_(local_outputs),
       frame_jitter_(table.size()),
       generated_per_connection_(table.size(), 0),
       delivered_per_connection_(table.size(), 0) {
@@ -242,7 +246,7 @@ void MetricsCollector::on_generated(ConnectionId connection,
 }
 
 void MetricsCollector::on_delivered(const MmrRouter::Departure& departure,
-                                    Cycle delivered_at) {
+                                    Cycle delivered_at, std::uint32_t hops) {
   if (!measured(delivered_at)) return;
   const Flit& flit = departure.flit;
   MMR_ASSERT(flit.connection < class_of_connection_.size());
@@ -253,6 +257,7 @@ void MetricsCollector::on_delivered(const MmrRouter::Departure& departure,
   ++delivered_;
   ++delivered_per_connection_[flit.connection];
   flit_delay_us_.add(delay_us);
+  if (hops != 0) delivered_hops_.add(static_cast<double>(hops));
   ClassMetrics& cls = classes_[class_of_connection_[flit.connection]];
   ++cls.flits_delivered;
   cls.flit_delay_us.add(delay_us);
@@ -271,9 +276,11 @@ void MetricsCollector::on_delivered(const MmrRouter::Departure& departure,
   }
 }
 
-SimulationMetrics MetricsCollector::finalize(const MmrRouter& router,
-                                             double generated_load_nominal,
-                                             std::uint64_t backlog) const {
+SimulationMetrics MetricsCollector::finalize(
+    const std::vector<const MmrRouter*>& routers,
+    double generated_load_nominal, std::uint64_t backlog) const {
+  MMR_ASSERT(!routers.empty());
+  const MmrRouter& router = *routers.front();
   SimulationMetrics m;
   m.arbiter = router.arbiter().name();
   switch (router.queue_discipline()) {
@@ -287,30 +294,38 @@ SimulationMetrics MetricsCollector::finalize(const MmrRouter& router,
       m.queue_discipline = "cicq";
       break;
   }
-  if (const CicqFabric* fabric = router.cicq()) {
+  for (const MmrRouter* r : routers) {
+    const CicqFabric* fabric = r->cicq();
+    if (fabric == nullptr) continue;
     m.cicq.enabled = true;
     m.cicq.stabilized = fabric->spec().stabilize;
-    m.cicq.transfers = fabric->transfers();
-    m.cicq.credit_stalls = fabric->credit_stalls();
-    m.cicq.burst_activations = fabric->burst_activations();
-    m.cicq.burst_deactivations = fabric->burst_deactivations();
+    m.cicq.transfers += fabric->transfers();
+    m.cicq.credit_stalls += fabric->credit_stalls();
+    m.cicq.burst_activations += fabric->burst_activations();
+    m.cicq.burst_deactivations += fabric->burst_deactivations();
   }
   m.flit_cycle_us = time_base_.flit_cycle_us();
   m.generated_load_nominal = generated_load_nominal;
 
-  const double port_cycles =
-      static_cast<double>(ports_) * static_cast<double>(measure_cycles_);
-  m.generated_load_measured = static_cast<double>(generated_) / port_cycles;
-  m.delivered_load = static_cast<double>(delivered_) / port_cycles;
+  const double cycles = static_cast<double>(measure_cycles_);
+  m.generated_load_measured = static_cast<double>(generated_) /
+                              (static_cast<double>(local_inputs_) * cycles);
+  m.delivered_load = static_cast<double>(delivered_) /
+                     (static_cast<double>(local_outputs_) * cycles);
 
-  m.crossbar_utilization = router.crossbar().utilization();
-  m.mean_matching_size = router.crossbar().mean_matching_size();
-  m.mean_reconfigurations = router.crossbar().mean_reconfigurations();
+  const double count = static_cast<double>(routers.size());
+  for (const MmrRouter* r : routers) {
+    m.router_utilization.push_back(r->crossbar().utilization());
+    m.crossbar_utilization += r->crossbar().utilization() / count;
+    m.mean_matching_size += r->crossbar().mean_matching_size() / count;
+    m.mean_reconfigurations += r->crossbar().mean_reconfigurations() / count;
+  }
 
   m.flits_generated = generated_;
   m.flits_delivered = delivered_;
   m.flit_delay_us = flit_delay_us_;
   m.per_class = classes_;
+  m.delivered_hops = delivered_hops_;
 
   m.frames_completed = frames_completed_;
   m.frame_delay_us = frame_delay_us_;
@@ -334,49 +349,6 @@ void ClassMetrics::snap(snapshot::Walker& w) {
   snapshot::value(w, flits_delivered);
   flit_delay_us.snap(w);
   flit_delay_hist.snap(w);
-}
-
-void ClassMetrics::merge_from(const ClassMetrics& other) {
-  MMR_ASSERT_MSG(label == other.label,
-                 "merge_from must fold metrics of the same class");
-  flits_generated += other.flits_generated;
-  flits_delivered += other.flits_delivered;
-  flit_delay_us.merge(other.flit_delay_us);
-  flit_delay_hist.merge(other.flit_delay_hist);
-}
-
-std::vector<ClassMetrics> merge_class_shards(
-    std::vector<std::pair<std::uint32_t, std::vector<ClassMetrics>>> shards) {
-  // Canonicalise: shard id order first (completion order must not matter),
-  // then one fold pass per class label in sorted order.
-  std::sort(shards.begin(), shards.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::string> labels;
-  for (const auto& [id, classes] : shards) {
-    for (const ClassMetrics& cls : classes) {
-      if (std::find(labels.begin(), labels.end(), cls.label) == labels.end())
-        labels.push_back(cls.label);
-    }
-  }
-  std::sort(labels.begin(), labels.end());
-
-  std::vector<ClassMetrics> merged;
-  merged.reserve(labels.size());
-  for (const std::string& label : labels) {
-    ClassMetrics* out = nullptr;
-    for (const auto& [id, classes] : shards) {
-      for (const ClassMetrics& cls : classes) {
-        if (cls.label != label) continue;
-        if (out == nullptr) {
-          merged.push_back(cls);
-          out = &merged.back();
-        } else {
-          out->merge_from(cls);
-        }
-      }
-    }
-  }
-  return merged;
 }
 
 void DegradationMetrics::snap(snapshot::Walker& w) {
@@ -421,6 +393,7 @@ void MetricsCollector::snap(snapshot::Walker& w) {
   snapshot::value(w, generated_);
   snapshot::value(w, delivered_);
   flit_delay_us_.snap(w);
+  delivered_hops_.snap(w);
   snapshot::value(w, frames_completed_);
   frame_delay_us_.snap(w);
   frame_delay_hist_.snap(w);

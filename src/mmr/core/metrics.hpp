@@ -8,9 +8,9 @@
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "mmr/overload/policer.hpp"
 #include "mmr/qos/connection.hpp"
 #include "mmr/router/router.hpp"
 #include "mmr/sim/config.hpp"
@@ -34,21 +34,7 @@ struct ClassMetrics {
   /// Checkpoint walk: the accumulators only (label and histogram shape are
   /// construction-time constants).
   void snap(snapshot::Walker& w);
-
-  /// Folds another accumulator for the same class label into this one.
-  /// StreamingStats::merge rounds differently under reordering, so callers
-  /// that need byte-identical reports must fold in a fixed order — see
-  /// merge_class_shards.
-  void merge_from(const ClassMetrics& other);
 };
-
-/// Merges per-shard per-class metrics into one report, independent of the
-/// order the shards completed in: inputs are first sorted by shard id, and
-/// classes are folded in sorted label order, so net_threads=N reporting is
-/// byte-identical to net_threads=1 regardless of scheduling.  The result is
-/// sorted by label; labels missing from a shard are simply skipped.
-[[nodiscard]] std::vector<ClassMetrics> merge_class_shards(
-    std::vector<std::pair<std::uint32_t, std::vector<ClassMetrics>>> shards);
 
 /// Graceful-degradation accounting produced by fault-injection runs (see
 /// mmr/fault/).  All-zero when no fault plan is active.
@@ -95,17 +81,8 @@ struct DegradationMetrics {
 /// generated): the per-class survival rate fault benches report.
 [[nodiscard]] double survival_rate(const ClassMetrics& cls);
 
-/// Injection-policing tallies for one traffic class (mirrors
-/// overload::ClassTally; duplicated here so core/metrics stays free of the
-/// overload layer's headers).
-struct PolicedClassTally {
-  std::uint64_t conforming = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t demoted = 0;
-  std::uint64_t shaped = 0;
-  std::uint64_t penalty_overflow = 0;
-  std::uint64_t shed = 0;
-};
+/// Injection-policing tallies for one traffic class.
+using PolicedClassTally = overload::ClassTally;
 
 /// Overload-protection accounting produced by runs with `police=` and/or
 /// `rogue=` set (see mmr/overload/).  All-zero / disabled otherwise.
@@ -206,16 +183,20 @@ struct SimulationMetrics {
   double generated_load_measured = 0.0;
   double delivered_load = 0.0;
 
-  // Crossbar (Fig. 8).
+  // Crossbar (Fig. 8), averaged over routers; per router in
+  // router_utilization.
   double crossbar_utilization = 0.0;
   double mean_matching_size = 0.0;
   double mean_reconfigurations = 0.0;
+  std::vector<double> router_utilization;
 
   // Flit-level (Fig. 5).
   std::uint64_t flits_generated = 0;
   std::uint64_t flits_delivered = 0;
   StreamingStats flit_delay_us;
   std::vector<ClassMetrics> per_class;
+  /// Routers traversed by delivered flits (routed workloads only).
+  StreamingStats delivered_hops;
 
   // Frame-level (Fig. 9 and the jitter discussion).
   std::uint64_t frames_completed = 0;
@@ -236,6 +217,9 @@ struct SimulationMetrics {
 
   // Crosspoint fabric (mmr/router/cicq.hpp); disabled unless qd=cicq.
   CicqMetrics cicq;
+
+  // Fault injection (mmr/fault/); all-zero unless a fault plan was installed.
+  DegradationMetrics degradation;
 
   // Fairness (Section 3's "efficient and fair resource scheduling"):
   // Jain's index over per-connection delivered/offered shares; 1.0 means
@@ -274,15 +258,21 @@ struct SimulationMetrics {
 /// Accumulates per-flit / per-frame events during a run.
 class MetricsCollector {
  public:
-  MetricsCollector(const ConnectionTable& table, const SimConfig& config);
+  /// `table` is the host view of every connection (Workload::table); loads
+  /// are fractions of the local input / output link capacity.
+  MetricsCollector(const ConnectionTable& table, const SimConfig& config,
+                   std::uint32_t local_inputs, std::uint32_t local_outputs);
 
   void on_generated(ConnectionId connection, Cycle generated_at);
-  void on_delivered(const MmrRouter::Departure& departure, Cycle delivered_at);
+  /// A flit reached its host after traversing `hops` routers (0: not
+  /// tracked, as on a one-router table workload).
+  void on_delivered(const MmrRouter::Departure& departure, Cycle delivered_at,
+                    std::uint32_t hops);
 
   /// Assembles the final metrics.  `backlog` = flits still queued anywhere.
-  [[nodiscard]] SimulationMetrics finalize(const MmrRouter& router,
-                                           double generated_load_nominal,
-                                           std::uint64_t backlog) const;
+  [[nodiscard]] SimulationMetrics finalize(
+      const std::vector<const MmrRouter*>& routers,
+      double generated_load_nominal, std::uint64_t backlog) const;
 
   /// Checkpoint walk: every accumulator that feeds finalize().
   void snap(snapshot::Walker& w);
@@ -296,7 +286,8 @@ class MetricsCollector {
   TimeBase time_base_;
   Cycle warmup_;
   Cycle measure_cycles_;
-  std::uint32_t ports_;
+  std::uint32_t local_inputs_;
+  std::uint32_t local_outputs_;
 
   std::vector<std::size_t> class_of_connection_;
   std::vector<ClassMetrics> classes_;
@@ -306,6 +297,7 @@ class MetricsCollector {
   std::uint64_t generated_ = 0;
   std::uint64_t delivered_ = 0;
   StreamingStats flit_delay_us_;
+  StreamingStats delivered_hops_;
   std::uint64_t frames_completed_ = 0;
   StreamingStats frame_delay_us_;
   LogHistogram frame_delay_hist_{0.1, 1.15};

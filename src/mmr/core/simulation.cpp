@@ -1,5 +1,7 @@
 #include "mmr/core/simulation.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "mmr/audit/sim_auditor.hpp"
@@ -8,14 +10,50 @@
 #include "mmr/overload/rogue_apply.hpp"
 #include "mmr/overload/watchdog.hpp"
 #include "mmr/perf/probe.hpp"
+#include "mmr/qos/rounds.hpp"
 #include "mmr/sim/assert.hpp"
-#include "mmr/sim/log.hpp"
+#include "mmr/sim/thread_pool.hpp"
 #include "mmr/snapshot/format.hpp"
 #include "mmr/snapshot/manager.hpp"
 #include "mmr/snapshot/signals.hpp"
+#include "mmr/snapshot/spec.hpp"
 #include "mmr/snapshot/walker.hpp"
 #include "mmr/trace/event.hpp"
 #include "mmr/trace/tracer.hpp"
+
+// One simulated cycle runs two parallel phases between serial sections:
+//
+//   0  serial   fault transitions (teardown/reroute walk global state)
+//   A  shards   credit ticks + channel and NIC-link arrivals, MMU admission
+//      barrier  ECN marks reach their connections' reactors and sources
+//   1  serial   traffic generation off the global emission heap, shaped
+//               releases, ECN recovery, Xon/Xoff frames land
+//   B  shards   NIC sends + router scheduling cycles, credit returns,
+//               forwards, host deliveries
+//   2  serial   delivery accounting, watchdog, audit sweeps, credit resync
+//
+// Both phases walk routers in ascending order, each router's input or
+// output ports in ascending order.  The serial loop is one shard covering
+// the whole fabric, run inline.  With `net_threads >= 2` routers are split
+// into contiguous shards; a shard owns its routers, the hosts attached to
+// them and the channels they receive.
+// Determinism — the sharded loop is BIT-identical to the serial one:
+//   * Float accumulators are only updated in section 2, in ascending router
+//     order: phase B queues deliveries per shard and the barrier drains them
+//     shard-ascending, which is router order.
+//   * Cross-shard effects (ECN source throttles; Xon/Xoff frames, which may
+//     gate an upstream router in another shard) are queued per shard or per
+//     router and applied in a serial section.
+//   * Fault draws: each channel's streams are drawn only by its receiving
+//     router's shard (arrivals in phase A, credit returns in phase B).
+//   * Trace bytes: each shard emits into a private staging tracer; at each
+//     barrier the staged streams are replayed in shard order — exactly the
+//     serial emission order.
+//   * Data races: none.  CreditManager::consume writes only `credits_` (the
+//     sending shard, phase B), release() appends only to `pending_` (the
+//     receiving shard), tick() applies pending->credits in phase A.
+// Shards hold no simulated state across cycles, so snapshots, state hashes
+// and resume behaviour are identical across thread counts.
 
 namespace mmr {
 
@@ -23,15 +61,34 @@ namespace {
 
 constexpr Cycle kInvariantCheckPeriod = 1 << 16;
 
-constexpr std::uint32_t kNoSource = ~std::uint32_t{0};
+std::uint32_t count_local(const NetworkTopology& topology, bool inputs) {
+  std::uint32_t count = 0;
+  for (std::uint32_t r = 0; r < topology.routers(); ++r)
+    count += static_cast<std::uint32_t>(
+        inputs ? topology.local_input_ports(r).size()
+               : topology.local_output_ports(r).size());
+  return count;
+}
 
 }  // namespace
 
+void validate_specs(const SimConfig& config) {
+  if (!config.flow_spec.empty()) (void)mmu::MmuSpec::parse(config.flow_spec);
+  if (!config.police_spec.empty())
+    (void)overload::PoliceSpec::parse(config.police_spec);
+  if (!config.rogue_spec.empty())
+    (void)overload::RogueSpec::parse(config.rogue_spec);
+  if (!config.qd_spec.empty()) (void)QdSpec::parse(config.qd_spec);
+  if (!config.trace_spec.empty())
+    (void)trace::TraceSpec::parse(config.trace_spec);
+  if (!config.fault_spec.empty()) (void)FaultPlan::parse(config.fault_spec);
+  snapshot::validate_spec(config);
+}
+
 SimConfig MmrSimulation::with_flow_regime(SimConfig config) {
   if (config.flow_spec.empty()) return config;
-  // Parse eagerly so a malformed spec fails before anything is built; only
-  // the shared regime changes the buffer geometry (resolve() reads ports and
-  // latencies, never buffer_flits_per_vc, so the order is safe).
+  // Parsed eagerly, so a malformed spec fails before anything is built
+  // (resolve() never reads buffer_flits_per_vc, so the order is safe).
   const mmu::MmuSpec spec = mmu::MmuSpec::parse(config.flow_spec);
   if (spec.mode == mmu::FlowMode::kShared)
     config.buffer_flits_per_vc = spec.resolve(config).vc_slots();
@@ -41,22 +98,122 @@ SimConfig MmrSimulation::with_flow_regime(SimConfig config) {
 MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
     : config_(with_flow_regime(std::move(config))),
       workload_(std::move(workload)),
-      router_(config_, workload_.table, Rng(config_.seed, 0xA0)),
-      collector_(workload_.table, config_),
+      collector_(workload_.table, config_,
+                 count_local(workload_.topology, /*inputs=*/true),
+                 count_local(workload_.topology, /*inputs=*/false)),
       generated_load_nominal_(
           workload_.generated_load(config_.time_base())) {
   config_.validate();
   workload_.check_invariants();
+  const NetworkTopology& topology = workload_.topology;
+  MMR_ASSERT(topology.ports_per_router() == config_.ports);
+  const std::uint32_t routers = topology.routers();
+  const std::size_t port_slots = static_cast<std::size_t>(routers) *
+                                 config_.ports;
 
-  // Rogue wrapping must precede the emission-heap build below so the heap
-  // indexes the wrapped sources.  Wrapping never changes mean_bps(), so the
-  // nominal load captured above stays the declared one.
+  // Rogue wrapping precedes the emission heap, which indexes the wrapped
+  // sources; it never changes mean_bps(), so the nominal load stands.
   if (!config_.rogue_spec.empty()) {
     rogue_ids_ = overload::apply_rogue(
         workload_, overload::RogueSpec::parse(config_.rogue_spec));
-    is_rogue_.assign(workload_.table.size(), 0);
+    is_rogue_.assign(workload_.size(), 0);
     for (const ConnectionId id : rogue_ids_) is_rogue_[id] = 1;
   }
+
+  // Channels, then hosts on local input ports (router-ascending, so every
+  // shard's hosts form one contiguous index range).
+  ports_.resize(port_slots);
+  channels_.reserve(topology.channels());
+  for (std::uint32_t r = 0; r < routers; ++r) {
+    for (std::uint32_t p = 0; p < config_.ports; ++p) {
+      const auto down = topology.downstream(r, p);
+      if (!down.has_value()) continue;
+      const auto channel = static_cast<std::int32_t>(channels_.size());
+      ports_[port_index(r, p)].out_channel = channel;
+      ports_[port_index(down->router, down->port)].in_channel = channel;
+      channels_.push_back(Channel{
+          *down, false,
+          CreditManager(config_.vcs_per_link, config_.buffer_flits_per_vc,
+                        config_.credit_latency),
+          LinkPipeline(config_.link_latency)});
+    }
+  }
+  const std::uint32_t local_inputs = count_local(topology, /*inputs=*/true);
+  hosts_.reserve(local_inputs);
+  for (std::uint32_t r = 0; r < routers; ++r) {
+    for (std::uint32_t p : topology.local_input_ports(r)) {
+      ports_[port_index(r, p)].host = static_cast<std::int32_t>(hosts_.size());
+      hosts_.push_back(Host{Nic(config_.vcs_per_link,
+                                config_.buffer_flits_per_vc,
+                                config_.credit_latency),
+                            LinkPipeline(config_.link_latency)});
+    }
+  }
+
+  // Per-router tables and next hops.  A table workload is its one router's
+  // table, every flit delivered locally; a routed workload registers one
+  // entry per hop in (connection, hop) order, reproducing its reservation.
+  next_hops_.resize(port_slots * config_.vcs_per_link);
+  if (workload_.connections.empty()) {
+    tables_.push_back(workload_.table);
+  } else {
+    tables_.assign(routers, ConnectionTable(config_.ports));
+    for (const NetworkConnection& connection : workload_.connections) {
+      for (const Hop& hop : connection.path) {
+        const ConnectionId local_id = tables_[hop.router].add(
+            hop_descriptor(connection.id, hop), config_.vcs_per_link);
+        MMR_ASSERT_MSG(tables_[hop.router].get(local_id).vc == hop.vc,
+                       "table VC assignment must match the reservation");
+      }
+      install_path(connection.path);
+    }
+  }
+
+  // Routers.  One-router table workloads keep the paper setup's RNG lane;
+  // routed workloads fork one lane per router.
+  nodes_.reserve(routers);
+  for (std::uint32_t r = 0; r < routers; ++r) {
+    const Rng rng = workload_.connections.empty()
+                        ? Rng(config_.seed, 0xA0)
+                        : Rng(config_.seed, 0x4E7).fork(r);
+    nodes_.push_back(Node{MmrRouter(config_, tables_[r], rng), nullptr,
+                          nullptr, {}});
+    Node& node = nodes_.back();
+    if (config_.shared_flow())
+      node.mmu = std::make_unique<mmu::SharedBufferMmu>(
+          mmu::MmuSpec::parse(config_.flow_spec), config_, r);
+    if (config_.audit_every == 0) continue;
+    std::vector<audit::SimAuditor::Feed> feeds;
+    for (std::uint32_t p = 0; p < config_.ports; ++p) {
+      if (ports_[port_index(r, p)].host != -1) {
+        const Host& host = host_at(r, p);
+        feeds.push_back({&host.nic.credits(), &host.link, &host.nic});
+      } else {
+        const Channel& channel = channel_into(r, p);
+        feeds.push_back({&channel.credits, &channel.pipe, nullptr});
+      }
+    }
+    node.auditor =
+        std::make_unique<audit::SimAuditor>(config_, std::move(feeds));
+  }
+
+  // A router offers a VC only when its next hop can take the flit: the
+  // channel is up, not paused by the downstream MMU, and holds a credit.
+  // Routers without an outgoing channel (one-router topology) have no gate.
+  for (std::uint32_t r = 0; r < routers; ++r) {
+    if (topology.local_output_ports(r).size() == config_.ports) continue;
+    nodes_[r].router.set_eligibility(
+        [this, r](std::uint32_t input, std::uint32_t vc) {
+          const NextHop& next =
+              next_hops_[port_index(r, input) * config_.vcs_per_link + vc];
+          if (next.local) return true;
+          const Channel& channel = channels_[next.channel];
+          if (channel.paused) return false;
+          if (fault_ && fault_->injector.is_down(next.channel)) return false;
+          return channel.credits.has_credit(next.downstream_vc);
+        });
+  }
+
   if (!config_.police_spec.empty()) {
     const auto spec = overload::PoliceSpec::parse(config_.police_spec);
     qos_deadline_cycles_ = spec.qos_deadline_cycles;
@@ -64,41 +221,38 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
                                                             config_, spec);
     if (spec.wd_window > 0)
       watchdog_ =
-          std::make_unique<overload::SaturationWatchdog>(spec, config_.ports);
+          std::make_unique<overload::SaturationWatchdog>(spec, local_inputs);
   }
-
-  if (config_.shared_flow()) {
-    mmu_ = std::make_unique<mmu::SharedBufferMmu>(
-        mmu::MmuSpec::parse(config_.flow_spec), config_);
-    if (mmu_->spec().ecn) {
-      ecn_ = std::make_unique<mmu::EcnReactor>(workload_.table.size(),
-                                               mmu_->spec());
-      source_of_connection_.assign(workload_.table.size(), kNoSource);
-      for (std::uint32_t i = 0; i < workload_.sources.size(); ++i)
-        source_of_connection_[workload_.sources[i]->connection()] = i;
-    }
-  }
-
-  nics_.reserve(config_.ports);
-  input_links_.reserve(config_.ports);
-  for (std::uint32_t port = 0; port < config_.ports; ++port) {
-    nics_.emplace_back(config_.vcs_per_link, config_.buffer_flits_per_vc,
-                       config_.credit_latency);
-    input_links_.emplace_back(config_.link_latency);
-  }
+  if (config_.shared_flow() && nodes_.front().mmu->spec().ecn)
+    ecn_ = std::make_unique<mmu::EcnReactor>(workload_.size(),
+                                             nodes_.front().mmu->spec());
 
   for (std::uint32_t i = 0; i < workload_.sources.size(); ++i) {
     const Cycle next = workload_.sources[i]->next_emission();
     if (next != kNever) heap_.emplace(next, i);
   }
 
-  if (config_.audit_every > 0)
-    auditor_ = std::make_unique<audit::SimAuditor>(config_);
+  if (!config_.fault_spec.empty())
+    set_fault_plan(FaultPlan::parse(config_.fault_spec));
 
   if (!config_.trace_spec.empty())
     tracer_ = std::make_unique<trace::Tracer>(
         trace::TraceSpec::parse(config_.trace_spec),
         trace::TraceMeta::from_config(config_));
+
+  // Shards: balanced contiguous router ranges [s*R/S, (s+1)*R/S).
+  const std::uint32_t shard_count =
+      config_.net_threads >= 2 && routers >= 2
+          ? std::min(config_.net_threads, routers)
+          : 1;
+  shards_.resize(shard_count);
+  for (std::uint32_t s = 0; s < shard_count; ++s) {
+    shards_[s].router_begin = static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(routers) * s / shard_count);
+    shards_[s].router_end = static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(routers) * (s + 1) / shard_count);
+  }
+  if (shard_count >= 2) pool_ = std::make_unique<ThreadPool>(shard_count);
 
   // Last: every subsystem the walk visits must already exist before a
   // `resume:` checkpoint is overlaid.
@@ -113,220 +267,419 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
 
 MmrSimulation::~MmrSimulation() = default;
 
-const Nic& MmrSimulation::nic(std::uint32_t link) const {
-  MMR_ASSERT(link < nics_.size());
-  return nics_[link];
+ConnectionDescriptor MmrSimulation::hop_descriptor(ConnectionId connection,
+                                                   const Hop& hop) const {
+  ConnectionDescriptor descriptor = workload_.table.get(connection);
+  descriptor.input_link = hop.in_port;
+  descriptor.output_link = hop.out_port;
+  return descriptor;
+}
+
+void MmrSimulation::install_path(const std::vector<Hop>& path) {
+  for (std::size_t h = 0; h < path.size(); ++h) {
+    NextHop& next = next_hops_[port_index(path[h].router, path[h].in_port) *
+                                   config_.vcs_per_link +
+                               path[h].vc];
+    next.local = h + 1 == path.size();
+    if (next.local) continue;
+    const std::int32_t channel = channel_at(path[h].router, path[h].out_port);
+    MMR_ASSERT(channel != -1);
+    next.channel = static_cast<std::uint32_t>(channel);
+    next.downstream_vc = path[h + 1].vc;
+  }
+}
+
+Hop MmrSimulation::first_hop(ConnectionId connection) const {
+  if (!workload_.connections.empty())
+    return workload_.connections[connection].first_hop();
+  const ConnectionDescriptor& d = workload_.table.get(connection);
+  return Hop{0, d.input_link, d.output_link, d.vc};
+}
+
+const MmrRouter& MmrSimulation::router(std::uint32_t index) const {
+  MMR_ASSERT(index < nodes_.size());
+  return nodes_[index].router;
+}
+
+const audit::SimAuditor* MmrSimulation::auditor() const {
+  return nodes_.front().auditor.get();
+}
+
+std::int32_t MmrSimulation::channel_at(std::uint32_t router,
+                                       std::uint32_t out_port) const {
+  MMR_ASSERT(router < workload_.topology.routers() &&
+             out_port < config_.ports);
+  return ports_[port_index(router, out_port)].out_channel;
 }
 
 std::uint64_t MmrSimulation::backlog() const {
-  std::uint64_t total = router_.flits_buffered();
-  for (const Nic& n : nics_) total += n.total_queued() - n.total_sent();
-  for (const LinkPipeline& link : input_links_) total += link.in_flight();
+  std::uint64_t total = 0;
+  for (const Node& node : nodes_) total += node.router.flits_buffered();
+  for (const Host& host : hosts_)
+    total += host.nic.total_queued() - host.nic.total_sent() +
+             host.link.in_flight();
+  for (const Channel& channel : channels_) total += channel.pipe.in_flight();
   if (policer_) total += policer_->penalty_backlog();
   return total;
+}
+
+// --- one simulated cycle -----------------------------------------------------
+
+template <class Fn>
+void MmrSimulation::for_each_shard(trace::Tracer* cycle_tracer, Fn&& fn) {
+  if (!pool_) {
+    fn(shards_.front());
+    return;
+  }
+  const bool staged = trace::kCompiledIn && cycle_tracer != nullptr;
+  for (Shard& shard : shards_) {
+    if (staged) {
+      if (!shard.staging) {
+        trace::TraceSpec spec;
+        spec.mode = trace::TraceSpec::Mode::kStream;
+        spec.limit = std::numeric_limits<std::uint64_t>::max();
+        shard.staging =
+            std::make_unique<trace::Tracer>(spec, cycle_tracer->meta());
+      }
+      shard.staging->set_now(now_);
+      shard.staging->set_node(0);
+    }
+    pool_->submit([&shard, &fn, staged] {
+      const trace::TraceScope arm(staged ? shard.staging.get() : nullptr);
+      fn(shard);
+    });
+  }
+  pool_->wait_idle();
+  if (!staged) return;
+  // Shards are contiguous and stepped router by router, so their streams
+  // concatenated in shard order are the serial emission order.  emit()
+  // re-stamps the node, so mirror each staged event's stamp first.
+  for (Shard& shard : shards_) {
+    for (const trace::Event& event : shard.staging->stream_events()) {
+      cycle_tracer->set_node(event.node);
+      cycle_tracer->emit(event);
+    }
+    shard.staging->clear_stream();
+  }
 }
 
 void MmrSimulation::step_one() {
   const Cycle now = now_;
   const bool measure = now >= config_.warmup_cycles;
 
-  // Arm this simulation's tracer for the cycle (keeping any externally
-  // armed tracer when trace= is unset, mirroring perf::ProbeScope).  The
-  // mirrored clock lets clock-less call sites (arbiters, admission) stamp
-  // their events with the right cycle.
+  // Arm this simulation's tracer (or keep an externally armed one, as
+  // perf::ProbeScope does); its clock stamps clock-less call sites.
   trace::Tracer* const tracer =
       tracer_ != nullptr ? tracer_.get() : trace::current();
   const trace::TraceScope trace_scope(tracer);
-  if (tracer != nullptr) tracer->set_now(now);
+  if (tracer != nullptr) {
+    tracer->set_now(now);
+    tracer->set_node(0);
+  }
 
-  // 1. Flits whose link transfer completes this cycle enter the VCM —
-  // gated, under flow=shared, by the MMU's pool accounting.
-  {
+  // 0. Outage schedule: link transitions, teardowns, re-admissions.
+  if (fault_) apply_fault_transitions(now);
+
+  // A. Returned credits land; flits whose link transfer completes enter
+  // their VCM — gated, under flow=shared, by the router's MMU.
+  for_each_shard(tracer, [this, now](Shard& shard) {
     MMR_PERF_SCOPE(perf::Phase::kCredits);
-    for (std::uint32_t port = 0; port < config_.ports; ++port) {
-      arrival_buffer_.clear();
-      input_links_[port].pop_due(now, arrival_buffer_);
-      for (const LinkTransfer& transfer : arrival_buffer_) {
-        if (mmu_) {
-          const Flit& flit = transfer.flit;
-          const auto admit = mmu_->admit(port, loss_class(flit), now);
-          if (admit.pool == mmu::AdmitPool::kDropped) {
-            // The VCM slot this flit was charged a credit for stays free;
-            // return the credit so the NIC's ledger keeps balancing.
-            nics_[port].return_credit(transfer.vc, now);
-            MMR_TRACE_EVENT(trace::mmu_drop_event(now, port, transfer.vc,
-                                                  flit.connection, flit.seq,
-                                                  mmu_->occupancy()));
-            continue;
-          }
-          if (admit.marked) {
-            MMR_TRACE_EVENT(trace::ecn_mark_event(now, port, transfer.vc,
-                                                  flit.connection, flit.seq,
-                                                  mmu_->shared_used()));
-            if (ecn_ && ecn_->on_mark(flit.connection))
-              apply_ecn_factor(flit.connection);
-          }
-          if (admit.fire_xoff) {
-            const Cycle effective = now + config_.credit_latency;
-            pause_frames_.push_back({effective, port, /*xoff=*/true});
-            MMR_TRACE_EVENT(trace::mmu_pause_event(
-                now, port, mmu_->port_usage(port), effective));
-          }
-        }
-        router_.accept(port, transfer.vc, transfer.flit, now);
-      }
-    }
+    for (std::uint32_t r = shard.router_begin; r < shard.router_end; ++r)
+      for (std::uint32_t p = 0; p < config_.ports; ++p)
+        input_arrivals(r, p, now, shard);
+  });
+  for (Shard& shard : shards_) {
+    for (const ConnectionId connection : shard.ecn_marks)
+      if (ecn_->on_mark(connection)) apply_ecn_factor(connection);
+    shard.ecn_marks.clear();
   }
 
-  // 2. Sources generate; flits land in their NIC's per-connection buffer.
-  {
-    MMR_PERF_SCOPE(perf::Phase::kTraffic);
-    while (!heap_.empty() && heap_.top().first <= now) {
-      const std::uint32_t index = heap_.top().second;
-      heap_.pop();
-      TrafficSource& source = *workload_.sources[index];
-      flit_buffer_.clear();
-      source.generate(now, flit_buffer_);
-      const ConnectionDescriptor& descriptor =
-          workload_.table.get(source.connection());
-      for (const Flit& flit : flit_buffer_) {
-        collector_.on_generated(flit.connection, flit.generated_at);
-        if (policer_ == nullptr) {
-          nics_[descriptor.input_link].deposit(descriptor.vc, flit);
-          MMR_TRACE_EVENT(trace::inject_event(now, descriptor.input_link,
-                                              descriptor.vc, flit.connection,
-                                              flit.seq));
-          continue;
-        }
-        switch (policer_->police(flit, now)) {
-          case overload::Verdict::kPass:
-            nics_[descriptor.input_link].deposit(descriptor.vc, flit);
-            MMR_TRACE_EVENT(trace::inject_event(now, descriptor.input_link,
-                                                descriptor.vc, flit.connection,
-                                                flit.seq));
-            break;
-          case overload::Verdict::kDemoted: {
-            Flit demoted = flit;
-            demoted.demoted = true;
-            nics_[descriptor.input_link].deposit(descriptor.vc, demoted);
-            if (MMR_TRACE_ON()) {
-              MMR_TRACE_EVENT(trace::police_event(
-                  now, descriptor.input_link, descriptor.vc, flit.connection,
-                  flit.seq, trace::PoliceAction::kDemoted));
-              MMR_TRACE_EVENT(trace::inject_event(
-                  now, descriptor.input_link, descriptor.vc, flit.connection,
-                  flit.seq, /*demoted=*/true));
-            }
-            break;
-          }
-          case overload::Verdict::kShaped:  // held in the penalty queue
-            MMR_TRACE_EVENT(trace::police_event(
-                now, descriptor.input_link, descriptor.vc, flit.connection,
-                flit.seq, trace::PoliceAction::kShaped));
-            break;
-          case overload::Verdict::kDropped:  // discarded at injection
-            if (MMR_TRACE_ON()) {
-              // Recover the reason the policer recorded in its tallies:
-              // best-effort drops while shedding are watchdog sheds; QoS
-              // drops under the shape policy mean the penalty queue was
-              // full; everything else is a plain contract drop.
-              trace::PoliceAction action = trace::PoliceAction::kDropped;
-              if (!descriptor.is_qos() && policer_->shedding()) {
-                action = trace::PoliceAction::kShed;
-              } else if (descriptor.is_qos() &&
-                         policer_->spec().policy ==
-                             overload::OverloadPolicy::kShape) {
-                action = trace::PoliceAction::kPenaltyOverflow;
-              }
-              MMR_TRACE_EVENT(trace::police_event(now, descriptor.input_link,
-                                                  descriptor.vc,
-                                                  flit.connection, flit.seq,
-                                                  action));
-            }
-            break;
-        }
-      }
-      const Cycle next = source.next_emission();
-      if (next != kNever) {
-        MMR_ASSERT_MSG(next > now, "source failed to advance its clock");
-        heap_.emplace(next, index);
-      }
-    }
-
-    // 2b. Shaped flits whose tokens have accrued enter their NIC now.
-    if (policer_) {
-      release_buffer_.clear();
-      policer_->release_due(now, release_buffer_);
-      for (const Flit& flit : release_buffer_) {
-        const ConnectionDescriptor& descriptor =
-            workload_.table.get(flit.connection);
-        nics_[descriptor.input_link].deposit(descriptor.vc, flit);
-        MMR_TRACE_EVENT(trace::shape_release_event(
-            now, descriptor.input_link, descriptor.vc, flit.connection,
-            flit.seq, now - flit.generated_at));
-        if (measure && flit.generated_at >= config_.warmup_cycles) {
-          shape_delay_us_.add(config_.time_base().cycles_to_us(
-              static_cast<double>(now - flit.generated_at)));
-        }
-      }
-    }
-  }
-
-  // 2c. ECN recovery: factors step back towards 1.0 once per window.
+  // 1. Sources generate into their NICs; pause frames take effect.
+  generate_traffic(now, measure);
   if (ecn_) {
+    // ECN recovery: factors step back towards 1.0 once per window.
     ecn_changed_.clear();
     ecn_->on_cycle(now, ecn_changed_);
     for (const ConnectionId connection : ecn_changed_)
       apply_ecn_factor(connection);
   }
+  if (nodes_.front().mmu) apply_pause_frames(now);
 
-  // 3. Pause frames whose credit-channel propagation completes take effect,
-  // then each NIC's link controller forwards at most one flit.
-  {
-    MMR_PERF_SCOPE(perf::Phase::kCredits);
-    while (!pause_frames_.empty() &&
-           pause_frames_.front().effective_at <= now) {
-      const PauseFrame frame = pause_frames_.front();
-      pause_frames_.pop_front();
-      nics_[frame.port].set_paused(frame.xoff);
-    }
-    for (std::uint32_t port = 0; port < config_.ports; ++port) {
-      if (auto transfer = nics_[port].select_and_send(now)) {
-        input_links_[port].push(*transfer, now);
+  // B. Each NIC's link controller forwards at most one flit; each router
+  // runs one scheduling cycle.
+  for_each_shard(tracer, [this, now, measure](Shard& shard) {
+    for (std::uint32_t r = shard.router_begin; r < shard.router_end; ++r) {
+      {
+        MMR_PERF_SCOPE(perf::Phase::kCredits);
+        for (std::uint32_t p = 0; p < config_.ports; ++p) {
+          const std::int32_t h = ports_[port_index(r, p)].host;
+          if (h == -1) continue;
+          Host& host = hosts_[static_cast<std::size_t>(h)];
+          if (auto transfer = host.nic.select_and_send(now))
+            host.link.push(*transfer, now);
+        }
       }
+      router_cycle(r, now, measure, shard);
+    }
+  });
+
+  // 2. Barrier bookkeeping.
+  close_cycle(now, measure);
+  ++now_;
+}
+
+void MmrSimulation::input_arrivals(std::uint32_t r, std::uint32_t p, Cycle now,
+                                   Shard& shard) {
+  const PortMap& port = ports_[port_index(r, p)];
+  Host* const host =
+      port.host != -1 ? &hosts_[static_cast<std::size_t>(port.host)] : nullptr;
+  Channel* const channel =
+      host == nullptr ? &channels_[static_cast<std::size_t>(port.in_channel)]
+                      : nullptr;
+  shard.arrivals.clear();
+  if (host != nullptr) {
+    host->link.pop_due(now, shard.arrivals);
+  } else {
+    channel->credits.tick(now);
+    channel->pipe.pop_due(now, shard.arrivals);
+  }
+  MMR_TRACE_SET_NODE(r);
+  const auto ci = static_cast<std::uint32_t>(port.in_channel);
+  for (const LinkTransfer& transfer : shard.arrivals) {
+    if (channel != nullptr && fault_) {
+      // A dropped or corrupt (CRC-failed) flit is discarded here; its
+      // credit leaks until the resync watchdog repairs it.
+      if (fault_->injector.drop_flit(ci)) {
+        ++shard.tally.flits_dropped;
+        MMR_TRACE_EVENT(
+            trace::fault_event(now, trace::FaultKind::kFlitDrop, ci));
+        continue;
+      }
+      if (fault_->injector.corrupt_flit(ci)) {
+        ++shard.tally.flits_corrupted;
+        MMR_TRACE_EVENT(
+            trace::fault_event(now, trace::FaultKind::kFlitCorrupt, ci));
+        continue;
+      }
+    }
+    if (arrive(r, p, transfer, now, shard)) continue;
+    if (host != nullptr) {
+      host->nic.return_credit(transfer.vc, now);
+    } else {
+      channel->credits.release(transfer.vc, now);
+    }
+  }
+}
+
+bool MmrSimulation::arrive(std::uint32_t router, std::uint32_t port,
+                           const LinkTransfer& transfer, Cycle now,
+                           Shard& shard) {
+  Node& node = nodes_[router];
+  if (node.mmu) {
+    const Flit& flit = transfer.flit;
+    const auto admit = node.mmu->admit(port, loss_class(flit), now);
+    if (admit.pool == mmu::AdmitPool::kDropped) {
+      // The VCM slot this flit was charged a credit for stays free; the
+      // caller returns the credit so the upstream ledger keeps balancing.
+      MMR_TRACE_EVENT(trace::mmu_drop_event(now, port, transfer.vc,
+                                            flit.connection, flit.seq,
+                                            node.mmu->occupancy()));
+      return false;
+    }
+    if (admit.marked) {
+      MMR_TRACE_EVENT(trace::ecn_mark_event(now, port, transfer.vc,
+                                            flit.connection, flit.seq,
+                                            node.mmu->shared_used()));
+      if (ecn_) shard.ecn_marks.push_back(flit.connection);
+    }
+    if (admit.fire_xoff) {
+      const Cycle effective = now + config_.credit_latency;
+      node.pause_frames.push_back({effective, port, /*xoff=*/true});
+      MMR_TRACE_EVENT(trace::mmu_pause_event(
+          now, port, node.mmu->port_usage(port), effective));
+    }
+  }
+  node.router.accept(port, transfer.vc, transfer.flit, now);
+  return true;
+}
+
+MmrSimulation::Host& MmrSimulation::host_at(std::uint32_t router,
+                                            std::uint32_t port) {
+  const std::int32_t host = ports_[port_index(router, port)].host;
+  MMR_ASSERT(host != -1);
+  return hosts_[static_cast<std::size_t>(host)];
+}
+
+MmrSimulation::Channel& MmrSimulation::channel_into(std::uint32_t router,
+                                                    std::uint32_t port) {
+  const std::int32_t channel = ports_[port_index(router, port)].in_channel;
+  MMR_ASSERT(channel != -1);
+  return channels_[static_cast<std::size_t>(channel)];
+}
+
+void MmrSimulation::generate_traffic(Cycle now, bool measure) {
+  MMR_PERF_SCOPE(perf::Phase::kTraffic);
+  while (!heap_.empty() && heap_.top().first <= now) {
+    const std::uint32_t index = heap_.top().second;
+    heap_.pop();
+    TrafficSource& source = *workload_.sources[index];
+    flit_buffer_.clear();
+    source.generate(now, flit_buffer_);
+    const Hop first = first_hop(index);
+    // A fault-dropped connection's source keeps producing (counted against
+    // survival) while it waits for re-admission, but nothing is queued.
+    const bool disconnected =
+        fault_ && fault_->state[index] == FaultRuntime::ConnState::kDropped;
+    MMR_TRACE_SET_NODE(first.router);
+    for (const Flit& flit : flit_buffer_) {
+      collector_.on_generated(flit.connection, flit.generated_at);
+      if (disconnected) {
+        ++fault_->metrics.source_flits_discarded;
+        continue;
+      }
+      const overload::Verdict verdict = policer_ == nullptr
+                                            ? overload::Verdict::kPass
+                                            : policer_->police(flit, now);
+      if (verdict == overload::Verdict::kPass ||
+          verdict == overload::Verdict::kDemoted) {
+        // Demoted excess rides at best-effort priority.
+        Flit queued = flit;
+        queued.demoted = verdict == overload::Verdict::kDemoted;
+        host_at(first.router, first.in_port).nic.deposit(first.vc, queued);
+        if (queued.demoted)
+          MMR_TRACE_EVENT(trace::police_event(
+              now, first.in_port, first.vc, flit.connection, flit.seq,
+              trace::PoliceAction::kDemoted));
+        MMR_TRACE_EVENT(trace::inject_event(now, first.in_port, first.vc,
+                                            flit.connection, flit.seq,
+                                            queued.demoted));
+        continue;
+      }
+      if (!MMR_TRACE_ON()) continue;
+      // Shaped flits wait in the penalty queue.  A drop's reason is what
+      // the policer tallied: a watchdog shed (best effort while shedding),
+      // a full penalty queue (QoS under shape) or a contract drop.
+      const bool qos = workload_.table.get(index).is_qos();
+      trace::PoliceAction action = trace::PoliceAction::kDropped;
+      if (verdict == overload::Verdict::kShaped) {
+        action = trace::PoliceAction::kShaped;
+      } else if (!qos && policer_->shedding()) {
+        action = trace::PoliceAction::kShed;
+      } else if (qos && policer_->spec().policy ==
+                            overload::OverloadPolicy::kShape) {
+        action = trace::PoliceAction::kPenaltyOverflow;
+      }
+      MMR_TRACE_EVENT(trace::police_event(now, first.in_port, first.vc,
+                                          flit.connection, flit.seq, action));
+    }
+    const Cycle next = source.next_emission();
+    if (next != kNever) {
+      MMR_ASSERT_MSG(next > now, "source failed to advance its clock");
+      heap_.emplace(next, index);
     }
   }
 
-  // 4. One scheduling cycle: link scheduling, switch arbitration, crossbar
-  // transit.  Departures complete at now + 1 (one flit time through the
-  // switch and output link) and their credits head back to the NIC.
-  departure_buffer_.clear();
-  router_.step(now, measure, departure_buffer_);
+  // Shaped flits whose tokens have accrued enter their NIC now.
+  if (!policer_) return;
+  release_buffer_.clear();
+  policer_->release_due(now, release_buffer_);
+  for (const Flit& flit : release_buffer_) {
+    if (fault_ && fault_->state[flit.connection] ==
+                      FaultRuntime::ConnState::kDropped) {
+      ++fault_->metrics.source_flits_discarded;
+      continue;
+    }
+    const Hop first = first_hop(flit.connection);
+    MMR_TRACE_SET_NODE(first.router);
+    host_at(first.router, first.in_port).nic.deposit(first.vc, flit);
+    MMR_TRACE_EVENT(trace::shape_release_event(now, first.in_port, first.vc,
+                                               flit.connection, flit.seq,
+                                               now - flit.generated_at));
+    if (measure && flit.generated_at >= config_.warmup_cycles) {
+      shape_delay_us_.add(config_.time_base().cycles_to_us(
+          static_cast<double>(now - flit.generated_at)));
+    }
+  }
+}
 
+void MmrSimulation::apply_pause_frames(Cycle now) {
+  MMR_PERF_SCOPE(perf::Phase::kCredits);
+  for (std::uint32_t r = 0; r < nodes_.size(); ++r) {
+    std::deque<PauseFrame>& frames = nodes_[r].pause_frames;
+    while (!frames.empty() && frames.front().effective_at <= now) {
+      const PauseFrame frame = frames.front();
+      frames.pop_front();
+      // A host link pauses its NIC; a channel gates the upstream router's
+      // link scheduler through its eligibility check.
+      if (ports_[port_index(r, frame.port)].host != -1) {
+        host_at(r, frame.port).nic.set_paused(frame.xoff);
+      } else {
+        channel_into(r, frame.port).paused = frame.xoff;
+      }
+    }
+  }
+}
+
+void MmrSimulation::router_cycle(std::uint32_t r, Cycle now, bool measure,
+                                 Shard& shard) {
+  Node& node = nodes_[r];
+  MMR_TRACE_SET_NODE(r);
+  shard.departures.clear();
+  node.router.step(now, measure, shard.departures);
+
+  // Departures complete at now + 1 (one flit time through the switch and
+  // output link) and their credits head back upstream.
   MMR_PERF_SCOPE(perf::Phase::kMetrics);
-  const bool overload_active = policer_ != nullptr || !rogue_ids_.empty();
-  for (const MmrRouter::Departure& departure : departure_buffer_) {
-    collector_.on_delivered(departure, now + 1);
-    nics_[departure.input].return_credit(departure.vc, now);
-    if (mmu_) {
-      const auto released =
-          mmu_->release(departure.input, loss_class(departure.flit), now);
+  for (const MmrRouter::Departure& departure : shard.departures) {
+    const std::size_t in = port_index(r, departure.input);
+    const PortMap& port = ports_[in];
+    bool credit_returned = true;
+    if (port.host != -1) {
+      hosts_[static_cast<std::size_t>(port.host)].nic.return_credit(
+          departure.vc, now);
+    } else {
+      const auto up = static_cast<std::uint32_t>(port.in_channel);
+      if (fault_ && fault_->injector.lose_credit(up)) {
+        ++shard.tally.credits_lost;  // the watchdog will restore it
+        credit_returned = false;
+        MMR_TRACE_EVENT(
+            trace::fault_event(now, trace::FaultKind::kCreditLoss, up));
+      } else {
+        channels_[up].credits.release(departure.vc, now);
+      }
+    }
+    if (node.mmu) {
+      const auto released = node.mmu->release(
+          departure.input, loss_class(departure.flit), now);
       if (released.fire_xon) {
         const Cycle effective = now + config_.credit_latency;
-        pause_frames_.push_back({effective, departure.input, /*xoff=*/false});
+        node.pause_frames.push_back(
+            {effective, departure.input, /*xoff=*/false});
         MMR_TRACE_EVENT(trace::mmu_resume_event(
-            now, departure.input, mmu_->port_usage(departure.input),
+            now, departure.input, node.mmu->port_usage(departure.input),
             released.paused_cycles));
       }
     }
+
+    const NextHop& next = next_hops_[in * config_.vcs_per_link + departure.vc];
+    const Flit& flit = departure.flit;
+    if (!next.local) {
+      if (credit_returned)
+        MMR_TRACE_EVENT(
+            trace::credit_return_event(now, departure.input, departure.vc));
+      Channel& channel = channels_[next.channel];
+      channel.credits.consume(next.downstream_vc);
+      channel.pipe.push(LinkTransfer{flit, next.downstream_vc}, now);
+      continue;
+    }
     if (MMR_TRACE_ON()) {
-      const Flit& flit = departure.flit;
       const std::uint64_t delay = now + 1 - flit.generated_at;
       MMR_TRACE_EVENT(trace::deliver_event(now, departure.input,
                                            departure.output, departure.vc,
                                            flit.connection, flit.seq, delay));
-      MMR_TRACE_EVENT(
-          trace::credit_return_event(now, departure.input, departure.vc));
+      if (credit_returned)
+        MMR_TRACE_EVENT(
+            trace::credit_return_event(now, departure.input, departure.vc));
       if (workload_.table.get(flit.connection).is_qos() &&
           static_cast<double>(delay) > qos_deadline_cycles_) {
         MMR_TRACE_EVENT(trace::deadline_miss_event(now, departure.input,
@@ -335,63 +688,374 @@ void MmrSimulation::step_one() {
                                                    delay));
       }
     }
-    if (observer_) observer_(departure, now + 1);
-
-    // Compliant-vs-rogue QoS deadline split (overload accounting only).
-    if (overload_active && measure) {
-      const Flit& flit = departure.flit;
-      if (workload_.table.get(flit.connection).is_qos()) {
-        const bool rogue = !is_rogue_.empty() && is_rogue_[flit.connection];
-        const bool violated =
-            static_cast<double>(now + 1 - flit.generated_at) >
-            qos_deadline_cycles_;
-        if (rogue) {
-          ++rogue_delivered_;
-          if (violated) ++rogue_violations_;
-        } else {
-          ++compliant_delivered_;
-          if (violated) ++compliant_violations_;
-        }
-      }
-    }
+    shard.deliveries.push_back(departure);
   }
+  if (node.mmu) node.mmu->on_cycle(now);
+  if (node.auditor) node.auditor->on_departures(now, node.router,
+                                                shard.departures);
+}
 
-  if (mmu_) mmu_->on_cycle(now);
+void MmrSimulation::close_cycle(Cycle now, bool measure) {
+  MMR_PERF_SCOPE(perf::Phase::kMetrics);
+  // Fabric-wide events carry node 0; the register (part of the snapshot
+  // walk) then no longer depends on which shard emitted last.
+  MMR_TRACE_SET_NODE(0);
+  // Delivery accounting in ascending shard order == ascending router order.
+  for (Shard& shard : shards_) {
+    for (const MmrRouter::Departure& departure : shard.deliveries)
+      account_delivery(departure, now + 1, measure);
+    shard.deliveries.clear();
+    if (fault_) {
+      fault_->metrics.flits_dropped += shard.tally.flits_dropped;
+      fault_->metrics.flits_corrupted += shard.tally.flits_corrupted;
+      fault_->metrics.credits_lost += shard.tally.credits_lost;
+    }
+    shard.tally = FaultTally{};
+  }
 
   if (watchdog_) {
     const std::uint64_t sample =
         watchdog_->wants_sample(now) ? backlog() : 0;
     watchdog_->on_cycle(now, sample, *policer_);
-    if (mmu_)
-      watchdog_->on_mmu_pause(now, mmu_->longest_open_pause(now), *policer_);
+    if (nodes_.front().mmu) {
+      Cycle longest = 0;
+      for (const Node& node : nodes_)
+        longest = std::max(longest, node.mmu->longest_open_pause(now));
+      watchdog_->on_mmu_pause(now, longest, *policer_);
+    }
   }
 
-  if (auditor_)
-    auditor_->on_cycle(now, router_, nics_, input_links_, departure_buffer_,
-                       mmu_.get());
+  if (config_.audit_every > 0 && nodes_.front().auditor->sweep_due(now)) {
+    for (std::uint32_t r = 0; r < nodes_.size(); ++r) {
+      MMR_TRACE_SET_NODE(r);
+      nodes_[r].auditor->sweep(now, nodes_[r].router, nodes_[r].mmu.get(),
+                               /*exact=*/fault_ == nullptr);
+    }
+  }
 
+  // Credit-resync watchdog (periodic conservation audit).
+  if (fault_) credit_resync(now);
   if ((now + 1) % kInvariantCheckPeriod == 0) check_invariants();
-  ++now_;
 }
+
+void MmrSimulation::account_delivery(const MmrRouter::Departure& departure,
+                                     Cycle delivered_at, bool measure) {
+  const Flit& flit = departure.flit;
+  // Teardown flushes every flit on a path it replaces, so a delivered flit
+  // travelled its connection's current path.  A one-router table workload
+  // has no paths to count.
+  const std::size_t hops =
+      workload_.connections.empty()
+          ? 0
+          : workload_.connections[flit.connection].path.size();
+  collector_.on_delivered(departure, delivered_at,
+                          static_cast<std::uint32_t>(hops));
+  if (observer_) observer_(departure, delivered_at);
+
+  // Compliant-vs-rogue QoS deadline split (overload accounting only).
+  if ((policer_ != nullptr || !rogue_ids_.empty()) && measure &&
+      workload_.table.get(flit.connection).is_qos()) {
+    const bool violated =
+        static_cast<double>(delivered_at - flit.generated_at) >
+        qos_deadline_cycles_;
+    if (!is_rogue_.empty() && is_rogue_[flit.connection]) {
+      ++rogue_delivered_;
+      if (violated) ++rogue_violations_;
+    } else {
+      ++compliant_delivered_;
+      if (violated) ++compliant_violations_;
+    }
+  }
+  // Deadline violations split by whether any link was down at delivery.
+  if (fault_ && delivered_at >= config_.warmup_cycles) {
+    DegradationMetrics& d = fault_->metrics;
+    const bool violated =
+        static_cast<double>(delivered_at - flit.generated_at) >
+        fault_->injector.plan().qos_deadline_cycles;
+    if (fault_->injector.any_down()) {
+      ++d.delivered_during_fault;
+      if (violated) ++d.qos_violations_during_fault;
+    } else {
+      ++d.delivered_outside_fault;
+      if (violated) ++d.qos_violations_outside_fault;
+    }
+  }
+}
+
+TrafficClass MmrSimulation::loss_class(const Flit& flit) const {
+  return flit.demoted ? TrafficClass::kBestEffort
+                      : workload_.table.get(flit.connection).traffic_class;
+}
+
+void MmrSimulation::apply_ecn_factor(ConnectionId connection) {
+  const double factor = ecn_->factor(connection);
+  workload_.sources[connection]->throttle(factor);
+  if (policer_) policer_->set_rate_factor(connection, factor);
+}
+
+// --- faults ------------------------------------------------------------------
+
+void MmrSimulation::set_fault_plan(FaultPlan plan) {
+  MMR_ASSERT_MSG(!ran_ && now_ == 0,
+                 "the fault plan must be installed before the first step");
+  const auto channels = static_cast<std::uint32_t>(channels_.size());
+  plan.validate(channels);
+  if (plan.empty()) {
+    fault_.reset();  // strict no-op: not even the machinery exists
+    return;
+  }
+  if (!policer_) qos_deadline_cycles_ = plan.qos_deadline_cycles;
+
+  fault_.reset(new FaultRuntime{FaultInjector(std::move(plan), channels)});
+  FaultRuntime& f = *fault_;
+  f.metrics.enabled = true;
+
+  // Mirror every hop's reservation into per-router admission controllers so
+  // teardown can release it and re-admission re-check it.  Workloads are
+  // built by load targeting, so a hop may exceed the budgets and hold none.
+  const RoundAccounting rounds(config_.flit_cycles_per_round(),
+                               config_.time_base());
+  f.admission.assign(nodes_.size(),
+                     AdmissionController(config_.ports, rounds,
+                                         config_.concurrency_factor));
+  f.state.assign(workload_.size(), FaultRuntime::ConnState::kActive);
+  f.dropped_at.assign(workload_.size(), 0);
+  f.hop_admitted.resize(workload_.connections.size());
+  for (std::size_t c = 0; c < workload_.connections.size(); ++c) {
+    const NetworkConnection& connection = workload_.connections[c];
+    f.hop_admitted[c].assign(connection.path.size(), false);
+    for (std::size_t h = 0; h < connection.path.size(); ++h) {
+      ConnectionDescriptor descriptor =
+          hop_descriptor(connection.id, connection.path[h]);
+      f.hop_admitted[c][h] =
+          f.admission[connection.path[h].router].try_admit(descriptor);
+    }
+  }
+  f.leak_since.assign(channels_.size(),
+                      std::vector<Cycle>(config_.vcs_per_link, kNever));
+}
+
+void MmrSimulation::apply_fault_transitions(Cycle now) {
+  FaultRuntime& f = *fault_;
+  f.went_down.clear();
+  f.came_up.clear();
+  f.injector.advance_to(now, f.went_down, f.came_up);
+
+  for (const std::uint32_t ch : f.went_down) {
+    // Flits on the wire are lost outright; their consumed downstream credits
+    // leak until the resync watchdog notices the deficit.
+    f.metrics.flits_dropped += channels_[ch].pipe.drain_all();
+  }
+  const auto connections =
+      static_cast<std::uint32_t>(workload_.connections.size());
+  if (!f.went_down.empty()) {
+    for (std::uint32_t c = 0; c < connections; ++c) {
+      if (f.state[c] != FaultRuntime::ConnState::kActive) continue;
+      const std::vector<Hop>& path = workload_.connections[c].path;
+      bool crosses_down_link = false;
+      for (std::size_t h = 0; h + 1 < path.size() && !crosses_down_link;
+           ++h) {
+        const std::int32_t ch = channel_at(path[h].router, path[h].out_port);
+        crosses_down_link =
+            f.injector.is_down(static_cast<std::uint32_t>(ch));
+      }
+      if (!crosses_down_link) continue;
+      ++f.metrics.teardowns;
+      tear_down(c, now);
+      if (try_readmit(c)) {
+        ++f.metrics.reroutes;
+      } else {
+        f.state[c] = FaultRuntime::ConnState::kDropped;
+        f.dropped_at[c] = now;
+      }
+    }
+  }
+  if (!f.came_up.empty()) {
+    for (std::uint32_t c = 0; c < connections; ++c) {
+      if (f.state[c] != FaultRuntime::ConnState::kDropped) continue;
+      if (!try_readmit(c)) continue;
+      ++f.metrics.readmissions;
+      const double outage_us = config_.time_base().cycles_to_us(
+          static_cast<double>(now - f.dropped_at[c]));
+      f.metrics.recovery_latency_us.add(outage_us);
+      f.metrics.recovery_latency_hist.add(outage_us);
+    }
+  }
+}
+
+void MmrSimulation::tear_down(std::uint32_t connection, Cycle now) {
+  FaultRuntime& f = *fault_;
+  const NetworkConnection& c = workload_.connections[connection];
+  const std::vector<Hop>& path = c.path;
+
+  // Every flushed flit's credit is settled synchronously, so only genuine
+  // wire losses are left for the resync watchdog to repair.
+  Host& host = host_at(path.front().router, path.front().in_port);
+  const std::uint32_t on_nic_link = host.link.drain_vc(path.front().vc);
+  f.metrics.flits_flushed += on_nic_link;
+  for (std::uint32_t i = 0; i < on_nic_link; ++i)
+    host.nic.return_credit(path.front().vc, now);
+
+  for (std::size_t h = 0; h < path.size(); ++h) {
+    const Hop& hop = path[h];
+    Node& node = nodes_[hop.router];
+    const std::vector<Flit> in_vcm =
+        node.router.drain_vc(hop.in_port, hop.vc, now);
+    f.metrics.flits_flushed += in_vcm.size();
+    for (const Flit& flit : in_vcm) {
+      if (node.mmu) {
+        // Flushed flits leave the shared pool under the class they were
+        // charged to; a resume this frees travels like any other.
+        if (node.mmu->release(hop.in_port, loss_class(flit), now).fire_xon)
+          node.pause_frames.push_back(
+              {now + config_.credit_latency, hop.in_port, /*xoff=*/false});
+      }
+      if (h == 0) {
+        host.nic.return_credit(hop.vc, now);
+      } else {
+        channel_into(hop.router, hop.in_port).credits.release(hop.vc, now);
+      }
+    }
+    if (h + 1 < path.size()) {
+      Channel& channel = channels_[static_cast<std::size_t>(
+          channel_at(hop.router, hop.out_port))];
+      const std::uint32_t on_wire = channel.pipe.drain_vc(path[h + 1].vc);
+      f.metrics.flits_flushed += on_wire;
+      for (std::uint32_t i = 0; i < on_wire; ++i)
+        channel.credits.release(path[h + 1].vc, now);
+    }
+    if (f.hop_admitted[connection][h]) {
+      f.admission[hop.router].release(hop_descriptor(c.id, hop));
+      f.hop_admitted[connection][h] = false;
+    }
+  }
+}
+
+bool MmrSimulation::try_readmit(std::uint32_t connection) {
+  FaultRuntime& f = *fault_;
+  NetworkConnection& c = workload_.connections[connection];
+  const Hop old_first = c.path.front();
+
+  const LinkFilter blocked = [this](std::uint32_t router,
+                                    std::uint32_t out_port) {
+    const std::int32_t ch = channel_at(router, out_port);
+    return ch != -1 &&
+           fault_->injector.is_down(static_cast<std::uint32_t>(ch));
+  };
+  std::vector<Hop> path = compute_path_avoiding(
+      workload_.topology, old_first.router, old_first.in_port,
+      c.last_hop().router, c.last_hop().out_port, blocked);
+  if (path.empty()) return false;  // no usable route around the outage
+
+  // A setup probe needs a fresh VC on every traversed input link (freed VCs
+  // are not recycled: that costs VC space, not correctness).
+  for (const Hop& hop : path) {
+    if (tables_[hop.router].on_input_link(hop.in_port).size() >=
+        config_.vcs_per_link) {
+      return false;
+    }
+  }
+
+  // All-or-nothing bandwidth admission along the new path.
+  std::vector<ConnectionDescriptor> admitted(path.size());
+  for (std::size_t h = 0; h < path.size(); ++h) {
+    admitted[h] = hop_descriptor(c.id, path[h]);
+    if (!f.admission[path[h].router].try_admit(admitted[h])) {
+      for (std::size_t r = 0; r < h; ++r)
+        f.admission[path[r].router].release(admitted[r]);
+      return false;
+    }
+  }
+
+  // Install: table entries, link-scheduler bindings, routing maps.
+  const RoundAccounting rounds(config_.flit_cycles_per_round(),
+                               config_.time_base());
+  for (std::size_t h = 0; h < path.size(); ++h) {
+    Hop& hop = path[h];
+    const ConnectionId local_id =
+        tables_[hop.router].add(admitted[h], config_.vcs_per_link);
+    hop.vc = tables_[hop.router].get(local_id).vc;
+    QosParams qos;
+    qos.slots_per_round =
+        std::max<std::uint32_t>(1, admitted[h].slots_per_round);
+    qos.iat_router_cycles =
+        rounds.iat_router_cycles(std::max(c.mean_bandwidth_bps, 1.0));
+    nodes_[hop.router].router.install_vc(hop.in_port, hop.vc, hop.out_port,
+                                         qos);
+  }
+  install_path(path);
+
+  // Flits still in host memory follow the connection to its new first-hop
+  // VC (the source endpoint itself never moves).
+  if (path.front().vc != old_first.vc) {
+    host_at(old_first.router, old_first.in_port)
+        .nic.move_queue(old_first.vc, path.front().vc);
+  }
+
+  f.hop_admitted[connection].assign(path.size(), true);
+  f.state[connection] = FaultRuntime::ConnState::kActive;
+  c.path = std::move(path);
+  return true;
+}
+
+void MmrSimulation::credit_resync(Cycle now) {
+  FaultRuntime& f = *fault_;
+  const FaultPlan& plan = f.injector.plan();
+  if (now % plan.resync_period != 0) return;
+
+  for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
+    Channel& channel = channels_[ci];
+    const MmrRouter& downstream = nodes_[channel.to.router].router;
+    for (std::uint32_t vc = 0; vc < config_.vcs_per_link; ++vc) {
+      // Conservation audit: every buffer slot is either an available
+      // credit, a credit travelling back, a flit on the wire, or a flit in
+      // the downstream router.  Anything missing leaked through a fault.
+      const std::uint32_t accounted = audit::credit_accounted_slots(
+          channel.credits, channel.pipe,
+          downstream.vc_occupancy(channel.to.port, vc), vc);
+      const std::uint32_t capacity = channel.credits.capacity_per_vc();
+      MMR_ASSERT_MSG(accounted <= capacity,
+                     "credit audit found a surplus: accounting bug");
+      Cycle& since = f.leak_since[ci][vc];
+      if (accounted == capacity) {
+        since = kNever;
+        continue;
+      }
+      if (since == kNever) {
+        since = now;
+        continue;
+      }
+      if (now - since < plan.resync_timeout) continue;
+      const std::uint32_t missing = capacity - accounted;
+      channel.credits.restore(vc, missing);
+      f.metrics.credits_restored += missing;
+      ++f.metrics.resync_events;
+      const double leak_age_us =
+          config_.time_base().cycles_to_us(static_cast<double>(now - since));
+      f.metrics.recovery_latency_us.add(leak_age_us);
+      f.metrics.recovery_latency_hist.add(leak_age_us);
+      since = kNever;
+    }
+  }
+}
+
+// --- run, finalize, snapshots ------------------------------------------------
 
 SimulationMetrics MmrSimulation::run() {
   MMR_ASSERT_MSG(!ran_, "run() may only be called once");
   ran_ = true;
   const Cycle total = config_.total_cycles();
-  if (snap_mgr_) return run_managed(total);
-  while (now_ < total) step_one();
-  check_invariants();
-  if (tracer_) tracer_->write_outputs();
-  return finalize();
-}
+  if (!snap_mgr_) {
+    while (now_ < total) step_one();
+    check_invariants();
+    if (tracer_) tracer_->write_outputs();
+    return finalize();
+  }
 
-SimulationMetrics MmrSimulation::run_managed(Cycle total) {
+  // Snapshot duties: periodic checkpoints and hashes, post-mortems (on
+  // MMR_ASSERT the checkpoint is written before the tracer's dump hook
+  // runs: one crash, one bundle), cooperative SIGINT/SIGTERM shutdown.
   const auto walk = [this](snapshot::Walker& w) { snap_walk(w); };
-
-  // Crash path: on MMR_ASSERT the post-mortem checkpoint is written first,
-  // then the previously installed hook (the tracer's flight-recorder dump)
-  // runs — one crash, one bundle.  SIGINT/SIGTERM are polled cooperatively
-  // at cycle boundaries below.
   std::optional<snapshot::SignalGuard> signals;
   std::optional<snapshot::CrashScope> crash;
   if (snap_mgr_->spec().on_crash) {
@@ -400,7 +1064,6 @@ SimulationMetrics MmrSimulation::run_managed(Cycle total) {
       snap_mgr_->write_checkpoint(now_, walk, "crash", /*nothrow=*/true);
     });
   }
-
   while (now_ < total) {
     step_one();
     snap_mgr_->after_cycle(now_, walk);
@@ -463,15 +1126,8 @@ void MmrSimulation::snap_walk(snapshot::Walker& w) {
   value(w, rogue_delivered_);
   value(w, rogue_violations_);
   shape_delay_us_.snap(w);
-  snapshot::walk_deque(w, pause_frames_,
-                       [](snapshot::Walker& wk, PauseFrame& frame) {
-                         value(wk, frame.effective_at);
-                         value(wk, frame.port);
-                         value(wk, frame.xoff);
-                       });
-  // The emission heap's raw array: rebuilding it from the restored sources'
-  // next_emission() would not reproduce the original heap layout (and a
-  // source that already queued its next emission must not emit twice).
+  // The emission heap's raw array: a rebuild from next_emission() would
+  // change its layout (and could emit an already queued emission twice).
   {
     auto& heap = snapshot::queue_container(heap_);
     std::uint64_t n = heap.size();
@@ -486,21 +1142,53 @@ void MmrSimulation::snap_walk(snapshot::Walker& w) {
   w.section("sources");
   for (const auto& source : workload_.sources) source->snap(w);
 
-  w.section("nics");
-  for (Nic& nic : nics_) nic.snap(w);
+  w.section("hosts");
+  for (Host& host : hosts_) {
+    host.nic.snap(w);
+    host.link.snap(w);
+  }
 
-  w.section("links");
-  for (LinkPipeline& link : input_links_) link.snap(w);
+  w.section("channels");
+  for (Channel& channel : channels_) {
+    channel.pipe.snap(w);
+    channel.credits.snap(w);
+    value(w, channel.paused);
+  }
 
-  w.section("router");
-  router_.snap(w);
+  w.section("routers");
+  for (Node& node : nodes_) {
+    node.router.snap(w);
+    snapshot::walk_deque(w, node.pause_frames,
+                         [](snapshot::Walker& wk, PauseFrame& frame) {
+                           value(wk, frame.effective_at);
+                           value(wk, frame.port);
+                           value(wk, frame.xoff);
+                         });
+  }
+
+  // Fault recovery rewrites tables, next hops and paths; walked always so
+  // each config has one walk shape.
+  w.section("routing");
+  for (ConnectionTable& table : tables_) table.snap(w);
+  snapshot::walk_vector(w, next_hops_, [](snapshot::Walker& v, NextHop& next) {
+    value(v, next.local);
+    value(v, next.channel);
+    value(v, next.downstream_vc);
+  });
+  for (NetworkConnection& connection : workload_.connections)
+    snapshot::walk_vector(w, connection.path,
+                          [](snapshot::Walker& v, Hop& hop) {
+                            value(v, hop.router);
+                            value(v, hop.in_port);
+                            value(v, hop.out_port);
+                            value(v, hop.vc);
+                          });
 
   w.section("metrics");
   collector_.snap(w);
 
-  // Conditional subsystems: present exactly when the config constructs them,
-  // which the config digest pins — a section-name mismatch means a digest
-  // bug, and LoadWalker throws rather than misaligning.
+  // Conditional sections appear exactly when the config (pinned by the
+  // digest) builds the subsystem; LoadWalker throws on a name mismatch.
   if (policer_) {
     w.section("policer");
     policer_->snap(w);
@@ -509,17 +1197,34 @@ void MmrSimulation::snap_walk(snapshot::Walker& w) {
     w.section("watchdog");
     watchdog_->snap(w);
   }
-  if (mmu_) {
+  if (config_.shared_flow()) {
     w.section("mmu");
-    mmu_->snap(w);
+    for (Node& node : nodes_) node.mmu->snap(w);
   }
   if (ecn_) {
     w.section("ecn");
     ecn_->snap(w);
   }
-  if (auditor_) {
+  if (config_.audit_every > 0) {
     w.section("audit");
-    auditor_->snap(w);
+    for (Node& node : nodes_) node.auditor->snap(w);
+  }
+  if (fault_) {
+    w.section("fault");
+    FaultRuntime& f = *fault_;
+    f.injector.snap(w);
+    for (AdmissionController& admission : f.admission) admission.snap(w);
+    snapshot::walk_vector_pod(w, f.state);
+    snapshot::walk_vector_pod(w, f.dropped_at);
+    snapshot::walk_vector(w, f.hop_admitted,
+                          [](snapshot::Walker& v, std::vector<bool>& hops) {
+                            snapshot::walk_vector_bool(v, hops);
+                          });
+    snapshot::walk_vector(w, f.leak_since,
+                          [](snapshot::Walker& v, std::vector<Cycle>& leaks) {
+                            snapshot::walk_vector_pod(v, leaks);
+                          });
+    f.metrics.snap(w);
   }
   if (tracer_) {
     w.section("trace");
@@ -528,26 +1233,41 @@ void MmrSimulation::snap_walk(snapshot::Walker& w) {
 }
 
 SimulationMetrics MmrSimulation::finalize() const {
+  std::vector<const MmrRouter*> routers;
+  for (const Node& node : nodes_) routers.push_back(&node.router);
   SimulationMetrics m =
-      collector_.finalize(router_, generated_load_nominal_, backlog());
+      collector_.finalize(routers, generated_load_nominal_, backlog());
 
-  if (mmu_) {
+  if (fault_) {
+    m.degradation = fault_->metrics;
+    for (const FaultRuntime::ConnState state : fault_->state)
+      if (state == FaultRuntime::ConnState::kDropped)
+        ++m.degradation.connections_lost;
+  }
+
+  if (config_.shared_flow()) {
     MmuMetrics& mm = m.mmu;
     mm.enabled = true;
-    mm.admitted_reserved = mmu_->admitted_reserved();
-    mm.admitted_shared = mmu_->admitted_shared();
-    mm.admitted_headroom = mmu_->admitted_headroom();
-    mm.drops_lossless = mmu_->drops_lossless();
-    mm.drops_lossy = mmu_->drops_lossy();
-    mm.pause_events = mmu_->pause_events();
-    mm.resume_events = mmu_->resume_events();
-    mm.pause_cycles_total = mmu_->pause_cycles_total(now_);
-    mm.pause_cycles_max = mmu_->pause_cycles_max(now_);
-    mm.headroom_highwater = mmu_->headroom_highwater();
-    mm.pool_highwater = mmu_->pool_highwater();
-    mm.pool_occupancy = mmu_->pool_occupancy();
-    mm.ecn_marked = mmu_->ecn_marked();
-    mm.ecn_eligible = mmu_->ecn_eligible();
+    for (const Node& node : nodes_) {
+      const mmu::SharedBufferMmu& u = *node.mmu;
+      mm.admitted_reserved += u.admitted_reserved();
+      mm.admitted_shared += u.admitted_shared();
+      mm.admitted_headroom += u.admitted_headroom();
+      mm.drops_lossless += u.drops_lossless();
+      mm.drops_lossy += u.drops_lossy();
+      mm.pause_events += u.pause_events();
+      mm.resume_events += u.resume_events();
+      mm.pause_cycles_total += u.pause_cycles_total(now_);
+      mm.pause_cycles_max = std::max(mm.pause_cycles_max,
+                                     u.pause_cycles_max(now_));
+      mm.headroom_highwater =
+          std::max<std::uint64_t>(mm.headroom_highwater,
+                                  u.headroom_highwater());
+      mm.pool_highwater = std::max(mm.pool_highwater, u.pool_highwater());
+      mm.pool_occupancy.merge(u.pool_occupancy());  // copies into empty
+      mm.ecn_marked += u.ecn_marked();
+      mm.ecn_eligible += u.ecn_eligible();
+    }
     if (ecn_) mm.ecn_cuts = ecn_->cuts();
   }
 
@@ -563,16 +1283,8 @@ SimulationMetrics MmrSimulation::finalize() const {
   if (policer_) {
     o.noncompliant_connections = policer_->noncompliant_connections();
     for (const TrafficClass cls :
-         {TrafficClass::kCbr, TrafficClass::kVbr, TrafficClass::kBestEffort}) {
-      const overload::ClassTally& t = policer_->tally(cls);
-      PolicedClassTally& out = o.policed[static_cast<std::size_t>(cls)];
-      out.conforming = t.conforming;
-      out.dropped = t.dropped;
-      out.demoted = t.demoted;
-      out.shaped = t.shaped;
-      out.penalty_overflow = t.penalty_overflow;
-      out.shed = t.shed;
-    }
+         {TrafficClass::kCbr, TrafficClass::kVbr, TrafficClass::kBestEffort})
+      o.policed[static_cast<std::size_t>(cls)] = policer_->tally(cls);
     o.shape_delay_us = shape_delay_us_;
     const std::vector<std::uint64_t>& policed =
         policer_->policed_per_connection();
@@ -593,28 +1305,18 @@ SimulationMetrics MmrSimulation::finalize() const {
   return m;
 }
 
-TrafficClass MmrSimulation::loss_class(const Flit& flit) const {
-  return flit.demoted ? TrafficClass::kBestEffort
-                      : workload_.table.get(flit.connection).traffic_class;
-}
-
-void MmrSimulation::apply_ecn_factor(ConnectionId connection) {
-  const double factor = ecn_->factor(connection);
-  const std::uint32_t source = source_of_connection_[connection];
-  if (source != kNoSource) workload_.sources[source]->throttle(factor);
-  if (policer_) policer_->set_rate_factor(connection, factor);
-}
-
 void MmrSimulation::check_invariants() const {
-  router_.check_invariants();
-  for (const Nic& n : nics_) n.check_invariants();
-  if (policer_) policer_->check_invariants();
-  if (mmu_) {
-    mmu_->check_invariants();
+  for (const Node& node : nodes_) {
+    node.router.check_invariants();
+    if (!node.mmu) continue;
+    node.mmu->check_invariants();
     // Every flit buffered in the router is charged to exactly one pool.
-    MMR_ASSERT_MSG(mmu_->occupancy() == router_.flits_buffered(),
+    MMR_ASSERT_MSG(node.mmu->occupancy() == node.router.flits_buffered(),
                    "mmu occupancy disagrees with the router's buffered flits");
   }
+  for (const Host& host : hosts_) host.nic.check_invariants();
+  for (const Channel& channel : channels_) channel.credits.check_invariants();
+  if (policer_) policer_->check_invariants();
 }
 
 }  // namespace mmr

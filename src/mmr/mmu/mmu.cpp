@@ -18,7 +18,8 @@ constexpr std::size_t cls_index(TrafficClass cls) {
 
 }  // namespace
 
-SharedBufferMmu::SharedBufferMmu(const MmuSpec& spec, const SimConfig& config)
+SharedBufferMmu::SharedBufferMmu(const MmuSpec& spec, const SimConfig& config,
+                                 std::uint32_t router)
     : spec_(spec.resolve(config)),
       ports_(config.ports),
       per_port_class_(static_cast<std::size_t>(config.ports) * kClasses),
@@ -26,7 +27,8 @@ SharedBufferMmu::SharedBufferMmu(const MmuSpec& spec, const SimConfig& config)
       paused_(config.ports, 0),
       pause_started_(config.ports, 0),
       // Dedicated stream: mark draws must never perturb workload generation.
-      mark_rng_(config.seed, 0xECC5) {}
+      mark_rng_(router == 0 ? Rng(config.seed, 0xECC5)
+                            : Rng(config.seed, 0xECC5).fork(router)) {}
 
 SharedBufferMmu::PortClass& SharedBufferMmu::state(std::uint32_t port,
                                                    TrafficClass cls) {

@@ -62,7 +62,10 @@ struct ReleaseResult {
 class SharedBufferMmu {
  public:
   /// `spec` may be unresolved; geometry defaults are derived from `config`.
-  SharedBufferMmu(const MmuSpec& spec, const SimConfig& config);
+  /// `router` picks the mark stream, so routers of a network draw
+  /// independently.
+  SharedBufferMmu(const MmuSpec& spec, const SimConfig& config,
+                  std::uint32_t router = 0);
 
   /// Charges one arriving flit.  `cls` is the flit's loss class: CBR/VBR are
   /// lossless, best-effort (and policed-demoted excess) is lossy.

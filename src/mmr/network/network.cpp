@@ -1,42 +1,10 @@
 #include "mmr/network/network.hpp"
 
 #include <algorithm>
-#include <optional>
 
-#include "mmr/audit/sim_auditor.hpp"
 #include "mmr/qos/rounds.hpp"
-#include "mmr/sim/log.hpp"
-#include "mmr/snapshot/format.hpp"
-#include "mmr/snapshot/manager.hpp"
-#include "mmr/snapshot/signals.hpp"
-#include "mmr/snapshot/walker.hpp"
-#include "mmr/trace/event.hpp"
-#include "mmr/trace/tracer.hpp"
 
 namespace mmr {
-
-void NetworkWorkload::check_invariants() const {
-  MMR_ASSERT_MSG(sources.size() == connections.size(),
-                 "one source per network connection");
-  for (std::size_t id = 0; id < connections.size(); ++id) {
-    const NetworkConnection& c = connections[id];
-    MMR_ASSERT(c.id == static_cast<ConnectionId>(id));
-    MMR_ASSERT(sources[id] != nullptr);
-    MMR_ASSERT(sources[id]->connection() == c.id);
-    MMR_ASSERT(!c.path.empty());
-    MMR_ASSERT(topology.input_is_local(c.first_hop().router,
-                                       c.first_hop().in_port));
-    MMR_ASSERT(topology.output_is_local(c.last_hop().router,
-                                        c.last_hop().out_port));
-    for (std::size_t h = 0; h + 1 < c.path.size(); ++h) {
-      const auto down =
-          topology.downstream(c.path[h].router, c.path[h].out_port);
-      MMR_ASSERT_MSG(down.has_value(), "interior hop must leave on a channel");
-      MMR_ASSERT(down->router == c.path[h + 1].router);
-      MMR_ASSERT(down->port == c.path[h + 1].in_port);
-    }
-  }
-}
 
 namespace {
 
@@ -60,6 +28,30 @@ class NetworkPlacer {
     return sinks_;
   }
 
+  /// Registers a connection whose path is reserved: its host-view table
+  /// entry (class, rates, slots; global input/output link indices) and its
+  /// route.  Returns the connection id.
+  ConnectionId add(Workload& workload, NetworkConnection connection) const {
+    const RoundAccounting rounds(config_.flit_cycles_per_round(),
+                                 config_.time_base());
+    const std::uint32_t ports = workload.topology.ports_per_router();
+    ConnectionDescriptor descriptor;
+    descriptor.traffic_class = connection.traffic_class;
+    descriptor.input_link =
+        connection.first_hop().router * ports + connection.first_hop().in_port;
+    descriptor.output_link =
+        connection.last_hop().router * ports + connection.last_hop().out_port;
+    descriptor.mean_bandwidth_bps = connection.mean_bandwidth_bps;
+    descriptor.peak_bandwidth_bps = connection.peak_bandwidth_bps;
+    descriptor.slots_per_round =
+        rounds.slots_for_bandwidth(connection.mean_bandwidth_bps);
+    descriptor.peak_slots_per_round =
+        rounds.slots_for_bandwidth(connection.peak_bandwidth_bps);
+    connection.id = workload.table.add(descriptor, config_.vcs_per_link);
+    workload.connections.push_back(std::move(connection));
+    return workload.connections.back().id;
+  }
+
   [[nodiscard]] bool reserve_path(std::vector<Hop>& path) {
     for (const Hop& hop : path) {
       if (vc_cursor_[hop.router][hop.in_port] >= config_.vcs_per_link) {
@@ -80,14 +72,14 @@ class NetworkPlacer {
 
 }  // namespace
 
-NetworkWorkload build_network_cbr_mix(const SimConfig& config,
+Workload build_network_cbr_mix(const SimConfig& config,
                                       const NetworkTopology& topology,
                                       const CbrMixSpec& spec, Rng& rng) {
   MMR_ASSERT(topology.ports_per_router() == config.ports);
   MMR_ASSERT(!spec.classes.empty());
   MMR_ASSERT(spec.classes.size() == spec.class_weights.size());
 
-  NetworkWorkload workload(topology);
+  Workload workload(topology);
   const TimeBase time_base = config.time_base();
   NetworkPlacer placer(config, topology);
   const std::vector<PortEndpoint>& sinks = placer.sinks();
@@ -127,12 +119,11 @@ NetworkWorkload build_network_cbr_mix(const SimConfig& config,
         connection.path =
             compute_path(topology, r, in_port, sink.router, sink.port);
         if (!placer.reserve_path(connection.path)) break;  // VCs exhausted
-        connection.id = static_cast<ConnectionId>(workload.connections.size());
+        const ConnectionId id = placer.add(workload, std::move(connection));
         const double phase =
             port_rng.uniform_real() * (time_base.link_bandwidth_bps() / bps);
-        workload.sources.push_back(std::make_unique<CbrSource>(
-            connection.id, bps, time_base, phase));
-        workload.connections.push_back(std::move(connection));
+        workload.sources.push_back(
+            std::make_unique<CbrSource>(id, bps, time_base, phase));
         remaining_bps -= bps;
       }
     }
@@ -141,13 +132,13 @@ NetworkWorkload build_network_cbr_mix(const SimConfig& config,
   return workload;
 }
 
-NetworkWorkload build_network_vbr_mix(const SimConfig& config,
+Workload build_network_vbr_mix(const SimConfig& config,
                                       const NetworkTopology& topology,
                                       const VbrMixSpec& spec, Rng& rng) {
   MMR_ASSERT(topology.ports_per_router() == config.ports);
   MMR_ASSERT(spec.trace_gops >= 1);
 
-  NetworkWorkload workload(topology);
+  Workload workload(topology);
   const TimeBase time_base = config.time_base();
   NetworkPlacer placer(config, topology);
   const std::vector<PortEndpoint>& sinks = placer.sinks();
@@ -207,987 +198,13 @@ NetworkWorkload build_network_vbr_mix(const SimConfig& config,
       std::min(workload_peak_bps, time_base.link_bandwidth_bps());
 
   for (Planned& p : planned) {
-    p.connection.id = static_cast<ConnectionId>(workload.connections.size());
+    const ConnectionId id = placer.add(workload, std::move(p.connection));
     workload.sources.push_back(std::make_unique<VbrSource>(
-        p.connection.id, std::move(p.trace), spec.model, time_base,
-        workload_peak_bps, p.phase, p.start_frame));
-    workload.connections.push_back(std::move(p.connection));
+        id, std::move(p.trace), spec.model, time_base, workload_peak_bps,
+        p.phase, p.start_frame));
   }
   workload.check_invariants();
   return workload;
-}
-
-const ClassMetrics* NetworkMetrics::find_class(
-    const std::string& label) const {
-  for (const ClassMetrics& c : per_class) {
-    if (c.label == label) return &c;
-  }
-  return nullptr;
-}
-
-MmrNetworkSimulation::MmrNetworkSimulation(SimConfig config,
-                                           NetworkWorkload workload)
-    : config_(config),
-      workload_(std::move(workload)),
-      warmup_(config.warmup_cycles) {
-  config_.validate_network();  // throws: flow=shared conflicts with a network
-  workload_.check_invariants();
-  const NetworkTopology& topology = workload_.topology;
-  MMR_ASSERT(topology.ports_per_router() == config_.ports);
-
-  // Per-router connection tables: one entry per hop, added in (connection,
-  // hop) order so that ConnectionTable's VC assignment reproduces the
-  // reservation made by the workload builder.
-  tables_.assign(topology.routers(), ConnectionTable(config_.ports));
-  // (router, input, vc) -> routing info.
-  next_hop_.assign(topology.routers(),
-                   std::vector<std::vector<NextHop>>(
-                       config_.ports, std::vector<NextHop>()));
-  hop_index_.assign(topology.routers(),
-                    std::vector<std::vector<std::uint32_t>>(
-                        config_.ports, std::vector<std::uint32_t>()));
-  for (auto& per_router : next_hop_) {
-    for (auto& per_input : per_router) {
-      per_input.resize(config_.vcs_per_link);
-    }
-  }
-  for (auto& per_router : hop_index_) {
-    for (auto& per_input : per_router) {
-      per_input.resize(config_.vcs_per_link, 0);
-    }
-  }
-
-  // Channels.
-  channel_of_output_.assign(
-      static_cast<std::size_t>(topology.routers()) * config_.ports, -1);
-  upstream_channel_.assign(
-      static_cast<std::size_t>(topology.routers()) * config_.ports, -1);
-  for (std::uint32_t r = 0; r < topology.routers(); ++r) {
-    for (std::uint32_t p = 0; p < config_.ports; ++p) {
-      const auto down = topology.downstream(r, p);
-      if (!down.has_value()) continue;
-      const auto channel = static_cast<std::int32_t>(channels_.size());
-      channel_of_output_[static_cast<std::size_t>(r) * config_.ports + p] =
-          channel;
-      upstream_channel_[static_cast<std::size_t>(down->router) *
-                            config_.ports +
-                        down->port] = channel;
-      channels_.emplace_back(PortEndpoint{r, p}, *down, config_.link_latency,
-                             config_.vcs_per_link,
-                             config_.buffer_flits_per_vc,
-                             config_.credit_latency);
-    }
-  }
-
-  // NICs on local input ports.
-  nic_of_input_.assign(
-      static_cast<std::size_t>(topology.routers()) * config_.ports, -1);
-  for (std::uint32_t r = 0; r < topology.routers(); ++r) {
-    for (std::uint32_t p : topology.local_input_ports(r)) {
-      nic_of_input_[static_cast<std::size_t>(r) * config_.ports + p] =
-          static_cast<std::int32_t>(nics_.size());
-      nics_.push_back(std::make_unique<Nic>(config_.vcs_per_link,
-                                            config_.buffer_flits_per_vc,
-                                            config_.credit_latency));
-      nic_links_.emplace_back(config_.link_latency);
-      nic_endpoints_.push_back({r, p});
-      ++local_inputs_;
-    }
-    local_outputs_ +=
-        static_cast<std::uint32_t>(topology.local_output_ports(r).size());
-  }
-
-  // Populate tables and the routing maps.
-  for (const NetworkConnection& connection : workload_.connections) {
-    for (std::size_t h = 0; h < connection.path.size(); ++h) {
-      const Hop& hop = connection.path[h];
-      const ConnectionId local_id = tables_[hop.router].add(
-          hop_descriptor(connection, hop), config_.vcs_per_link);
-      MMR_ASSERT_MSG(tables_[hop.router].get(local_id).vc == hop.vc,
-                     "table VC assignment must match the reservation");
-
-      NextHop& next = next_hop_[hop.router][hop.in_port][hop.vc];
-      hop_index_[hop.router][hop.in_port][hop.vc] =
-          static_cast<std::uint32_t>(h);
-      if (h + 1 < connection.path.size()) {
-        const std::int32_t channel =
-            channel_of_output_[static_cast<std::size_t>(hop.router) *
-                                   config_.ports +
-                               hop.out_port];
-        MMR_ASSERT(channel != -1);
-        next.local = false;
-        next.channel = static_cast<std::uint32_t>(channel);
-        next.downstream_vc = connection.path[h + 1].vc;
-      } else {
-        next.local = true;
-      }
-    }
-  }
-
-  // Routers, each with a downstream-credit eligibility gate.  The gate also
-  // refuses to offer VCs whose next channel is inside an outage window —
-  // the null check keeps fault-free runs on the exact original code path.
-  routers_.reserve(topology.routers());
-  const Rng rng(config_.seed, 0x4E7);
-  for (std::uint32_t r = 0; r < topology.routers(); ++r) {
-    routers_.emplace_back(config_, tables_[r], rng.fork(r));
-  }
-  for (std::uint32_t r = 0; r < topology.routers(); ++r) {
-    routers_[r].set_eligibility(
-        [this, r](std::uint32_t input, std::uint32_t vc) {
-          const NextHop& next = next_hop_[r][input][vc];
-          if (next.local) return true;
-          if (fault_ && fault_->injector.is_down(next.channel)) return false;
-          return channels_[next.channel].credits.has_credit(
-              next.downstream_vc);
-        });
-  }
-
-  // Statistics grouping.
-  for (const NetworkConnection& connection : workload_.connections) {
-    ConnectionDescriptor descriptor;
-    descriptor.traffic_class = connection.traffic_class;
-    descriptor.mean_bandwidth_bps = connection.mean_bandwidth_bps;
-    const std::string label = class_label(descriptor);
-    std::size_t index = classes_.size();
-    for (std::size_t i = 0; i < classes_.size(); ++i) {
-      if (classes_[i].label == label) {
-        index = i;
-        break;
-      }
-    }
-    if (index == classes_.size()) {
-      ClassMetrics cls;
-      cls.label = label;
-      classes_.push_back(std::move(cls));
-    }
-    class_of_connection_.push_back(index);
-  }
-
-  for (std::uint32_t i = 0; i < workload_.sources.size(); ++i) {
-    const Cycle next = workload_.sources[i]->next_emission();
-    if (next != kNever) heap_.emplace(next, i);
-  }
-
-  if (!config_.fault_spec.empty()) {
-    set_fault_plan(FaultPlan::parse(config_.fault_spec));
-  }
-
-  if (!config_.trace_spec.empty())
-    tracer_ = std::make_unique<trace::Tracer>(
-        trace::TraceSpec::parse(config_.trace_spec),
-        trace::TraceMeta::from_config(config_));
-
-  // Last: the fault runtime and tracer must exist before a `resume:`
-  // checkpoint is overlaid.
-  if (!config_.snap_spec.empty()) {
-    const snapshot::SnapSpec spec =
-        snapshot::SnapSpec::parse(config_.snap_spec);
-    snap_mgr_ = std::make_unique<snapshot::SnapshotManager>(
-        spec, snapshot::config_digest(config_));
-    if (!spec.resume.empty()) restore_checkpoint(spec.resume);
-  }
-}
-
-MmrNetworkSimulation::~MmrNetworkSimulation() = default;
-
-ConnectionDescriptor MmrNetworkSimulation::hop_descriptor(
-    const NetworkConnection& connection, const Hop& hop) const {
-  const RoundAccounting rounds(config_.flit_cycles_per_round(),
-                               config_.time_base());
-  ConnectionDescriptor descriptor;
-  descriptor.traffic_class = connection.traffic_class;
-  descriptor.input_link = hop.in_port;
-  descriptor.output_link = hop.out_port;
-  descriptor.mean_bandwidth_bps = connection.mean_bandwidth_bps;
-  descriptor.peak_bandwidth_bps = connection.peak_bandwidth_bps;
-  descriptor.slots_per_round =
-      rounds.slots_for_bandwidth(connection.mean_bandwidth_bps);
-  descriptor.peak_slots_per_round =
-      rounds.slots_for_bandwidth(connection.peak_bandwidth_bps);
-  return descriptor;
-}
-
-std::int32_t MmrNetworkSimulation::channel_at(std::uint32_t router,
-                                              std::uint32_t out_port) const {
-  MMR_ASSERT(router < routers_.size() && out_port < config_.ports);
-  return channel_of_output_[static_cast<std::size_t>(router) * config_.ports +
-                            out_port];
-}
-
-void MmrNetworkSimulation::set_fault_plan(FaultPlan plan) {
-  MMR_ASSERT_MSG(!ran_ && now_ == 0,
-                 "the fault plan must be installed before the first step");
-  plan.validate(channel_count());
-  if (plan.empty()) {
-    fault_.reset();  // strict no-op: not even the machinery exists
-    return;
-  }
-
-  fault_ = std::make_unique<FaultRuntime>(std::move(plan), channel_count());
-  FaultRuntime& f = *fault_;
-  f.metrics.enabled = true;
-
-  // Mirror every hop's bandwidth reservation into per-router admission
-  // controllers so teardown can release it and re-admission can re-check it.
-  // Initial workloads are built by load targeting, not admission control, so
-  // a hop may legitimately exceed the budgets; those hops simply hold no
-  // reservation.
-  const RoundAccounting rounds(config_.flit_cycles_per_round(),
-                               config_.time_base());
-  f.admission.assign(routers_.size(),
-                     AdmissionController(config_.ports, rounds,
-                                         config_.concurrency_factor));
-  f.state.assign(workload_.connections.size(), FaultRuntime::ConnState::kActive);
-  f.dropped_at.assign(workload_.connections.size(), 0);
-  f.hop_admitted.resize(workload_.connections.size());
-  for (std::size_t c = 0; c < workload_.connections.size(); ++c) {
-    const NetworkConnection& connection = workload_.connections[c];
-    f.hop_admitted[c].assign(connection.path.size(), false);
-    for (std::size_t h = 0; h < connection.path.size(); ++h) {
-      ConnectionDescriptor descriptor =
-          hop_descriptor(connection, connection.path[h]);
-      f.hop_admitted[c][h] =
-          f.admission[connection.path[h].router].try_admit(descriptor);
-    }
-  }
-  f.leak_since.assign(channels_.size(),
-                      std::vector<Cycle>(config_.vcs_per_link, kNever));
-}
-
-const MmrRouter& MmrNetworkSimulation::router(std::uint32_t index) const {
-  MMR_ASSERT(index < routers_.size());
-  return routers_[index];
-}
-
-std::uint64_t MmrNetworkSimulation::backlog() const {
-  std::uint64_t total = 0;
-  for (const MmrRouter& router : routers_) total += router.flits_buffered();
-  for (const auto& nic : nics_) total += nic->total_queued() - nic->total_sent();
-  for (const LinkPipeline& link : nic_links_) total += link.in_flight();
-  for (const Channel& channel : channels_) total += channel.pipe.in_flight();
-  return total;
-}
-
-void MmrNetworkSimulation::deliver(const MmrRouter::Departure& departure,
-                                   std::uint32_t hops, Cycle delivered_at) {
-  emit_delivery_trace(departure, delivered_at);
-  account_delivery(departure, hops, delivered_at);
-}
-
-void MmrNetworkSimulation::emit_delivery_trace(
-    const MmrRouter::Departure& departure, Cycle delivered_at) {
-  MMR_TRACE_EMIT_NOW(trace::deliver_event, departure.input, departure.output,
-                     departure.vc, departure.flit.connection,
-                     departure.flit.seq,
-                     delivered_at - departure.flit.generated_at);
-  if (delivered_at < warmup_) return;
-  if (fault_) {
-    const Flit& flit = departure.flit;
-    const bool violated =
-        static_cast<double>(delivered_at - flit.generated_at) >
-        fault_->injector.plan().qos_deadline_cycles;
-    if (violated) {
-      MMR_TRACE_EMIT_NOW(trace::deadline_miss_event, departure.input,
-                         departure.vc, flit.connection, flit.seq,
-                         delivered_at - flit.generated_at);
-    }
-  }
-}
-
-void MmrNetworkSimulation::account_delivery(
-    const MmrRouter::Departure& departure, std::uint32_t hops,
-    Cycle delivered_at) {
-  if (delivered_at < warmup_) return;
-  const Flit& flit = departure.flit;
-  ++delivered_;
-  const double delay_us = config_.time_base().cycles_to_us(
-      static_cast<double>(delivered_at - flit.generated_at));
-  flit_delay_us_.add(delay_us);
-  delivered_hops_.add(static_cast<double>(hops));
-  ClassMetrics& cls = classes_[class_of_connection_[flit.connection]];
-  ++cls.flits_delivered;
-  cls.flit_delay_us.add(delay_us);
-  cls.flit_delay_hist.add(delay_us);
-  if (flit.last_of_frame &&
-      workload_.connections[flit.connection].traffic_class ==
-          TrafficClass::kVbr) {
-    ++frames_completed_;
-    frame_delay_us_.add(delay_us);
-  }
-  if (fault_) {
-    const bool violated =
-        static_cast<double>(delivered_at - flit.generated_at) >
-        fault_->injector.plan().qos_deadline_cycles;
-    if (fault_->injector.any_down()) {
-      ++fault_->metrics.delivered_during_fault;
-      if (violated) ++fault_->metrics.qos_violations_during_fault;
-    } else {
-      ++fault_->metrics.delivered_outside_fault;
-      if (violated) ++fault_->metrics.qos_violations_outside_fault;
-    }
-  }
-}
-
-void MmrNetworkSimulation::apply_fault_transitions(Cycle now) {
-  FaultRuntime& f = *fault_;
-  f.went_down.clear();
-  f.came_up.clear();
-  f.injector.advance_to(now, f.went_down, f.came_up);
-
-  for (const std::uint32_t ch : f.went_down) {
-    // Flits on the wire are lost outright; their consumed downstream credits
-    // leak until the resync watchdog notices the deficit.
-    f.metrics.flits_dropped += channels_[ch].pipe.drain_all();
-  }
-  if (!f.went_down.empty()) {
-    for (std::uint32_t c = 0;
-         c < static_cast<std::uint32_t>(workload_.connections.size()); ++c) {
-      if (f.state[c] != FaultRuntime::ConnState::kActive) continue;
-      const std::vector<Hop>& path = workload_.connections[c].path;
-      bool crosses_down_link = false;
-      for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-        const std::int32_t ch = channel_at(path[h].router, path[h].out_port);
-        MMR_ASSERT(ch != -1);
-        if (f.injector.is_down(static_cast<std::uint32_t>(ch))) {
-          crosses_down_link = true;
-          break;
-        }
-      }
-      if (!crosses_down_link) continue;
-      ++f.metrics.teardowns;
-      tear_down(c, now);
-      if (try_readmit(c)) {
-        ++f.metrics.reroutes;
-      } else {
-        f.state[c] = FaultRuntime::ConnState::kDropped;
-        f.dropped_at[c] = now;
-      }
-    }
-  }
-  if (!f.came_up.empty()) {
-    for (std::uint32_t c = 0;
-         c < static_cast<std::uint32_t>(workload_.connections.size()); ++c) {
-      if (f.state[c] != FaultRuntime::ConnState::kDropped) continue;
-      if (!try_readmit(c)) continue;
-      ++f.metrics.readmissions;
-      const double outage_us = config_.time_base().cycles_to_us(
-          static_cast<double>(now - f.dropped_at[c]));
-      f.metrics.recovery_latency_us.add(outage_us);
-      f.metrics.recovery_latency_hist.add(outage_us);
-    }
-  }
-}
-
-void MmrNetworkSimulation::tear_down(std::uint32_t connection, Cycle now) {
-  FaultRuntime& f = *fault_;
-  const NetworkConnection& c = workload_.connections[connection];
-  const std::vector<Hop>& path = c.path;
-
-  // Every flushed flit's credit is settled synchronously, so only genuine
-  // wire losses are left for the resync watchdog to repair.
-  const Hop& first = path.front();
-  const std::int32_t nic =
-      nic_of_input_[static_cast<std::size_t>(first.router) * config_.ports +
-                    first.in_port];
-  MMR_ASSERT(nic != -1);
-  Nic& source_nic = *nics_[static_cast<std::size_t>(nic)];
-  const std::uint32_t on_nic_link =
-      nic_links_[static_cast<std::size_t>(nic)].drain_vc(first.vc);
-  f.metrics.flits_flushed += on_nic_link;
-  for (std::uint32_t i = 0; i < on_nic_link; ++i) {
-    source_nic.return_credit(first.vc, now);
-  }
-
-  for (std::size_t h = 0; h < path.size(); ++h) {
-    const Hop& hop = path[h];
-    const std::uint32_t in_vcm =
-        routers_[hop.router].drain_vc(hop.in_port, hop.vc);
-    f.metrics.flits_flushed += in_vcm;
-    for (std::uint32_t i = 0; i < in_vcm; ++i) {
-      if (h == 0) {
-        source_nic.return_credit(hop.vc, now);
-      } else {
-        const std::int32_t up =
-            upstream_channel_[static_cast<std::size_t>(hop.router) *
-                                  config_.ports +
-                              hop.in_port];
-        MMR_ASSERT(up != -1);
-        channels_[static_cast<std::size_t>(up)].credits.release(hop.vc, now);
-      }
-    }
-    if (h + 1 < path.size()) {
-      const std::int32_t ch = channel_at(hop.router, hop.out_port);
-      MMR_ASSERT(ch != -1);
-      Channel& channel = channels_[static_cast<std::size_t>(ch)];
-      const std::uint32_t on_wire = channel.pipe.drain_vc(path[h + 1].vc);
-      f.metrics.flits_flushed += on_wire;
-      for (std::uint32_t i = 0; i < on_wire; ++i) {
-        channel.credits.release(path[h + 1].vc, now);
-      }
-    }
-    if (f.hop_admitted[connection][h]) {
-      f.admission[hop.router].release(hop_descriptor(c, hop));
-      f.hop_admitted[connection][h] = false;
-    }
-  }
-}
-
-bool MmrNetworkSimulation::try_readmit(std::uint32_t connection) {
-  FaultRuntime& f = *fault_;
-  NetworkConnection& c = workload_.connections[connection];
-  const Hop old_first = c.path.front();
-
-  const LinkFilter blocked = [this](std::uint32_t router,
-                                    std::uint32_t out_port) {
-    const std::int32_t ch = channel_at(router, out_port);
-    return ch != -1 &&
-           fault_->injector.is_down(static_cast<std::uint32_t>(ch));
-  };
-  std::vector<Hop> path = compute_path_avoiding(
-      workload_.topology, old_first.router, old_first.in_port,
-      c.last_hop().router, c.last_hop().out_port, blocked);
-  if (path.empty()) return false;  // no usable route around the outage
-
-  // A setup probe needs a fresh VC on every traversed input link (freed VCs
-  // are not recycled — a simplification that costs VC space, not
-  // correctness, and mirrors how the tables assign VCs in admission order).
-  for (const Hop& hop : path) {
-    if (tables_[hop.router].on_input_link(hop.in_port).size() >=
-        config_.vcs_per_link) {
-      return false;
-    }
-  }
-
-  // All-or-nothing bandwidth admission along the new path.
-  std::vector<ConnectionDescriptor> admitted(path.size());
-  for (std::size_t h = 0; h < path.size(); ++h) {
-    admitted[h] = hop_descriptor(c, path[h]);
-    if (!f.admission[path[h].router].try_admit(admitted[h])) {
-      for (std::size_t r = 0; r < h; ++r) {
-        f.admission[path[r].router].release(admitted[r]);
-      }
-      return false;
-    }
-  }
-
-  // Install: table entries, link-scheduler bindings, routing maps.
-  for (std::size_t h = 0; h < path.size(); ++h) {
-    Hop& hop = path[h];
-    const ConnectionId local_id =
-        tables_[hop.router].add(admitted[h], config_.vcs_per_link);
-    hop.vc = tables_[hop.router].get(local_id).vc;
-  }
-  const RoundAccounting rounds(config_.flit_cycles_per_round(),
-                               config_.time_base());
-  for (std::size_t h = 0; h < path.size(); ++h) {
-    const Hop& hop = path[h];
-    QosParams qos;
-    qos.slots_per_round =
-        std::max<std::uint32_t>(1, admitted[h].slots_per_round);
-    qos.iat_router_cycles =
-        rounds.iat_router_cycles(std::max(c.mean_bandwidth_bps, 1.0));
-    routers_[hop.router].install_vc(hop.in_port, hop.vc, hop.out_port, qos);
-
-    NextHop& next = next_hop_[hop.router][hop.in_port][hop.vc];
-    hop_index_[hop.router][hop.in_port][hop.vc] =
-        static_cast<std::uint32_t>(h);
-    if (h + 1 < path.size()) {
-      const std::int32_t ch = channel_at(hop.router, hop.out_port);
-      MMR_ASSERT(ch != -1);
-      next.local = false;
-      next.channel = static_cast<std::uint32_t>(ch);
-      next.downstream_vc = path[h + 1].vc;
-    } else {
-      next.local = true;
-    }
-  }
-
-  // Flits still in host memory follow the connection to its new first-hop
-  // VC (the source endpoint itself never moves).
-  if (path.front().vc != old_first.vc) {
-    const std::int32_t nic =
-        nic_of_input_[static_cast<std::size_t>(old_first.router) *
-                          config_.ports +
-                      old_first.in_port];
-    MMR_ASSERT(nic != -1);
-    nics_[static_cast<std::size_t>(nic)]->move_queue(old_first.vc,
-                                                     path.front().vc);
-  }
-
-  f.hop_admitted[connection].assign(path.size(), true);
-  f.state[connection] = FaultRuntime::ConnState::kActive;
-  c.path = std::move(path);
-  return true;
-}
-
-void MmrNetworkSimulation::credit_resync(Cycle now) {
-  FaultRuntime& f = *fault_;
-  const FaultPlan& plan = f.injector.plan();
-  if (now % plan.resync_period != 0) return;
-
-  for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
-    Channel& channel = channels_[ci];
-    const VirtualChannelMemory& vcm =
-        routers_[channel.to.router].vcm(channel.to.port);
-    for (std::uint32_t vc = 0; vc < config_.vcs_per_link; ++vc) {
-      // Conservation audit: every buffer slot is either an available
-      // credit, a credit travelling back, a flit on the wire, or a flit in
-      // the downstream VCM.  Anything missing leaked through a fault.
-      const std::uint32_t accounted = audit::credit_accounted_slots(
-          channel.credits, channel.pipe, vcm, vc);
-      const std::uint32_t capacity = channel.credits.capacity_per_vc();
-      MMR_ASSERT_MSG(accounted <= capacity,
-                     "credit audit found a surplus: accounting bug");
-      Cycle& since = f.leak_since[ci][vc];
-      if (accounted == capacity) {
-        since = kNever;
-        continue;
-      }
-      if (since == kNever) {
-        since = now;
-        continue;
-      }
-      if (now - since < plan.resync_timeout) continue;
-      const std::uint32_t missing = capacity - accounted;
-      channel.credits.restore(vc, missing);
-      f.metrics.credits_restored += missing;
-      ++f.metrics.resync_events;
-      const double leak_age_us =
-          config_.time_base().cycles_to_us(static_cast<double>(now - since));
-      f.metrics.recovery_latency_us.add(leak_age_us);
-      f.metrics.recovery_latency_hist.add(leak_age_us);
-      since = kNever;
-    }
-  }
-}
-
-void MmrNetworkSimulation::step_one() {
-  // Engine dispatch: net_threads is a pure execution-strategy knob — the
-  // sharded engine is bit-identical to the serial one (tested against
-  // metrics, trace bytes and the StateHash sequence), so the choice never
-  // changes results, only wall-clock.
-  if (config_.net_threads >= 2 && routers_.size() >= 2) {
-    ensure_shard_runtime();
-    step_one_sharded();
-    return;
-  }
-  step_one_serial();
-}
-
-void MmrNetworkSimulation::step_one_serial() {
-  const Cycle now = now_;
-  const bool measure = now >= warmup_;
-
-  // Arm the tracer for the cycle (see MmrSimulation::step_one); sections
-  // below re-stamp the node id so events attribute to the right router.
-  trace::Tracer* const cycle_tracer =
-      tracer_ != nullptr ? tracer_.get() : trace::current();
-  const trace::TraceScope trace_scope(cycle_tracer);
-  if (cycle_tracer != nullptr) {
-    cycle_tracer->set_now(now);
-    cycle_tracer->set_node(0);
-  }
-
-  // 0. Outage schedule: link transitions, teardowns, re-admissions.
-  if (fault_) apply_fault_transitions(now);
-
-  // 1. Channel housekeeping: returned credits land, in-flight flits arrive.
-  FaultTally tally;
-  for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
-    process_channel_arrivals(static_cast<std::uint32_t>(ci), now,
-                             arrival_buffer_, tally);
-  }
-  // NIC->router links likewise.
-  for (std::size_t n = 0; n < nics_.size(); ++n) {
-    process_nic_arrivals(static_cast<std::uint32_t>(n), now, arrival_buffer_);
-  }
-
-  // 2. Traffic generation into NICs.
-  generate_traffic(now);
-
-  // 3. NIC link controllers.
-  for (std::size_t n = 0; n < nics_.size(); ++n) {
-    if (auto transfer = nics_[n]->select_and_send(now)) {
-      nic_links_[n].push(*transfer, now);
-    }
-  }
-
-  // 4. Every router performs one scheduling cycle (deliveries inline).
-  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(routers_.size());
-       ++r) {
-    process_router_cycle(r, now, measure, departure_buffer_, tally,
-                         /*deferred=*/nullptr);
-  }
-  flush_fault_tally(tally);
-
-  // 5. Credit-resync watchdog (periodic conservation audit).
-  if (fault_) credit_resync(now);
-
-  if ((now + 1) % (1 << 16) == 0) check_invariants();
-  ++now_;
-}
-
-void MmrNetworkSimulation::process_channel_arrivals(
-    std::uint32_t ci, Cycle now, std::vector<LinkTransfer>& scratch,
-    FaultTally& tally) {
-  Channel& channel = channels_[ci];
-  channel.credits.tick(now);
-  scratch.clear();
-  channel.pipe.pop_due(now, scratch);
-  MMR_TRACE_SET_NODE(channel.to.router);
-  for (const LinkTransfer& transfer : scratch) {
-    if (fault_) {
-      // Both outcomes discard the flit at the receiving router (a corrupt
-      // flit fails its CRC there); the consumed downstream credit leaks
-      // until the resync watchdog repairs it.
-      if (fault_->injector.drop_flit(ci)) {
-        ++tally.flits_dropped;
-        MMR_TRACE_EVENT(
-            trace::fault_event(now, trace::FaultKind::kFlitDrop, ci));
-        continue;
-      }
-      if (fault_->injector.corrupt_flit(ci)) {
-        ++tally.flits_corrupted;
-        MMR_TRACE_EVENT(
-            trace::fault_event(now, trace::FaultKind::kFlitCorrupt, ci));
-        continue;
-      }
-    }
-    routers_[channel.to.router].accept(channel.to.port, transfer.vc,
-                                       transfer.flit, now);
-  }
-}
-
-void MmrNetworkSimulation::process_nic_arrivals(
-    std::uint32_t n, Cycle now, std::vector<LinkTransfer>& scratch) {
-  scratch.clear();
-  nic_links_[n].pop_due(now, scratch);
-  const PortEndpoint endpoint = nic_endpoints_[n];
-  MMR_TRACE_SET_NODE(endpoint.router);
-  for (const LinkTransfer& transfer : scratch) {
-    routers_[endpoint.router].accept(endpoint.port, transfer.vc,
-                                     transfer.flit, now);
-  }
-}
-
-void MmrNetworkSimulation::generate_traffic(Cycle now) {
-  while (!heap_.empty() && heap_.top().first <= now) {
-    const std::uint32_t index = heap_.top().second;
-    heap_.pop();
-    TrafficSource& source = *workload_.sources[index];
-    flit_buffer_.clear();
-    source.generate(now, flit_buffer_);
-    const NetworkConnection& connection = workload_.connections[index];
-    const Hop& first = connection.first_hop();
-    const std::int32_t nic = nic_of_input_[static_cast<std::size_t>(
-                                               first.router) *
-                                               config_.ports +
-                                           first.in_port];
-    MMR_ASSERT(nic != -1);
-    MMR_TRACE_SET_NODE(first.router);
-    for (const Flit& flit : flit_buffer_) {
-      if (flit.generated_at >= warmup_) {
-        ++generated_;
-        ++classes_[class_of_connection_[flit.connection]].flits_generated;
-      }
-      if (fault_ &&
-          fault_->state[index] == FaultRuntime::ConnState::kDropped) {
-        // The source keeps producing (and counts against survival) while
-        // the connection waits for re-admission, but nothing is queued: the
-        // application has nowhere to send.
-        ++fault_->metrics.source_flits_discarded;
-        continue;
-      }
-      nics_[static_cast<std::size_t>(nic)]->deposit(first.vc, flit);
-      MMR_TRACE_EVENT(trace::inject_event(now, first.in_port, first.vc,
-                                          flit.connection, flit.seq));
-    }
-    const Cycle next = source.next_emission();
-    if (next != kNever) {
-      MMR_ASSERT(next > now);
-      heap_.emplace(next, index);
-    }
-  }
-}
-
-void MmrNetworkSimulation::process_router_cycle(
-    std::uint32_t r, Cycle now, bool measure,
-    std::vector<MmrRouter::Departure>& scratch, FaultTally& tally,
-    std::vector<PendingDelivery>* deferred) {
-  scratch.clear();
-  MMR_TRACE_SET_NODE(r);
-  routers_[r].step(now, measure, scratch);
-  for (const MmrRouter::Departure& departure : scratch) {
-    // Return the freed buffer slot to whoever fills this input link.
-    const std::int32_t nic =
-        nic_of_input_[static_cast<std::size_t>(r) * config_.ports +
-                      departure.input];
-    if (nic != -1) {
-      nics_[static_cast<std::size_t>(nic)]->return_credit(departure.vc, now);
-      MMR_TRACE_EVENT(
-          trace::credit_return_event(now, departure.input, departure.vc));
-    } else {
-      // Find the upstream channel: it is the unique channel ending at
-      // (r, departure.input).
-      const std::int32_t up = upstream_channel_[static_cast<std::size_t>(
-                                                    r) *
-                                                    config_.ports +
-                                                departure.input];
-      MMR_ASSERT(up != -1);
-      if (fault_ &&
-          fault_->injector.lose_credit(static_cast<std::uint32_t>(up))) {
-        ++tally.credits_lost;  // the watchdog will restore it
-        MMR_TRACE_EVENT(trace::fault_event(
-            now, trace::FaultKind::kCreditLoss,
-            static_cast<std::uint64_t>(up)));
-      } else {
-        channels_[static_cast<std::size_t>(up)].credits.release(
-            departure.vc, now);
-        MMR_TRACE_EVENT(
-            trace::credit_return_event(now, departure.input, departure.vc));
-      }
-    }
-    // Forward or deliver.  Sharded stepping defers the delivery accounting
-    // (floats must accumulate in serial router order) but emits the trace
-    // events here, at their in-stream position.
-    const NextHop& next = next_hop_[r][departure.input][departure.vc];
-    if (next.local) {
-      const std::uint32_t hops =
-          hop_index_[r][departure.input][departure.vc] + 1;
-      if (deferred == nullptr) {
-        deliver(departure, hops, now + 1);
-      } else {
-        emit_delivery_trace(departure, now + 1);
-        deferred->push_back(PendingDelivery{departure, hops});
-      }
-    } else {
-      Channel& channel = channels_[next.channel];
-      channel.credits.consume(next.downstream_vc);
-      LinkTransfer transfer;
-      transfer.flit = departure.flit;
-      transfer.vc = next.downstream_vc;
-      channel.pipe.push(transfer, now);
-    }
-  }
-}
-
-void MmrNetworkSimulation::flush_fault_tally(const FaultTally& tally) {
-  if (!fault_) return;
-  fault_->metrics.flits_dropped += tally.flits_dropped;
-  fault_->metrics.flits_corrupted += tally.flits_corrupted;
-  fault_->metrics.credits_lost += tally.credits_lost;
-}
-
-NetworkMetrics MmrNetworkSimulation::run() {
-  MMR_ASSERT_MSG(!ran_, "run() may only be called once");
-  ran_ = true;
-  const Cycle total = config_.total_cycles();
-  if (snap_mgr_) return run_managed(total);
-  while (now_ < total) step_one();
-  check_invariants();
-  if (tracer_) tracer_->write_outputs();
-  return finalize_metrics();
-}
-
-NetworkMetrics MmrNetworkSimulation::run_managed(Cycle total) {
-  const auto walk = [this](snapshot::Walker& w) { snap_walk(w); };
-
-  std::optional<snapshot::SignalGuard> signals;
-  std::optional<snapshot::CrashScope> crash;
-  if (snap_mgr_->spec().on_crash) {
-    signals.emplace();
-    crash.emplace([this, walk] {
-      snap_mgr_->write_checkpoint(now_, walk, "crash", /*nothrow=*/true);
-    });
-  }
-
-  while (now_ < total) {
-    step_one();
-    snap_mgr_->after_cycle(now_, walk);
-    if (signals && snapshot::SignalGuard::pending() != 0) {
-      const int signal_number = snapshot::SignalGuard::consume();
-      const std::string path =
-          snap_mgr_->write_checkpoint(now_, walk, "signal", /*nothrow=*/true);
-      if (tracer_) tracer_->write_outputs();
-      snap_mgr_->write_hash_log();
-      throw snapshot::Interrupted(signal_number, path);
-    }
-  }
-  check_invariants();
-  if (tracer_) tracer_->write_outputs();
-  snap_mgr_->write_hash_log();
-  return finalize_metrics();
-}
-
-std::uint64_t MmrNetworkSimulation::state_hash() {
-  snapshot::HashWalker hasher;
-  snap_walk(hasher);
-  return hasher.digest();
-}
-
-void MmrNetworkSimulation::save_checkpoint(const std::string& path) {
-  snapshot::Snapshot snap;
-  snap.config_digest = snapshot::config_digest(config_);
-  snap.cycle = now_;
-  snapshot::SaveWalker writer(snap);
-  snap_walk(writer);
-  snapshot::save_file(path, snap);
-}
-
-void MmrNetworkSimulation::restore_checkpoint(const std::string& path) {
-  const snapshot::Snapshot snap = snapshot::load_file(path);
-  const std::uint64_t digest = snapshot::config_digest(config_);
-  if (snap.config_digest != digest)
-    throw snapshot::SnapshotError(
-        "checkpoint " + path + " was written under a different SimConfig (" +
-        std::to_string(snap.config_digest) + " vs " + std::to_string(digest) +
-        "); resume requires the identical config and workload");
-  snapshot::LoadWalker reader(snap);
-  snap_walk(reader);
-  reader.finish();
-  MMR_ASSERT_MSG(now_ == snap.cycle,
-                 "restored clock disagrees with the snapshot header");
-}
-
-void MmrNetworkSimulation::snap_walk(snapshot::Walker& w) {
-  using snapshot::value;
-  const auto walk_hop = [](snapshot::Walker& v, Hop& hop) {
-    value(v, hop.router);
-    value(v, hop.in_port);
-    value(v, hop.out_port);
-    value(v, hop.vc);
-  };
-
-  w.section("sim");
-  value(w, now_);
-  value(w, generated_);
-  value(w, delivered_);
-  value(w, frames_completed_);
-  flit_delay_us_.snap(w);
-  delivered_hops_.snap(w);
-  frame_delay_us_.snap(w);
-  // classes_ is sized (and labelled) at construction from the workload; walk
-  // the accumulators in place so a restore keeps the labels.
-  {
-    std::uint64_t count = classes_.size();
-    value(w, count);
-    if (w.loading())
-      MMR_ASSERT_MSG(count == classes_.size(),
-                     "network snapshot class count mismatch");
-    for (ClassMetrics& c : classes_) c.snap(w);
-  }
-  {
-    auto& heap = snapshot::queue_container(heap_);
-    std::uint64_t n = heap.size();
-    value(w, n);
-    if (w.loading()) heap.assign(static_cast<std::size_t>(n), Emission{});
-    for (Emission& emission : heap) {
-      value(w, emission.first);
-      value(w, emission.second);
-    }
-  }
-
-  w.section("sources");
-  for (const auto& source : workload_.sources) source->snap(w);
-
-  w.section("nics");
-  for (const auto& nic : nics_) nic->snap(w);
-  for (LinkPipeline& link : nic_links_) link.snap(w);
-
-  w.section("channels");
-  for (Channel& channel : channels_) {
-    channel.pipe.snap(w);
-    channel.credits.snap(w);
-  }
-
-  w.section("routers");
-  for (MmrRouter& router : routers_) router.snap(w);
-
-  // Tables, routing maps and reserved paths all mutate when fault recovery
-  // re-admits a connection on fresh VCs; fault-free they are constants, but
-  // walking them unconditionally keeps one walk shape per config.
-  w.section("tables");
-  for (ConnectionTable& table : tables_) table.snap(w);
-
-  w.section("routing");
-  for (auto& per_router : next_hop_) {
-    for (auto& per_input : per_router) {
-      snapshot::walk_vector(w, per_input,
-                            [](snapshot::Walker& v, NextHop& next) {
-                              value(v, next.local);
-                              value(v, next.channel);
-                              value(v, next.downstream_vc);
-                            });
-    }
-  }
-  for (auto& per_router : hop_index_) {
-    for (auto& per_input : per_router) snapshot::walk_vector_pod(w, per_input);
-  }
-  for (NetworkConnection& connection : workload_.connections)
-    snapshot::walk_vector(w, connection.path, walk_hop);
-
-  if (fault_) {
-    w.section("fault");
-    FaultRuntime& f = *fault_;
-    f.injector.snap(w);
-    for (AdmissionController& admission : f.admission) admission.snap(w);
-    snapshot::walk_vector_pod(w, f.state);
-    snapshot::walk_vector_pod(w, f.dropped_at);
-    snapshot::walk_vector(w, f.hop_admitted,
-                          [](snapshot::Walker& v, std::vector<bool>& hops) {
-                            snapshot::walk_vector_bool(v, hops);
-                          });
-    snapshot::walk_vector(w, f.leak_since,
-                          [](snapshot::Walker& v, std::vector<Cycle>& leaks) {
-                            snapshot::walk_vector_pod(v, leaks);
-                          });
-    f.metrics.snap(w);
-  }
-
-  if (tracer_) {
-    w.section("trace");
-    tracer_->snap(w);
-  }
-}
-
-NetworkMetrics MmrNetworkSimulation::finalize_metrics() {
-  NetworkMetrics metrics;
-  metrics.arbiter = config_.arbiter;
-  metrics.flit_cycle_us = config_.time_base().flit_cycle_us();
-  const double in_capacity = static_cast<double>(local_inputs_) *
-                             static_cast<double>(config_.measure_cycles);
-  const double out_capacity = static_cast<double>(local_outputs_) *
-                              static_cast<double>(config_.measure_cycles);
-  metrics.generated_load_measured =
-      static_cast<double>(generated_) / in_capacity;
-  metrics.delivered_load = static_cast<double>(delivered_) / out_capacity;
-  metrics.flits_generated = generated_;
-  metrics.flits_delivered = delivered_;
-  metrics.backlog_flits = backlog();
-  metrics.flit_delay_us = flit_delay_us_;
-  metrics.per_class = classes_;
-  metrics.delivered_hops = delivered_hops_;
-  for (const MmrRouter& router : routers_) {
-    metrics.router_utilization.push_back(router.crossbar().utilization());
-  }
-  metrics.frames_completed = frames_completed_;
-  metrics.frame_delay_us = frame_delay_us_;
-  if (fault_) {
-    for (const FaultRuntime::ConnState state : fault_->state) {
-      if (state == FaultRuntime::ConnState::kDropped) {
-        ++fault_->metrics.connections_lost;
-      }
-    }
-    metrics.degradation = fault_->metrics;
-  }
-  return metrics;
-}
-
-void MmrNetworkSimulation::check_invariants() const {
-  for (const MmrRouter& router : routers_) router.check_invariants();
-  for (const auto& nic : nics_) nic->check_invariants();
-  for (const Channel& channel : channels_) channel.credits.check_invariants();
 }
 
 }  // namespace mmr

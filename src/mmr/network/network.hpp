@@ -1,362 +1,33 @@
-// A network of MMRs (the paper's future work, Section 6).  Every router is
-// a full MmrRouter; inter-router channels carry flits with the same
-// credit-based flow control used between NIC and router, and a router's
-// link scheduler only offers a VC as a candidate when the *downstream* hop
-// has buffer space (credit) — so flits are never dropped anywhere.
-// Connections follow fixed shortest paths (pipelined circuit switching
-// reserves one VC per traversed input link at setup).
+// Workloads for a network of MMRs (the paper's future work, Section 6):
+// connections follow fixed shortest paths, one VC reserved per traversed
+// input link.  MmrSimulation runs them; the network names are aliases.
 #pragma once
 
-#include <memory>
-#include <queue>
-#include <vector>
-
-#include "mmr/core/metrics.hpp"
-#include "mmr/fault/fault_injector.hpp"
+#include "mmr/core/simulation.hpp"
 #include "mmr/network/routing.hpp"
 #include "mmr/network/topology.hpp"
-#include "mmr/qos/admission.hpp"
-#include "mmr/router/nic.hpp"
-#include "mmr/router/router.hpp"
-#include "mmr/sim/config.hpp"
-#include "mmr/traffic/cbr.hpp"
 #include "mmr/traffic/mix.hpp"
 
 namespace mmr {
 
-namespace trace {
-class Tracer;
-}  // namespace trace
-
-namespace snapshot {
-class SnapshotManager;
-class Walker;
-}  // namespace snapshot
-
-/// Per-cycle parallel stepping state (shard.cpp); only allocated when
-/// `net_threads >= 2` selects the sharded engine.  The deleter is defined
-/// out of line so translation units holding an MmrNetworkSimulation never
-/// need the complete runtime type.
-struct NetworkShardRuntime;
-struct NetworkShardRuntimeDeleter {
-  void operator()(NetworkShardRuntime* runtime) const;
-};
-
-/// A multi-hop connection: class, rates and the reserved path.
-struct NetworkConnection {
-  ConnectionId id = kInvalidConnection;
-  TrafficClass traffic_class = TrafficClass::kCbr;
-  double mean_bandwidth_bps = 0.0;
-  double peak_bandwidth_bps = 0.0;
-  std::vector<Hop> path;  ///< per-hop VCs filled by the workload builder
-
-  [[nodiscard]] const Hop& first_hop() const { return path.front(); }
-  [[nodiscard]] const Hop& last_hop() const { return path.back(); }
-};
-
-struct NetworkWorkload {
-  explicit NetworkWorkload(NetworkTopology topology_)
-      : topology(std::move(topology_)) {}
-
-  NetworkTopology topology;
-  std::vector<NetworkConnection> connections;            ///< by id
-  std::vector<std::unique_ptr<TrafficSource>> sources;   ///< by id
-
-  void check_invariants() const;
-};
+using MmrNetworkSimulation = MmrSimulation;
+using NetworkMetrics = SimulationMetrics;
+using NetworkWorkload = Workload;
 
 /// Builds a CBR mix over the network: per local input port, connections are
 /// drawn from the spec's classes until `target_load` is reached;
 /// destinations are uniform over all local output ports of other placements
 /// (uniform-random policy only — balancing is topology-dependent).
-[[nodiscard]] NetworkWorkload build_network_cbr_mix(
-    const SimConfig& config, const NetworkTopology& topology,
-    const CbrMixSpec& spec, Rng& rng);
+[[nodiscard]] Workload build_network_cbr_mix(const SimConfig& config,
+                                             const NetworkTopology& topology,
+                                             const CbrMixSpec& spec, Rng& rng);
 
 /// Builds an MPEG-2 VBR mix over the network (the paper's video workload on
 /// its future-work topology): per local input port, sequences are drawn
 /// uniformly from the library until `target_load` of average bandwidth is
 /// placed; the BB peak is workload-wide, as in the single-router builder.
-[[nodiscard]] NetworkWorkload build_network_vbr_mix(
-    const SimConfig& config, const NetworkTopology& topology,
-    const VbrMixSpec& spec, Rng& rng);
-
-struct NetworkMetrics {
-  std::string arbiter;
-  double flit_cycle_us = 0.0;
-
-  double generated_load_measured = 0.0;  ///< vs local input capacity
-  double delivered_load = 0.0;           ///< vs local output capacity
-  std::uint64_t flits_generated = 0;
-  std::uint64_t flits_delivered = 0;
-  std::uint64_t backlog_flits = 0;
-
-  StreamingStats flit_delay_us;          ///< end-to-end, since generation
-  std::vector<ClassMetrics> per_class;
-  StreamingStats delivered_hops;         ///< path length of delivered flits
-  std::vector<double> router_utilization;
-
-  // VBR application-level metrics (empty for CBR-only workloads).
-  std::uint64_t frames_completed = 0;
-  StreamingStats frame_delay_us;
-
-  /// Fault-injection accounting; all-zero unless a fault plan was installed.
-  DegradationMetrics degradation;
-
-  [[nodiscard]] bool saturated(double deficit_tolerance = 0.995,
-                               double delay_threshold_cycles =
-                                   kQosDeadlineCycles) const {
-    if (static_cast<double>(flits_delivered) <
-        static_cast<double>(flits_generated) * deficit_tolerance) {
-      return true;
-    }
-    return !flit_delay_us.empty() &&
-           flit_delay_us.mean() > delay_threshold_cycles * flit_cycle_us;
-  }
-
-  [[nodiscard]] const ClassMetrics* find_class(const std::string& label) const;
-};
-
-class MmrNetworkSimulation {
- public:
-  MmrNetworkSimulation(SimConfig config, NetworkWorkload workload);
-  ~MmrNetworkSimulation();  ///< out-of-line for the Tracer forward declaration
-
-  /// The event tracer, or nullptr when `trace=` is unset.
-  [[nodiscard]] trace::Tracer* tracer() { return tracer_.get(); }
-
-  /// Runs warmup + measurement; may only be called once.
-  NetworkMetrics run();
-
-  void step_one();
-
-  [[nodiscard]] Cycle now() const { return now_; }
-  [[nodiscard]] const NetworkTopology& topology() const {
-    return workload_.topology;
-  }
-  [[nodiscard]] const MmrRouter& router(std::uint32_t index) const;
-  [[nodiscard]] std::uint64_t backlog() const;
-
-  /// Installs a fault plan (must happen before the first step; overrides any
-  /// plan parsed from SimConfig::fault_spec).  An empty plan is a strict
-  /// no-op: no fault machinery is instantiated and results stay
-  /// bit-identical to a run that never called this.
-  void set_fault_plan(FaultPlan plan);
-
-  /// Directed inter-router channels (fault-plan targets are indexed by
-  /// channel).  channel_at() maps (router, out_port) to its channel index,
-  /// or -1 for local output ports.
-  [[nodiscard]] std::uint32_t channel_count() const {
-    return static_cast<std::uint32_t>(channels_.size());
-  }
-  [[nodiscard]] std::int32_t channel_at(std::uint32_t router,
-                                        std::uint32_t out_port) const;
-
-  void check_invariants() const;
-
-  // --- checkpoint/restore (mmr/snapshot/, `snap=` override) -----------------
-  /// The network's serialization walk — see MmrSimulation::snap_walk.  Covers
-  /// routers, channels (wire + credit loops), NICs, per-router connection
-  /// tables and routing maps (both mutate under fault recovery), and the
-  /// full fault runtime including the injector's RNG streams.
-  void snap_walk(snapshot::Walker& w);
-
-  /// 64-bit FNV-1a StateHash of the current network state.
-  [[nodiscard]] std::uint64_t state_hash();
-
-  /// Writes an mmr-snap-v1 checkpoint of the current state to `path`.
-  void save_checkpoint(const std::string& path);
-
-  /// Overlays a checkpoint onto this freshly constructed simulation; the
-  /// (config, workload) must match the saving run.
-  void restore_checkpoint(const std::string& path);
-
-  /// The snapshot manager, or nullptr when `snap=` is unset.
-  [[nodiscard]] const snapshot::SnapshotManager* snapshot_manager() const {
-    return snap_mgr_.get();
-  }
-
- private:
-  /// run() with snapshot duties armed (periodic checkpoints and hashes,
-  /// crash post-mortems, cooperative SIGINT/SIGTERM shutdown).
-  NetworkMetrics run_managed(Cycle total);
-
-  /// The metrics block shared by run() and run_managed().
-  [[nodiscard]] NetworkMetrics finalize_metrics();
-
-  /// Where a flit popped from (router, input, vc) goes next.
-  struct NextHop {
-    bool local = true;            ///< delivered to the attached host
-    std::uint32_t channel = 0;    ///< else: channel index...
-    std::uint32_t downstream_vc = 0;  ///< ...and VC on the next input link
-  };
-
-  /// Directed inter-router channel with its credit loop.
-  struct Channel {
-    PortEndpoint from;
-    PortEndpoint to;
-    LinkPipeline pipe;
-    CreditManager credits;  ///< upstream view of the downstream VCM
-
-    Channel(PortEndpoint from_, PortEndpoint to_, Cycle link_latency,
-            std::uint32_t vcs, std::uint32_t buffer_flits,
-            Cycle credit_latency)
-        : from(from_),
-          to(to_),
-          pipe(link_latency),
-          credits(vcs, buffer_flits, credit_latency) {}
-  };
-
-  /// Everything the fault subsystem needs at runtime.  Only allocated when a
-  /// non-empty plan is installed; every fault code path in the simulation is
-  /// guarded by `if (fault_)`, so a null pointer means zero behavioural
-  /// difference from a fault-free build.
-  struct FaultRuntime {
-    enum class ConnState : std::uint8_t {
-      kActive,   ///< connection has an installed path
-      kDropped,  ///< torn down, waiting for a link to come back up
-    };
-
-    FaultRuntime(FaultPlan plan, std::uint32_t channels)
-        : injector(std::move(plan), channels) {}
-
-    FaultInjector injector;
-    std::vector<AdmissionController> admission;  ///< per router
-    std::vector<ConnState> state;                ///< per connection
-    std::vector<Cycle> dropped_at;               ///< per connection
-    /// Per connection, per hop: whether the hop holds a reservation in
-    /// `admission` (initial workloads can exceed the admission budgets).
-    std::vector<std::vector<bool>> hop_admitted;
-    /// Per channel, per VC: when a credit deficit was first observed by the
-    /// resync watchdog (kNever = currently balanced).
-    std::vector<std::vector<Cycle>> leak_since;
-    DegradationMetrics metrics;
-    std::vector<std::uint32_t> went_down;  ///< advance_to() scratch
-    std::vector<std::uint32_t> came_up;
-  };
-
-  /// A host delivery whose accounting is deferred to the cycle barrier
-  /// (sharded engine): float accumulators must be updated in serial router
-  /// order to stay bit-identical, so workers only queue the departure.
-  struct PendingDelivery {
-    MmrRouter::Departure departure;
-    std::uint32_t hops = 0;
-  };
-
-  /// Fault counters a (possibly parallel) phase accumulates locally and
-  /// flushes into DegradationMetrics at a deterministic serial point —
-  /// integer sums, so the flush order never changes the totals.
-  struct FaultTally {
-    std::uint64_t flits_dropped = 0;
-    std::uint64_t flits_corrupted = 0;
-    std::uint64_t credits_lost = 0;
-  };
-
-  // --- one simulated cycle, two engines -------------------------------------
-  // step_one() dispatches: net_threads <= 1 runs the original serial loop;
-  // net_threads >= 2 runs the barrier-per-cycle sharded loop (shard.cpp).
-  // Both engines share the per-entity helpers below, so they are
-  // bit-identical by construction (and tested to be).
-  void step_one_serial();
-  void step_one_sharded();
-  void ensure_shard_runtime();
-
-  /// Phase 1 for one channel: credit tick, wire arrivals, fault draws.
-  void process_channel_arrivals(std::uint32_t ci, Cycle now,
-                                std::vector<LinkTransfer>& scratch,
-                                FaultTally& tally);
-  /// Phase 1b for one NIC link: arrivals into the attached router.
-  void process_nic_arrivals(std::uint32_t n, Cycle now,
-                            std::vector<LinkTransfer>& scratch);
-  /// Phase 2: the global emission heap feeds flits into NICs (serial in
-  /// both engines; the heap's storage order is part of the snapshot walk).
-  void generate_traffic(Cycle now);
-  /// Phases 4+5 for one router: scheduling step, credit returns, forwards.
-  /// With `deferred` null, host deliveries are accounted inline (serial
-  /// engine); otherwise their trace events are emitted in place and the
-  /// accounting is queued for the barrier.
-  void process_router_cycle(std::uint32_t r, Cycle now, bool measure,
-                            std::vector<MmrRouter::Departure>& scratch,
-                            FaultTally& tally,
-                            std::vector<PendingDelivery>* deferred);
-  void flush_fault_tally(const FaultTally& tally);
-  /// Replays per-shard staged trace events into `main` in serial emission
-  /// order (span keys), then resets the staging buffers.
-  void replay_staged_trace(trace::Tracer& main);
-
-  void deliver(const MmrRouter::Departure& departure, std::uint32_t hops,
-               Cycle delivered_at);
-  /// The trace half of deliver(): kDeliver (and kDeadlineMiss) events,
-  /// emitted at the departure's position in the event stream.
-  void emit_delivery_trace(const MmrRouter::Departure& departure,
-                           Cycle delivered_at);
-  /// The accounting half of deliver(): counters and float accumulators,
-  /// no trace emission.
-  void account_delivery(const MmrRouter::Departure& departure,
-                        std::uint32_t hops, Cycle delivered_at);
-
-  /// Descriptor for one hop of a connection, slots filled exactly as the
-  /// constructor's setup walk fills them (release() must subtract what
-  /// try_admit() added).
-  [[nodiscard]] ConnectionDescriptor hop_descriptor(
-      const NetworkConnection& connection, const Hop& hop) const;
-
-  // Fault handling (all no-ops / unreachable when fault_ is null).
-  void apply_fault_transitions(Cycle now);
-  void tear_down(std::uint32_t connection, Cycle now);
-  [[nodiscard]] bool try_readmit(std::uint32_t connection);
-  void credit_resync(Cycle now);
-
-  SimConfig config_;
-  NetworkWorkload workload_;
-
-  std::vector<MmrRouter> routers_;
-  std::vector<Channel> channels_;
-  /// Per-router connection tables; kept after construction so re-admission
-  /// can register replacement paths.
-  std::vector<ConnectionTable> tables_;
-  std::unique_ptr<FaultRuntime> fault_;  ///< null = fault-free run
-  /// Sharded-engine state (net_threads >= 2); holds no simulated state —
-  /// every buffer drains at a barrier — so snapshots and state hashes are
-  /// identical across thread counts.
-  std::unique_ptr<NetworkShardRuntime, NetworkShardRuntimeDeleter> shard_;
-  friend struct NetworkShardRuntime;
-  std::unique_ptr<trace::Tracer> tracer_;  ///< set when trace= is present
-  std::unique_ptr<snapshot::SnapshotManager> snap_mgr_;  ///< snap= present
-  /// (router, out_port) -> channel index or -1 (local).
-  std::vector<std::int32_t> channel_of_output_;
-  /// NICs on local input ports; -1 elsewhere.
-  std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<std::int32_t> nic_of_input_;
-  std::vector<LinkPipeline> nic_links_;       ///< one per NIC, same indexing
-  std::vector<PortEndpoint> nic_endpoints_;   ///< (router, input) per NIC
-  /// (router, in_port) -> channel feeding it, or -1 (local / NIC).
-  std::vector<std::int32_t> upstream_channel_;
-  /// Per (router, input, vc): routing and upstream-credit bookkeeping.
-  std::vector<std::vector<std::vector<NextHop>>> next_hop_;
-  std::vector<std::vector<std::vector<std::uint32_t>>> hop_index_;
-
-  // Statistics.
-  Cycle warmup_;
-  std::uint32_t local_inputs_ = 0;
-  std::uint32_t local_outputs_ = 0;
-  std::vector<std::size_t> class_of_connection_;
-  std::vector<ClassMetrics> classes_;
-  std::uint64_t generated_ = 0;
-  std::uint64_t delivered_ = 0;
-  StreamingStats flit_delay_us_;
-  StreamingStats delivered_hops_;
-  std::uint64_t frames_completed_ = 0;
-  StreamingStats frame_delay_us_;
-
-  using Emission = std::pair<Cycle, std::uint32_t>;
-  std::priority_queue<Emission, std::vector<Emission>, std::greater<>> heap_;
-
-  Cycle now_ = 0;
-  bool ran_ = false;
-  std::vector<Flit> flit_buffer_;
-  std::vector<LinkTransfer> arrival_buffer_;
-  std::vector<MmrRouter::Departure> departure_buffer_;
-};
+[[nodiscard]] Workload build_network_vbr_mix(const SimConfig& config,
+                                             const NetworkTopology& topology,
+                                             const VbrMixSpec& spec, Rng& rng);
 
 }  // namespace mmr

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "mmr/network/topology.hpp"
+#include "mmr/qos/connection.hpp"
 
 namespace mmr {
 
@@ -21,6 +22,20 @@ struct Hop {
                                ///< assigned by the network builder
 
   friend bool operator==(const Hop&, const Hop&) = default;
+};
+
+/// A connection's class, rates and reserved path (hop 0 enters on the
+/// source's local input port, the last hop leaves on the sink's local
+/// output port).
+struct NetworkConnection {
+  ConnectionId id = kInvalidConnection;
+  TrafficClass traffic_class = TrafficClass::kCbr;
+  double mean_bandwidth_bps = 0.0;
+  double peak_bandwidth_bps = 0.0;
+  std::vector<Hop> path;
+
+  [[nodiscard]] const Hop& first_hop() const { return path.front(); }
+  [[nodiscard]] const Hop& last_hop() const { return path.back(); }
 };
 
 /// Shortest path from (src_router, src local input port) to (dst_router,

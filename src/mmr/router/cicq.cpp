@@ -1,5 +1,7 @@
 #include "mmr/router/cicq.hpp"
 
+#include <algorithm>
+
 #include "mmr/sim/assert.hpp"
 #include "mmr/snapshot/walker.hpp"
 #include "mmr/trace/event.hpp"
@@ -37,7 +39,8 @@ void CicqFabric::tick(Cycle now) {
 }
 
 void CicqFabric::drain_outputs(Cycle now, std::vector<Drained>& out,
-                               std::vector<std::int32_t>& input_of_output) {
+                               std::vector<std::int32_t>& input_of_output,
+                               const Eligibility* eligible) {
   input_of_output.assign(ports_, -1);
   const auto vcs = static_cast<std::uint32_t>(xp_vc_count_.size() / ports_);
   for (std::uint32_t output = 0; output < ports_; ++output) {
@@ -45,6 +48,8 @@ void CicqFabric::drain_outputs(Cycle now, std::vector<Drained>& out,
       const std::uint32_t input = (output_ptr_[output] + k) % ports_;
       std::deque<VoqMemory::Slot>& fifo = xp_[xp_index(input, output)];
       if (fifo.empty()) continue;
+      if (eligible != nullptr && !(*eligible)(input, fifo.front().vc))
+        continue;
       VoqMemory::Slot slot = fifo.front();
       fifo.pop_front();
       std::uint32_t& residency =
@@ -64,8 +69,27 @@ void CicqFabric::drain_outputs(Cycle now, std::vector<Drained>& out,
   }
 }
 
-void CicqFabric::fill_crosspoints(Cycle now, std::vector<VoqMemory>& voqs,
-                                  const Eligibility* eligible) {
+void CicqFabric::drain_vc(std::uint32_t input, std::uint32_t vc, Cycle now,
+                          std::vector<Flit>& out) {
+  const auto vcs = static_cast<std::uint32_t>(xp_vc_count_.size() / ports_);
+  std::uint32_t drained = 0;
+  for (std::uint32_t output = 0; output < ports_; ++output) {
+    std::deque<VoqMemory::Slot>& fifo = xp_[xp_index(input, output)];
+    const auto kept = std::stable_partition(
+        fifo.begin(), fifo.end(),
+        [vc](const VoqMemory::Slot& s) { return s.vc != vc; });
+    const auto count = static_cast<std::uint32_t>(fifo.end() - kept);
+    for (auto it = kept; it != fifo.end(); ++it) out.push_back(it->flit);
+    fifo.erase(kept, fifo.end());
+    for (std::uint32_t i = 0; i < count; ++i)
+      credits_[input].release(output, now);
+    drained += count;
+  }
+  xp_vc_count_[static_cast<std::size_t>(input) * vcs + vc] -= drained;
+  total_ -= drained;
+}
+
+void CicqFabric::fill_crosspoints(Cycle now, std::vector<VoqMemory>& voqs) {
   MMR_ASSERT(voqs.size() == ports_);
   const std::uint32_t vcs = static_cast<std::uint32_t>(
       xp_vc_count_.size() / ports_);
@@ -76,8 +100,6 @@ void CicqFabric::fill_crosspoints(Cycle now, std::vector<VoqMemory>& voqs,
     for (std::uint32_t k = 0; k < ports_; ++k) {
       const std::uint32_t output = (input_ptr_[input] + k) % ports_;
       if (voq.empty(output)) continue;
-      if (eligible != nullptr && !(*eligible)(input, voq.head(output).vc))
-        continue;
       had_work = true;
       if (!credits_[input].has_credit(output)) continue;
       credits_[input].consume(output);

@@ -56,14 +56,17 @@ class CicqFabric {
   /// already present at the start of the cycle are drainable, which is why
   /// this runs before fill_crosspoints().  Appends one Drained per served
   /// output (ascending output order) and records the per-output input pick
-  /// in `input_of_output` (-1 = idle) for crossbar statistics.
+  /// in `input_of_output` (-1 = idle) for crossbar statistics.  A crosspoint
+  /// whose head `eligible` refuses (its next hop has no credit) waits; the
+  /// gate sits here, not at the input stage, because a flit's downstream
+  /// credit is only spent when it leaves.
   void drain_outputs(Cycle now, std::vector<Drained>& out,
-                     std::vector<std::int32_t>& input_of_output);
+                     std::vector<std::int32_t>& input_of_output,
+                     const Eligibility* eligible);
 
   /// Input stage: per input, round-robin over outputs with a non-empty VOQ
   /// and an available crosspoint credit; transfers at most one head flit.
-  void fill_crosspoints(Cycle now, std::vector<VoqMemory>& voqs,
-                        const Eligibility* eligible);
+  void fill_crosspoints(Cycle now, std::vector<VoqMemory>& voqs);
 
   /// Burst-stabilization bookkeeping (no-op unless `stab:1` and the
   /// crosspoints are deeper than one flit): unlock parked credits when a
@@ -77,6 +80,10 @@ class CicqFabric {
   /// Flits of (input, vc) currently sitting in crosspoint buffers.
   [[nodiscard]] std::uint32_t vc_occupancy(std::uint32_t input,
                                            std::uint32_t vc) const;
+  /// Fault teardown: discards the crosspoint-resident flits of (input, vc),
+  /// returning their crosspoint credits and appending them to `out`.
+  void drain_vc(std::uint32_t input, std::uint32_t vc, Cycle now,
+                std::vector<Flit>& out);
   [[nodiscard]] std::uint64_t total_flits() const { return total_; }
   [[nodiscard]] const CreditManager& credits(std::uint32_t input) const;
 

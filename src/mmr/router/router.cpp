@@ -272,7 +272,8 @@ void MmrRouter::step_cicq(Cycle now, bool measure,
   {
     MMR_PERF_SCOPE(perf::Phase::kArbitration);
     drained_scratch_.clear();
-    cicq_->drain_outputs(now, drained_scratch_, xp_pick_scratch_);
+    cicq_->drain_outputs(now, drained_scratch_, xp_pick_scratch_,
+                         eligibility_ ? &eligibility_ : nullptr);
   }
 
   {
@@ -297,12 +298,7 @@ void MmrRouter::step_cicq(Cycle now, bool measure,
 
   {
     MMR_PERF_SCOPE(perf::Phase::kLinkSchedule);
-    if (eligibility_) {
-      const CicqFabric::Eligibility eligible = eligibility_;
-      cicq_->fill_crosspoints(now, voqs_, &eligible);
-    } else {
-      cicq_->fill_crosspoints(now, voqs_, nullptr);
-    }
+    cicq_->fill_crosspoints(now, voqs_);
     cicq_->update_stabilization(voqs_);
   }
 }
@@ -320,18 +316,18 @@ void MmrRouter::install_vc(std::uint32_t input, std::uint32_t vc,
     voq_schedulers_[input].set_vc(vc, qos);
 }
 
-std::uint32_t MmrRouter::drain_vc(std::uint32_t input, std::uint32_t vc) {
+std::vector<Flit> MmrRouter::drain_vc(std::uint32_t input, std::uint32_t vc,
+                                      Cycle now) {
   MMR_ASSERT(input < ports_);
-  MMR_ASSERT_MSG(qd_.discipline == QueueDiscipline::kVc,
-                 "drain_vc requires the per-VC discipline (network runs "
-                 "reject qd=voq/cicq at configuration parse)");
-  std::uint32_t count = 0;
-  while (!vcms_[input].empty(vc)) {
-    (void)vcms_[input].pop(vc);
-    ++count;
+  std::vector<Flit> drained;
+  if (qd_.discipline == QueueDiscipline::kVc) {
+    while (!vcms_[input].empty(vc)) drained.push_back(vcms_[input].pop(vc));
+  } else {
+    voqs_[input].drain_vc(vc, drained);
+    if (cicq_) cicq_->drain_vc(input, vc, now, drained);
   }
-  drained_ += count;
-  return count;
+  drained_ += drained.size();
+  return drained;
 }
 
 const VirtualChannelMemory& MmrRouter::vcm(std::uint32_t input) const {

@@ -75,11 +75,10 @@ class MmrRouter {
   void install_vc(std::uint32_t input, std::uint32_t vc, std::uint32_t output,
                   QosParams qos);
 
-  /// Fault teardown: discards every flit buffered on (input, vc).  Returns
-  /// how many were discarded; the caller settles the upstream credits.
-  /// Only supported under the per-VC discipline (the network layer, its one
-  /// caller, rejects qd=voq/cicq at parse).
-  std::uint32_t drain_vc(std::uint32_t input, std::uint32_t vc);
+  /// Fault teardown: discards every flit buffered on (input, vc), wherever
+  /// the discipline holds it, and returns them; the caller settles the
+  /// upstream credits and any buffer-pool charge.
+  std::vector<Flit> drain_vc(std::uint32_t input, std::uint32_t vc, Cycle now);
 
   [[nodiscard]] const Crossbar& crossbar() const { return crossbar_; }
   /// Per-VC buffer state; only valid under the per-VC discipline.

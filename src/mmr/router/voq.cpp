@@ -64,15 +64,35 @@ VoqMemory::Slot VoqMemory::pop(std::uint32_t output) {
   MMR_ASSERT(vc_count_[slot.vc] > 0);
   --vc_count_[slot.vc];
   --total_;
-  if (queues_[output].empty()) {
-    const auto pos = static_cast<std::size_t>(occupied_pos_[output]);
-    const std::uint32_t moved = occupied_.back();
-    occupied_[pos] = moved;
-    occupied_pos_[moved] = static_cast<std::int32_t>(pos);
-    occupied_.pop_back();
-    occupied_pos_[output] = -1;
-  }
+  if (queues_[output].empty()) unlist(output);
   return slot;
+}
+
+void VoqMemory::unlist(std::uint32_t output) {
+  const auto pos = static_cast<std::size_t>(occupied_pos_[output]);
+  const std::uint32_t moved = occupied_.back();
+  occupied_[pos] = moved;
+  occupied_pos_[moved] = static_cast<std::int32_t>(pos);
+  occupied_.pop_back();
+  occupied_pos_[output] = -1;
+}
+
+void VoqMemory::drain_vc(std::uint32_t vc, std::vector<Flit>& out) {
+  MMR_ASSERT(vc < vcs());
+  std::uint32_t drained = 0;
+  for (std::uint32_t output = 0; output < outputs(); ++output) {
+    std::deque<Slot>& queue = queues_[output];
+    const auto kept =
+        std::stable_partition(queue.begin(), queue.end(),
+                              [vc](const Slot& slot) { return slot.vc != vc; });
+    if (kept == queue.end()) continue;
+    drained += static_cast<std::uint32_t>(queue.end() - kept);
+    for (auto it = kept; it != queue.end(); ++it) out.push_back(it->flit);
+    queue.erase(kept, queue.end());
+    if (queue.empty()) unlist(output);
+  }
+  vc_count_[vc] -= drained;
+  total_ -= drained;
 }
 
 std::uint32_t VoqMemory::vc_occupancy(std::uint32_t vc) const {

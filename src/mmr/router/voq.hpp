@@ -58,6 +58,8 @@ class VoqMemory {
   }
   /// Flits of `vc` currently queued here (any VOQ).
   [[nodiscard]] std::uint32_t vc_occupancy(std::uint32_t vc) const;
+  /// Fault teardown: discards every flit of `vc`, appending it to `out`.
+  void drain_vc(std::uint32_t vc, std::vector<Flit>& out);
   [[nodiscard]] std::uint64_t total_flits() const { return total_; }
 
   void check_invariants() const;
@@ -72,6 +74,7 @@ class VoqMemory {
   std::vector<std::uint32_t> vc_count_;     ///< flits held per VC
   std::vector<std::uint32_t> occupied_;
   std::vector<std::int32_t> occupied_pos_;  ///< output -> index in occupied_
+  void unlist(std::uint32_t output);  ///< drops an emptied output
   std::uint64_t total_ = 0;
 };
 

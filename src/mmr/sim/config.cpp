@@ -49,25 +49,6 @@ void SimConfig::validate() const {
   MMR_ASSERT_MSG(measure_cycles > 0, "nothing to measure");
 }
 
-void SimConfig::validate_network() const {
-  validate();
-  if (shared_flow()) {
-    throw std::invalid_argument(
-        "error: conflicting keys flow=" + flow_spec +
-        " with a multi-router network run: the shared-buffer MMU is a "
-        "single-router regime and the network layer supports flow=credit "
-        "only; drop flow= (or set flow=credit), or run the single-router "
-        "simulation");
-  }
-  if (!vc_discipline()) {
-    throw std::invalid_argument(
-        "error: conflicting keys qd=" + qd_spec +
-        " with a multi-router network run: VOQ/CICQ queue disciplines are "
-        "single-router regimes and the network layer supports qd=vc only; "
-        "drop qd= (or set qd=vc), or run the single-router simulation");
-  }
-}
-
 namespace {
 
 /// Parses a double, rejecting nan/inf (strtod accepts both spellings) — a

@@ -152,13 +152,6 @@ struct SimConfig {
 
   /// Aborts with a readable message when a field combination is nonsense.
   void validate() const;
-
-  /// validate() plus the constraints specific to a multi-router network run.
-  /// Unlike validate() this *throws* std::invalid_argument (message prefixed
-  /// "error:") on a conflicting key combination — e.g. `flow=shared`, which
-  /// is a single-router regime — so drivers can print the message and exit 1
-  /// instead of dying on an assert deep inside the network constructor.
-  void validate_network() const;
 };
 
 /// Applies "key=value" overrides (e.g. from bench argv) to a config.

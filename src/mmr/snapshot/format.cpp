@@ -91,7 +91,9 @@ Snapshot decode(const std::uint8_t* data, std::size_t size) {
   const std::uint32_t version = in.u32();
   if (version != kFormatVersion)
     throw SnapshotError("unsupported mmr-snap version " +
-                        std::to_string(version));
+                        std::to_string(version) + " (this build reads " +
+                        std::to_string(kFormatVersion) +
+                        "); re-run from the start to checkpoint again");
   snapshot.config_digest = in.u64();
   snapshot.cycle = in.u64();
   const std::uint32_t section_count = in.u32();

@@ -3,7 +3,7 @@
 //
 // Layout (all integers little-endian):
 //   magic            "mmr-snap-v1\n"          12 bytes
-//   u32 version      1
+//   u32 version      2 (the state layout; 1 was the pre-unified-engine walk)
 //   u64 config_digest   fingerprint of the SimConfig the state belongs to;
 //                       restore refuses a snapshot whose digest differs
 //                       (the restore model rebuilds immutable state by
@@ -26,7 +26,7 @@ namespace mmr::snapshot {
 
 inline constexpr char kMagic[12] = {'m', 'm', 'r', '-', 's', 'n',
                                     'a', 'p', '-', 'v', '1', '\n'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 struct Section {
   std::string name;

@@ -2,8 +2,7 @@
 // SnapSpec policy and performs the periodic duties — StateHash recording,
 // periodic checkpoints, post-mortem bundles on watchdog alarms — plus the
 // run-end hash log.  The simulation supplies one walk callback; the manager
-// never sees simulation types, so both MmrSimulation and
-// MmrNetworkSimulation drive it with the same code.
+// never sees simulation types.
 //
 // CrashScope arms the MMR_ASSERT hook for the duration of a run: when an
 // invariant dies, the registered action writes a post-mortem checkpoint

@@ -13,10 +13,14 @@ namespace mmr {
 
 double Workload::generated_load(const TimeBase& time_base) const {
   double total = 0.0;
+  std::uint32_t local = 0;
+  const std::uint32_t ports = topology.ports_per_router();
   for (std::uint32_t link = 0; link < table.ports(); ++link) {
+    if (!topology.input_is_local(link / ports, link % ports)) continue;
     total += generated_load_on_input(link, time_base);
+    ++local;
   }
-  return total / static_cast<double>(table.ports());
+  return total / static_cast<double>(local);
 }
 
 double Workload::generated_load_on_input(std::uint32_t link,
@@ -34,6 +38,34 @@ void Workload::check_invariants() const {
   for (std::size_t id = 0; id < sources.size(); ++id) {
     MMR_ASSERT(sources[id] != nullptr);
     MMR_ASSERT(sources[id]->connection() == static_cast<ConnectionId>(id));
+  }
+  if (connections.empty()) {
+    MMR_ASSERT_MSG(topology.routers() == 1,
+                   "a multi-router workload needs one path per connection");
+    return;
+  }
+  MMR_ASSERT_MSG(connections.size() == sources.size(),
+                 "one path per connection required");
+  const std::uint32_t ports = topology.ports_per_router();
+  for (std::size_t id = 0; id < connections.size(); ++id) {
+    const NetworkConnection& c = connections[id];
+    MMR_ASSERT(c.id == static_cast<ConnectionId>(id));
+    MMR_ASSERT(!c.path.empty());
+    const Hop& first = c.first_hop();
+    const Hop& last = c.last_hop();
+    MMR_ASSERT(topology.input_is_local(first.router, first.in_port));
+    MMR_ASSERT(topology.output_is_local(last.router, last.out_port));
+    const ConnectionDescriptor& d = table.get(c.id);
+    MMR_ASSERT(d.input_link == first.router * ports + first.in_port);
+    MMR_ASSERT(d.output_link == last.router * ports + last.out_port);
+    MMR_ASSERT(d.vc == first.vc);
+    for (std::size_t h = 0; h + 1 < c.path.size(); ++h) {
+      const auto down =
+          topology.downstream(c.path[h].router, c.path[h].out_port);
+      MMR_ASSERT_MSG(down.has_value(), "interior hop must leave on a channel");
+      MMR_ASSERT(down->router == c.path[h + 1].router);
+      MMR_ASSERT(down->port == c.path[h + 1].in_port);
+    }
   }
 }
 

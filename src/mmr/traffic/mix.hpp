@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "mmr/network/routing.hpp"
 #include "mmr/qos/admission.hpp"
 #include "mmr/qos/connection.hpp"
 #include "mmr/sim/config.hpp"
@@ -16,20 +17,35 @@
 
 namespace mmr {
 
-/// A complete workload: the connection table plus one source per connection
-/// (indexed by ConnectionId).
+/// A complete workload: a topology, its connections and one traffic source
+/// per connection (indexed by ConnectionId).  The paper's setup is a single
+/// router with every port local; a network workload adds each connection's
+/// reserved multi-hop path.
 struct Workload {
-  explicit Workload(std::uint32_t ports) : table(ports) {}
+  explicit Workload(std::uint32_t ports)
+      : Workload(NetworkTopology::single(ports)) {}
+  explicit Workload(NetworkTopology topology_)
+      : topology(std::move(topology_)),
+        table(topology.routers() * topology.ports_per_router()) {}
 
+  NetworkTopology topology;
+  /// Every connection as its hosts see it: class, rates, reserved slots, the
+  /// input link (and VC) it enters on and the output link it leaves on.  A
+  /// link index is `router * ports_per_router + port`, so on a one-router
+  /// topology this is exactly that router's connection table.
   ConnectionTable table;
+  /// Per connection, the path a routing probe reserved (one VC per hop).
+  /// Empty for a one-router workload built on `table` alone, whose single
+  /// hop is the table entry itself.
+  std::vector<NetworkConnection> connections;
   std::vector<std::unique_ptr<TrafficSource>> sources;
 
-  /// Mean generated load fraction, averaged over input links.
+  /// Mean generated load fraction, averaged over local input links.
   [[nodiscard]] double generated_load(const TimeBase& time_base) const;
   /// Mean generated load fraction of one input link.
   [[nodiscard]] double generated_load_on_input(std::uint32_t link,
                                                const TimeBase& time_base) const;
-  [[nodiscard]] std::size_t connections() const { return sources.size(); }
+  [[nodiscard]] std::size_t size() const { return sources.size(); }
 
   void check_invariants() const;
 };

@@ -101,8 +101,8 @@ TEST(CbrMix, DeterministicForSameRngStream) {
   Rng rng_b(77, 3);
   const Workload a = build_cbr_mix(config, spec, rng_a);
   const Workload b = build_cbr_mix(config, spec, rng_b);
-  ASSERT_EQ(a.connections(), b.connections());
-  for (std::size_t i = 0; i < a.connections(); ++i) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.table.get(static_cast<ConnectionId>(i)).output_link,
               b.table.get(static_cast<ConnectionId>(i)).output_link);
     EXPECT_EQ(a.table.get(static_cast<ConnectionId>(i)).mean_bandwidth_bps,
@@ -121,7 +121,7 @@ TEST(CbrMix, LowerLoadIsPrefixOfHigherLoad) {
   Rng rng_b(78, 5);
   const Workload low = build_cbr_mix(config, low_spec, rng_a);
   const Workload high = build_cbr_mix(config, high_spec, rng_b);
-  ASSERT_GT(high.connections(), low.connections());
+  ASSERT_GT(high.size(), low.size());
   for (std::uint32_t link = 0; link < config.ports; ++link) {
     const auto& low_ids = low.table.on_input_link(link);
     const auto& high_ids = high.table.on_input_link(link);
@@ -201,7 +201,7 @@ TEST(VbrMix, TracesAreIndependentPerConnection) {
   spec.target_load = 0.3;
   spec.trace_gops = 2;
   const Workload workload = build_vbr_mix(config, spec, rng);
-  ASSERT_GE(workload.connections(), 2u);
+  ASSERT_GE(workload.size(), 2u);
   const auto* a = dynamic_cast<const VbrSource*>(workload.sources[0].get());
   const auto* b = dynamic_cast<const VbrSource*>(workload.sources[1].get());
   ASSERT_NE(a, nullptr);
@@ -215,12 +215,12 @@ TEST(AddBestEffort, AppendsConnectionsOnEveryLink) {
   CbrMixSpec cbr_spec;
   cbr_spec.target_load = 0.3;
   Workload workload = build_cbr_mix(config, cbr_spec, rng);
-  const std::size_t before = workload.connections();
+  const std::size_t before = workload.size();
   BestEffortSpec be;
   be.load = 0.2;
   be.connections_per_link = 3;
   add_best_effort(workload, config, be, rng);
-  EXPECT_EQ(workload.connections(), before + 3 * config.ports);
+  EXPECT_EQ(workload.size(), before + 3 * config.ports);
   std::uint32_t be_count = 0;
   for (const ConnectionDescriptor& c : workload.table.all()) {
     if (c.traffic_class == TrafficClass::kBestEffort) {

@@ -155,25 +155,6 @@ TEST(SimConfig, NetThreadsOverrideParses) {
   }
 }
 
-// Satellite: flow=shared used to survive parsing and kill multi-router
-// runs with an assert deep inside MmrNetworkSimulation's constructor.
-// validate_network() now rejects the combination up front, naming both
-// conflicting keys.
-TEST(SimConfig, ValidateNetworkRejectsSharedFlow) {
-  SimConfig config;
-  config.validate_network();  // default flow control is fine
-  config.flow_spec = "shared";
-  try {
-    config.validate_network();
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string what = error.what();
-    EXPECT_EQ(what.rfind("error:", 0), 0u) << what;
-    EXPECT_NE(what.find("flow=shared"), std::string::npos) << what;
-    EXPECT_NE(what.find("net"), std::string::npos) << what;
-  }
-}
-
 TEST(SimConfig, PrioritySchemeRoundTrips) {
   for (PriorityScheme scheme :
        {PriorityScheme::kSiabp, PriorityScheme::kIabp,

@@ -46,8 +46,8 @@ TEST(Sweep, SameWorkloadAcrossArbiters) {
   const SweepSpec spec = tiny_spec();
   const Workload a = build_sweep_workload(spec, 0);
   const Workload b = build_sweep_workload(spec, 0);
-  ASSERT_EQ(a.connections(), b.connections());
-  for (std::size_t i = 0; i < a.connections(); ++i) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
     const auto id = static_cast<ConnectionId>(i);
     EXPECT_EQ(a.table.get(id).output_link, b.table.get(id).output_link);
     EXPECT_EQ(a.table.get(id).mean_bandwidth_bps,
@@ -59,8 +59,8 @@ TEST(Sweep, ReplicationsChangeTheWorkload) {
   const SweepSpec spec = tiny_spec();
   const Workload rep0 = build_sweep_workload(spec, 0, 0);
   const Workload rep1 = build_sweep_workload(spec, 0, 1);
-  bool any_difference = rep0.connections() != rep1.connections();
-  const std::size_t common = std::min(rep0.connections(), rep1.connections());
+  bool any_difference = rep0.size() != rep1.size();
+  const std::size_t common = std::min(rep0.size(), rep1.size());
   for (std::size_t i = 0; i < common && !any_difference; ++i) {
     const auto id = static_cast<ConnectionId>(i);
     any_difference |=

@@ -214,6 +214,37 @@ TEST(FaultNetwork, LineCutDropsGracefullyAndReadmitsWhenTheLinkReturns) {
   EXPECT_GT(metrics.flits_delivered, 1000u);
 }
 
+// finalize() only reads the simulation: a connection still dropped at the
+// end of the run is counted on the returned metrics, never in the state, so
+// finalizing twice agrees and run()'s own finalize leaves the state hash of
+// the last cycle untouched.
+TEST(FaultNetwork, FinalizeLeavesTheSimulatedStateAlone) {
+  SimConfig config = net_config();
+  config.warmup_cycles = 500;
+  config.measure_cycles = 4'000;
+  const NetworkTopology line = NetworkTopology::line(2, config.ports);
+  Rng rng(27, 27);
+  MmrNetworkSimulation simulation(
+      config, build_network_cbr_mix(config, line, fat_mix(0.3), rng));
+  FaultPlan plan;  // router 0 loses router 1 for good: no detour exists
+  for (std::uint32_t port = 0; port < config.ports; ++port) {
+    const std::int32_t channel = simulation.channel_at(0, port);
+    if (channel != -1)
+      plan.down_windows.push_back(
+          {static_cast<std::uint32_t>(channel), 1'000, 1'000'000});
+  }
+  simulation.set_fault_plan(plan);
+  while (simulation.now() < config.total_cycles()) simulation.step_one();
+  const std::uint64_t before = simulation.state_hash();
+  const NetworkMetrics metrics = simulation.run();  // no cycle left to step
+  EXPECT_EQ(simulation.state_hash(), before);
+  const NetworkMetrics again = simulation.finalize();
+  EXPECT_GT(metrics.degradation.connections_lost, 0u);
+  EXPECT_EQ(again.degradation.connections_lost,
+            metrics.degradation.connections_lost);
+  EXPECT_EQ(simulation.state_hash(), before);
+}
+
 TEST(FaultNetwork, QosViolationsAreWorseDuringHeavyFaults) {
   const SimConfig config = net_config();
   MmrNetworkSimulation simulation(config, ring_workload(config, 4, 0.5, 28));

@@ -503,28 +503,27 @@ TEST(DeadlineUnification, EveryLayerSharesTheSingleConstant) {
   EXPECT_TRUE(net.saturated());
 }
 
-// The network layer runs credit flow control only; a shared-flow config is
-// rejected at SimConfig::validate_network() time with a parse-style error
-// naming the conflicting keys (ISSUE 9 satellite: this was an MMR_ASSERT
-// death in the MmrNetworkSimulation constructor).
-TEST(Mmu, NetworkRejectsSharedFlow) {
+// The shared-buffer regime runs per router on a network too: each router's
+// MMU pauses the link feeding a full port — a NIC, or the upstream router's
+// channel — and nothing lossless is ever dropped.
+TEST(Mmu, NetworkRunsSharedFlowLossless) {
   SimConfig config = mmu_config(4);
   config.flow_spec = "shared";
-  EXPECT_THROW(config.validate_network(), std::invalid_argument);
-  try {
-    config.validate_network();
-    FAIL() << "validate_network must reject flow=shared";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_EQ(what.rfind("error:", 0), 0u) << what;
-    EXPECT_NE(what.find("flow=shared"), std::string::npos) << what;
-  }
-  const NetworkTopology single = NetworkTopology::single(4);
+  config.warmup_cycles = 500;
+  config.measure_cycles = 3'000;
+  const NetworkTopology ring = NetworkTopology::bidirectional_ring(4, 4);
   Rng rng(1, 1);
-  NetworkWorkload workload =
-      build_network_cbr_mix(config, single, CbrMixSpec{}, rng);
-  EXPECT_THROW(MmrNetworkSimulation(config, std::move(workload)),
-               std::invalid_argument);
+  CbrMixSpec mix;
+  mix.target_load = 0.6;
+  mix.classes = {kCbrHigh};
+  mix.class_weights = {1.0};
+  MmrNetworkSimulation simulation(
+      config, build_network_cbr_mix(config, ring, mix, rng));
+  const NetworkMetrics metrics = simulation.run();
+  EXPECT_TRUE(metrics.mmu.enabled);
+  EXPECT_EQ(metrics.mmu.drops_lossless, 0u);
+  EXPECT_GT(metrics.flits_delivered, 0u);
+  EXPECT_EQ(metrics.router_utilization.size(), 4u);
 }
 
 }  // namespace

@@ -113,6 +113,14 @@ void expect_bit_identical(const RunResult& serial, const RunResult& sharded) {
   EXPECT_EQ(a.degradation.credits_lost, b.degradation.credits_lost);
   EXPECT_EQ(a.degradation.credits_restored, b.degradation.credits_restored);
   EXPECT_EQ(a.degradation.teardowns, b.degradation.teardowns);
+  EXPECT_EQ(a.mmu.admitted_shared, b.mmu.admitted_shared);
+  EXPECT_EQ(a.mmu.pause_events, b.mmu.pause_events);
+  EXPECT_EQ(a.mmu.ecn_marked, b.mmu.ecn_marked);
+  EXPECT_EQ(a.mmu.ecn_cuts, b.mmu.ecn_cuts);
+  EXPECT_EQ(a.overload.compliant_delivered, b.overload.compliant_delivered);
+  EXPECT_EQ(a.overload.rogue_violations, b.overload.rogue_violations);
+  expect_stats_equal(a.overload.shape_delay_us, b.overload.shape_delay_us);
+  EXPECT_EQ(a.cicq.transfers, b.cicq.transfers);
 
   // Trace bytes: the staged replay must reproduce the serial emission order
   // exactly, event for event.
@@ -164,62 +172,75 @@ TEST(NetworkShard, NetThreadsOneRunsTheSerialEngine) {
   expect_bit_identical(unset, one);
 }
 
-// Satellite: NetworkMetrics per-class merging must not depend on the order
-// shard results arrive in — merge_class_shards canonicalises by shard id
-// and label before folding.
-TEST(NetworkShard, MergeClassShardsIsCompletionOrderIndependent) {
-  const auto make_class = [](const std::string& label, std::uint64_t n,
-                             double base) {
-    ClassMetrics cls;
-    cls.label = label;
-    cls.flits_generated = n + 3;
-    cls.flits_delivered = n;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const double delay = base + 0.37 * static_cast<double>(i);
-      cls.flit_delay_us.add(delay);
-      cls.flit_delay_hist.add(delay);
-    }
-    return cls;
+// Every opt-in subsystem composes with the network and with the shared-
+// buffer MMU, and stays bit-identical under sharding: the per-router MMU's
+// Xon/Xoff frames gate upstream routers across shards, ECN throttles reach
+// sources in other shards, and audit sweeps check inter-router credit
+// conservation on every channel.
+TEST(NetworkShard, OptInsComposeOnATorus) {
+  const std::vector<std::vector<std::string>> opt_ins = {
+      {"police=shape"},
+      {"rogue=frac:0.25,scale:4"},
+      {"qd=voq"},
+      {"qd=cicq"},
+      {"audit=16"},
   };
-  std::vector<std::pair<std::uint32_t, std::vector<ClassMetrics>>> shards;
-  shards.emplace_back(0u, std::vector<ClassMetrics>{
-                              make_class("CBR 64 Kbps", 11, 1.0),
-                              make_class("VBR", 5, 9.0)});
-  shards.emplace_back(1u, std::vector<ClassMetrics>{
-                              make_class("VBR", 7, 2.5),
-                              make_class("CBR 1.54 Mbps", 9, 0.25)});
-  shards.emplace_back(2u, std::vector<ClassMetrics>{
-                              make_class("CBR 64 Kbps", 4, 6.0)});
-
-  const std::vector<ClassMetrics> reference = merge_class_shards(shards);
-  ASSERT_EQ(reference.size(), 3u);
-  EXPECT_EQ(reference[0].label, "CBR 1.54 Mbps");
-  EXPECT_EQ(reference[1].label, "CBR 64 Kbps");
-  EXPECT_EQ(reference[2].label, "VBR");
-  EXPECT_EQ(reference[1].flits_delivered, 15u);
-  EXPECT_EQ(reference[1].flit_delay_us.count(), 15u);
-
-  // Every permutation of shard completion order reports byte-identically.
-  std::vector<std::size_t> order = {0, 1, 2};
-  do {
-    std::vector<std::pair<std::uint32_t, std::vector<ClassMetrics>>> permuted;
-    for (const std::size_t i : order) permuted.push_back(shards[i]);
-    const std::vector<ClassMetrics> merged = merge_class_shards(permuted);
-    ASSERT_EQ(merged.size(), reference.size());
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      EXPECT_EQ(merged[i].label, reference[i].label);
-      EXPECT_EQ(merged[i].flits_generated, reference[i].flits_generated);
-      EXPECT_EQ(merged[i].flits_delivered, reference[i].flits_delivered);
-      EXPECT_EQ(merged[i].flit_delay_us.count(),
-                reference[i].flit_delay_us.count());
-      EXPECT_EQ(merged[i].flit_delay_us.mean(),
-                reference[i].flit_delay_us.mean());
-      EXPECT_EQ(merged[i].flit_delay_us.variance(),
-                reference[i].flit_delay_us.variance());
-      EXPECT_EQ(merged[i].flit_delay_hist.count(),
-                reference[i].flit_delay_hist.count());
+  // A tight pool pauses channels and marks flits on this light load; the
+  // default one never fills.
+  const std::string tight = "flow=shared,pool:4,reserved:1,xoff:2,xon:1";
+  std::vector<std::vector<std::string>> cases = {{"flow=shared"}, {tight}};
+  for (const auto& opt : opt_ins) {
+    cases.push_back(opt);
+    std::vector<std::string> shared = opt;
+    shared.push_back("flow=shared");
+    cases.push_back(shared);
+  }
+  // An outage tears connections down (draining VOQs and crosspoints) and
+  // re-admits them; lost flits and credits exercise the resync watchdog.
+  const std::string outage =
+      "fault=drop:0.005,credit_loss:0.005,down:0:400:900,down:9:300:1200,"
+      "resync_period:128,resync_timeout:256";
+  for (const char* qd : {"qd=voq", "qd=cicq"}) {
+    cases.push_back({qd, outage, "audit=16"});
+    cases.push_back({qd, outage, "flow=shared"});
+  }
+  // Demoted flits are charged to the lossy pool; a teardown that flushes
+  // them must return that charge, not one of their connection's class.
+  const std::string demote = "police=demote";
+  for (const char* qd : {"qd=vc", "qd=voq", "qd=cicq"}) {
+    cases.push_back(
+        {"flow=shared", outage, demote, "rogue=frac:0.25,scale:4", qd});
+  }
+  const auto has = [](const std::vector<std::string>& overrides,
+                      const std::string& key) {
+    return std::find(overrides.begin(), overrides.end(), key) !=
+           overrides.end();
+  };
+  for (const auto& overrides : cases) {
+    SimConfig config = shard_config();
+    config.warmup_cycles = 300;
+    config.measure_cycles = 1'200;
+    apply_overrides(config, overrides);
+    std::string label;
+    for (const std::string& o : overrides) label += o + " ";
+    SCOPED_TRACE(label);
+    const RunResult serial = run_case(config, Topo::kTorus, 0);
+    const RunResult sharded = run_case(config, Topo::kTorus, 2);
+    expect_bit_identical(serial, sharded);
+    EXPECT_EQ(serial.metrics.mmu.drops_lossless, 0u);
+    EXPECT_GT(serial.metrics.flits_delivered, 0u);
+    if (has(overrides, tight)) {
+      EXPECT_GT(serial.metrics.mmu.pause_events, 0u);
+      EXPECT_GT(serial.metrics.mmu.ecn_cuts, 0u);
     }
-  } while (std::next_permutation(order.begin(), order.end()));
+    if (has(overrides, outage)) {
+      EXPECT_GT(serial.metrics.degradation.teardowns, 0u);
+      EXPECT_GT(serial.metrics.degradation.flits_flushed, 0u);
+    }
+    if (has(overrides, demote)) {
+      EXPECT_GT(serial.metrics.overload.rogue_policed, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -157,7 +157,7 @@ TEST(ApplyRogue, SelectionIsDeterministicAndSorted) {
   EXPECT_EQ(rogues_a, rogues_b);
   ASSERT_FALSE(rogues_a.empty());
   EXPECT_TRUE(std::is_sorted(rogues_a.begin(), rogues_a.end()));
-  EXPECT_LT(rogues_a.size(), a.connections());
+  EXPECT_LT(rogues_a.size(), a.size());
   for (const ConnectionId id : rogues_a) {
     EXPECT_TRUE(a.table.get(id).is_qos());
     EXPECT_NE(dynamic_cast<const RogueSource*>(a.sources[id].get()), nullptr);

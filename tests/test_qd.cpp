@@ -205,11 +205,40 @@ TEST_F(QdRouterTest, VoqAdmissionBudgetStaysPerVc) {
 TEST_F(QdRouterTest, VcAccessorsRejectWrongDiscipline) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   config_.qd_spec = "voq";
-  const ConnectionId c = add_connection(0, 1);
+  (void)add_connection(0, 1);
   MmrRouter router(config_, table_, Rng(6, 6));
-  EXPECT_DEATH((void)router.drain_vc(0, table_.get(c).vc),
-               "drain_vc requires the per-VC discipline");
   EXPECT_DEATH((void)router.vcm(0), "");
+}
+
+// Fault teardown drains a VC wherever the discipline holds its flits: the
+// VOQs, and under CICQ the crosspoints too (returning their credits).
+TEST_F(QdRouterTest, DrainVcEmptiesVoqsAndCrosspoints) {
+  for (const char* qd : {"voq", "cicq"}) {
+    SCOPED_TRACE(qd);
+    config_.qd_spec = qd;
+    table_ = ConnectionTable(config_.ports);
+    const ConnectionId drained = add_connection(0, 2);
+    const ConnectionId kept = add_connection(0, 2);
+    MmrRouter router(config_, table_, Rng(7, 7));
+    const std::uint32_t vc = table_.get(drained).vc;
+    router.accept(0, vc, make_flit(drained, 0), 0);
+    std::vector<MmrRouter::Departure> departures;
+    if (router.cicq() != nullptr) {
+      router.step(0, true, departures);  // the head moves to the crosspoint
+      ASSERT_TRUE(departures.empty());
+    }
+    router.accept(0, vc, make_flit(drained, 1), 1);
+    router.accept(0, table_.get(kept).vc, make_flit(kept, 0), 1);
+    EXPECT_EQ(router.drain_vc(0, vc, 1).size(), 2u);
+    EXPECT_EQ(router.vc_occupancy(0, vc), 0u);
+    EXPECT_EQ(router.flits_buffered(), 1u);
+    EXPECT_EQ(router.flits_drained(), 2u);
+    router.check_invariants();
+    for (Cycle now = 2; router.flits_buffered() > 0 && now < 8; ++now)
+      router.step(now, true, departures);
+    ASSERT_EQ(departures.size(), 1u);
+    EXPECT_EQ(departures[0].flit.connection, kept);
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -79,6 +79,21 @@ TEST(SnapFormat, RejectsBadMagicVersionAndTruncation) {
   }
 }
 
+// Checkpoints written before the one-engine state layout carry version 1;
+// they must be refused by name, not misread.
+TEST(SnapFormat, RefusesTheOldLayoutVersion) {
+  std::vector<std::uint8_t> bytes = snapshot::encode(sample_snapshot());
+  ASSERT_EQ(bytes[12], snapshot::kFormatVersion);
+  bytes[12] = 1;  // low byte of the little-endian version word
+  try {
+    (void)snapshot::decode(bytes.data(), bytes.size());
+    FAIL() << "a version-1 checkpoint must be refused";
+  } catch (const SnapshotError& error) {
+    EXPECT_NE(std::string(error.what()).find("version 1"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(SnapFormat, RejectsFlippedSectionByte) {
   const std::vector<std::uint8_t> bytes = snapshot::encode(sample_snapshot());
   // Flip one byte inside the last section's payload: its CRC must catch it.

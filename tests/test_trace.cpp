@@ -197,11 +197,9 @@ TEST(TracerDeathTest, SimAuditorViolationDumpsTheFlightRecorder) {
         Tracer tracer(TraceSpec::parse("flight,ring:16,dump:" + prefix),
                       tiny_meta());
         TraceScope arm(&tracer);
-        audit::SimAuditor auditor(config);
+        audit::SimAuditor auditor(config, {});
         ConnectionTable table(config.ports);
         const MmrRouter router(config, table, Rng(1, 1));
-        const std::vector<Nic> nics;
-        const std::vector<LinkPipeline> links;
         // Two same-cycle departures from one input: a crossbar-conflict
         // invariant the auditor must kill the run over.
         std::vector<MmrRouter::Departure> departures(2);
@@ -212,7 +210,7 @@ TEST(TracerDeathTest, SimAuditorViolationDumpsTheFlightRecorder) {
         // crossbar-conflict one is what kills the run.
         departures[0].flit.seq = 1;
         departures[1].flit.seq = 2;
-        auditor.on_cycle(/*now=*/1, router, nics, links, departures);
+        auditor.on_departures(/*now=*/1, router, departures);
       },
       "two departures from one input");
   const std::string body = read_file(prefix + "-assert-0.jsonl");
