@@ -11,11 +11,13 @@
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "mmr/core/experiment.hpp"
 #include "mmr/core/report.hpp"
+#include "mmr/core/simulation.hpp"
 
 namespace mmr::bench {
 
@@ -64,13 +66,19 @@ inline BenchArgs parse_args(int argc, char** argv) {
   return args;
 }
 
-/// Applies run-length presets and user overrides to a config.
+/// Applies run-length presets and user overrides to a config; a bad
+/// override or spec prints "error: ..." and exits 1.
 inline void apply_run_scale(SimConfig& config, const BenchArgs& args,
                             Cycle quick_measure, Cycle full_measure) {
   config.warmup_cycles = args.full ? 50'000 : 20'000;
   config.measure_cycles = args.full ? full_measure : quick_measure;
-  apply_overrides(config, args.config_overrides);
-  config.validate();
+  try {
+    apply_overrides(config, args.config_overrides);
+    validate_specs(config);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    std::exit(1);
+  }
 }
 
 inline void print_header(const std::string& title, const SweepSpec& spec,

@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
                  std::to_string(down_at) + ":" + std::to_string(up_at);
   }
   try {
-    (void)FaultPlan::parse(fault_spec);  // fail fast on a bad fault= spec
+    // Fail fast on a bad fault= spec, channels included.
+    FaultPlan::parse(fault_spec).validate(ring.channels());
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -66,8 +67,13 @@ int main(int argc, char** argv) {
       overrides.push_back(arg);
     }
   }
-  mmr::apply_overrides(config, overrides);
-  config.validate();
+  try {
+    mmr::apply_overrides(config, overrides);
+    config.validate();
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
+  }
 
   std::cout << "==== trace overhead (" << config.ports << "x" << config.ports
             << ", " << config.vcs_per_link << " VCs, "

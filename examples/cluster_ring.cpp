@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "mmr/network/network.hpp"
 #include "mmr/sim/table.hpp"
@@ -47,7 +48,6 @@ int main(int argc, char** argv) {
               << '\n';
     return 1;
   }
-  config.validate();
 
   // Degenerate routers= values throw from the topology factory; surface
   // them as a clean diagnostic rather than an uncaught-exception abort.
@@ -78,12 +78,15 @@ int main(int argc, char** argv) {
               workload.connections.size(), vbr ? "MPEG-2 VBR" : "CBR",
               config.arbiter.c_str(), load * 100);
 
-  MmrNetworkSimulation simulation(config, std::move(workload));
   NetworkMetrics metrics;
   try {
+    MmrNetworkSimulation simulation(config, std::move(workload));
     metrics = simulation.run();
   } catch (const snapshot::Interrupted& stop) {
     return snapshot::report_interrupted(stop);
+  } catch (const std::invalid_argument& error) {  // fault= off the topology
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
   }
 
   std::printf("\nAfter %llu measured cycles:\n",

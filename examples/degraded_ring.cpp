@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "mmr/network/network.hpp"
 #include "mmr/snapshot/signals.hpp"
@@ -48,7 +49,6 @@ int main(int argc, char** argv) {
               << '\n';
     return 1;
   }
-  config.validate();
   if (fault_spec.empty()) {
     // Default drama: light bit errors everywhere, and ring channel 0 fails
     // for a third of the run.
@@ -79,12 +79,15 @@ int main(int argc, char** argv) {
               routers, workload.connections.size(), config.arbiter.c_str(),
               load * 100, fault_spec.c_str());
 
-  MmrNetworkSimulation simulation(config, std::move(workload));
   NetworkMetrics metrics;
   try {
+    MmrNetworkSimulation simulation(config, std::move(workload));
     metrics = simulation.run();
   } catch (const snapshot::Interrupted& stop) {
     return snapshot::report_interrupted(stop);
+  } catch (const std::invalid_argument& error) {  // fault= off the topology
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
   }
   const DegradationMetrics& deg = metrics.degradation;
 

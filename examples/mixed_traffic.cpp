@@ -11,13 +11,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "mmr/core/simulation.hpp"
-#include "mmr/router/qd_spec.hpp"
 #include "mmr/sim/table.hpp"
 #include "mmr/snapshot/signals.hpp"
-#include "mmr/snapshot/spec.hpp"
-#include "mmr/trace/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
@@ -39,17 +37,11 @@ int main(int argc, char** argv) {
   }
   try {
     apply_overrides(config, overrides);
-    // Fail fast on a bad trace= spec (parsed again at construction).
-    if (!config.trace_spec.empty())
-      (void)trace::TraceSpec::parse(config.trace_spec);
-    if (!config.qd_spec.empty())
-      (void)QdSpec::parse(config.qd_spec);
-    snapshot::validate_spec(config);
+    validate_specs(config);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;
   }
-  config.validate();
 
   // One workload, three traffic kinds: half the QoS budget as CBR, half as
   // MPEG-2 VBR, plus best-effort background on top.
@@ -75,12 +67,15 @@ int main(int argc, char** argv) {
               workload.size(),
               workload.generated_load(config.time_base()) * 100);
 
-  MmrSimulation simulation(config, std::move(workload));
   SimulationMetrics metrics;
   try {
+    MmrSimulation simulation(config, std::move(workload));
     metrics = simulation.run();
   } catch (const snapshot::Interrupted& stop) {
     return snapshot::report_interrupted(stop);
+  } catch (const std::invalid_argument& error) {  // fault= off the topology
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
   }
 
   AsciiTable table({"class", "delivered flits", "mean delay (us)",

@@ -7,15 +7,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "mmr/core/simulation.hpp"
-#include "mmr/mmu/spec.hpp"
-#include "mmr/overload/spec.hpp"
-#include "mmr/router/qd_spec.hpp"
 #include "mmr/sim/table.hpp"
 #include "mmr/snapshot/signals.hpp"
-#include "mmr/snapshot/spec.hpp"
-#include "mmr/trace/spec.hpp"
 
 int main(int argc, char** argv) {
   mmr::SimConfig config;
@@ -24,23 +20,11 @@ int main(int argc, char** argv) {
   std::vector<std::string> overrides(argv + 1, argv + argc);
   try {
     mmr::apply_overrides(config, overrides);
-    // Fail fast on bad specs (the simulation parses them at construction).
-    if (!config.police_spec.empty())
-      (void)mmr::overload::PoliceSpec::parse(config.police_spec);
-    if (!config.rogue_spec.empty())
-      (void)mmr::overload::RogueSpec::parse(config.rogue_spec);
-    if (!config.trace_spec.empty())
-      (void)mmr::trace::TraceSpec::parse(config.trace_spec);
-    if (!config.qd_spec.empty())
-      (void)mmr::QdSpec::parse(config.qd_spec);
-    mmr::snapshot::validate_spec(config);
-    if (!config.flow_spec.empty())
-      (void)mmr::mmu::MmuSpec::parse(config.flow_spec);
+    mmr::validate_specs(config);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;
   }
-  config.validate();
 
   // A random mix of the paper's three CBR classes at 60% offered load.
   mmr::Rng rng(config.seed, /*stream=*/1);
@@ -55,12 +39,15 @@ int main(int argc, char** argv) {
               workload.size(),
               workload.generated_load(config.time_base()) * 100.0);
 
-  mmr::MmrSimulation simulation(config, std::move(workload));
   mmr::SimulationMetrics metrics;
   try {
+    mmr::MmrSimulation simulation(config, std::move(workload));
     metrics = simulation.run();
   } catch (const mmr::snapshot::Interrupted& stop) {
     return mmr::snapshot::report_interrupted(stop);
+  } catch (const std::invalid_argument& error) {  // fault= off the topology
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
   }
 
   std::printf("\nafter %llu warmup + %llu measured cycles (flit cycle %.3f us):\n",

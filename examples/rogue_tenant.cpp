@@ -14,15 +14,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "mmr/core/report.hpp"
 #include "mmr/core/simulation.hpp"
-#include "mmr/mmu/spec.hpp"
-#include "mmr/overload/spec.hpp"
-#include "mmr/router/qd_spec.hpp"
 #include "mmr/snapshot/signals.hpp"
-#include "mmr/snapshot/spec.hpp"
-#include "mmr/trace/spec.hpp"
 
 namespace {
 
@@ -51,23 +47,11 @@ int main(int argc, char** argv) {
   std::vector<std::string> overrides(argv + 1, argv + argc);
   try {
     mmr::apply_overrides(config, overrides);
-    // Fail fast on bad specs (the simulation parses them at construction).
-    if (!config.police_spec.empty())
-      (void)mmr::overload::PoliceSpec::parse(config.police_spec);
-    if (!config.rogue_spec.empty())
-      (void)mmr::overload::RogueSpec::parse(config.rogue_spec);
-    if (!config.trace_spec.empty())
-      (void)mmr::trace::TraceSpec::parse(config.trace_spec);
-    if (!config.qd_spec.empty())
-      (void)mmr::QdSpec::parse(config.qd_spec);
-    mmr::snapshot::validate_spec(config);
-    if (!config.flow_spec.empty())
-      (void)mmr::mmu::MmuSpec::parse(config.flow_spec);
+    mmr::validate_specs(config);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;
   }
-  config.validate();
 
   std::printf("Rogue tenant: %ux%u router, %s arbiter, rogue=%s\n\n",
               config.ports, config.ports, config.arbiter.c_str(),
@@ -94,6 +78,9 @@ int main(int argc, char** argv) {
     after = run_once(config);
   } catch (const mmr::snapshot::Interrupted& stop) {
     return mmr::snapshot::report_interrupted(stop);
+  } catch (const std::invalid_argument& error) {  // fault= off the topology
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
   }
   std::printf("--- police=%s ---\n", config.police_spec.c_str());
   mmr::print_overload_summary(std::cout, after);

@@ -16,11 +16,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 
 #include "mmr/core/simulation.hpp"
-#include "mmr/router/qd_spec.hpp"
 #include "mmr/snapshot/signals.hpp"
-#include "mmr/snapshot/spec.hpp"
 #include "mmr/trace/export.hpp"
 #include "mmr/trace/tracer.hpp"
 
@@ -35,16 +35,11 @@ int main(int argc, char** argv) {
   std::vector<std::string> overrides(argv + 1, argv + argc);
   try {
     mmr::apply_overrides(config, overrides);
-    // Fail fast on a bad trace= spec (parsed again at construction).
-    (void)mmr::trace::TraceSpec::parse(config.trace_spec);
-    if (!config.qd_spec.empty())
-      (void)mmr::QdSpec::parse(config.qd_spec);
-    mmr::snapshot::validate_spec(config);
+    mmr::validate_specs(config);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;
   }
-  config.validate();
 
   std::printf("Traced saturation: %ux%u router, %s arbiter, trace=%s\n\n",
               config.ports, config.ports, config.arbiter.c_str(),
@@ -58,13 +53,16 @@ int main(int argc, char** argv) {
   mix.target_load = 1.2;  // over-subscribed on purpose
   mix.classes = {mmr::kCbrHigh, mmr::kCbrMedium};
   mix.class_weights = {3.0, 1.0};
-  mmr::MmrSimulation simulation(config,
-                                mmr::build_cbr_mix(config, mix, rng));
+  std::optional<mmr::MmrSimulation> simulation;
   mmr::SimulationMetrics metrics;
   try {
-    metrics = simulation.run();
+    simulation.emplace(config, mmr::build_cbr_mix(config, mix, rng));
+    metrics = simulation->run();
   } catch (const mmr::snapshot::Interrupted& stop) {
     return mmr::snapshot::report_interrupted(stop);
+  } catch (const std::invalid_argument& error) {  // fault= off the topology
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
   }
 
   std::printf("generated %llu flits, delivered %llu, backlog %llu\n",
@@ -72,7 +70,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(metrics.flits_delivered),
               static_cast<unsigned long long>(metrics.backlog_flits));
 
-  const mmr::trace::Tracer* tracer = simulation.tracer();
+  const mmr::trace::Tracer* tracer = simulation->tracer();
   if (tracer == nullptr) {
     std::printf("\nno tracer configured (trace= was cleared); done.\n");
     return 0;

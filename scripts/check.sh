@@ -2,7 +2,8 @@
 # Full local gate: plain build + tier-1 tests, the tier-2 soaks
 # (differential arbiter audit + 200-seed overload-protection soak), then the
 # whole suite — mmr_overload included — again under AddressSanitizer +
-# UndefinedBehaviorSanitizer (SANITIZE applies tree-wide).
+# UndefinedBehaviorSanitizer (SANITIZE applies tree-wide), plus a longer
+# spec-fuzzer run in that sanitized tree.
 # Usage: scripts/check.sh [--perf] [jobs]
 #   --perf   additionally run the perf_baseline smoke sweep and validate the
 #            emitted BENCH_perf.json schema with scripts/bench_compare.py
@@ -72,6 +73,11 @@ cmake -B build-asan -S . -DMMR_WERROR=ON -DSANITIZE=address,undefined
 cmake --build build-asan -j "${JOBS}"
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
+echo "--- spec fuzzer, longer run under ASan/UBSan (3 seeds) ---"
+for seed in 1 2 3; do
+  ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
+    ./build-asan/tests/fuzz_specs iterations=20000 seed="${seed}"
+done
 
 echo
 echo "=== thread-sanitized sharded engine (equivalence soak under TSan) ==="

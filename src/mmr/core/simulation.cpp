@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 
+#include "mmr/arbiter/factory.hpp"
 #include "mmr/audit/sim_auditor.hpp"
 #include "mmr/mmu/mmu.hpp"
 #include "mmr/overload/policer.hpp"
@@ -73,16 +74,25 @@ std::uint32_t count_local(const NetworkTopology& topology, bool inputs) {
 }  // namespace
 
 void validate_specs(const SimConfig& config) {
-  if (!config.flow_spec.empty()) (void)mmu::MmuSpec::parse(config.flow_spec);
+  config.validate();
+  (void)make_arbiter(config.arbiter, config.ports, Rng(config.seed, 0));
+  const SimConfig built = MmrSimulation::with_flow_regime(config);
   if (!config.police_spec.empty())
     (void)overload::PoliceSpec::parse(config.police_spec);
   if (!config.rogue_spec.empty())
     (void)overload::RogueSpec::parse(config.rogue_spec);
-  if (!config.qd_spec.empty()) (void)QdSpec::parse(config.qd_spec);
+  (void)QdSpec::parse(config.qd_spec);
   if (!config.trace_spec.empty())
     (void)trace::TraceSpec::parse(config.trace_spec);
-  if (!config.fault_spec.empty()) (void)FaultPlan::parse(config.fault_spec);
-  snapshot::validate_spec(config);
+  (void)FaultPlan::parse(config.fault_spec);
+  if (config.snap_spec.empty()) return;
+  const snapshot::SnapSpec snap = snapshot::SnapSpec::parse(config.snap_spec);
+  if (!snap.resume.empty() && snapshot::load_file(snap.resume).config_digest !=
+                                  snapshot::config_digest(built))
+    throw std::invalid_argument(
+        "snapshot " + snap.resume +
+        " was captured under a different configuration (config digest "
+        "mismatch); resume with the same seed/arbiter/traffic setup");
 }
 
 SimConfig MmrSimulation::with_flow_regime(SimConfig config) {
@@ -171,6 +181,9 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
 
   // Routers.  One-router table workloads keep the paper setup's RNG lane;
   // routed workloads fork one lane per router.
+  const mmu::MmuSpec flow = config_.flow_spec.empty()
+                                ? mmu::MmuSpec{}
+                                : mmu::MmuSpec::parse(config_.flow_spec);
   nodes_.reserve(routers);
   for (std::uint32_t r = 0; r < routers; ++r) {
     const Rng rng = workload_.connections.empty()
@@ -179,9 +192,8 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
     nodes_.push_back(Node{MmrRouter(config_, tables_[r], rng), nullptr,
                           nullptr, {}});
     Node& node = nodes_.back();
-    if (config_.shared_flow())
-      node.mmu = std::make_unique<mmu::SharedBufferMmu>(
-          mmu::MmuSpec::parse(config_.flow_spec), config_, r);
+    if (flow.mode == mmu::FlowMode::kShared)
+      node.mmu = std::make_unique<mmu::SharedBufferMmu>(flow, config_, r);
     if (config_.audit_every == 0) continue;
     std::vector<audit::SimAuditor::Feed> feeds;
     for (std::uint32_t p = 0; p < config_.ports; ++p) {
@@ -223,7 +235,7 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
       watchdog_ =
           std::make_unique<overload::SaturationWatchdog>(spec, local_inputs);
   }
-  if (config_.shared_flow() && nodes_.front().mmu->spec().ecn)
+  if (nodes_.front().mmu && nodes_.front().mmu->spec().ecn)
     ecn_ = std::make_unique<mmu::EcnReactor>(workload_.size(),
                                              nodes_.front().mmu->spec());
 
@@ -1197,7 +1209,7 @@ void MmrSimulation::snap_walk(snapshot::Walker& w) {
     w.section("watchdog");
     watchdog_->snap(w);
   }
-  if (config_.shared_flow()) {
+  if (nodes_.front().mmu) {
     w.section("mmu");
     for (Node& node : nodes_) node.mmu->snap(w);
   }
@@ -1245,7 +1257,7 @@ SimulationMetrics MmrSimulation::finalize() const {
         ++m.degradation.connections_lost;
   }
 
-  if (config_.shared_flow()) {
+  if (nodes_.front().mmu) {
     MmuMetrics& mm = m.mmu;
     mm.enabled = true;
     for (const Node& node : nodes_) {

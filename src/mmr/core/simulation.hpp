@@ -55,15 +55,22 @@ namespace trace {
 class Tracer;
 }  // namespace trace
 
-/// Parses every opt-in spec of `config` the way construction will, so a
-/// driver can reject a malformed one before it builds anything.  Throws
-/// std::invalid_argument (or SnapshotError) naming the first bad spec.
+/// Validates `config` and parses every opt-in spec the way construction
+/// will, so a main can reject bad input before it builds anything.
+/// Throws std::invalid_argument (or SnapshotError) naming the first bad
+/// value.  Only the topology-dependent checks (fault channels) are left to
+/// construction.
 void validate_specs(const SimConfig& config);
 
 class MmrSimulation {
  public:
   MmrSimulation(SimConfig config, Workload workload);
   ~MmrSimulation();  ///< out-of-line for the forward-declared subsystems
+
+  /// `flow=shared` re-sizes the per-VC buffer/credit allowance to the MMU's
+  /// admission allowance (MmuSpec::vc_slots): one field feeds both the
+  /// routers' VCM capacity and every upstream credit budget.
+  [[nodiscard]] static SimConfig with_flow_regime(SimConfig config);
 
   /// Runs warmup_cycles + measure_cycles (once per instance) and returns
   /// the metrics.
@@ -150,11 +157,6 @@ class MmrSimulation {
   }
 
  private:
-  /// `flow=shared` re-sizes the per-VC buffer/credit allowance to the MMU's
-  /// admission allowance (MmuSpec::vc_slots): one field feeds both the
-  /// routers' VCM capacity and every upstream credit budget.
-  [[nodiscard]] static SimConfig with_flow_regime(SimConfig config);
-
   /// Where a flit popped from (router, input, vc) goes next.
   struct NextHop {
     bool local = true;                ///< delivered to the attached host

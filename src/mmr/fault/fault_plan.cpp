@@ -1,23 +1,17 @@
 #include "mmr/fault/fault_plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <map>
-#include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "mmr/sim/assert.hpp"
 
 namespace mmr {
 
 bool FaultPlan::empty() const {
-  if (!down_windows.empty()) return false;
-  if (default_rates.any()) return false;
-  for (const auto& [channel, rates] : channel_rates) {
-    (void)channel;
-    if (rates.any()) return false;
-  }
-  return true;
+  return down_windows.empty() && !default_rates.any() &&
+         std::none_of(channel_rates.begin(), channel_rates.end(),
+                      [](const auto& entry) { return entry.second.any(); });
 }
 
 ChannelFaultRates FaultPlan::rates_for(std::uint32_t channel) const {
@@ -30,115 +24,76 @@ ChannelFaultRates FaultPlan::rates_for(std::uint32_t channel) const {
 
 namespace {
 
-void validate_rates(const ChannelFaultRates& rates) {
-  auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
-  MMR_ASSERT_MSG(probability(rates.drop_probability),
-                 "drop probability must be in [0, 1]");
-  MMR_ASSERT_MSG(probability(rates.corrupt_probability),
-                 "corrupt probability must be in [0, 1]");
-  MMR_ASSERT_MSG(probability(rates.credit_loss_probability),
-                 "credit-loss probability must be in [0, 1]");
+/// `down:CH:FROM:TO`, the one repeatable key.
+void set_down(const spec::Key&, void* plan, std::string_view value) {
+  std::uint64_t parts[3] = {};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::size_t colon = i < 2 ? value.find(':') : value.size();
+    if (colon == std::string_view::npos)
+      throw std::invalid_argument("needs CH:FROM:TO");
+    parts[i] = spec::parse_unsigned(value.substr(0, colon), 0,
+                                    i == 0 ? ~std::uint32_t{0} : ~Cycle{0});
+    value.remove_prefix(std::min(colon + 1, value.size()));
+  }
+  if (parts[1] >= parts[2])
+    throw std::invalid_argument("needs down_at < up_at");
+  static_cast<FaultPlan*>(plan)->down_windows.push_back(
+      {static_cast<std::uint32_t>(parts[0]), parts[1], parts[2]});
+}
+
+std::vector<std::string> get_down(const spec::Key&, const void* plan) {
+  std::vector<std::string> values;
+  for (const auto& w : static_cast<const FaultPlan*>(plan)->down_windows)
+    values.push_back(std::to_string(w.channel) + ":" +
+                     std::to_string(w.down_at) + ":" + std::to_string(w.up_at));
+  return values;
 }
 
 }  // namespace
+
+const spec::Grammar& FaultPlan::grammar() {
+  using spec::bind;
+  using F = FaultPlan;
+  using R = ChannelFaultRates;
+  static const spec::Grammar grammar{"fault", ':', {
+      bind<&F::default_rates, &R::drop_probability>(
+          {.name = "drop", .dlo = 0, .dhi = 1}),
+      bind<&F::default_rates, &R::corrupt_probability>(
+          {.name = "corrupt", .dlo = 0, .dhi = 1}),
+      bind<&F::default_rates, &R::credit_loss_probability>(
+          {.name = "credit_loss", .dlo = 0, .dhi = 1}),
+      {.name = "down", .repeat = true, .set = set_down, .get = get_down},
+      bind<&F::resync_period>({.name = "resync_period", .lo = 1}),
+      bind<&F::resync_timeout>({.name = "resync_timeout"}),
+      bind<&F::qos_deadline_cycles>(
+          {.name = "deadline", .dlo = spec::kPositive}),
+      bind<&F::seed>({.name = "seed"})}};
+  return grammar;
+}
 
 void FaultPlan::validate(std::uint32_t channels) const {
-  validate_rates(default_rates);
+  spec::check(grammar(), *this);
+  const auto fail = [](const std::string& what) { spec::fail(grammar(), what); };
   for (const auto& [channel, rates] : channel_rates) {
-    MMR_ASSERT_MSG(channel < channels, "rate override on unknown channel");
-    validate_rates(rates);
+    if (channel >= channels) fail("rate override on unknown channel");
+    FaultPlan alone;
+    alone.default_rates = rates;
+    spec::check(grammar(), alone);
   }
-  // Windows: in range, non-empty, non-overlapping per channel.
-  std::map<std::uint32_t, std::vector<LinkDownWindow>> per_channel;
-  for (const LinkDownWindow& w : down_windows) {
-    MMR_ASSERT_MSG(w.channel < channels, "down window on unknown channel");
-    MMR_ASSERT_MSG(w.down_at < w.up_at, "down window must have down_at < up_at");
-    per_channel[w.channel].push_back(w);
+  // Windows: on a channel of the topology, non-overlapping per channel.
+  std::vector<LinkDownWindow> windows = down_windows;
+  std::sort(windows.begin(), windows.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.channel, a.down_at) < std::tie(b.channel, b.down_at);
+  });
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    if (windows[i].channel >= channels)
+      fail("down window on unknown channel " +
+           std::to_string(windows[i].channel) + " (the topology has " +
+           std::to_string(channels) + ")");
+    if (i > 0 && windows[i - 1].channel == windows[i].channel &&
+        windows[i - 1].up_at > windows[i].down_at)
+      fail("down windows on one channel must not overlap");
   }
-  for (auto& [channel, windows] : per_channel) {
-    (void)channel;
-    std::sort(windows.begin(), windows.end(),
-              [](const LinkDownWindow& a, const LinkDownWindow& b) {
-                return a.down_at < b.down_at;
-              });
-    for (std::size_t i = 0; i + 1 < windows.size(); ++i) {
-      MMR_ASSERT_MSG(windows[i].up_at <= windows[i + 1].down_at,
-                     "down windows on one channel must not overlap");
-    }
-  }
-  MMR_ASSERT_MSG(resync_period >= 1, "resync period must be >= 1 cycle");
-  MMR_ASSERT_MSG(qos_deadline_cycles > 0.0, "QoS deadline must be positive");
-}
-
-namespace {
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::istringstream in(text);
-  std::string part;
-  while (std::getline(in, part, sep)) parts.push_back(part);
-  return parts;
-}
-
-double parse_probability(const std::string& value, const std::string& token) {
-  char* end = nullptr;
-  const double p = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("fault spec: bad probability in '" + token +
-                                "'");
-  }
-  return p;
-}
-
-std::uint64_t parse_number(const std::string& value, const std::string& token) {
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("fault spec: bad number in '" + token + "'");
-  }
-  return n;
-}
-
-}  // namespace
-
-FaultPlan FaultPlan::parse(const std::string& spec) {
-  FaultPlan plan;
-  for (const std::string& token : split(spec, ',')) {
-    if (token.empty()) continue;
-    const std::vector<std::string> parts = split(token, ':');
-    const std::string& key = parts.front();
-    const auto args = parts.size() - 1;
-    if (key == "drop" && args == 1) {
-      plan.default_rates.drop_probability = parse_probability(parts[1], token);
-    } else if (key == "corrupt" && args == 1) {
-      plan.default_rates.corrupt_probability =
-          parse_probability(parts[1], token);
-    } else if (key == "credit_loss" && args == 1) {
-      plan.default_rates.credit_loss_probability =
-          parse_probability(parts[1], token);
-    } else if (key == "down" && args == 3) {
-      LinkDownWindow window;
-      window.channel = static_cast<std::uint32_t>(parse_number(parts[1], token));
-      window.down_at = parse_number(parts[2], token);
-      window.up_at = parse_number(parts[3], token);
-      plan.down_windows.push_back(window);
-    } else if (key == "resync_period" && args == 1) {
-      plan.resync_period = parse_number(parts[1], token);
-    } else if (key == "resync_timeout" && args == 1) {
-      plan.resync_timeout = parse_number(parts[1], token);
-    } else if (key == "deadline" && args == 1) {
-      plan.qos_deadline_cycles =
-          static_cast<double>(parse_number(parts[1], token));
-    } else if (key == "seed" && args == 1) {
-      plan.seed = parse_number(parts[1], token);
-    } else {
-      throw std::invalid_argument(
-          "fault spec: unknown token '" + token +
-          "'; expected drop:P, corrupt:P, credit_loss:P, down:CH:FROM:TO, "
-          "resync_period:N, resync_timeout:N, deadline:N or seed:N");
-    }
-  }
-  return plan;
 }
 
 FaultPlan FaultPlan::random_windows(std::uint32_t channels, std::uint32_t count,

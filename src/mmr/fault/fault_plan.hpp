@@ -1,21 +1,16 @@
-// Fault plans: a deterministic, configuration-driven schedule of the ways an
-// inter-router channel can misbehave.  The network layer was built so that
-// "flits are never dropped anywhere"; a FaultPlan describes how to break
-// that on purpose — link-down windows, per-link flit drop / corruption
-// probabilities, and credit-loss probabilities — so that the simulator can
-// measure how gracefully the scheduling algorithms degrade and recover.
-//
-// An all-zero (empty()) plan is a strict no-op: the network simulation does
-// not even instantiate the fault machinery, so results stay bit-identical
-// to a fault-free build.
+// Fault plans (`fault=`, DESIGN.md §7): a deterministic schedule of the ways
+// an inter-router channel can misbehave — link-down windows, per-link flit
+// drop / corruption and credit-loss probabilities — so the simulator can
+// measure how gracefully the arbiters degrade and recover.  An empty()
+// plan is a strict no-op: the fault machinery is never instantiated.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "mmr/sim/rng.hpp"
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/sim/time.hpp"
 
 namespace mmr {
@@ -28,6 +23,7 @@ struct LinkDownWindow {
   std::uint32_t channel = 0;
   Cycle down_at = 0;
   Cycle up_at = 0;
+  bool operator==(const LinkDownWindow&) const = default;
 };
 
 /// Stochastic per-channel fault rates, drawn per event from the injector's
@@ -41,9 +37,10 @@ struct ChannelFaultRates {
     return drop_probability > 0.0 || corrupt_probability > 0.0 ||
            credit_loss_probability > 0.0;
   }
+  bool operator==(const ChannelFaultRates&) const = default;
 };
 
-struct FaultPlan {
+struct FaultPlan : spec::Parsed<FaultPlan> {
   /// Scheduled outages (need not be sorted; windows on one channel must not
   /// overlap).
   std::vector<LinkDownWindow> down_windows;
@@ -58,34 +55,27 @@ struct FaultPlan {
   std::uint64_t seed = 0xFA017u;
 
   // Recovery knobs -----------------------------------------------------------
-  /// The credit-resync watchdog audits credit conservation on every channel
-  /// once per `resync_period` cycles...
+  /// The credit-resync watchdog audits every channel once per period and
+  /// restores counters once a deficit has persisted for the timeout.
   Cycle resync_period = 1024;
-  /// ...and restores counters once a deficit has persisted this long.
   Cycle resync_timeout = 4096;
 
-  /// A delivered flit whose end-to-end delay exceeds this many flit cycles
-  /// counts as a QoS violation (tallied separately inside and outside fault
-  /// windows).
+  /// End-to-end delay (flit cycles) above which a delivered flit counts as
+  /// a QoS violation, tallied separately inside and outside fault windows.
   double qos_deadline_cycles = kQosDeadlineCycles;
 
-  /// True when the plan cannot produce any fault event — the network layer
-  /// then skips the fault machinery entirely.
+  /// True when the plan cannot produce any fault event.
   [[nodiscard]] bool empty() const;
 
   /// Rates effective on `channel` after overrides.
   [[nodiscard]] ChannelFaultRates rates_for(std::uint32_t channel) const;
 
-  /// Aborts with a readable message on nonsense (probabilities outside
+  /// Throws std::invalid_argument on nonsense (probabilities outside
   /// [0, 1], inverted or overlapping windows, channel out of range...).
   void validate(std::uint32_t channels) const;
 
-  /// Parses a compact textual spec, e.g.
-  ///   "drop:1e-3,corrupt:5e-4,credit_loss:1e-3,down:0:30000:45000,
-  ///    resync_period:512,resync_timeout:2048,deadline:250,seed:7"
-  /// Tokens are comma-separated; `down` may repeat.  Throws
-  /// std::invalid_argument on unknown or malformed tokens.
-  [[nodiscard]] static FaultPlan parse(const std::string& spec);
+  static const spec::Grammar& grammar();
+  bool operator==(const FaultPlan&) const = default;
 
   /// RNG-driven schedule: `count` non-overlapping outage windows of length
   /// [min_len, max_len] placed uniformly on random channels within

@@ -1,124 +1,41 @@
 #include "mmr/mmu/spec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <stdexcept>
-#include <string_view>
-
 #include "mmr/sim/assert.hpp"
 
 namespace mmr::mmu {
 
+constexpr const char* kFlowWords[] = {"credit", "shared"};
+constexpr double kBelowOne = 1.0 - 0x1p-53;  ///< largest double < 1
+
 const char* to_string(FlowMode m) {
-  switch (m) {
-    case FlowMode::kCredit: return "credit";
-    case FlowMode::kShared: return "shared";
-  }
-  return "?";
+  return kFlowWords[static_cast<std::size_t>(m)];
 }
 
-namespace {
-
-double parse_double(std::string_view v, const std::string& key) {
-  const std::string tmp(v);
-  char* end = nullptr;
-  const double x = std::strtod(tmp.c_str(), &end);
-  if (end == tmp.c_str() || *end != '\0')
-    throw std::invalid_argument("mmu spec: bad numeric value for " + key +
-                                ": " + tmp);
-  if (!std::isfinite(x))
-    throw std::invalid_argument("mmu spec: value for " + key +
-                                " must be finite, got: " + tmp);
-  return x;
-}
-
-std::uint64_t parse_u64(std::string_view v, const std::string& key) {
-  std::uint64_t x = 0;
-  const auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
-  if (ec != std::errc{} || p != v.data() + v.size())
-    throw std::invalid_argument("mmu spec: bad integer value for " + key +
-                                ": " + std::string(v));
-  return x;
-}
-
-}  // namespace
-
-MmuSpec MmuSpec::parse(const std::string& spec) {
-  MmuSpec out;
-  std::string_view rest(spec);
-
-  const auto next_token = [&rest]() {
-    const auto comma = rest.find(',');
-    std::string_view token = rest.substr(0, comma);
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-    return token;
-  };
-
-  const std::string_view mode = next_token();
-  if (mode == "credit") {
-    out.mode = FlowMode::kCredit;
-  } else if (mode == "shared") {
-    out.mode = FlowMode::kShared;
-  } else {
-    throw std::invalid_argument("mmu spec must start with credit|shared, got: " +
-                                std::string(mode));
-  }
-
-  while (!rest.empty()) {
-    const std::string_view token = next_token();
-    if (token.empty()) continue;
-    const auto colon = token.find(':');
-    if (colon == std::string_view::npos)
-      throw std::invalid_argument("mmu spec token must be key:value: " +
-                                  std::string(token));
-    const std::string key(token.substr(0, colon));
-    const std::string_view value = token.substr(colon + 1);
-    if (key == "pool") {
-      out.pool_flits = parse_u64(value, key);
-    } else if (key == "reserved") {
-      out.reserved_per_class = static_cast<std::uint32_t>(parse_u64(value, key));
-    } else if (key == "headroom") {
-      out.headroom_flits = static_cast<std::uint32_t>(parse_u64(value, key));
-    } else if (key == "alpha") {
-      out.alpha = parse_double(value, key);
-    } else if (key == "alpha_be") {
-      out.alpha_be = parse_double(value, key);
-    } else if (key == "xoff") {
-      out.xoff_flits = static_cast<std::uint32_t>(parse_u64(value, key));
-    } else if (key == "xon") {
-      out.xon_flits = static_cast<std::uint32_t>(parse_u64(value, key));
-    } else if (key == "ecn") {
-      out.ecn = parse_u64(value, key) != 0;
-    } else if (key == "kmin") {
-      out.ecn_kmin = parse_u64(value, key);
-    } else if (key == "kmax") {
-      out.ecn_kmax = parse_u64(value, key);
-    } else if (key == "pmax") {
-      out.ecn_pmax = parse_double(value, key);
-    } else if (key == "ecn_cut") {
-      out.ecn_cut = parse_double(value, key);
-    } else if (key == "ecn_floor") {
-      out.ecn_floor = parse_double(value, key);
-    } else if (key == "ecn_recover") {
-      out.ecn_recover = parse_u64(value, key);
-    } else if (key == "ecn_step") {
-      out.ecn_step = parse_double(value, key);
-    } else if (key == "sample") {
-      out.sample_every = parse_u64(value, key);
-    } else {
-      throw std::invalid_argument(
-          "mmu spec: unknown key '" + key +
-          "'; valid keys: pool, reserved, headroom, alpha, alpha_be, xoff, "
-          "xon, ecn, kmin, kmax, pmax, ecn_cut, ecn_floor, ecn_recover, "
-          "ecn_step, sample");
-    }
-  }
-  if (out.mode == FlowMode::kCredit &&
-      (out.pool_flits != 0 || out.xoff_flits != 0))
-    throw std::invalid_argument(
-        "mmu spec: pool/pause keys are meaningless under flow=credit");
-  return out;
+const spec::Grammar& MmuSpec::grammar() {
+  using spec::bind;
+  using spec::kPositive;
+  using M = MmuSpec;
+  static const spec::Grammar grammar{"mmu", ':', {
+      bind<&M::mode>({.words = kFlowWords}),
+      bind<&M::pool_flits>({.name = "pool"}),
+      bind<&M::reserved_per_class>({.name = "reserved"}),
+      bind<&M::headroom_flits>({.name = "headroom"}),
+      bind<&M::alpha>({.name = "alpha", .dlo = kPositive}),
+      bind<&M::alpha_be>({.name = "alpha_be", .dlo = kPositive}),
+      bind<&M::xoff_flits>({.name = "xoff"}),
+      bind<&M::xon_flits>({.name = "xon"}),
+      bind<&M::ecn>({.name = "ecn"}),
+      bind<&M::ecn_kmin>({.name = "kmin"}),
+      bind<&M::ecn_kmax>({.name = "kmax"}),
+      bind<&M::ecn_pmax>({.name = "pmax", .dlo = kPositive, .dhi = 1}),
+      bind<&M::ecn_cut>(
+          {.name = "ecn_cut", .dlo = kPositive, .dhi = kBelowOne}),
+      bind<&M::ecn_floor>({.name = "ecn_floor", .dlo = kPositive, .dhi = 1}),
+      bind<&M::ecn_recover>({.name = "ecn_recover"}),
+      bind<&M::ecn_step>({.name = "ecn_step", .dlo = kPositive}),
+      bind<&M::sample_every>({.name = "sample", .lo = 1})},
+      /*mode_required=*/true, /*keyed_mode=*/int(FlowMode::kShared)};
+  return grammar;
 }
 
 MmuSpec MmuSpec::resolve(const SimConfig& config) const {
@@ -141,7 +58,14 @@ MmuSpec MmuSpec::resolve(const SimConfig& config) const {
   if (r.xon_flits == 0) r.xon_flits = r.xoff_flits / 2;
   if (r.ecn_kmin == 0) r.ecn_kmin = r.pool_flits / 8;
   if (r.ecn_kmax == 0) r.ecn_kmax = r.pool_flits / 2;
-  r.validate();
+  spec::check(grammar(), r);
+  if (r.xon_flits >= r.xoff_flits)
+    spec::fail(grammar(), "Xon must sit strictly below Xoff (hysteresis)");
+  if (r.ecn_kmin >= r.ecn_kmax) spec::fail(grammar(), "ECN needs kmin < kmax");
+  if (r.pool_flits > ~std::uint32_t{0} ||
+      3ull * r.reserved_per_class + r.pool_flits + r.headroom_flits >
+          ~std::uint32_t{0})
+    spec::fail(grammar(), "shared pool too large for 32-bit credit accounting");
   return r;
 }
 
@@ -151,27 +75,6 @@ std::uint32_t MmuSpec::vc_slots() const {
   MMR_ASSERT_MSG(port_allowance <= ~std::uint32_t{0},
                  "shared pool too large for 32-bit credit accounting");
   return static_cast<std::uint32_t>(port_allowance);
-}
-
-void MmuSpec::validate() const {
-  if (mode == FlowMode::kCredit) return;
-  MMR_ASSERT_MSG(pool_flits >= 1, "shared pool must hold at least one flit");
-  MMR_ASSERT_MSG(headroom_flits >= 1,
-                 "headroom must absorb at least one in-flight flit");
-  MMR_ASSERT_MSG(std::isfinite(alpha) && alpha > 0.0 &&
-                     std::isfinite(alpha_be) && alpha_be > 0.0,
-                 "dynamic-threshold alphas must be positive");
-  MMR_ASSERT_MSG(xon_flits < xoff_flits,
-                 "Xon must sit strictly below Xoff (hysteresis)");
-  MMR_ASSERT_MSG(ecn_kmin < ecn_kmax, "ECN needs kmin < kmax");
-  MMR_ASSERT_MSG(ecn_pmax > 0.0 && ecn_pmax <= 1.0,
-                 "ECN pmax must be in (0, 1]");
-  MMR_ASSERT_MSG(ecn_cut > 0.0 && ecn_cut < 1.0,
-                 "ECN cut must be a fraction in (0, 1)");
-  MMR_ASSERT_MSG(ecn_floor > 0.0 && ecn_floor <= 1.0,
-                 "ECN floor must be in (0, 1]");
-  MMR_ASSERT_MSG(ecn_step > 0.0, "ECN recovery step must be positive");
-  MMR_ASSERT_MSG(sample_every >= 1, "occupancy sample period must be >= 1");
 }
 
 }  // namespace mmr::mmu

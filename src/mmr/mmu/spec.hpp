@@ -1,27 +1,13 @@
-// Shared-buffer MMU configuration (`flow=` SimConfig override).  The MMR
-// paper models dedicated per-VC buffers with credit flow control as the only
-// loss-avoidance mechanism; `flow=shared` replaces that with a datacenter-
-// style memory-management unit (the ns-3 SwitchMmu shape): a buffer pool
-// shared across VCs and ports with per-port/per-class accounting —
-//
-//   * a reserved quota per (port, traffic class) that is always admittable,
-//   * alpha-scaled dynamic-threshold admission into the shared pool
-//     (admit while used < alpha x remaining free pool),
-//   * per-port headroom sized to absorb the flits still in flight after an
-//     Xoff pause frame is emitted (the lossless guarantee), and
-//   * ECN-style occupancy marking (kmin/kmax/pmax) that sources and the
-//     injection policer react to by shaping down.
-//
-// The spec is pure data.  An empty `flow=` string (or "credit") means the
-// MMU machinery is never instantiated and results stay bit-identical to a
-// build without the subsystem.
+// Shared-buffer MMU configuration (`flow=` SimConfig override, DESIGN.md
+// §12): `flow=shared` replaces the paper's dedicated per-VC buffers with one
+// pool shared across VCs and ports — reserved quotas, dynamic-threshold
+// admission, pause headroom, Xon/Xoff and ECN marking.  Pure data; an
+// empty `flow=` (or "credit") never instantiates the MMU machinery.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "mmr/sim/config.hpp"
-#include "mmr/sim/time.hpp"
 
 namespace mmr::mmu {
 
@@ -33,7 +19,7 @@ enum class FlowMode : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FlowMode m);
 
-struct MmuSpec {
+struct MmuSpec : spec::Parsed<MmuSpec> {
   FlowMode mode = FlowMode::kCredit;
 
   // Pool geometry (flits).  0 = derive a default from the SimConfig in
@@ -68,25 +54,16 @@ struct MmuSpec {
 
   Cycle sample_every = 64;  ///< shared-pool occupancy sampling period
 
-  /// Parses "credit" or "shared[,key:value...]" with keys pool, reserved,
-  /// headroom, alpha, alpha_be, xoff, xon, ecn (0|1), kmin, kmax, pmax,
-  /// ecn_cut, ecn_floor, ecn_recover, ecn_step, sample.  Throws
-  /// std::invalid_argument on unknown or malformed tokens.
-  [[nodiscard]] static MmuSpec parse(const std::string& spec);
+  static const spec::Grammar& grammar();
+  bool operator==(const MmuSpec&) const = default;
 
-  /// Returns a copy with every derivable 0 replaced by its default for
-  /// `config`, validated.  Only meaningful for kShared.
+  /// kShared only: a copy with every derivable 0 replaced by its default
+  /// for `config`.  Throws std::invalid_argument on nonsense combinations.
   [[nodiscard]] MmuSpec resolve(const SimConfig& config) const;
 
-  /// Per-VC buffer/credit allowance in shared mode: one VC may in principle
-  /// occupy a whole port's admission allowance, so the per-VC credit budget
-  /// stops being the binding constraint and the MMU gates admission instead.
-  /// Only valid on a resolved spec.
+  /// Per-VC buffer/credit allowance of a resolved shared spec: a whole
+  /// port's admission allowance, so the MMU, not credits, gates admission.
   [[nodiscard]] std::uint32_t vc_slots() const;
-
-  /// Aborts with a readable message on nonsense combinations.  Expects a
-  /// resolved spec (no remaining zeros in derivable fields).
-  void validate() const;
 };
 
 }  // namespace mmr::mmu

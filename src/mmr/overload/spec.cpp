@@ -1,200 +1,64 @@
 #include "mmr/overload/spec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
-#include <stdexcept>
-#include <vector>
-
-#include "mmr/sim/assert.hpp"
-
 namespace mmr::overload {
 
+constexpr const char* kPolicyWords[] = {"drop", "shape", "demote"};
+constexpr const char* kClassWords[] = {"any", "cbr", "vbr"};
+
 const char* to_string(OverloadPolicy p) {
-  switch (p) {
-    case OverloadPolicy::kDrop: return "drop";
-    case OverloadPolicy::kShape: return "shape";
-    case OverloadPolicy::kDemote: return "demote";
-  }
-  return "?";
+  return kPolicyWords[static_cast<std::size_t>(p)];
 }
 
-namespace {
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(sep, begin);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      break;
-    }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return parts;
-}
-
-double parse_double(const std::string& value, const std::string& token) {
-  char* end = nullptr;
-  const double x = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || !std::isfinite(x))
-    throw std::invalid_argument("bad numeric value in overload spec token: " +
-                                token);
-  return x;
-}
-
-std::uint64_t parse_u64(const std::string& value, const std::string& token) {
-  std::uint64_t x = 0;
-  const auto [p, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), x);
-  if (ec != std::errc{} || p != value.data() + value.size())
-    throw std::invalid_argument("bad integer value in overload spec token: " +
-                                token);
-  return x;
-}
-
-/// Splits "key:value"; throws when there is no colon.
-std::pair<std::string, std::string> key_value(const std::string& token) {
-  const std::size_t colon = token.find(':');
-  if (colon == std::string::npos)
-    throw std::invalid_argument("overload spec token must be key:value: " +
-                                token);
-  return {token.substr(0, colon), token.substr(colon + 1)};
-}
-
-}  // namespace
-
-PoliceSpec PoliceSpec::parse(const std::string& spec) {
-  if (spec.empty())
-    throw std::invalid_argument("empty police spec (omit police= instead)");
-  PoliceSpec parsed;
-  bool policy_seen = false;
-  for (const std::string& token : split(spec, ',')) {
-    if (token.empty()) continue;
-    if (token == "drop" || token == "shape" || token == "demote") {
-      if (policy_seen)
-        throw std::invalid_argument("police spec names two policies: " + spec);
-      policy_seen = true;
-      parsed.policy = token == "drop"    ? OverloadPolicy::kDrop
-                      : token == "shape" ? OverloadPolicy::kShape
-                                         : OverloadPolicy::kDemote;
-      continue;
-    }
-    const auto [key, value] = key_value(token);
-    if (key == "burst") {
-      parsed.burst_rounds = parse_double(value, token);
-    } else if (key == "vbr_burst") {
-      parsed.vbr_burst_rounds = parse_double(value, token);
-    } else if (key == "penalty") {
-      parsed.penalty_flits = static_cast<std::uint32_t>(parse_u64(value, token));
-    } else if (key == "deadline") {
-      parsed.qos_deadline_cycles = parse_double(value, token);
-    } else if (key == "wd_window") {
-      parsed.wd_window = parse_u64(value, token);
-    } else if (key == "wd_alpha") {
-      parsed.wd_alpha = parse_double(value, token);
-    } else if (key == "wd_high") {
-      parsed.wd_high = parse_double(value, token);
-    } else if (key == "wd_low") {
-      parsed.wd_low = parse_double(value, token);
-    } else if (key == "wd_escalate") {
-      parsed.wd_escalate_after =
-          static_cast<std::uint32_t>(parse_u64(value, token));
-    } else if (key == "wd_recover") {
-      parsed.wd_recover_after =
-          static_cast<std::uint32_t>(parse_u64(value, token));
-    } else if (key == "wd_pause_limit") {
-      parsed.wd_pause_limit = parse_u64(value, token);
-    } else {
-      throw std::invalid_argument(
-          "unknown police spec token '" + token +
-          "'; expected drop|shape|demote, burst, vbr_burst, penalty, "
-          "deadline, wd_window, wd_alpha, wd_high, wd_low, wd_escalate, "
-          "wd_recover, wd_pause_limit");
-    }
-  }
-  if (!policy_seen)
-    throw std::invalid_argument(
-        "police spec must name a policy (drop|shape|demote): " + spec);
-  parsed.validate();
-  return parsed;
+const spec::Grammar& PoliceSpec::grammar() {
+  using spec::bind;
+  using spec::kPositive;
+  using P = PoliceSpec;
+  static const spec::Grammar grammar{"police", ':', {
+      bind<&P::policy>({.words = kPolicyWords}),
+      bind<&P::burst_rounds>({.name = "burst", .dlo = kPositive}),
+      bind<&P::vbr_burst_rounds>({.name = "vbr_burst", .dlo = kPositive}),
+      bind<&P::penalty_flits>({.name = "penalty", .lo = 1}),
+      bind<&P::qos_deadline_cycles>({.name = "deadline", .dlo = kPositive}),
+      bind<&P::wd_window>({.name = "wd_window"}),
+      bind<&P::wd_alpha>({.name = "wd_alpha", .dlo = kPositive, .dhi = 1}),
+      bind<&P::wd_high>({.name = "wd_high", .dlo = 0}),
+      bind<&P::wd_low>({.name = "wd_low", .dlo = 0}),
+      bind<&P::wd_escalate_after>({.name = "wd_escalate"}),
+      bind<&P::wd_recover_after>({.name = "wd_recover"}),
+      bind<&P::wd_pause_limit>({.name = "wd_pause_limit"})},
+      /*mode_required=*/true};
+  return grammar;
 }
 
 void PoliceSpec::validate() const {
-  MMR_ASSERT_MSG(std::isfinite(burst_rounds) && burst_rounds > 0.0,
-                 "police burst depth must be positive");
-  MMR_ASSERT_MSG(std::isfinite(vbr_burst_rounds) && vbr_burst_rounds > 0.0,
-                 "police VBR burst depth must be positive");
-  MMR_ASSERT_MSG(penalty_flits >= 1, "shape penalty queue must hold >= 1 flit");
-  MMR_ASSERT_MSG(
-      std::isfinite(qos_deadline_cycles) && qos_deadline_cycles > 0.0,
-      "QoS deadline must be positive");
-  MMR_ASSERT_MSG(std::isfinite(wd_alpha) && wd_alpha > 0.0 && wd_alpha <= 1.0,
-                 "watchdog EWMA alpha must be in (0, 1]");
-  MMR_ASSERT_MSG(std::isfinite(wd_high) && std::isfinite(wd_low) &&
-                     wd_low >= 0.0 && wd_high > wd_low,
-                 "watchdog watermarks need wd_high > wd_low >= 0 (hysteresis)");
-  MMR_ASSERT_MSG(wd_window == 0 || (wd_escalate_after >= 1 &&
-                                    wd_recover_after >= 1),
-                 "watchdog escalate/recover window counts must be >= 1");
+  spec::check(grammar(), *this);
+  if (wd_high <= wd_low)
+    spec::fail(grammar(), "watchdog needs wd_high > wd_low (hysteresis)");
+  if (wd_window > 0 && (wd_escalate_after < 1 || wd_recover_after < 1))
+    spec::fail(grammar(), "watchdog escalate/recover counts must be >= 1");
 }
 
-RogueSpec RogueSpec::parse(const std::string& spec) {
-  if (spec.empty())
-    throw std::invalid_argument("empty rogue spec (omit rogue= instead)");
-  RogueSpec parsed;
-  for (const std::string& token : split(spec, ',')) {
-    if (token.empty()) continue;
-    const auto [key, value] = key_value(token);
-    if (key == "frac") {
-      parsed.fraction = parse_double(value, token);
-    } else if (key == "count") {
-      parsed.count = static_cast<std::uint32_t>(parse_u64(value, token));
-    } else if (key == "scale") {
-      parsed.scale = parse_double(value, token);
-    } else if (key == "burst_scale") {
-      parsed.burst_scale = parse_double(value, token);
-    } else if (key == "burst_period") {
-      parsed.burst_period = parse_u64(value, token);
-    } else if (key == "burst_len") {
-      parsed.burst_len = parse_u64(value, token);
-    } else if (key == "seed") {
-      parsed.seed = parse_u64(value, token);
-    } else if (key == "class") {
-      if (value == "any") {
-        parsed.classes = Classes::kAny;
-      } else if (value == "cbr") {
-        parsed.classes = Classes::kCbrOnly;
-      } else if (value == "vbr") {
-        parsed.classes = Classes::kVbrOnly;
-      } else {
-        throw std::invalid_argument("rogue class must be any|cbr|vbr, got: " +
-                                    value);
-      }
-    } else {
-      throw std::invalid_argument(
-          "unknown rogue spec token '" + token +
-          "'; expected frac, count, scale, burst_scale, burst_period, "
-          "burst_len, seed, class");
-    }
-  }
-  parsed.validate();
-  return parsed;
+const spec::Grammar& RogueSpec::grammar() {
+  using spec::bind;
+  using R = RogueSpec;
+  static const spec::Grammar grammar{"rogue", ':', {
+      bind<&R::fraction>({.name = "frac", .dlo = 0, .dhi = 1}),
+      bind<&R::count>({.name = "count"}),
+      bind<&R::scale>({.name = "scale", .dlo = 1}),
+      bind<&R::burst_scale>({.name = "burst_scale", .dlo = 1}),
+      bind<&R::burst_period>({.name = "burst_period"}),
+      bind<&R::burst_len>({.name = "burst_len"}),
+      bind<&R::seed>({.name = "seed"}),
+      bind<&R::classes>({.name = "class", .words = kClassWords})}};
+  return grammar;
 }
 
 void RogueSpec::validate() const {
-  MMR_ASSERT_MSG(std::isfinite(fraction) && fraction >= 0.0 && fraction <= 1.0,
-                 "rogue fraction must be in [0, 1]");
-  MMR_ASSERT_MSG(std::isfinite(scale) && scale >= 1.0,
-                 "rogue scale must be >= 1 (1 = compliant)");
-  MMR_ASSERT_MSG(std::isfinite(burst_scale) && burst_scale >= 1.0,
-                 "rogue burst scale must be >= 1");
-  MMR_ASSERT_MSG(burst_period == 0 || burst_len <= burst_period,
-                 "rogue burst window longer than its period");
-  MMR_ASSERT_MSG(burst_scale == 1.0 || burst_period > 0,
-                 "rogue burst scale needs a burst_period");
+  spec::check(grammar(), *this);
+  if (burst_period > 0 && burst_len > burst_period)
+    spec::fail(grammar(), "rogue burst window longer than its period");
+  if (burst_scale != 1.0 && burst_period == 0)
+    spec::fail(grammar(), "rogue burst scale needs a burst_period");
 }
 
 }  // namespace mmr::overload

@@ -1,14 +1,11 @@
-// Overload-protection specs: compact textual configuration for the
-// per-connection injection policer (`police=` SimConfig override) and the
-// deterministic rogue-source traffic inflater (`rogue=` override), mirroring
-// the fault layer's FaultPlan grammar.  Both specs are pure data; an empty
-// spec string means the corresponding machinery is never instantiated and
-// simulation results stay bit-identical to a build without the subsystem.
+// Overload-protection specs (DESIGN.md §9): the per-connection injection
+// policer (`police=`) and the deterministic rogue-source inflater
+// (`rogue=`).  Pure data; an empty spec never instantiates the machinery.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/sim/time.hpp"
 
 namespace mmr::overload {
@@ -22,18 +19,10 @@ enum class OverloadPolicy : std::uint8_t {
 
 [[nodiscard]] const char* to_string(OverloadPolicy p);
 
-/// Policer + saturation-watchdog configuration (`police=` override).
-///
-/// Token buckets enforce the admitted contract per QoS connection:
-///  * CBR — refill `slots_per_round` per round, depth `burst` rounds of the
-///    reservation (contract: the declared constant rate, small phase slack).
-///  * VBR — refill at the concurrency-discounted envelope
-///    mean + (peak - mean) / concurrency_factor per round, depth
-///    `vbr_burst` rounds of the *peak* reservation (contract: sustained mean
-///    with bursts up to the declared peak, as admission rule (b) priced it).
-/// Best-effort connections have no contract and pass unpoliced (until the
-/// watchdog sheds them).
-struct PoliceSpec {
+/// Policer + saturation-watchdog configuration (`police=` override).  Token
+/// buckets price each QoS connection's admitted contract: CBR at its mean
+/// slots, VBR at the concurrency-discounted envelope with peak-slot depth.
+struct PoliceSpec : spec::Parsed<PoliceSpec> {
   OverloadPolicy policy = OverloadPolicy::kDemote;
 
   double burst_rounds = 2.0;       ///< CBR bucket depth, rounds of mean slots
@@ -52,20 +41,16 @@ struct PoliceSpec {
   /// many cycles jumps the watchdog straight to kAlarm.  0 disables.
   Cycle wd_pause_limit = 0;
 
-  /// Parses "drop|shape|demote[,key:value...]", e.g.
-  ///   "demote,burst:2,vbr_burst:24,penalty:64,deadline:250,
-  ///    wd_window:512,wd_high:48,wd_low:12,wd_pause_limit:20000"
-  /// `wd_window:0` disables the watchdog.  Throws std::invalid_argument on
-  /// unknown or malformed tokens.
-  [[nodiscard]] static PoliceSpec parse(const std::string& spec);
+  static const spec::Grammar& grammar();
+  bool operator==(const PoliceSpec&) const = default;
 
-  /// Aborts with a readable message on nonsense combinations.
+  /// Throws std::invalid_argument on nonsense combinations.
   void validate() const;
 };
 
 /// Rogue-source configuration (`rogue=` override): a deterministic subset of
 /// QoS sources is wrapped to inflate past its declared rate.
-struct RogueSpec {
+struct RogueSpec : spec::Parsed<RogueSpec> {
   double fraction = 0.25;   ///< fraction of eligible QoS sources gone rogue
   std::uint32_t count = 0;  ///< absolute count; overrides fraction when > 0
   double scale = 3.0;       ///< sustained inflation factor (>= 1)
@@ -80,11 +65,10 @@ struct RogueSpec {
   enum class Classes : std::uint8_t { kAny, kCbrOnly, kVbrOnly };
   Classes classes = Classes::kAny;
 
-  /// Parses "frac:0.25,scale:3,count:2,burst_scale:2,burst_period:20000,
-  /// burst_len:4000,seed:7,class:cbr|vbr|any".  Throws std::invalid_argument
-  /// on unknown or malformed tokens.
-  [[nodiscard]] static RogueSpec parse(const std::string& spec);
+  static const spec::Grammar& grammar();
+  bool operator==(const RogueSpec&) const = default;
 
+  /// Throws std::invalid_argument on nonsense combinations.
   void validate() const;
 };
 

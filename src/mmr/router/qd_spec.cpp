@@ -1,94 +1,24 @@
 #include "mmr/router/qd_spec.hpp"
 
-#include <charconv>
-#include <stdexcept>
-#include <string_view>
-
-#include "mmr/sim/assert.hpp"
-
 namespace mmr {
 
+constexpr const char* kDisciplineWords[] = {"vc", "voq", "cicq"};
+
 const char* to_string(QueueDiscipline d) {
-  switch (d) {
-    case QueueDiscipline::kVc: return "vc";
-    case QueueDiscipline::kVoq: return "voq";
-    case QueueDiscipline::kCicq: return "cicq";
-  }
-  return "?";
+  return kDisciplineWords[static_cast<std::size_t>(d)];
 }
 
-namespace {
-
-std::uint64_t parse_u64(std::string_view v, const std::string& key) {
-  std::uint64_t x = 0;
-  const auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
-  if (ec != std::errc{} || p != v.data() + v.size())
-    throw std::invalid_argument("qd spec: bad integer value for " +
-                                key + ": " + std::string(v));
-  return x;
+const spec::Grammar& QdSpec::grammar() {
+  using spec::bind;
+  static const spec::Grammar grammar{"qd", ':', {
+      bind<&QdSpec::discipline>({.words = kDisciplineWords}),
+      bind<&QdSpec::stabilize>({.name = "stab"}),
+      bind<&QdSpec::crosspoint_flits>({.name = "xp", .lo = 1}),
+      bind<&QdSpec::burst_threshold>({.name = "thresh", .lo = 1})},
+      /*mode_required=*/false, /*keyed_mode=*/int(QueueDiscipline::kCicq)};
+  return grammar;
 }
 
-}  // namespace
-
-QdSpec QdSpec::parse(const std::string& spec) {
-  QdSpec out;
-  if (spec.empty()) return out;
-  std::string_view rest(spec);
-
-  const auto next_token = [&rest]() {
-    const auto comma = rest.find(',');
-    std::string_view token = rest.substr(0, comma);
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-    return token;
-  };
-
-  const std::string_view mode = next_token();
-  if (mode == "vc") {
-    out.discipline = QueueDiscipline::kVc;
-  } else if (mode == "voq") {
-    out.discipline = QueueDiscipline::kVoq;
-  } else if (mode == "cicq") {
-    out.discipline = QueueDiscipline::kCicq;
-  } else {
-    throw std::invalid_argument(
-        "qd spec must start with vc|voq|cicq, got: " +
-        std::string(mode));
-  }
-
-  while (!rest.empty()) {
-    const std::string_view token = next_token();
-    if (token.empty()) continue;
-    const auto colon = token.find(':');
-    if (colon == std::string_view::npos)
-      throw std::invalid_argument("qd spec token must be key:value: " +
-                                  std::string(token));
-    const std::string key(token.substr(0, colon));
-    const std::string_view value = token.substr(colon + 1);
-    if (key == "stab") {
-      out.stabilize = parse_u64(value, key) != 0;
-    } else if (key == "xp") {
-      out.crosspoint_flits = static_cast<std::uint32_t>(parse_u64(value, key));
-    } else if (key == "thresh") {
-      out.burst_threshold = static_cast<std::uint32_t>(parse_u64(value, key));
-    } else {
-      throw std::invalid_argument("qd spec: unknown key '" + key +
-                                  "'; valid keys: stab, xp, thresh");
-    }
-    if (out.discipline != QueueDiscipline::kCicq)
-      throw std::invalid_argument(
-          "qd spec: key '" + key +
-          "' only applies to qd=cicq (crosspoint buffering)");
-  }
-  out.validate();
-  return out;
-}
-
-void QdSpec::validate() const {
-  if (discipline != QueueDiscipline::kCicq) return;
-  MMR_ASSERT_MSG(crosspoint_flits >= 1,
-                 "crosspoint buffer must hold >= 1 flit");
-  MMR_ASSERT_MSG(burst_threshold >= 1, "burst threshold must be >= 1");
-}
+void QdSpec::validate() const { spec::check(grammar(), *this); }
 
 }  // namespace mmr

@@ -21,7 +21,6 @@ MmrRouter::MmrRouter(const SimConfig& config, const ConnectionTable& table,
       candidates_(config.ports, config.candidate_levels),
       matching_(config.ports) {
   config.validate();
-  qd_.validate();
   MMR_ASSERT(table.ports() == ports_);
 
   const TimeBase time_base = config.time_base();

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/sim/time.hpp"
 
 namespace mmr {
@@ -20,13 +21,10 @@ enum class PriorityScheme : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(PriorityScheme s);
-[[nodiscard]] PriorityScheme priority_scheme_from_string(const std::string& s);
 
-/// Largest port count any arbiter can represent: the bitset engines cap
-/// their multi-word request rows at kMaxPorts / 64 words, and Candidate
-/// stores ports in 16 bits.  Port counts outside [1, kMaxPorts] are rejected
-/// at parse time (apply_overrides, SweepSpec::validate), not deep inside
-/// arbiter construction.
+/// Largest port count any arbiter can represent (bitset request rows of
+/// kMaxPorts / 64 words; Candidate stores ports in 16 bits).  The `ports`
+/// key and SweepSpec::validate reject counts outside [2, kMaxPorts].
 inline constexpr std::uint32_t kMaxPorts = 1024;
 
 struct SimConfig {
@@ -60,72 +58,27 @@ struct SimConfig {
   Cycle warmup_cycles = 20'000;    ///< statistics discarded
   Cycle measure_cycles = 200'000;  ///< statistics collected
 
-  // --- fault injection (multi-router networks) ------------------------------
-  /// Textual FaultPlan spec (see mmr/fault/fault_plan.hpp), parsed by the
-  /// network simulation.  Empty = no fault machinery at all; results are
-  /// bit-identical to a fault-free build.
-  std::string fault_spec;
+  // --- opt-in subsystems ---------------------------------------------------
+  // Textual specs, parsed where the subsystem is built (grammars: README
+  // "Spec reference").  Empty = the subsystem is never constructed and
+  // results are bit-identical to a build without it.
+  std::string fault_spec;   ///< fault=  FaultPlan (mmr/fault/fault_plan.hpp)
+  std::string police_spec;  ///< police= PoliceSpec (mmr/overload/spec.hpp)
+  std::string rogue_spec;   ///< rogue=  RogueSpec (mmr/overload/spec.hpp)
+  std::string flow_spec;    ///< flow=   MmuSpec (mmr/mmu/spec.hpp)
+  std::string trace_spec;   ///< trace=  TraceSpec (mmr/trace/spec.hpp)
+  std::string snap_spec;    ///< snap=   SnapSpec (mmr/snapshot/spec.hpp)
+  std::string qd_spec;      ///< qd=     QdSpec (mmr/router/qd_spec.hpp)
 
-  // --- overload protection (mmr/overload/) ----------------------------------
-  /// Textual PoliceSpec (see mmr/overload/spec.hpp): per-connection token-
-  /// bucket policing at NIC injection plus the staged saturation watchdog.
-  /// Empty = no policing machinery at all; results are bit-identical to a
-  /// build without the subsystem.
-  std::string police_spec;
-  /// Textual RogueSpec: wraps a deterministic subset of QoS sources so they
-  /// inflate past their admitted contract.  Empty = no rogue sources.
-  std::string rogue_spec;
-
-  // --- flow-control regime (mmr/mmu/) ---------------------------------------
-  /// Textual MmuSpec (see mmr/mmu/spec.hpp): "credit" for the paper's
-  /// dedicated per-VC buffers + credit flow control, or
-  /// "shared[,key:value...]" for the shared-buffer MMU regime (dynamic-
-  /// threshold admission, Xon/Xoff pause, ECN marking).  Empty = credit
-  /// regime with no MMU machinery at all; results are bit-identical to a
-  /// build without the subsystem.
-  std::string flow_spec;
-
-  // --- event tracing (mmr/trace/) -------------------------------------------
-  /// Textual TraceSpec (see mmr/trace/spec.hpp): structured lifecycle-event
-  /// tracing, either full-stream export or a flight-recorder ring dumped on
-  /// invariant failure / watchdog alarm / fault activation.  Empty = no
-  /// tracer is constructed at all; results are bit-identical to a build
-  /// without the subsystem (and bit-identical traced vs untraced when set).
-  std::string trace_spec;
-
-  // --- checkpoint/restore (mmr/snapshot/) -----------------------------------
-  /// Textual SnapSpec (see mmr/snapshot/spec.hpp): periodic checkpoints,
-  /// per-cycle state hashing, crash-triggered post-mortem bundles, and
-  /// resume-from-checkpoint.  Empty = no snapshot machinery at all; results
-  /// are bit-identical to a build without the subsystem.
-  std::string snap_spec;
-
-  // --- queue discipline (mmr/router/qd_spec.hpp) ----------------------------
-  /// Textual QdSpec: "vc" for the paper's per-VC input queueing, "voq" for
-  /// per-input virtual output queues in front of the same SwitchArbiter API,
-  /// or "cicq[,stab:0|1][,xp:N][,thresh:N]" for combined input-crosspoint
-  /// queueing with RR/RR scheduling and the burst-stabilization credit
-  /// protocol.  Empty = per-VC discipline with none of the VOQ/CICQ
-  /// machinery constructed; results are bit-identical to a build without
-  /// the subsystem.
-  std::string qd_spec;
-
-  // --- sharded network engine (mmr/network/) --------------------------------
-  /// Worker shards for the multi-router network simulation.  0 (unset) and 1
-  /// both run the original single-threaded engine — bit-identical to a build
-  /// without the field.  N >= 2 partitions the routers into N contiguous
-  /// shards stepped on a ThreadPool with a barrier per phase; results stay
-  /// bit-identical to the serial run (metrics, trace bytes, StateHash
-  /// sequence — tested).  `net_threads=hw` resolves to the hardware thread
-  /// count at parse time.  Excluded from the snapshot config digest so
-  /// checkpoints resume across thread counts.
+  /// Worker shards: 0 and 1 step serially; N >= 2 steps N contiguous router
+  /// ranges on a ThreadPool, bit-identical to serial.  `net_threads=hw` is
+  /// the hardware thread count.  Not in the snapshot config digest.
   std::uint32_t net_threads = 0;
 
   // --- runtime invariant auditing (mmr/audit/sim_auditor.hpp) --------------
-  /// 0 = off.  N >= 1 attaches the simulation-level invariant auditor:
-  /// departure-stream checks (per-VC FIFO, crossbar bandwidth) run every
-  /// cycle and the full credit-conservation sweep every N cycles.  Auditing
-  /// never changes simulation results; violations abort with a message.
+  /// 0 = off.  N >= 1 attaches the invariant auditor: departure-stream
+  /// checks every cycle, the credit-conservation sweep every N cycles.
+  /// Auditing never changes results; violations abort with a message.
   std::uint32_t audit_every = 0;
 
   // --- derived ------------------------------------------------------------
@@ -138,26 +91,16 @@ struct SimConfig {
   [[nodiscard]] Cycle total_cycles() const {
     return warmup_cycles + measure_cycles;
   }
-  /// True when flow= selects the shared-buffer MMU regime.  (Cheap prefix
-  /// test; full parsing and validation live in mmr::mmu::MmuSpec, above
-  /// this layer.)
-  [[nodiscard]] bool shared_flow() const {
-    return flow_spec.rfind("shared", 0) == 0;
-  }
-  /// True when qd= selects the paper's per-VC discipline (the default).
-  /// Cheap test; full parsing and validation live in mmr::QdSpec.
-  [[nodiscard]] bool vc_discipline() const {
-    return qd_spec.empty() || qd_spec == "vc";
-  }
-
-  /// Aborts with a readable message when a field combination is nonsense.
+  /// Throws std::invalid_argument on an out-of-range field or combination.
   void validate() const;
+
+  static const spec::Grammar& grammar();  ///< the key=value override table
+  bool operator==(const SimConfig&) const = default;
 };
 
-/// Applies "key=value" overrides (e.g. from bench argv) to a config.
-/// Unknown keys raise an error listing the valid keys.  Returns the keys that
-/// were applied.
-std::vector<std::string> apply_overrides(
-    SimConfig& config, const std::vector<std::string>& overrides);
+/// Applies "key=value" overrides (e.g. from bench argv) to a config; throws
+/// std::invalid_argument on an unknown, repeated, malformed or bad value.
+void apply_overrides(SimConfig& config,
+                     const std::vector<std::string>& overrides);
 
 }  // namespace mmr

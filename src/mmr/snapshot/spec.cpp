@@ -1,86 +1,29 @@
 #include "mmr/snapshot/spec.hpp"
 
-#include <charconv>
-#include <stdexcept>
 #include <type_traits>
-#include <vector>
 
-#include "mmr/sim/assert.hpp"
 #include "mmr/sim/config.hpp"
-#include "mmr/snapshot/format.hpp"
 
 namespace mmr::snapshot {
 
-namespace {
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(sep, begin);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      break;
-    }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return parts;
-}
-
-std::uint64_t parse_u64(const std::string& value, const std::string& token) {
-  std::uint64_t x = 0;
-  const auto [p, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), x);
-  if (ec != std::errc{} || p != value.data() + value.size())
-    throw std::invalid_argument("bad integer value in snap spec token: " +
-                                token);
-  return x;
-}
-
-}  // namespace
-
-SnapSpec SnapSpec::parse(const std::string& spec) {
-  if (spec.empty())
-    throw std::invalid_argument("empty snap spec (omit snap= instead)");
-  SnapSpec parsed;
-  for (const std::string& token : split(spec, ',')) {
-    if (token.empty()) continue;
-    const std::size_t colon = token.find(':');
-    if (colon == std::string::npos)
-      throw std::invalid_argument("snap spec token must be key:value: " +
-                                  token);
-    const std::string key = token.substr(0, colon);
-    const std::string value = token.substr(colon + 1);
-    if (key == "every") {
-      parsed.every = parse_u64(value, token);
-    } else if (key == "hash_every") {
-      parsed.hash_every = parse_u64(value, token);
-    } else if (key == "prefix") {
-      parsed.prefix = value;
-    } else if (key == "hash_out") {
-      parsed.hash_out = value;
-    } else if (key == "resume") {
-      parsed.resume = value;
-    } else if (key == "crash") {
-      const std::uint64_t flag = parse_u64(value, token);
-      if (flag > 1)
-        throw std::invalid_argument("snap spec crash: must be 0 or 1");
-      parsed.on_crash = flag != 0;
-    } else {
-      throw std::invalid_argument(
-          "unknown snap spec token '" + token +
-          "'; expected every, hash_every, prefix, hash_out, resume, crash");
-    }
-  }
-  parsed.validate();
-  return parsed;
+const spec::Grammar& SnapSpec::grammar() {
+  using spec::bind;
+  using S = SnapSpec;
+  static const spec::Grammar grammar{"snap", ':', {
+      bind<&S::every>({.name = "every"}),
+      bind<&S::hash_every>({.name = "hash_every"}),
+      bind<&S::prefix>({.name = "prefix"}),
+      bind<&S::hash_out>({.name = "hash_out"}),
+      bind<&S::resume>({.name = "resume"}),
+      bind<&S::on_crash>({.name = "crash"})}};
+  return grammar;
 }
 
 void SnapSpec::validate() const {
-  MMR_ASSERT_MSG(!prefix.empty(), "snap prefix must not be empty");
-  MMR_ASSERT_MSG(hash_out.empty() || hash_every > 0,
-                 "snap hash_out: needs hash_every:N > 0");
+  spec::check(grammar(), *this);
+  if (prefix.empty()) spec::fail(grammar(), "snap prefix must not be empty");
+  if (!hash_out.empty() && hash_every == 0)
+    spec::fail(grammar(), "hash_out needs hash_every > 0");
 }
 
 namespace {
@@ -133,19 +76,6 @@ std::uint64_t config_digest(const SimConfig& config) {
   fold_str(hash, config.qd_spec);
   fold(hash, config.audit_every);
   return hash;
-}
-
-void validate_spec(const SimConfig& config) {
-  if (config.snap_spec.empty()) return;
-  const SnapSpec spec = SnapSpec::parse(config.snap_spec);
-  if (spec.resume.empty()) return;
-  const Snapshot snapshot = load_file(spec.resume);
-  if (snapshot.config_digest != config_digest(config)) {
-    throw std::invalid_argument(
-        "snapshot " + spec.resume +
-        " was captured under a different configuration (config digest "
-        "mismatch); resume with the same seed/arbiter/traffic setup");
-  }
 }
 
 }  // namespace mmr::snapshot

@@ -1,21 +1,14 @@
-// Textual snapshot configuration, mirroring the trace/overload spec-string
-// idiom: `snap=every:50000,prefix:ckpt,hash_every:1000`.
-//
-// Grammar:  key:value[,key:value...]
-//   every:N        write a checkpoint every N completed cycles (0 = never)
-//   prefix:P       checkpoint / post-mortem file prefix (default mmr-snap)
-//   hash_every:N   record the 64-bit StateHash every N cycles (0 = never)
-//   hash_out:PATH  run-end JSONL of the recorded (cycle, hash) sequence
-//   resume:PATH    restore this checkpoint before running
-//   crash:0|1      post-mortem bundle on MMR_ASSERT / watchdog alarm /
-//                  SIGINT / SIGTERM (default 1)
-//
-// `snap=` unset constructs no snapshot machinery at all; runs are
-// bit-identical to a build without the subsystem.
+// Textual snapshot configuration (`snap=`, grammar in README "Spec
+// reference"), e.g. `snap=every:50000,prefix:ckpt,hash_every:1000`:
+// periodic checkpoints, a per-cycle StateHash record, post-mortem bundles
+// on MMR_ASSERT / watchdog alarm / SIGINT / SIGTERM (`crash:1`), and
+// `resume:PATH`.  `snap=` unset constructs no snapshot machinery at all.
 #pragma once
 
 #include <cstdint>
 #include <string>
+
+#include "mmr/sim/spec_parser.hpp"
 
 namespace mmr {
 struct SimConfig;
@@ -23,7 +16,7 @@ struct SimConfig;
 
 namespace mmr::snapshot {
 
-struct SnapSpec {
+struct SnapSpec : spec::Parsed<SnapSpec> {
   std::uint64_t every = 0;       ///< checkpoint period, cycles (0 = off)
   std::uint64_t hash_every = 0;  ///< StateHash period, cycles (0 = off)
   std::string prefix = "mmr-snap";
@@ -31,27 +24,16 @@ struct SnapSpec {
   std::string resume;    ///< "" = fresh start
   bool on_crash = true;
 
-  /// Parses the grammar above; throws std::invalid_argument on bad input.
-  static SnapSpec parse(const std::string& spec);
+  static const spec::Grammar& grammar();
+  bool operator==(const SnapSpec&) const = default;
 
-  /// Aborts with a readable message when a field combination is nonsense.
+  /// Throws std::invalid_argument when a field combination is nonsense.
   void validate() const;
 };
 
-/// FNV-1a fingerprint over every SimConfig field that shapes simulation
-/// behaviour — snap_spec itself excluded (snapshotting never changes
-/// results, so a run may be resumed under a different snap policy).
-/// Restore refuses a snapshot whose digest differs from the live config's:
-/// the restore model rebuilds immutable state by reconstructing the
-/// simulation from the same (config, workload), then overlays the file.
+/// FNV-1a fingerprint over every SimConfig field that shapes results
+/// (snap_spec and net_threads excluded).  Restore rebuilds immutable state
+/// from the same (config, workload), so it refuses a differing digest.
 [[nodiscard]] std::uint64_t config_digest(const SimConfig& config);
-
-/// CLI fail-fast helper for binary mains: parses `config.snap_spec` and, for
-/// `resume:`, loads the checkpoint and checks its config digest — so bad
-/// user input surfaces as a clean `error: ...` exit instead of an uncaught
-/// throw at simulation construction.  No-op when the spec is unset.  Throws
-/// std::invalid_argument (grammar / digest) or std::runtime_error (I/O,
-/// corrupt container).
-void validate_spec(const SimConfig& config);
 
 }  // namespace mmr::snapshot

@@ -1,107 +1,33 @@
 #include "mmr/trace/spec.hpp"
 
-#include <charconv>
-#include <stdexcept>
-#include <vector>
-
-#include "mmr/sim/assert.hpp"
-
 namespace mmr::trace {
 
+constexpr const char* kModeWords[] = {"stream", "flight"};
+
 const char* to_string(TraceSpec::Mode mode) {
-  switch (mode) {
-    case TraceSpec::Mode::kStream: return "stream";
-    case TraceSpec::Mode::kFlight: return "flight";
-  }
-  return "?";
+  return kModeWords[static_cast<std::size_t>(mode)];
 }
 
-namespace {
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(sep, begin);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      break;
-    }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return parts;
-}
-
-std::uint64_t parse_u64(const std::string& value, const std::string& token) {
-  std::uint64_t x = 0;
-  const auto [p, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), x);
-  if (ec != std::errc{} || p != value.data() + value.size())
-    throw std::invalid_argument("bad integer value in trace spec token: " +
-                                token);
-  return x;
-}
-
-/// Splits "key:value"; throws when there is no colon.
-std::pair<std::string, std::string> key_value(const std::string& token) {
-  const std::size_t colon = token.find(':');
-  if (colon == std::string::npos)
-    throw std::invalid_argument("trace spec token must be key:value: " + token);
-  return {token.substr(0, colon), token.substr(colon + 1)};
-}
-
-}  // namespace
-
-TraceSpec TraceSpec::parse(const std::string& spec) {
-  if (spec.empty())
-    throw std::invalid_argument("empty trace spec (omit trace= instead)");
-  TraceSpec parsed;
-  bool mode_seen = false;
-  for (const std::string& token : split(spec, ',')) {
-    if (token.empty()) continue;
-    if (token == "stream" || token == "flight") {
-      if (mode_seen)
-        throw std::invalid_argument("trace spec names two modes: " + spec);
-      mode_seen = true;
-      parsed.mode =
-          token == "stream" ? TraceSpec::Mode::kStream : TraceSpec::Mode::kFlight;
-      continue;
-    }
-    const auto [key, value] = key_value(token);
-    if (key == "out") {
-      parsed.out = value;
-    } else if (key == "chrome") {
-      parsed.chrome = value;
-    } else if (key == "summary") {
-      parsed.summary = value;
-    } else if (key == "dump") {
-      parsed.dump_prefix = value;
-    } else if (key == "ring") {
-      parsed.ring = static_cast<std::uint32_t>(parse_u64(value, token));
-    } else if (key == "limit") {
-      parsed.limit = parse_u64(value, token);
-    } else if (key == "dumps") {
-      parsed.max_dumps = static_cast<std::uint32_t>(parse_u64(value, token));
-    } else {
-      throw std::invalid_argument(
-          "unknown trace spec token '" + token +
-          "'; expected stream|flight, out, chrome, summary, dump, ring, "
-          "limit, dumps");
-    }
-  }
-  if (!mode_seen)
-    throw std::invalid_argument(
-        "trace spec must name a mode (stream|flight): " + spec);
-  parsed.validate();
-  return parsed;
+const spec::Grammar& TraceSpec::grammar() {
+  using spec::bind;
+  using T = TraceSpec;
+  static const spec::Grammar grammar{"trace", ':', {
+      bind<&T::mode>({.words = kModeWords}),
+      bind<&T::out>({.name = "out"}),
+      bind<&T::chrome>({.name = "chrome"}),
+      bind<&T::summary>({.name = "summary"}),
+      bind<&T::dump_prefix>({.name = "dump"}),
+      bind<&T::ring>({.name = "ring", .lo = 16, .hi = 1u << 24}),
+      bind<&T::limit>({.name = "limit", .lo = 1}),
+      bind<&T::max_dumps>({.name = "dumps"})},
+      /*mode_required=*/true};
+  return grammar;
 }
 
 void TraceSpec::validate() const {
-  MMR_ASSERT_MSG(ring >= 16, "flight ring must hold >= 16 events");
-  MMR_ASSERT_MSG(limit >= 1, "stream event limit must be >= 1");
-  MMR_ASSERT_MSG(mode != Mode::kFlight || !dump_prefix.empty(),
-                 "flight mode needs a dump file prefix");
+  spec::check(grammar(), *this);
+  if (mode == Mode::kFlight && dump_prefix.empty())
+    spec::fail(grammar(), "flight mode needs a dump file prefix");
 }
 
 }  // namespace mmr::trace

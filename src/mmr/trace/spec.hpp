@@ -1,22 +1,17 @@
-// Textual trace configuration, mirroring the overload spec-string idiom:
-// `trace=stream,out:run.jsonl` or `trace=flight,ring:4096,dump:flight`.
-//
-// Grammar:  mode[,key:value...]   with mode in {stream, flight}
-//   stream mode buffers every event (up to `limit`) and writes the
-//   configured outputs at the end of the run;
-//   flight mode keeps only the last `ring` events per router and dumps them
-//   automatically when an invariant dies, the watchdog reaches its alarm
-//   stage, or a fault activates.
-// Keys: out:PATH  chrome:PATH  summary:PATH  ring:N  dump:PREFIX  limit:N
-//       dumps:N (max automatic flight dumps per run)
+// Textual trace configuration (`trace=`, DESIGN.md §11), e.g.
+// `trace=stream,out:run.jsonl` (buffer every event, write at run end) or
+// `trace=flight,ring:4096,dump:flight` (keep the last `ring` events per
+// router; dump on an invariant death, watchdog alarm or fault activation).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "mmr/sim/spec_parser.hpp"
+
 namespace mmr::trace {
 
-struct TraceSpec {
+struct TraceSpec : spec::Parsed<TraceSpec> {
   enum class Mode : std::uint8_t { kStream, kFlight };
 
   Mode mode = Mode::kStream;
@@ -28,10 +23,10 @@ struct TraceSpec {
   std::uint32_t ring = 4096;               ///< flight: events kept per router
   std::uint32_t max_dumps = 8;             ///< flight: automatic dump cap
 
-  /// Parses the grammar above; throws std::invalid_argument on bad input.
-  static TraceSpec parse(const std::string& spec);
+  static const spec::Grammar& grammar();
+  bool operator==(const TraceSpec&) const = default;
 
-  /// Aborts with a readable message when a field combination is nonsense.
+  /// Throws std::invalid_argument when a field combination is nonsense.
   void validate() const;
 };
 

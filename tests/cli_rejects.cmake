@@ -1,0 +1,21 @@
+# Runs BIN once per malformed input and requires each run to exit with
+# status 1 and a stderr line starting "error:" (no abort, no uncaught throw).
+#   cmake -DBIN=path/to/quickstart -P cli_rejects.cmake
+set(inputs
+  "qd=cicq,xp:0" "ports=1" "levels=0" "flit_bits=100"
+  "police=shape,penalty:0" "rogue=frac:2" "fault=drop:nan"
+  "fault=down:99:10:5" "flow=shared,xoff:4,xon:4"
+  "qd=cicq,xp:4294967297" "vcs=4294967297" "police=shape,penalty:4294967296"
+  "qd=cicq,stab:7" "police=shape,burst:2,burst:3" "arbiter=bogus"
+  "fault=down:0:10:20" "flow=shared,pool:18446744073709551615" "bogus=1")
+set(failures "")
+foreach(input IN LISTS inputs)
+  execute_process(COMMAND "${BIN}" measure=100 "${input}"
+                  RESULT_VARIABLE status OUTPUT_QUIET ERROR_VARIABLE stderr)
+  if(NOT status STREQUAL "1" OR NOT stderr MATCHES "(^|\n)error: ")
+    string(APPEND failures "\n  ${input}: exit '${status}', stderr: ${stderr}")
+  endif()
+endforeach()
+if(failures)
+  message(FATAL_ERROR "inputs not rejected with error: and exit 1:${failures}")
+endif()

@@ -256,9 +256,7 @@ TEST(SimAuditorTest, AttachesViaConfigAndStaysClean) {
   config.vcs_per_link = 64;
   config.warmup_cycles = 1'000;
   config.measure_cycles = 10'000;
-  const std::vector<std::string> applied =
-      apply_overrides(config, {"audit=1"});
-  ASSERT_EQ(applied, std::vector<std::string>{"audit"});
+  apply_overrides(config, {"audit=1"});
   EXPECT_EQ(config.audit_every, 1u);
   Rng rng(config.seed, 1);
   CbrMixSpec spec;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "mmr/fault/fault_injector.hpp"
+#include "spec_test_util.hpp"
 
 namespace mmr {
 namespace {
@@ -74,20 +75,19 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   EXPECT_TRUE(FaultPlan::parse("").empty());
 }
 
-TEST(FaultPlanDeath, ValidateCatchesNonsense) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST(FaultPlan, ValidateCatchesNonsense) {
   FaultPlan out_of_range;
   out_of_range.down_windows.push_back({9, 10, 20});
-  EXPECT_DEATH(out_of_range.validate(4), "unknown channel");
+  EXPECT_INVALID(out_of_range.validate(4), "unknown channel");
 
   FaultPlan inverted;
   inverted.down_windows.push_back({0, 20, 10});
-  EXPECT_DEATH(inverted.validate(4), "down_at < up_at");
+  EXPECT_INVALID(inverted.validate(4), "down_at < up_at");
 
   FaultPlan overlapping;
   overlapping.down_windows.push_back({0, 10, 30});
   overlapping.down_windows.push_back({0, 20, 40});
-  EXPECT_DEATH(overlapping.validate(4), "must not overlap");
+  EXPECT_INVALID(overlapping.validate(4), "must not overlap");
 }
 
 TEST(FaultPlan, RandomWindowsAreValidAndDeterministic) {

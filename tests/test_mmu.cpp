@@ -17,6 +17,7 @@
 #include "mmr/network/network.hpp"
 #include "mmr/overload/spec.hpp"
 #include "mmr/traffic/rogue.hpp"
+#include "spec_test_util.hpp"
 
 namespace mmr {
 namespace {
@@ -91,15 +92,16 @@ TEST(MmuSpecResolve, DerivesDocumentedDefaults) {
   EXPECT_EQ(r.vc_slots(), 3u * r.reserved_per_class + 192u + r.headroom_flits);
 }
 
-TEST(MmuSpecDeath, ValidateRejectsBrokenHysteresisAndEcnBands) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST(MmuSpec, ValidateRejectsBrokenHysteresisAndEcnBands) {
   const SimConfig config = mmu_config();
-  EXPECT_DEATH((void)MmuSpec::parse("shared,xoff:4,xon:4").resolve(config),
-               "hysteresis");
-  EXPECT_DEATH((void)MmuSpec::parse("shared,kmin:20,kmax:10").resolve(config),
-               "kmin < kmax");
-  EXPECT_DEATH((void)MmuSpec::parse("shared,alpha:-1").resolve(config),
-               "alphas must be positive");
+  EXPECT_INVALID((void)MmuSpec::parse("shared,xoff:4,xon:4").resolve(config),
+                 "hysteresis");
+  EXPECT_INVALID((void)MmuSpec::parse("shared,kmin:20,kmax:10").resolve(config),
+                 "kmin < kmax");
+  // Range checks live in the key table: a non-positive alpha is rejected
+  // at parse time, naming the key and its range.
+  EXPECT_INVALID((void)MmuSpec::parse("shared,alpha:-1").resolve(config),
+                 "'alpha:-1' out of range (0, max]");
 }
 
 // ---------------------------------------------------------------------------

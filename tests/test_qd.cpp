@@ -20,6 +20,7 @@
 #include "mmr/snapshot/manager.hpp"
 #include "mmr/snapshot/walker.hpp"
 #include "mmr/traffic/mix.hpp"
+#include "spec_test_util.hpp"
 
 namespace mmr {
 namespace {
@@ -71,12 +72,12 @@ TEST(QdSpec, MalformedSpecsThrowAtParse) {
   expect_error("voq,xp:4");           // cicq-only key on voq
 }
 
-TEST(QdSpecDeath, DegenerateCicqGeometryAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH((void)QdSpec::parse("cicq,xp:0"),
-               "crosspoint buffer must hold >= 1 flit");
-  EXPECT_DEATH((void)QdSpec::parse("cicq,thresh:0"),
-               "burst threshold must be >= 1");
+TEST(QdSpec, DegenerateCicqGeometryIsRejected) {
+  // The key table holds the ranges: xp and thresh start at 1.
+  EXPECT_INVALID((void)QdSpec::parse("cicq,xp:0"),
+                 "'xp:0' out of range [1, 4294967295]");
+  EXPECT_INVALID((void)QdSpec::parse("cicq,thresh:0"),
+                 "'thresh:0' out of range [1, 4294967295]");
 }
 
 // --------------------------------------------------------------------------

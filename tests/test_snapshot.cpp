@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -229,6 +230,26 @@ TEST(SnapshotResume, DigestMismatchIsRejected) {
   other.snap_spec = "resume:" + path;
   EXPECT_THROW(MmrSimulation(other, make_workload(other, false)),
                SnapshotError);
+  std::remove(path.c_str());
+}
+
+// validate_specs() checks a resume: digest against the config the
+// simulation is built from — with flow=shared that is the flow-resolved one,
+// so the pre-check in the mains accepts exactly the checkpoints construction
+// does.
+TEST(SnapshotResume, PrecheckMatchesConstructionUnderSharedFlow) {
+  const std::string path = ::testing::TempDir() + "/mmr_snap_precheck.snap";
+  const SimConfig config = snap_config("coa", /*shared=*/true);
+  MmrSimulation a(config, make_workload(config, false));
+  for (int i = 0; i < 100; ++i) a.step_one();
+  a.save_checkpoint(path);
+
+  SimConfig resume = config;
+  resume.snap_spec = "resume:" + path;
+  EXPECT_NO_THROW(validate_specs(resume));
+  EXPECT_NO_THROW(MmrSimulation(resume, make_workload(resume, false)));
+  resume.seed = config.seed + 1;
+  EXPECT_THROW(validate_specs(resume), std::invalid_argument);
   std::remove(path.c_str());
 }
 
