@@ -2,8 +2,8 @@
 # Full local gate: plain build + tier-1 tests, the tier-2 soaks
 # (differential arbiter audit + 200-seed overload-protection soak), then the
 # whole suite — mmr_overload included — again under AddressSanitizer +
-# UndefinedBehaviorSanitizer (SANITIZE applies tree-wide), plus a longer
-# spec-fuzzer run in that sanitized tree.
+# UndefinedBehaviorSanitizer (SANITIZE applies tree-wide), plus longer
+# spec-fuzzer and NIC/VCM differential-oracle runs in that sanitized tree.
 # Usage: scripts/check.sh [--perf] [jobs]
 #   --perf   additionally run the perf_baseline smoke sweep and validate the
 #            emitted BENCH_perf.json schema with scripts/bench_compare.py
@@ -77,6 +77,14 @@ echo "--- spec fuzzer, longer run under ASan/UBSan (3 seeds) ---"
 for seed in 1 2 3; do
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-asan/tests/fuzz_specs iterations=20000 seed="${seed}"
+done
+echo "--- NIC / VCM differential oracles, more seeds under ASan/UBSan ---"
+for seed in 1 2 3; do
+  for oracle in test_nic test_vcm; do
+    ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
+      ./build-asan/tests/"${oracle}" --gtest_filter='*Oracle*' \
+      iterations=100000 seed="${seed}"
+  done
 done
 
 echo

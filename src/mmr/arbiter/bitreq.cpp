@@ -8,32 +8,6 @@
 
 namespace mmr {
 
-std::int32_t bits_first_cyclic(const std::uint64_t* words,
-                               std::uint32_t word_count, std::uint32_t start) {
-  const std::uint32_t start_word = start >> 6;
-  const std::uint32_t start_bit = start & 63u;
-  const std::uint64_t above = ~std::uint64_t{0} << start_bit;
-  std::uint64_t w = words[start_word] & above;
-  if (w != 0)
-    return static_cast<std::int32_t>(
-        start_word * 64 + static_cast<std::uint32_t>(std::countr_zero(w)));
-  for (std::uint32_t k = start_word + 1; k < word_count; ++k) {
-    if (words[k] != 0)
-      return static_cast<std::int32_t>(
-          k * 64 + static_cast<std::uint32_t>(std::countr_zero(words[k])));
-  }
-  for (std::uint32_t k = 0; k < start_word; ++k) {
-    if (words[k] != 0)
-      return static_cast<std::int32_t>(
-          k * 64 + static_cast<std::uint32_t>(std::countr_zero(words[k])));
-  }
-  w = words[start_word] & ~above;
-  if (w != 0)
-    return static_cast<std::int32_t>(
-        start_word * 64 + static_cast<std::uint32_t>(std::countr_zero(w)));
-  return -1;
-}
-
 void BitRequestMatrix::build(const CandidateSet& candidates) {
   const std::uint32_t ports = candidates.ports();
   MMR_ASSERT(ports <= kMaxPorts);

@@ -8,11 +8,11 @@
 // the representable maximum is kMaxPorts (mmr/sim/config.hpp).
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "mmr/arbiter/candidate.hpp"
+#include "mmr/sim/bits.hpp"
 #include "mmr/sim/config.hpp"
 
 namespace mmr {
@@ -20,32 +20,6 @@ namespace mmr {
 namespace snapshot {
 class Walker;
 }
-
-inline constexpr std::uint32_t kBitsPerWord = 64;
-
-/// Words per bit-row for a given port count.
-[[nodiscard]] constexpr std::uint32_t bit_words(std::uint32_t ports) {
-  return (ports + (kBitsPerWord - 1)) / kBitsPerWord;
-}
-
-inline void bits_set(std::uint64_t* words, std::uint32_t bit) {
-  words[bit >> 6] |= std::uint64_t{1} << (bit & 63u);
-}
-
-inline void bits_clear(std::uint64_t* words, std::uint32_t bit) {
-  words[bit >> 6] &= ~(std::uint64_t{1} << (bit & 63u));
-}
-
-[[nodiscard]] inline bool bits_test(const std::uint64_t* words,
-                                    std::uint32_t bit) {
-  return (words[bit >> 6] >> (bit & 63u)) & 1u;
-}
-
-/// First set bit at or after `start`, wrapping around (the round-robin
-/// pointer search of iSLIP's grant stage).  Returns -1 when no bit is set.
-[[nodiscard]] std::int32_t bits_first_cyclic(const std::uint64_t* words,
-                                             std::uint32_t word_count,
-                                             std::uint32_t start);
 
 /// The level-collapsed request matrix of one CandidateSet: per (input,
 /// output) pair the lowest-level candidate (the VC the link scheduler ranked

@@ -77,6 +77,7 @@ void validate_specs(const SimConfig& config) {
   config.validate();
   (void)make_arbiter(config.arbiter, config.ports, Rng(config.seed, 0));
   const SimConfig built = MmrSimulation::with_flow_regime(config);
+  built.validate();
   if (!config.police_spec.empty())
     (void)overload::PoliceSpec::parse(config.police_spec);
   if (!config.rogue_spec.empty())

@@ -4,9 +4,12 @@
 // a flit and a credit, in demand-driven round-robin order, one flit per
 // cycle.  The paper shows this simple policy suffices because the router's
 // scheduler, small buffers and flow control make the NIC adapt to the
-// router's needs.
+// router's needs.  The controller visits only connections holding a flit:
+// a bitmap of non-empty queues is searched cyclically from the round-robin
+// cursor, and credits are read live from the CreditManager.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -64,16 +67,17 @@ class Nic {
   void check_invariants() const;
 
   /// Checkpoint walk: per-VC queues (flit payloads included), credit state,
-  /// round-robin cursor, counters, pause flag.
+  /// round-robin cursor, counters, the number of non-empty queues, pause
+  /// flag.  The non-empty bitmap is rebuilt from the queues on load.
   void snap(snapshot::Walker& w);
 
  private:
   std::vector<std::deque<Flit>> queues_;
+  std::vector<std::uint64_t> backlogged_;  ///< bit per VC: queue non-empty
   CreditManager credits_;
   std::uint32_t rr_next_ = 0;  ///< round-robin cursor
   std::uint64_t total_queued_ = 0;
   std::uint64_t total_sent_ = 0;
-  std::uint32_t nonempty_ = 0;
   bool paused_ = false;  ///< Xoff asserted by the shared-buffer MMU
 };
 

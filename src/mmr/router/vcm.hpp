@@ -3,10 +3,13 @@
 // RAM banks behind an address generator.  The interleave is functionally
 // transparent (the address generator guarantees conflict-free access for
 // one enqueue + one dequeue per cycle); we model the per-bank occupancy for
-// inspection but storage behaves as per-VC FIFOs.
+// inspection but storage behaves as per-VC FIFOs.  Each FIFO is a fixed ring
+// of `capacity_per_vc` slots inside one contiguous slot array, so buffering
+// a flit never allocates; credit flow control bounds every ring's
+// occupancy.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <vector>
 
 #include "mmr/sim/time.hpp"
@@ -24,7 +27,7 @@ class VirtualChannelMemory {
                        std::uint32_t banks = 4);
 
   [[nodiscard]] std::uint32_t vcs() const {
-    return static_cast<std::uint32_t>(queues_.size());
+    return static_cast<std::uint32_t>(rings_.size());
   }
   [[nodiscard]] std::uint32_t capacity_per_vc() const { return capacity_; }
 
@@ -37,6 +40,9 @@ class VirtualChannelMemory {
   /// Cycle the current head flit entered this memory (its queuing-delay
   /// epoch for priority biasing).
   [[nodiscard]] Cycle head_arrival(std::uint32_t vc) const;
+  /// Ring slot of `vc`'s head, in [0, capacity_per_vc) (inspection only: a
+  /// restored checkpoint lays every FIFO out from slot 0).
+  [[nodiscard]] std::uint32_t head_slot(std::uint32_t vc) const;
 
   Flit pop(std::uint32_t vc);
 
@@ -54,8 +60,9 @@ class VirtualChannelMemory {
 
   void check_invariants() const;
 
-  /// Checkpoint walk: per-VC FIFOs (flits + arrival stamps + bank tags),
-  /// bank occupancy, the occupied-VC index, and counters.
+  /// Checkpoint walk: per-VC FIFOs (count, then flits + arrival stamps +
+  /// bank tags in FIFO order), bank occupancy, the occupied-VC index, and
+  /// counters.  Ring positions are not walked.
   void snap(snapshot::Walker& w);
 
  private:
@@ -64,9 +71,18 @@ class VirtualChannelMemory {
     Cycle arrived;
     std::uint32_t bank;
   };
+  struct Ring {
+    std::uint32_t head = 0;  ///< slot index of the FIFO head
+    std::uint32_t size = 0;  ///< flits held
+  };
+
+  /// Index in slots_ of the `k`-th flit of `vc`'s FIFO (k = 0: the head).
+  [[nodiscard]] std::size_t slot_index(std::uint32_t vc,
+                                       std::uint32_t k) const;
 
   std::uint32_t capacity_;
-  std::vector<std::deque<Slot>> queues_;
+  std::vector<Slot> slots_;  ///< VC v owns [v * capacity_, (v+1) * capacity_)
+  std::vector<Ring> rings_;
   std::vector<std::uint64_t> pushes_per_vc_;  ///< drives bank interleave
   std::vector<std::uint32_t> bank_used_;
   std::vector<std::uint32_t> occupied_;

@@ -75,6 +75,11 @@ void SimConfig::validate() const {
   if (std::uint64_t{round_multiple} * vcs_per_link >
       std::numeric_limits<std::uint32_t>::max())
     fail("round_multiple x vcs overflows the 32-bit round length");
+  if (std::uint64_t{vcs_per_link} * buffer_flits_per_vc >
+      kMaxRouterBufferSlots / ports)
+    fail("ports x vcs x buffer_flits exceeds the 16777216 VC buffer slots "
+         "of one router (under flow=shared buffer_flits is the pool's "
+         "per-port allowance)");
   if (warmup_cycles > std::numeric_limits<Cycle>::max() - measure_cycles)
     fail("warmup + measure overflows the cycle counter");
 }

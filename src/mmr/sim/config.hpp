@@ -27,6 +27,11 @@ enum class PriorityScheme : std::uint8_t {
 /// key and SweepSpec::validate reject counts outside [2, kMaxPorts].
 inline constexpr std::uint32_t kMaxPorts = 1024;
 
+/// Largest ports x vcs x buffer_flits one router may hold: every VC buffer is
+/// a fixed ring allocated up front, so SimConfig::validate rejects
+/// geometries whose buffers alone would not fit in memory.
+inline constexpr std::uint64_t kMaxRouterBufferSlots = std::uint64_t{1} << 24;
+
 struct SimConfig {
   // --- geometry -----------------------------------------------------------
   std::uint32_t ports = 4;            ///< physical input = output links

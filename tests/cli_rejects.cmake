@@ -7,7 +7,8 @@ set(inputs
   "fault=down:99:10:5" "flow=shared,xoff:4,xon:4"
   "qd=cicq,xp:4294967297" "vcs=4294967297" "police=shape,penalty:4294967296"
   "qd=cicq,stab:7" "police=shape,burst:2,burst:3" "arbiter=bogus"
-  "fault=down:0:10:20" "flow=shared,pool:18446744073709551615" "bogus=1")
+  "fault=down:0:10:20" "flow=shared,pool:18446744073709551615" "bogus=1"
+  "buffer_flits=100000000" "flow=shared,pool:4000000000")
 set(failures "")
 foreach(input IN LISTS inputs)
   execute_process(COMMAND "${BIN}" measure=100 "${input}"

@@ -185,6 +185,18 @@ TEST(SimConfig, ValidateRejectsNonsense) {
   config = SimConfig{};
   config.measure_cycles = 0;
   EXPECT_INVALID(config.validate(), "measure");
+  // VC buffers are allocated up front: 2^24 slots per router at most.
+  config = SimConfig{};
+  config.ports = 4;
+  config.vcs_per_link = 1u << 20;
+  config.buffer_flits_per_vc = 4;
+  EXPECT_NO_THROW(config.validate());
+  config.buffer_flits_per_vc = 5;
+  EXPECT_INVALID(config.validate(), "VC buffer slots");
+  config.round_multiple = 1;
+  config.vcs_per_link = ~0u;  // the product must not wrap
+  config.buffer_flits_per_vc = ~0u;
+  EXPECT_INVALID(config.validate(), "VC buffer slots");
 }
 
 }  // namespace

@@ -514,5 +514,116 @@ TEST(SnapshotNetwork, ShardedResumeBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// --- snapshot layout pins ----------------------------------------------------
+//
+// The walk of the per-VC buffers (VCM rings, NIC queues) is the checkpoint
+// byte layout: per VC a count, then the flits in FIFO order.  These hashes
+// were recorded from the deque-backed buffers, so any change to what the
+// walk emits — or to the simulated behaviour — moves them.
+
+// The paper's 4x4 CBR mix of the engine golden (cbr4, COA), past many ring
+// wrap-arounds of the 2-flit VC buffers.
+SimConfig cbr4_config() {
+  SimConfig config;
+  config.ports = 4;
+  config.vcs_per_link = 128;
+  config.arbiter = "coa";
+  config.seed = 11;
+  config.warmup_cycles = 1'000;
+  config.measure_cycles = 8'000;
+  return config;
+}
+
+Workload cbr4_workload(const SimConfig& config) {
+  Rng rng(config.seed, 1);
+  CbrMixSpec mix;
+  mix.target_load = 0.70;
+  mix.destinations = DestinationPolicy::kBalanced;
+  return build_cbr_mix(config, mix, rng);
+}
+
+// A 3x3 torus whose rogue sources inject far above the link rate, so the
+// NICs hold a standing backlog behind exhausted credits.
+SimConfig rogue_torus_config() {
+  SimConfig config;
+  config.ports = 5;
+  config.vcs_per_link = 32;
+  config.warmup_cycles = 500;
+  config.measure_cycles = 2'500;
+  config.rogue_spec = "frac:0.25,scale:6";
+  return config;
+}
+
+Workload rogue_torus_workload(const SimConfig& config) {
+  const NetworkTopology torus = NetworkTopology::torus2d(3, 3, config.ports);
+  Rng rng(config.seed, 7);
+  CbrMixSpec mix;
+  mix.target_load = 0.35;
+  mix.classes = {kCbrHigh, kCbrMedium};
+  mix.class_weights = {3.0, 1.0};
+  return build_network_cbr_mix(config, torus, mix, rng);
+}
+
+TEST(SnapshotLayout, PinnedStateHashes) {
+  {
+    const SimConfig config = cbr4_config();
+    MmrSimulation sim(config, cbr4_workload(config));
+    while (sim.now() < 3'000) sim.step_one();
+    EXPECT_EQ(sim.state_hash(), 0x4067e7a6e395bb10ull);
+  }
+  {
+    const SimConfig config = rogue_torus_config();
+    MmrSimulation sim(config, rogue_torus_workload(config));
+    while (sim.now() < 2'000) sim.step_one();
+    EXPECT_EQ(sim.state_hash(), 0x24b4a1530fd0ddacull);
+  }
+}
+
+// Save where NIC queues hold a backlog and VC rings have wrapped, restore
+// into a freshly constructed simulation — whose rings lay every FIFO out
+// from slot 0 — and the two runs stay bit-identical to the end.
+TEST(SnapshotLayout, ResumeWithNicBacklogAndWrappedRings) {
+  const std::string path = ::testing::TempDir() + "/mmr_snap_layout.snap";
+  const SimConfig config = rogue_torus_config();
+  const auto ring_heads = [&config](const MmrSimulation& sim) {
+    std::uint64_t off_zero = 0;
+    for (std::uint32_t r = 0; r < sim.topology().routers(); ++r) {
+      for (std::uint32_t input = 0; input < config.ports; ++input) {
+        const VirtualChannelMemory& vcm = sim.router(r).vcm(input);
+        for (std::uint32_t vc = 0; vc < vcm.vcs(); ++vc)
+          if (vcm.head_slot(vc) != 0) ++off_zero;
+      }
+    }
+    return off_zero;
+  };
+
+  MmrSimulation a(config, rogue_torus_workload(config));
+  while (a.now() < 2'000) a.step_one();
+  std::uint64_t in_routers = 0;
+  for (std::uint32_t r = 0; r < a.topology().routers(); ++r)
+    in_routers += a.router(r).flits_buffered();
+  // The rest of the backlog is on links (a flit or two per link) and in
+  // the NICs; the rogue overload keeps hundreds of flits in the NICs.
+  EXPECT_GT(a.backlog(), in_routers + 500);
+  EXPECT_GT(ring_heads(a), 0u);
+  a.save_checkpoint(path);
+
+  MmrSimulation b(config, rogue_torus_workload(config));
+  b.restore_checkpoint(path);
+  EXPECT_EQ(ring_heads(b), 0u);
+  EXPECT_EQ(b.now(), a.now());
+  EXPECT_EQ(b.state_hash(), a.state_hash());
+  for (int i = 0; i < 300; ++i) {
+    a.step_one();
+    b.step_one();
+    ASSERT_EQ(b.state_hash(), a.state_hash()) << "diverged at cycle " << i;
+  }
+  const SimulationMetrics a_metrics = a.run();
+  const SimulationMetrics b_metrics = b.run();
+  expect_same_metrics(a_metrics, b_metrics, "rogue torus resume");
+  EXPECT_EQ(b.state_hash(), a.state_hash());
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace mmr

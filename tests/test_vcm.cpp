@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <string>
+#include <vector>
+
+#include "mmr/sim/rng.hpp"
+#include "oracle_args.hpp"
 
 namespace mmr {
 namespace {
@@ -149,5 +155,104 @@ TEST(Vcm, PopReturnsTheStoredFlit) {
   EXPECT_EQ(popped.generated_at, 1234u);
 }
 
+// --- ring oracle -------------------------------------------------------------
+//
+// A std::deque per VC is the reference FIFO.  Random pushes and pops (a VC
+// is pushed only when it has room and popped only when it holds a flit)
+// wrap every ring's head many times over; after every
+// step the memory must agree with the reference on head, head arrival,
+// occupancy, bank occupancy and the occupied-VC set, and every pop must
+// return the reference's flit.
+void run_vcm_oracle(std::uint32_t capacity) {
+  SCOPED_TRACE("capacity=" + std::to_string(capacity));
+  constexpr std::uint32_t kVcs = 6;
+  constexpr std::uint32_t kBanks = 4;
+  struct Ref {
+    Flit flit;
+    Cycle arrived;
+    std::uint32_t bank;
+  };
+  VirtualChannelMemory vcm(kVcs, capacity, kBanks);
+  std::vector<std::deque<Ref>> ref(kVcs);
+  std::vector<std::uint64_t> pushes(kVcs, 0);
+  std::vector<std::uint32_t> banks(kBanks, 0);
+  std::vector<bool> wrapped(kVcs, false);
+  Rng rng(oracle::args().seed, capacity);
+  std::uint64_t seq = 0;
+
+  for (Cycle now = 0; now < oracle::args().iterations; ++now) {
+    const auto vc = static_cast<std::uint32_t>(rng.uniform(kVcs));
+    // Lean towards pushing on odd VCs and popping on even ones, so some
+    // rings sit full and others near empty.
+    const bool push = rng.chance(vc % 2 == 1 ? 0.65 : 0.4);
+    if (push && ref[vc].size() < capacity) {
+      ASSERT_TRUE(vcm.can_accept(vc));
+      const Flit flit = make_flit(vc, seq++);
+      const auto bank =
+          static_cast<std::uint32_t>((vc + pushes[vc]++) % kBanks);
+      vcm.push(vc, flit, now);
+      ref[vc].push_back({flit, now, bank});
+      ++banks[bank];
+    } else if (!push && !ref[vc].empty()) {
+      const Flit popped = vcm.pop(vc);
+      ASSERT_EQ(popped.seq, ref[vc].front().flit.seq) << "cycle " << now;
+      ASSERT_EQ(popped.connection, ref[vc].front().flit.connection);
+      --banks[ref[vc].front().bank];
+      ref[vc].pop_front();
+    } else {
+      ASSERT_EQ(vcm.can_accept(vc), ref[vc].size() < capacity);
+    }
+
+    std::vector<std::uint32_t> occupied;
+    std::uint64_t total = 0;
+    for (std::uint32_t v = 0; v < kVcs; ++v) {
+      ASSERT_EQ(vcm.occupancy(v), ref[v].size()) << "cycle " << now;
+      ASSERT_EQ(vcm.empty(v), ref[v].empty());
+      total += ref[v].size();
+      if (vcm.head_slot(v) != 0) wrapped[v] = true;
+      if (ref[v].empty()) continue;
+      occupied.push_back(v);
+      ASSERT_EQ(vcm.head(v).seq, ref[v].front().flit.seq) << "cycle " << now;
+      ASSERT_EQ(vcm.head_arrival(v), ref[v].front().arrived);
+    }
+    auto listed = vcm.occupied_vcs();
+    std::sort(listed.begin(), listed.end());
+    ASSERT_EQ(listed, occupied) << "cycle " << now;
+    ASSERT_EQ(vcm.bank_occupancy(), banks) << "cycle " << now;
+    ASSERT_EQ(vcm.total_flits(), total);
+    vcm.check_invariants();
+  }
+  // Capacity 1 has only slot 0; every larger ring's head moved off slot 0.
+  if (capacity > 1 && oracle::args().iterations >= 1'000) {
+    for (std::uint32_t v = 0; v < kVcs; ++v)
+      EXPECT_TRUE(wrapped[v]) << "vc " << v << " head never left slot 0";
+  }
+}
+
+TEST(VcmOracle, RingMatchesDequeReference) {
+  for (const std::uint32_t capacity : {1u, 2u, 3u, 7u}) {
+    run_vcm_oracle(capacity);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Vcm, HeadWrapsAroundTheRing) {
+  VirtualChannelMemory vcm(2, 3);
+  for (std::uint64_t i = 0; i < 3; ++i) vcm.push(1, make_flit(1, i), i);
+  EXPECT_FALSE(vcm.can_accept(1));
+  EXPECT_EQ(vcm.pop(1).seq, 0u);
+  EXPECT_EQ(vcm.pop(1).seq, 1u);
+  vcm.push(1, make_flit(1, 3), 3);  // lands in slot 0, behind the head
+  vcm.push(1, make_flit(1, 4), 4);
+  EXPECT_EQ(vcm.head_slot(1), 2u);
+  EXPECT_FALSE(vcm.can_accept(1));
+  for (std::uint64_t i = 2; i < 5; ++i) EXPECT_EQ(vcm.pop(1).seq, i);
+  EXPECT_EQ(vcm.head_slot(1), 2u);  // (2 + 3) mod 3
+  EXPECT_TRUE(vcm.empty(1));
+  vcm.check_invariants();
+}
+
 }  // namespace
 }  // namespace mmr
+
+int main(int argc, char** argv) { return mmr::oracle::main(argc, argv); }
