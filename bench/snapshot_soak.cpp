@@ -1,11 +1,14 @@
 // Checkpoint/restore soak: arbiters x {credit, shared} x seeds, CBR and VBR
-// traffic alternating by seed.  Every run records its StateHash sequence and
-// checkpoints mid-run; the run is then resumed from that checkpoint and must
-// finish bit-identical to the uninterrupted original — same final metrics,
-// same final StateHash, and a hash sequence equal to the original's
-// post-checkpoint suffix.  Any divergence prints the first divergent cycle
-// (the StateHash sequence is the oracle) and fails the soak.  Registered
-// with ctest under the `tier2` label at seeds=6 (scripts/check.sh runs it).
+// traffic alternating by seed, plus a faulted-torus leg per seed that cycles
+// qd=vc|voq|cicq under link-down windows and checkpoints on the cycle of the
+// first reroute (re-admitted connections then sit on rebound VCs).  Every
+// run records its StateHash sequence and checkpoints mid-run; the run is
+// then resumed from that checkpoint and must finish bit-identical to the
+// uninterrupted original — same final metrics, same final StateHash, and a
+// hash sequence equal to the original's post-checkpoint suffix.  Any
+// divergence prints the first divergent cycle (the StateHash sequence is
+// the oracle) and fails the soak.  Registered with ctest under the `tier2`
+// label at seeds=6 (scripts/check.sh runs it).
 
 #include <cstdint>
 #include <cstdio>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "mmr/core/simulation.hpp"
+#include "mmr/network/network.hpp"
 #include "mmr/snapshot/manager.hpp"
 #include "mmr/snapshot/signals.hpp"
 
@@ -36,6 +40,18 @@ mmr::Workload soak_workload(const mmr::SimConfig& config, bool vbr) {
   return build_cbr_mix(config, mix, rng);
 }
 
+/// 4x4 torus of 5-port routers at CBR 0.35 (the faulted-torus leg).
+mmr::Workload torus_workload(const mmr::SimConfig& config) {
+  using namespace mmr;
+  const NetworkTopology torus = NetworkTopology::torus2d(4, 4, config.ports);
+  Rng rng(config.seed, 5);
+  CbrMixSpec mix;
+  mix.target_load = 0.35;
+  mix.classes = {kCbrHigh, kCbrMedium};
+  mix.class_weights = {3.0, 1.0};
+  return build_network_cbr_mix(config, torus, mix, rng);
+}
+
 using HashSeq = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 /// First cycle at which two (cycle, hash) sequences disagree, 0 when none.
@@ -48,6 +64,37 @@ std::uint64_t first_divergence(const HashSeq& a, const HashSeq& b) {
     return (a.size() < b.size() ? b : a)[n].first;
   }
   return 0;
+}
+
+/// Every way a resumed run can differ from its uninterrupted reference,
+/// one line per difference (empty = bit-identical).
+std::vector<std::string> resume_differences(
+    const mmr::SimulationMetrics& ref_metrics, std::uint64_t ref_hash,
+    const HashSeq& ref_seq, std::uint64_t checkpoint_at,
+    mmr::MmrSimulation& resumed, const mmr::SimulationMetrics& re_metrics) {
+  std::vector<std::string> why;
+  HashSeq suffix;
+  for (const auto& entry : ref_seq) {
+    if (entry.first > checkpoint_at) suffix.push_back(entry);
+  }
+  const HashSeq& re_seq = resumed.snapshot_manager()->hash_sequence();
+  if (re_seq != suffix) {
+    why.push_back("StateHash sequence diverged at cycle " +
+                  std::to_string(first_divergence(suffix, re_seq)));
+  }
+  if (resumed.state_hash() != ref_hash) {
+    why.push_back("final StateHash differs");
+  }
+  if (re_metrics.flits_delivered != ref_metrics.flits_delivered ||
+      re_metrics.flits_generated != ref_metrics.flits_generated ||
+      re_metrics.frames_completed != ref_metrics.frames_completed ||
+      re_metrics.degradation.reroutes != ref_metrics.degradation.reroutes) {
+    why.push_back("final flit/frame/reroute counters differ after resume");
+  }
+  if (re_metrics.flit_delay_us.mean() != ref_metrics.flit_delay_us.mean()) {
+    why.push_back("final delay statistics differ after resume");
+  }
+  return why;
 }
 
 }  // namespace
@@ -87,7 +134,8 @@ int main(int argc, char** argv) {
 
   std::cout << "==== Snapshot soak: " << arbiters.size()
             << " arbiters x {credit, shared} x " << seeds
-            << " seeds (CBR/VBR alternating) ====\n"
+            << " seeds (CBR/VBR alternating), plus a faulted torus x"
+               " qd={vc,voq,cicq} per seed ====\n"
             << "checkpoint at cycle " << kCheckpointAt << " of "
             << (kWarmup + kMeasure) << "; resume must be bit-identical\n\n";
 
@@ -146,26 +194,10 @@ int main(int argc, char** argv) {
         const SimulationMetrics re_metrics = resumed.run();
         ++runs;
 
-        HashSeq suffix;
-        for (const auto& entry : ref_seq) {
-          if (entry.first > kCheckpointAt) suffix.push_back(entry);
-        }
-        const HashSeq& re_seq = resumed.snapshot_manager()->hash_sequence();
-        if (re_seq != suffix) {
-          fail(tag, "StateHash sequence diverged at cycle " +
-                        std::to_string(first_divergence(suffix, re_seq)));
-        }
-        if (resumed.state_hash() != ref_hash) {
-          fail(tag, "final StateHash differs");
-        }
-        if (re_metrics.flits_delivered != ref_metrics.flits_delivered ||
-            re_metrics.flits_generated != ref_metrics.flits_generated ||
-            re_metrics.frames_completed != ref_metrics.frames_completed) {
-          fail(tag, "final flit/frame counters differ after resume");
-        }
-        if (re_metrics.flit_delay_us.mean() !=
-            ref_metrics.flit_delay_us.mean()) {
-          fail(tag, "final delay statistics differ after resume");
+        for (const std::string& why :
+             resume_differences(ref_metrics, ref_hash, ref_seq, kCheckpointAt,
+                                resumed, re_metrics)) {
+          fail(tag, why);
         }
 
         for (const std::string& path : checkpoints) {
@@ -181,6 +213,57 @@ int main(int argc, char** argv) {
           std::remove(path.c_str());
         }
       }
+    }
+
+    for (const char* qd : {"vc", "voq", "cicq"}) {
+      const std::string tag =
+          std::string("torus/qd=") + qd + "/seed" + std::to_string(seed);
+      const std::string prefix =
+          std::string("SNAPSOAK_torus_") + qd + "_" + std::to_string(seed);
+
+      SimConfig config;
+      config.ports = 5;
+      config.vcs_per_link = 32;
+      config.warmup_cycles = 300;
+      config.measure_cycles = 1'700;
+      config.seed = seed;
+      config.qd_spec = qd;
+      config.fault_spec =
+          "down:0:400:900,down:9:300:1200,resync_period:128,"
+          "resync_timeout:256";
+      config.snap_spec = "hash_every:250,prefix:" + prefix;
+
+      // Step to the first reroute, checkpoint there, then finish the run.
+      MmrSimulation reference(config, torus_workload(config));
+      while (reference.now() < config.total_cycles() &&
+             reference.finalize().degradation.reroutes == 0) {
+        reference.step_one();
+      }
+      ++runs;
+      if (reference.now() == config.total_cycles()) {
+        fail(tag, "the down windows caused no reroute");
+        continue;
+      }
+      const std::uint64_t checkpoint_at = reference.now();
+      const std::string checkpoint = prefix + "_ck.snap";
+      reference.save_checkpoint(checkpoint);
+      const SimulationMetrics ref_metrics = reference.run();
+
+      SimConfig resume_config = config;
+      resume_config.snap_spec = "hash_every:250,prefix:" + prefix +
+                                "_re,resume:" + checkpoint;
+      MmrSimulation resumed(resume_config, torus_workload(config));
+      const SimulationMetrics re_metrics = resumed.run();
+      ++runs;
+      for (const std::string& why : resume_differences(
+               ref_metrics, reference.state_hash(),
+               reference.snapshot_manager()->hash_sequence(), checkpoint_at,
+               resumed, re_metrics)) {
+        fail(tag + " (checkpoint at cycle " + std::to_string(checkpoint_at) +
+                 ")",
+             why);
+      }
+      std::remove(checkpoint.c_str());
     }
   }
 

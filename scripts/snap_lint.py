@@ -5,7 +5,7 @@ Validates the binary container layout written by src/mmr/snapshot/format.cpp
 (all integers little-endian):
 
   magic            "mmr-snap-v1\\n"        12 bytes
-  u32 version      2
+  u32 version      3
   u64 config_digest
   u64 cycle
   u32 section_count
@@ -34,7 +34,7 @@ import sys
 import zlib
 
 MAGIC = b"mmr-snap-v1\n"
-VERSION = 2
+VERSION = 3
 MAX_NAME_LEN = 4096  # sanity bound; real section names are short identifiers
 
 

@@ -40,7 +40,7 @@ void CicqFabric::tick(Cycle now) {
 
 void CicqFabric::drain_outputs(Cycle now, std::vector<Drained>& out,
                                std::vector<std::int32_t>& input_of_output,
-                               const Eligibility* eligible) {
+                               const EligibilityFn* eligible) {
   input_of_output.assign(ports_, -1);
   const auto vcs = static_cast<std::uint32_t>(xp_vc_count_.size() / ports_);
   for (std::uint32_t output = 0; output < ports_; ++output) {

@@ -19,10 +19,10 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "mmr/router/credits.hpp"
+#include "mmr/router/link_scheduler.hpp"
 #include "mmr/router/qd_spec.hpp"
 #include "mmr/router/voq.hpp"
 #include "mmr/sim/time.hpp"
@@ -46,9 +46,6 @@ class CicqFabric {
     Flit flit;
   };
 
-  using Eligibility =
-      std::function<bool(std::uint32_t input, std::uint32_t vc)>;
-
   /// Applies matured credit returns.  Call once at the top of the cycle.
   void tick(Cycle now);
 
@@ -62,7 +59,7 @@ class CicqFabric {
   /// credit is only spent when it leaves.
   void drain_outputs(Cycle now, std::vector<Drained>& out,
                      std::vector<std::int32_t>& input_of_output,
-                     const Eligibility* eligible);
+                     const EligibilityFn* eligible);
 
   /// Input stage: per input, round-robin over outputs with a non-empty VOQ
   /// and an available crosspoint credit; transfers at most one head flit.

@@ -9,6 +9,65 @@
 
 namespace mmr {
 
+namespace {
+
+/// Top-L selection by (priority desc, older-first, vc asc): a small sorted
+/// insertion buffer beats sorting the whole occupied list for L << VCs.
+class TopL {
+ public:
+  struct Entry {
+    Priority priority;
+    Cycle arrived;
+    std::uint32_t vc;
+    std::uint32_t output;
+  };
+
+  explicit TopL(std::uint32_t levels) : levels_(levels) {
+    MMR_ASSERT_MSG(levels_ <= 64, "candidate levels beyond selection buffer");
+  }
+
+  void offer(const Entry& entry) {
+    if (filled_ == levels_ && !better(entry, best_[filled_ - 1])) return;
+    std::uint32_t pos = std::min(filled_, levels_ - 1);
+    if (filled_ < levels_) ++filled_;
+    while (pos > 0 && better(entry, best_[pos - 1])) {
+      best_[pos] = best_[pos - 1];
+      --pos;
+    }
+    best_[pos] = entry;
+  }
+
+  /// Appends the selection to `out`, level 0 first.
+  void emit(std::uint32_t input, Cycle now, CandidateSet& out) const {
+    for (std::uint32_t level = 0; level < filled_; ++level) {
+      Candidate candidate;
+      candidate.input = static_cast<std::uint16_t>(input);
+      candidate.output = static_cast<std::uint16_t>(best_[level].output);
+      candidate.level = static_cast<std::uint8_t>(level);
+      candidate.vc = best_[level].vc;
+      candidate.priority = best_[level].priority;
+      out.add(candidate);
+      MMR_TRACE_EVENT(trace::candidate_event(now, candidate.input,
+                                             candidate.output, candidate.vc,
+                                             candidate.level,
+                                             candidate.priority));
+    }
+  }
+
+ private:
+  static bool better(const Entry& a, const Entry& b) {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    if (a.arrived != b.arrived) return a.arrived < b.arrived;
+    return a.vc < b.vc;
+  }
+
+  Entry best_[64];
+  std::uint32_t levels_;
+  std::uint32_t filled_ = 0;
+};
+
+}  // namespace
+
 LinkScheduler::LinkScheduler(std::uint32_t input_port, std::uint32_t levels,
                              PriorityFunction priority,
                              std::uint32_t phits_per_flit,
@@ -25,6 +84,11 @@ LinkScheduler::LinkScheduler(std::uint32_t input_port, std::uint32_t levels,
   MMR_ASSERT(output_of_vc_.size() == qos_of_vc_.size());
 }
 
+std::uint32_t LinkScheduler::output_of(std::uint32_t vc) const {
+  MMR_ASSERT(vc < output_of_vc_.size());
+  return output_of_vc_[vc];
+}
+
 void LinkScheduler::set_vc(std::uint32_t vc, std::uint32_t output,
                            QosParams qos) {
   MMR_ASSERT(vc < output_of_vc_.size());
@@ -32,67 +96,45 @@ void LinkScheduler::set_vc(std::uint32_t vc, std::uint32_t output,
   qos_of_vc_[vc] = qos;
 }
 
-Priority LinkScheduler::head_priority(const VirtualChannelMemory& vcm,
-                                      std::uint32_t vc, Cycle now) const {
+Priority LinkScheduler::priority_of(std::uint32_t vc, bool demoted,
+                                    Cycle arrived, Cycle now) const {
   MMR_ASSERT(vc < qos_of_vc_.size());
-  const Cycle arrived = vcm.head_arrival(vc);
   MMR_ASSERT(arrived <= now);
   const std::uint64_t age_router_cycles = (now - arrived) * phits_per_flit_;
   // Policed-excess flits compete with a minimal best-effort claim instead
   // of their connection's reserved one (demote policy).
-  const QosParams& qos =
-      vcm.head(vc).demoted ? demoted_qos_ : qos_of_vc_[vc];
-  return priority_(qos, age_router_cycles);
+  return priority_(demoted ? demoted_qos_ : qos_of_vc_[vc], age_router_cycles);
+}
+
+Priority LinkScheduler::head_priority(const VirtualChannelMemory& vcm,
+                                      std::uint32_t vc, Cycle now) const {
+  return priority_of(vc, vcm.head(vc).demoted, vcm.head_arrival(vc), now);
 }
 
 void LinkScheduler::select(const VirtualChannelMemory& vcm, Cycle now,
                            CandidateSet& out,
-                           const Eligibility* eligible) const {
-  struct Entry {
-    Priority priority;
-    Cycle arrived;
-    std::uint32_t vc;
-  };
-  // Top-L selection by (priority desc, older-first, vc asc): a small sorted
-  // insertion buffer beats sorting the whole occupied list for L << VCs.
-  Entry best[64];
-  MMR_ASSERT_MSG(levels_ <= 64, "candidate levels beyond selection buffer");
-  std::uint32_t filled = 0;
-
-  auto better = [](const Entry& a, const Entry& b) {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    if (a.arrived != b.arrived) return a.arrived < b.arrived;
-    return a.vc < b.vc;
-  };
-
+                           const EligibilityFn* eligible) const {
+  TopL top(levels_);
   for (std::uint32_t vc : vcm.occupied_vcs()) {
     MMR_ASSERT(vc < output_of_vc_.size());
-    if (eligible != nullptr && !(*eligible)(vc)) continue;
-    Entry entry{head_priority(vcm, vc, now), vcm.head_arrival(vc), vc};
-    if (filled == levels_ && !better(entry, best[filled - 1])) continue;
-    // Insertion sort into the buffer.
-    std::uint32_t pos = std::min(filled, levels_ - 1);
-    if (filled < levels_) ++filled;
-    while (pos > 0 && better(entry, best[pos - 1])) {
-      best[pos] = best[pos - 1];
-      --pos;
-    }
-    best[pos] = entry;
+    if (eligible != nullptr && !(*eligible)(input_port_, vc)) continue;
+    const Cycle arrived = vcm.head_arrival(vc);
+    top.offer({priority_of(vc, vcm.head(vc).demoted, arrived, now), arrived,
+               vc, output_of_vc_[vc]});
   }
+  top.emit(input_port_, now, out);
+}
 
-  for (std::uint32_t level = 0; level < filled; ++level) {
-    Candidate candidate;
-    candidate.input = static_cast<std::uint16_t>(input_port_);
-    candidate.output = static_cast<std::uint16_t>(output_of_vc_[best[level].vc]);
-    candidate.level = static_cast<std::uint8_t>(level);
-    candidate.vc = best[level].vc;
-    candidate.priority = best[level].priority;
-    out.add(candidate);
-    MMR_TRACE_EVENT(trace::candidate_event(now, candidate.input,
-                                           candidate.output, candidate.vc,
-                                           candidate.level,
-                                           candidate.priority));
+void LinkScheduler::select(const VoqMemory& voq, Cycle now, CandidateSet& out,
+                           const EligibilityFn* eligible) const {
+  TopL top(levels_);
+  for (std::uint32_t output : voq.occupied_outputs()) {
+    const VoqMemory::Slot& slot = voq.head(output);
+    if (eligible != nullptr && !(*eligible)(input_port_, slot.vc)) continue;
+    top.offer({priority_of(slot.vc, slot.flit.demoted, slot.arrived, now),
+               slot.arrived, slot.vc, output});
   }
+  top.emit(input_port_, now, out);
 }
 
 void LinkScheduler::snap(snapshot::Walker& w) {

@@ -1,8 +1,14 @@
 // Link scheduling / candidate selection (Sections 3.1 and 4): per input
-// port, pick the L virtual channels whose head flits carry the highest
-// biased priorities.  Level 0 is the top-priority candidate.  Queue ages are
-// measured in router (phit) cycles since the head flit entered the VCM, as
-// SIABP's hardware counters do.
+// port, pick the L queue heads carrying the highest biased priorities.
+// Level 0 is the top-priority candidate.  Queue ages are measured in router
+// (phit) cycles since the head flit entered the input buffer, as SIABP's
+// hardware counters do.
+//
+// One scheduler per input serves every queue discipline (`qd=`): it selects
+// over per-VC heads (a VirtualChannelMemory) or over virtual-output-queue
+// heads (a VoqMemory) with the same policy, and it owns each VC's bindings
+// — output port, QoS constants, demoted QoS — which every discipline
+// checkpoints through snap().
 #pragma once
 
 #include <functional>
@@ -11,8 +17,15 @@
 #include "mmr/arbiter/candidate.hpp"
 #include "mmr/qos/priority.hpp"
 #include "mmr/router/vcm.hpp"
+#include "mmr/router/voq.hpp"
 
 namespace mmr {
+
+/// Gate deciding whether the head of (input, vc) may compete this cycle
+/// (multi-router networks gate on downstream buffer credit; a null pointer
+/// makes every head eligible).
+using EligibilityFn =
+    std::function<bool(std::uint32_t input, std::uint32_t vc)>;
 
 class LinkScheduler {
  public:
@@ -23,17 +36,21 @@ class LinkScheduler {
                 std::vector<std::uint32_t> output_of_vc,
                 std::vector<QosParams> qos_of_vc);
 
-  /// Filter deciding whether a VC may compete this cycle (multi-router
-  /// networks gate on downstream buffer credit; nullptr = all eligible).
-  using Eligibility = std::function<bool(std::uint32_t vc)>;
-
-  /// Appends this port's candidates (up to `levels`) to `out`.
+  /// Appends this port's candidates (up to `levels`) to `out`: the per-VC
+  /// heads, each aimed at its VC's output.
   void select(const VirtualChannelMemory& vcm, Cycle now, CandidateSet& out,
-              const Eligibility* eligible = nullptr) const;
+              const EligibilityFn* eligible = nullptr) const;
+  /// Same policy over VOQ heads: a candidate's output is its VOQ, its VC —
+  /// hence its QoS constants and tie-break — the head flit's.
+  void select(const VoqMemory& voq, Cycle now, CandidateSet& out,
+              const EligibilityFn* eligible = nullptr) const;
 
   /// The biased priority the head flit of `vc` has at `now` (test hook).
   [[nodiscard]] Priority head_priority(const VirtualChannelMemory& vcm,
                                        std::uint32_t vc, Cycle now) const;
+
+  /// The output port `vc` is bound to.
+  [[nodiscard]] std::uint32_t output_of(std::uint32_t vc) const;
 
   /// Rebinds `vc` to a new connection (fault recovery: a torn-down
   /// connection is re-admitted on a fresh VC of its rerouted path).
@@ -51,6 +68,9 @@ class LinkScheduler {
   void snap(snapshot::Walker& w);
 
  private:
+  [[nodiscard]] Priority priority_of(std::uint32_t vc, bool demoted,
+                                     Cycle arrived, Cycle now) const;
+
   std::uint32_t input_port_;
   std::uint32_t levels_;
   PriorityFunction priority_;

@@ -32,63 +32,36 @@ MmrRouter::MmrRouter(const SimConfig& config, const ConnectionTable& table,
   demoted.iat_router_cycles =
       rounds.iat_router_cycles(rounds.bandwidth_for_slots(1));
 
-  if (qd_.discipline == QueueDiscipline::kVc) {
-    vcms_.reserve(ports_);
-    link_schedulers_.reserve(ports_);
-    for (std::uint32_t port = 0; port < ports_; ++port) {
-      vcms_.emplace_back(config.vcs_per_link, config.buffer_flits_per_vc);
-
-      std::vector<std::uint32_t> output_of_vc(config.vcs_per_link, 0);
-      std::vector<QosParams> qos_of_vc(config.vcs_per_link);
-      for (ConnectionId id : table.on_input_link(port)) {
-        const ConnectionDescriptor& c = table.get(id);
-        output_of_vc[c.vc] = c.output_link;
-        QosParams qos;
-        // Best-effort connections reserve nothing; they bias from the minimum
-        // initial priority, so QoS traffic dominates them until they age.
-        qos.slots_per_round = std::max<std::uint32_t>(1, c.slots_per_round);
-        qos.iat_router_cycles =
-            rounds.iat_router_cycles(std::max(c.mean_bandwidth_bps, 1.0));
-        qos_of_vc[c.vc] = qos;
-      }
-      link_schedulers_.emplace_back(port, config.candidate_levels,
-                                    PriorityFunction(config.priority_scheme),
-                                    time_base.phits_per_flit(),
-                                    std::move(output_of_vc),
-                                    std::move(qos_of_vc));
-      link_schedulers_.back().set_demoted_qos(demoted);
-    }
-    return;
-  }
-
-  // VOQ-based disciplines: one VOQ bank per input; the VC -> output routing
-  // that the link schedulers carry under kVc lives in voq_output_of_vc_.
-  voqs_.reserve(ports_);
-  voq_output_of_vc_.reserve(ports_);
-  if (qd_.discipline == QueueDiscipline::kVoq)
-    voq_schedulers_.reserve(ports_);
+  // One binding loop for every discipline: each input's link scheduler
+  // carries the VC -> output routing and the QoS constants.
+  const bool per_vc = qd_.discipline == QueueDiscipline::kVc;
+  schedulers_.reserve(ports_);
   for (std::uint32_t port = 0; port < ports_; ++port) {
-    voqs_.emplace_back(ports_, config.vcs_per_link,
-                       config.buffer_flits_per_vc);
+    if (per_vc) {
+      vcms_.emplace_back(config.vcs_per_link, config.buffer_flits_per_vc);
+    } else {
+      voqs_.emplace_back(ports_, config.vcs_per_link,
+                         config.buffer_flits_per_vc);
+    }
+
     std::vector<std::uint32_t> output_of_vc(config.vcs_per_link, 0);
     std::vector<QosParams> qos_of_vc(config.vcs_per_link);
     for (ConnectionId id : table.on_input_link(port)) {
       const ConnectionDescriptor& c = table.get(id);
       output_of_vc[c.vc] = c.output_link;
       QosParams qos;
+      // Best-effort connections reserve nothing; they bias from the minimum
+      // initial priority, so QoS traffic dominates them until they age.
       qos.slots_per_round = std::max<std::uint32_t>(1, c.slots_per_round);
       qos.iat_router_cycles =
           rounds.iat_router_cycles(std::max(c.mean_bandwidth_bps, 1.0));
       qos_of_vc[c.vc] = qos;
     }
-    voq_output_of_vc_.push_back(std::move(output_of_vc));
-    if (qd_.discipline == QueueDiscipline::kVoq) {
-      voq_schedulers_.emplace_back(port, config.candidate_levels,
-                                   PriorityFunction(config.priority_scheme),
-                                   time_base.phits_per_flit(),
-                                   std::move(qos_of_vc));
-      voq_schedulers_.back().set_demoted_qos(demoted);
-    }
+    schedulers_.emplace_back(port, config.candidate_levels,
+                             PriorityFunction(config.priority_scheme),
+                             time_base.phits_per_flit(),
+                             std::move(output_of_vc), std::move(qos_of_vc));
+    schedulers_.back().set_demoted_qos(demoted);
   }
   if (qd_.discipline == QueueDiscipline::kCicq) {
     cicq_ = std::make_unique<CicqFabric>(ports_, config.vcs_per_link, qd_,
@@ -109,7 +82,7 @@ void MmrRouter::accept(std::uint32_t input, std::uint32_t vc, const Flit& flit,
   if (qd_.discipline == QueueDiscipline::kVc) {
     vcms_[input].push(vc, flit, now);
   } else {
-    voqs_[input].push(voq_output_of_vc_[input][vc], vc, flit, now);
+    voqs_[input].push(schedulers_[input].output_of(vc), vc, flit, now);
   }
   ++accepted_;
   MMR_TRACE_EVENT(
@@ -118,33 +91,25 @@ void MmrRouter::accept(std::uint32_t input, std::uint32_t vc, const Flit& flit,
 
 void MmrRouter::step(Cycle now, bool measure,
                      std::vector<Departure>& departures) {
-  switch (qd_.discipline) {
-    case QueueDiscipline::kVc:
-      step_vc(now, measure, departures);
-      return;
-    case QueueDiscipline::kVoq:
-      step_voq(now, measure, departures);
-      return;
-    case QueueDiscipline::kCicq:
-      step_cicq(now, measure, departures);
-      return;
+  if (qd_.discipline == QueueDiscipline::kCicq) {
+    step_cicq(now, measure, departures);
+    return;
   }
-}
+  // kVc draws candidates from per-VC heads, kVoq from VOQ heads; either way
+  // a candidate names its VC and output, and a grant dequeues exactly the
+  // head it described.
+  const bool per_vc = qd_.discipline == QueueDiscipline::kVc;
 
-void MmrRouter::step_vc(Cycle now, bool measure,
-                        std::vector<Departure>& departures) {
   // Link scheduling: every input port offers its top-L candidates.
   {
     MMR_PERF_SCOPE(perf::Phase::kLinkSchedule);
     candidates_.clear();
+    const EligibilityFn* eligible = eligibility_ ? &eligibility_ : nullptr;
     for (std::uint32_t port = 0; port < ports_; ++port) {
-      if (eligibility_) {
-        const LinkScheduler::Eligibility eligible =
-            [this, port](std::uint32_t vc) { return eligibility_(port, vc); };
-        link_schedulers_[port].select(vcms_[port], now, candidates_,
-                                      &eligible);
+      if (per_vc) {
+        schedulers_[port].select(vcms_[port], now, candidates_, eligible);
       } else {
-        link_schedulers_[port].select(vcms_[port], now, candidates_);
+        schedulers_[port].select(voqs_[port], now, candidates_, eligible);
       }
     }
   }
@@ -182,75 +147,16 @@ void MmrRouter::step_vc(Cycle now, bool measure,
     departure.input = input;
     departure.output = granted.output;
     departure.vc = granted.vc;
-    departure.flit = vcms_[input].pop(granted.vc);
-    MMR_ASSERT_MSG(departure.flit.connection != kInvalidConnection,
-                   "granted VC held no real flit");
-    MMR_TRACE_EVENT(trace::xbar_event(now, input, departure.output,
-                                      departure.vc, departure.flit.connection,
-                                      departure.flit.seq));
-    if (departures.size() == departures.capacity())
-      MMR_PERF_COUNT(perf::Counter::kDepartureRealloc, 1);
-    departures.push_back(departure);
-    ++departed_;
-  }
-}
-
-void MmrRouter::step_voq(Cycle now, bool measure,
-                         std::vector<Departure>& departures) {
-  // Same pipeline as step_vc, with candidates drawn from VOQ heads.  The
-  // arbiter contract is unchanged: a candidate's output is its VOQ index and
-  // a grant dequeues exactly that VOQ's head, whose VC the candidate named.
-  {
-    MMR_PERF_SCOPE(perf::Phase::kLinkSchedule);
-    candidates_.clear();
-    for (std::uint32_t port = 0; port < ports_; ++port) {
-      if (eligibility_) {
-        const VoqScheduler::Eligibility eligible =
-            [this, port](std::uint32_t vc) { return eligibility_(port, vc); };
-        voq_schedulers_[port].select(voqs_[port], now, candidates_, &eligible);
-      } else {
-        voq_schedulers_[port].select(voqs_[port], now, candidates_);
-      }
+    if (per_vc) {
+      departure.flit = vcms_[input].pop(granted.vc);
+    } else {
+      const VoqMemory::Slot slot = voqs_[input].pop(granted.output);
+      MMR_ASSERT_MSG(slot.vc == granted.vc,
+                     "granted VOQ head changed between select and grant");
+      departure.flit = slot.flit;
     }
-  }
-
-  {
-    MMR_PERF_SCOPE(perf::Phase::kArbitration);
-    arbiter_->arbitrate_into(candidates_, matching_);
-    const MatchingCheck check = check_matching(candidates_, matching_);
-    MMR_ASSERT_MSG(check.valid, check.problem.c_str());
-  }
-
-  if (MMR_TRACE_ON()) {
-    for (std::size_t index = 0; index < candidates_.size(); ++index) {
-      const Candidate& c = candidates_.at(index);
-      const bool granted = matching_.candidate_of(c.input) ==
-                           static_cast<std::int32_t>(index);
-      MMR_TRACE_EVENT(trace::grant_event(now, c.input, c.output, c.vc,
-                                         c.level, c.priority, granted));
-    }
-  }
-
-  MMR_PERF_SCOPE(perf::Phase::kCrossbar);
-  crossbar_.apply(matching_, measure);
-  for (std::uint32_t input = 0; input < ports_; ++input) {
-    const std::int32_t cand_index = matching_.candidate_of(input);
-    if (cand_index == -1) continue;
-    const Candidate& granted =
-        candidates_.at(static_cast<std::size_t>(cand_index));
-    MMR_ASSERT(granted.input == input);
-    const VoqMemory::Slot slot = voqs_[input].pop(granted.output);
-    // Nothing touched the VOQ between select and the grant, so the head the
-    // candidate described is the head we dequeued.
-    MMR_ASSERT_MSG(slot.vc == granted.vc,
-                   "granted VOQ head changed between select and grant");
-    Departure departure;
-    departure.input = input;
-    departure.output = granted.output;
-    departure.vc = slot.vc;
-    departure.flit = slot.flit;
     MMR_ASSERT_MSG(departure.flit.connection != kInvalidConnection,
-                   "granted VOQ held no real flit");
+                   "granted head held no real flit");
     MMR_TRACE_EVENT(trace::xbar_event(now, input, departure.output,
                                       departure.vc, departure.flit.connection,
                                       departure.flit.seq));
@@ -306,13 +212,7 @@ void MmrRouter::install_vc(std::uint32_t input, std::uint32_t vc,
                            std::uint32_t output, QosParams qos) {
   MMR_ASSERT(input < ports_);
   MMR_ASSERT(output < ports_);
-  if (qd_.discipline == QueueDiscipline::kVc) {
-    link_schedulers_[input].set_vc(vc, output, qos);
-    return;
-  }
-  voq_output_of_vc_[input][vc] = output;
-  if (qd_.discipline == QueueDiscipline::kVoq)
-    voq_schedulers_[input].set_vc(vc, qos);
+  schedulers_[input].set_vc(vc, output, qos);
 }
 
 std::vector<Flit> MmrRouter::drain_vc(std::uint32_t input, std::uint32_t vc,
@@ -373,14 +273,13 @@ void MmrRouter::check_invariants() const {
 }
 
 void MmrRouter::snap(snapshot::Walker& w) {
-  // kVc keeps the original walk order byte-for-byte; the VOQ/CICQ sections
-  // replace the VCM/link-scheduler sections entirely (the qd= override is
-  // folded into config_digest, so a snapshot can never be resumed under a
-  // different discipline).
+  // Buffers, then the VC bindings every discipline routes by, then the
+  // crosspoints.  Only one of vcms_ / voqs_ is populated (the qd= override
+  // is folded into config_digest, so a snapshot can never be resumed under
+  // a different discipline).
   for (VirtualChannelMemory& vcm : vcms_) vcm.snap(w);
-  for (LinkScheduler& scheduler : link_schedulers_) scheduler.snap(w);
   for (VoqMemory& voq : voqs_) voq.snap(w);
-  for (VoqScheduler& scheduler : voq_schedulers_) scheduler.snap(w);
+  for (LinkScheduler& scheduler : schedulers_) scheduler.snap(w);
   if (cicq_ != nullptr) cicq_->snap(w);
   arbiter_->snap(w);
   crossbar_.snap(w);

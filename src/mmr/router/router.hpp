@@ -1,20 +1,22 @@
-// The Multimedia Router (Figure 1): per physical input link a Virtual
-// Channel Memory plus Link Scheduler, a multiplexed crossbar with as many
-// ports as physical channels, and a pluggable Switch Scheduler.  One call to
-// step() performs one scheduling cycle: candidate selection on every input
-// link, switch arbitration, and synchronous flit forwarding through the
-// crossbar.
+// The Multimedia Router (Figure 1): per physical input link an input buffer
+// plus Link Scheduler, a multiplexed crossbar with as many ports as physical
+// channels, and a pluggable Switch Scheduler.  One call to step() performs
+// one scheduling cycle: candidate selection on every input link, switch
+// arbitration, and synchronous flit forwarding through the crossbar.
 //
 // The queue-discipline axis (`qd=`, mmr/router/qd_spec.hpp) swaps the input
 // buffering and scheduling stage while keeping the same external contract
 // (accept / step / Departure / credit accounting):
-//   * kVc (default) — per-VC FIFOs + link scheduler + switch arbiter;
-//   * kVoq — per-input virtual output queues feeding the same arbiter;
+//   * kVc (default) — per-VC FIFOs (Virtual Channel Memory);
+//   * kVoq — per-input virtual output queues;
 //   * kCicq — VOQs + per-crosspoint buffers with independent RR input and
 //     output schedulers (no central arbiter; see mmr/router/cicq.hpp).
+// Under every discipline one LinkScheduler per input owns the VC bindings
+// (output port, QoS constants) that accept() routes by and the checkpoint
+// walks; under kVc and kVoq it also selects the top-L candidates — over
+// per-VC heads or VOQ heads — for the same switch arbiter.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -59,8 +61,6 @@ class MmrRouter {
   /// Gate deciding whether (input, vc) may compete for the crossbar this
   /// cycle.  Multi-router networks install one to enforce downstream credit
   /// availability; unset = every occupied VC is eligible.
-  using EligibilityFn =
-      std::function<bool(std::uint32_t input, std::uint32_t vc)>;
   void set_eligibility(EligibilityFn eligibility) {
     eligibility_ = std::move(eligibility);
   }
@@ -104,26 +104,20 @@ class MmrRouter {
 
   void check_invariants() const;
 
-  /// Checkpoint walk: buffers (VCMs / VOQs / crosspoints per discipline),
-  /// schedulers, arbiter internals, crossbar, flit counters.
+  /// Checkpoint walk: buffers (VCMs or VOQs), link schedulers, crosspoints,
+  /// arbiter internals, crossbar, flit counters.
   void snap(snapshot::Walker& w);
 
  private:
-  void step_vc(Cycle now, bool measure, std::vector<Departure>& departures);
-  void step_voq(Cycle now, bool measure, std::vector<Departure>& departures);
   void step_cicq(Cycle now, bool measure, std::vector<Departure>& departures);
 
   std::uint32_t ports_;
   QdSpec qd_;
   EligibilityFn eligibility_;
-  std::vector<VirtualChannelMemory> vcms_;      ///< kVc only
-  std::vector<LinkScheduler> link_schedulers_;  ///< kVc only
-  std::vector<VoqMemory> voqs_;                 ///< kVoq / kCicq
-  std::vector<VoqScheduler> voq_schedulers_;    ///< kVoq only
-  /// kVoq / kCicq: VC -> output routing used at accept() (the per-VC
-  /// disciplines carry it inside their link schedulers instead).
-  std::vector<std::vector<std::uint32_t>> voq_output_of_vc_;
-  std::unique_ptr<CicqFabric> cicq_;            ///< kCicq only
+  std::vector<VirtualChannelMemory> vcms_;  ///< kVc only
+  std::vector<VoqMemory> voqs_;             ///< kVoq / kCicq
+  std::vector<LinkScheduler> schedulers_;   ///< one per input
+  std::unique_ptr<CicqFabric> cicq_;        ///< kCicq only
   std::unique_ptr<SwitchArbiter> arbiter_;
   Crossbar crossbar_;
   CandidateSet candidates_;

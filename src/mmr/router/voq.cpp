@@ -4,8 +4,6 @@
 
 #include "mmr/sim/assert.hpp"
 #include "mmr/snapshot/walker.hpp"
-#include "mmr/trace/event.hpp"
-#include "mmr/trace/tracer.hpp"
 
 namespace mmr {
 
@@ -135,95 +133,6 @@ void VoqMemory::snap(snapshot::Walker& w) {
   snapshot::walk_vector_pod(w, occupied_);
   snapshot::walk_vector_pod(w, occupied_pos_);
   snapshot::value(w, total_);
-}
-
-VoqScheduler::VoqScheduler(std::uint32_t input_port, std::uint32_t levels,
-                           PriorityFunction priority,
-                           std::uint32_t phits_per_flit,
-                           std::vector<QosParams> qos_of_vc)
-    : input_port_(input_port),
-      levels_(levels),
-      priority_(priority),
-      phits_per_flit_(phits_per_flit),
-      qos_of_vc_(std::move(qos_of_vc)) {
-  MMR_ASSERT(levels_ >= 1);
-  MMR_ASSERT(phits_per_flit_ >= 1);
-}
-
-void VoqScheduler::set_vc(std::uint32_t vc, QosParams qos) {
-  MMR_ASSERT(vc < qos_of_vc_.size());
-  qos_of_vc_[vc] = qos;
-}
-
-Priority VoqScheduler::head_priority(const VoqMemory& voq,
-                                     std::uint32_t output, Cycle now) const {
-  const VoqMemory::Slot& slot = voq.head(output);
-  MMR_ASSERT(slot.vc < qos_of_vc_.size());
-  MMR_ASSERT(slot.arrived <= now);
-  const std::uint64_t age_router_cycles =
-      (now - slot.arrived) * phits_per_flit_;
-  const QosParams& qos =
-      slot.flit.demoted ? demoted_qos_ : qos_of_vc_[slot.vc];
-  return priority_(qos, age_router_cycles);
-}
-
-void VoqScheduler::select(const VoqMemory& voq, Cycle now, CandidateSet& out,
-                          const Eligibility* eligible) const {
-  struct Entry {
-    Priority priority;
-    Cycle arrived;
-    std::uint32_t vc;
-    std::uint32_t output;
-  };
-  // Top-L selection with the link scheduler's comparator: the head flit's
-  // VC breaks ties exactly as it would competing from a per-VC queue.
-  Entry best[64];
-  MMR_ASSERT_MSG(levels_ <= 64, "candidate levels beyond selection buffer");
-  std::uint32_t filled = 0;
-
-  auto better = [](const Entry& a, const Entry& b) {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    if (a.arrived != b.arrived) return a.arrived < b.arrived;
-    return a.vc < b.vc;
-  };
-
-  for (std::uint32_t output : voq.occupied_outputs()) {
-    const VoqMemory::Slot& slot = voq.head(output);
-    if (eligible != nullptr && !(*eligible)(slot.vc)) continue;
-    Entry entry{head_priority(voq, output, now), slot.arrived, slot.vc,
-                output};
-    if (filled == levels_ && !better(entry, best[filled - 1])) continue;
-    std::uint32_t pos = std::min(filled, levels_ - 1);
-    if (filled < levels_) ++filled;
-    while (pos > 0 && better(entry, best[pos - 1])) {
-      best[pos] = best[pos - 1];
-      --pos;
-    }
-    best[pos] = entry;
-  }
-
-  for (std::uint32_t level = 0; level < filled; ++level) {
-    Candidate candidate;
-    candidate.input = static_cast<std::uint16_t>(input_port_);
-    candidate.output = static_cast<std::uint16_t>(best[level].output);
-    candidate.level = static_cast<std::uint8_t>(level);
-    candidate.vc = best[level].vc;
-    candidate.priority = best[level].priority;
-    out.add(candidate);
-    MMR_TRACE_EVENT(trace::candidate_event(now, candidate.input,
-                                           candidate.output, candidate.vc,
-                                           candidate.level,
-                                           candidate.priority));
-  }
-}
-
-void VoqScheduler::snap(snapshot::Walker& w) {
-  snapshot::walk_vector(w, qos_of_vc_, [](snapshot::Walker& v, QosParams& q) {
-    snapshot::value(v, q.slots_per_round);
-    snapshot::value(v, q.iat_router_cycles);
-  });
-  snapshot::value(w, demoted_qos_.slots_per_round);
-  snapshot::value(w, demoted_qos_.iat_router_cycles);
 }
 
 }  // namespace mmr

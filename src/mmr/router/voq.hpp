@@ -7,11 +7,8 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <vector>
 
-#include "mmr/arbiter/candidate.hpp"
-#include "mmr/qos/priority.hpp"
 #include "mmr/sim/time.hpp"
 #include "mmr/traffic/flit.hpp"
 
@@ -76,47 +73,6 @@ class VoqMemory {
   std::vector<std::int32_t> occupied_pos_;  ///< output -> index in occupied_
   void unlist(std::uint32_t output);  ///< drops an emptied output
   std::uint64_t total_ = 0;
-};
-
-/// Candidate selection over VOQs: the link scheduler's top-L policy
-/// (priority descending, older head first, lower VC breaks ties) applied to
-/// VOQ heads instead of per-VC heads.  A candidate's output is the VOQ
-/// itself; its VC — and therefore its QoS constants and priority bias — is
-/// the head flit's, so COA/SIABP ordering carries over unchanged and the
-/// whole SwitchArbiter family runs on top without modification.
-class VoqScheduler {
- public:
-  VoqScheduler(std::uint32_t input_port, std::uint32_t levels,
-               PriorityFunction priority, std::uint32_t phits_per_flit,
-               std::vector<QosParams> qos_of_vc);
-
-  /// Filter deciding whether a head VC may compete this cycle.
-  using Eligibility = std::function<bool(std::uint32_t vc)>;
-
-  /// Appends this port's candidates (up to `levels`) to `out`.
-  void select(const VoqMemory& voq, Cycle now, CandidateSet& out,
-              const Eligibility* eligible = nullptr) const;
-
-  /// The biased priority the head flit of `output`'s VOQ has at `now`.
-  [[nodiscard]] Priority head_priority(const VoqMemory& voq,
-                                       std::uint32_t output, Cycle now) const;
-
-  /// Rebinds `vc` to a re-admitted connection's QoS constants (the output
-  /// binding lives in the router's VC routing map).
-  void set_vc(std::uint32_t vc, QosParams qos);
-
-  void set_demoted_qos(QosParams qos) { demoted_qos_ = qos; }
-
-  /// Checkpoint walk: the VC QoS bindings and demotion constants.
-  void snap(snapshot::Walker& w);
-
- private:
-  std::uint32_t input_port_;
-  std::uint32_t levels_;
-  PriorityFunction priority_;
-  std::uint32_t phits_per_flit_;
-  std::vector<QosParams> qos_of_vc_;
-  QosParams demoted_qos_{1, 1.0};
 };
 
 }  // namespace mmr

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace mmr {
 namespace {
 
@@ -155,6 +159,115 @@ TEST(LinkScheduler, ManyVcsSelectTopLOnly) {
   for (std::uint32_t level = 0; level < 4; ++level) {
     EXPECT_EQ(set.at(static_cast<std::size_t>(set.index_of(0, level))).vc,
               63u - level);
+  }
+}
+
+// --- selection over VOQ heads (qd=voq) ---------------------------------------
+
+TEST(LinkSchedulerVoq, RanksAcrossVoqHeads) {
+  // VCs 0..3 bound to outputs 3, 2, 1, 0; equal ages, so SIABP ranks the
+  // VOQ heads by their VC's slots_per_round.
+  LinkScheduler scheduler = make_scheduler(4, {3, 2, 1, 0}, {2, 7, 4, 1});
+  VoqMemory voq(4, 4, 2);
+  for (std::uint32_t vc = 0; vc < 4; ++vc)
+    voq.push(scheduler.output_of(vc), vc, make_flit(vc), 0);
+  CandidateSet set(4, 4);
+  scheduler.select(voq, 6, set);
+  ASSERT_EQ(set.size(), 4u);
+  const std::uint32_t expected[] = {1, 2, 0, 3};  // slots 7, 4, 2, 1
+  for (std::uint32_t level = 0; level < 4; ++level) {
+    EXPECT_EQ(set.at(static_cast<std::size_t>(set.index_of(0, level))).vc,
+              expected[level]);
+  }
+  set.check_invariants();
+}
+
+TEST(LinkSchedulerVoq, HeadVcBreaksExactTies) {
+  // Same QoS and arrival cycle in two VOQs: the lower head VC ranks first,
+  // whichever VOQ it sits in.
+  LinkScheduler scheduler = make_scheduler(2, {3, 0, 0, 1}, {2, 2, 2, 2});
+  VoqMemory voq(4, 4, 2);
+  voq.push(1, 3, make_flit(3), 5);
+  voq.push(0, 1, make_flit(1), 5);
+  CandidateSet set(4, 2);
+  scheduler.select(voq, 9, set);
+  ASSERT_EQ(set.size(), 2u);
+  const Candidate& first = set.at(static_cast<std::size_t>(set.index_of(0, 0)));
+  const Candidate& second =
+      set.at(static_cast<std::size_t>(set.index_of(0, 1)));
+  EXPECT_EQ(first.vc, 1u);
+  EXPECT_EQ(second.vc, 3u);
+  EXPECT_EQ(first.priority, second.priority);
+}
+
+TEST(LinkSchedulerVoq, EligibilityGateSeesInputAndHeadVc) {
+  std::vector<QosParams> qos(4);
+  LinkScheduler scheduler(/*input_port=*/2, /*levels=*/4,
+                          PriorityFunction(PriorityScheme::kSiabp),
+                          /*phits_per_flit=*/256, {0, 1, 3, 3},
+                          std::move(qos));
+  VoqMemory voq(4, 4, 2);
+  voq.push(0, 0, make_flit(0), 0);
+  voq.push(1, 1, make_flit(1), 0);
+  voq.push(3, 2, make_flit(2), 0);
+  voq.push(3, 3, make_flit(3), 0);  // behind VC 2: never asked about
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> asked;
+  const EligibilityFn gate = [&asked](std::uint32_t input, std::uint32_t vc) {
+    asked.emplace_back(input, vc);
+    return vc != 1;
+  };
+  CandidateSet set(4, 4);
+  scheduler.select(voq, 3, set, &gate);
+  std::sort(asked.begin(), asked.end());
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> heads = {
+      {2, 0}, {2, 1}, {2, 2}};
+  EXPECT_EQ(asked, heads);
+  ASSERT_EQ(set.size(), 2u);
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    EXPECT_EQ(set.at(i).input, 2u);
+    EXPECT_NE(set.at(i).vc, 1u);
+  }
+}
+
+TEST(LinkSchedulerVoq, DemotedHeadUsesDemotedQos) {
+  LinkScheduler scheduler = make_scheduler(2, {0, 1}, {8, 2});
+  const QosParams demoted{1, 1024.0};
+  scheduler.set_demoted_qos(demoted);
+  VoqMemory voq(2, 2, 2);
+  Flit excess = make_flit(0);
+  excess.demoted = true;
+  voq.push(0, 0, excess, 0);
+  voq.push(1, 1, make_flit(1), 0);
+  CandidateSet set(2, 2);
+  scheduler.select(voq, 2, set);
+  ASSERT_EQ(set.size(), 2u);
+  // VC 0 reserves 8 slots but its head is demoted to a one-slot claim, so
+  // VC 1's two-slot head outranks it.
+  const Candidate& first = set.at(static_cast<std::size_t>(set.index_of(0, 0)));
+  const Candidate& second =
+      set.at(static_cast<std::size_t>(set.index_of(0, 1)));
+  EXPECT_EQ(first.vc, 1u);
+  EXPECT_EQ(second.vc, 0u);
+  const PriorityFunction siabp(PriorityScheme::kSiabp);
+  EXPECT_EQ(second.priority, siabp(demoted, 2 * 256));
+}
+
+TEST(LinkSchedulerVoq, CandidateOutputIsItsVoqAndTheVcBinding) {
+  LinkScheduler scheduler = make_scheduler(4, {2, 0, 3, 1}, {1, 2, 3, 4});
+  scheduler.set_vc(1, 1, QosParams{5, 200.0});  // rebinding moves routing
+  EXPECT_EQ(scheduler.output_of(1), 1u);
+  VoqMemory voq(4, 4, 2);
+  for (std::uint32_t vc = 0; vc < 4; ++vc) {
+    if (vc == 3) continue;
+    voq.push(scheduler.output_of(vc), vc, make_flit(vc), vc);
+  }
+  CandidateSet set(4, 4);
+  scheduler.select(voq, 8, set);
+  ASSERT_EQ(set.size(), 3u);
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    const Candidate& c = set.at(i);
+    EXPECT_EQ(c.output, scheduler.output_of(c.vc));
+    EXPECT_EQ(voq.head(c.output).vc, c.vc);
   }
 }
 

@@ -381,7 +381,8 @@ TEST(SnapshotManagerDuties, HashLogAndCheckpointsAreWritten) {
 
 // The multi-router network simulation carries the same guarantee, including
 // under an active fault plan (injector RNG lanes, re-admission tables and
-// rewritten routing state all ride in the checkpoint).
+// rewritten routing state all ride in the checkpoint), under every queue
+// discipline.
 TEST(SnapshotNetwork, ResumeBitIdenticalWithFaults) {
   SimConfig config;
   config.ports = 4;
@@ -439,6 +440,74 @@ TEST(SnapshotNetwork, ResumeBitIdenticalWithFaults) {
   }
   EXPECT_EQ(resumed.snapshot_manager()->hash_sequence(), suffix);
   for (const std::string& path : paths) std::remove(path.c_str());
+
+  // Link-down windows on a torus under every queue discipline: torn-down
+  // connections are re-admitted on fresh VCs before the checkpoint, so the
+  // resumed routers must route those VCs by the checkpointed bindings.
+  for (const char* qd : {"vc", "voq", "cicq"}) {
+    SimConfig torus_config;
+    torus_config.ports = 5;
+    torus_config.vcs_per_link = 32;
+    torus_config.warmup_cycles = 300;
+    torus_config.measure_cycles = 1'700;
+    torus_config.qd_spec = qd;
+    torus_config.fault_spec =
+        "down:0:400:900,down:9:300:1200,resync_period:128,"
+        "resync_timeout:256";
+    const std::string tag = std::string("qd=") + qd;
+    const std::string dir = ::testing::TempDir() + "/mmr_snap_torus_" + qd;
+
+    const auto make_torus_workload = [&torus_config]() {
+      const NetworkTopology torus =
+          NetworkTopology::torus2d(4, 4, torus_config.ports);
+      Rng rng(torus_config.seed, 5);
+      CbrMixSpec mix;
+      mix.target_load = 0.35;
+      mix.classes = {kCbrHigh, kCbrMedium};
+      mix.class_weights = {3.0, 1.0};
+      return build_network_cbr_mix(torus_config, torus, mix, rng);
+    };
+
+    SimConfig torus_ref_config = torus_config;
+    torus_ref_config.snap_spec = "hash_every:250,prefix:" + dir + "_ref";
+    MmrNetworkSimulation torus_ref(torus_ref_config, make_torus_workload());
+    const NetworkMetrics torus_ref_metrics = torus_ref.run();
+    EXPECT_GT(torus_ref_metrics.degradation.reroutes, 0u) << tag;
+
+    SimConfig torus_ck_config = torus_config;
+    torus_ck_config.snap_spec = "every:1000,prefix:" + dir + "_ck";
+    MmrNetworkSimulation torus_ck(torus_ck_config, make_torus_workload());
+    (void)torus_ck.run();
+    const auto torus_paths =
+        torus_ck.snapshot_manager()->checkpoints_written();
+    ASSERT_FALSE(torus_paths.empty()) << tag;
+
+    SimConfig torus_re_config = torus_config;
+    torus_re_config.snap_spec = "hash_every:250,resume:" + torus_paths[0] +
+                                ",prefix:" + dir + "_re";
+    MmrNetworkSimulation torus_re(torus_re_config, make_torus_workload());
+    EXPECT_EQ(torus_re.now(), 1000u) << tag;
+    const NetworkMetrics torus_re_metrics = torus_re.run();
+
+    EXPECT_EQ(torus_re_metrics.flits_generated,
+              torus_ref_metrics.flits_generated) << tag;
+    EXPECT_EQ(torus_re_metrics.flits_delivered,
+              torus_ref_metrics.flits_delivered) << tag;
+    EXPECT_EQ(torus_re_metrics.flit_delay_us.mean(),
+              torus_ref_metrics.flit_delay_us.mean()) << tag;
+    EXPECT_EQ(torus_re_metrics.degradation.reroutes,
+              torus_ref_metrics.degradation.reroutes) << tag;
+    EXPECT_EQ(torus_re_metrics.degradation.flits_dropped,
+              torus_ref_metrics.degradation.flits_dropped) << tag;
+    EXPECT_EQ(torus_re.state_hash(), torus_ref.state_hash()) << tag;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> torus_suffix;
+    for (const auto& entry : torus_ref.snapshot_manager()->hash_sequence()) {
+      if (entry.first > 1000) torus_suffix.push_back(entry);
+    }
+    EXPECT_EQ(torus_re.snapshot_manager()->hash_sequence(), torus_suffix)
+        << tag;
+    for (const std::string& path : torus_paths) std::remove(path.c_str());
+  }
 }
 
 // Sharded engine (ISSUE 9): a checkpoint written under one `net_threads=`
