@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     diff.seed_base = options.seed_base;
     diff.seeds = options.seeds;
     diff.ports = ports_list;
-    diff.levels = options.levels;
+    diff.levels = {options.levels};
     diff.steps = options.steps;
     const TwinDiffReport report = run_twin_diff(diff);
     std::cout << report.summary();

@@ -3,7 +3,8 @@
 # (differential arbiter audit + 200-seed overload-protection soak), then the
 # whole suite — mmr_overload included — again under AddressSanitizer +
 # UndefinedBehaviorSanitizer (SANITIZE applies tree-wide), plus longer
-# spec-fuzzer and NIC/VCM differential-oracle runs in that sanitized tree.
+# spec-fuzzer and NIC/VCM/eligibility differential-oracle runs in that
+# sanitized tree.
 # Usage: scripts/check.sh [--perf] [jobs]
 #   --perf   additionally run the perf_baseline smoke sweep and validate the
 #            emitted BENCH_perf.json schema with scripts/bench_compare.py
@@ -78,17 +79,23 @@ for seed in 1 2 3; do
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-asan/tests/fuzz_specs iterations=20000 seed="${seed}"
 done
-echo "--- NIC / VCM differential oracles, more seeds under ASan/UBSan ---"
+echo "--- NIC / VCM / eligibility oracles, more seeds under ASan/UBSan ---"
 for seed in 1 2 3; do
   for oracle in test_nic test_vcm; do
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
       ./build-asan/tests/"${oracle}" --gtest_filter='*Oracle*' \
       iterations=100000 seed="${seed}"
   done
+  # Eligibility iterations are simulated cycles per scenario.
+  ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
+    ./build-asan/tests/test_eligibility --gtest_filter='*Oracle*' \
+    iterations=4000 seed="${seed}"
 done
 
 echo
 echo "=== thread-sanitized sharded engine (equivalence soak under TSan) ==="
+# The soaks cover the cross-shard credit handover into the eligibility masks
+# (returns ticked by the receiving shard, drained by the sending router).
 cmake -B build-tsan -S . -DSANITIZE=thread
 cmake --build build-tsan -j "${JOBS}" --target network_scale_soak
 TSAN_OPTIONS=halt_on_error=1 \

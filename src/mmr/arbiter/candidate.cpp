@@ -12,8 +12,9 @@ CandidateSet::CandidateSet(std::uint32_t ports, std::uint32_t levels)
 }
 
 void CandidateSet::clear() {
+  // Only the slots the last cycle filled hold an index.
+  for (const Candidate& c : flat_) slot_index_[slot(c.input, c.level)] = -1;
   flat_.clear();
-  slot_index_.assign(slot_index_.size(), -1);
 }
 
 void CandidateSet::add(const Candidate& candidate) {
@@ -30,13 +31,6 @@ void CandidateSet::add(const Candidate& candidate) {
   if (flat_.size() == flat_.capacity())
     MMR_PERF_COUNT(perf::Counter::kCandidateRealloc, 1);
   flat_.push_back(candidate);
-}
-
-std::int32_t CandidateSet::index_of(std::uint32_t input,
-                                    std::uint32_t level) const {
-  MMR_ASSERT(input < ports_);
-  MMR_ASSERT(level < levels_);
-  return slot_index_[slot(input, level)];
 }
 
 std::uint32_t CandidateSet::levels_used(std::uint32_t input) const {

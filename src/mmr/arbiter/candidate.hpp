@@ -40,7 +40,11 @@ class CandidateSet {
 
   /// Index into all() of the candidate at (input, level), or -1 if absent.
   [[nodiscard]] std::int32_t index_of(std::uint32_t input,
-                                      std::uint32_t level) const;
+                                      std::uint32_t level) const {
+    MMR_ASSERT(input < ports_);
+    MMR_ASSERT(level < levels_);
+    return slot_index_[slot(input, level)];
+  }
 
   [[nodiscard]] const Candidate& at(std::size_t index) const {
     MMR_ASSERT(index < flat_.size());

@@ -14,13 +14,14 @@
 //
 // Two implementations produce bit-identical matchings (same RNG draw
 // sequence; tests/test_coa.cpp proves the equivalence):
-//  * CandidateOrderArbiter ("coa") — per-output / per-input candidate
-//    buckets built once per arbitration, so each grant touches only the
-//    candidates of the selected output and each removal only the two
-//    affected buckets.  Buckets live in a structure-of-arrays CSR layout
-//    (two flat index arrays plus offset tables) built by counting sort, so
-//    a whole arbitration performs no per-bucket allocations and walks
-//    contiguous memory.
+//  * CandidateOrderArbiter ("coa") — the port ordering on bit words: an
+//    active-output mask (free outputs that still have a live request) and,
+//    per output, a 64-bit mask of the levels holding pending requests, so
+//    an output's lowest level is one count-trailing-zeros and a grant
+//    visits only active outputs.  Conflict counts, level masks and the
+//    per-output candidate lists are left zeroed between calls, so a call's
+//    setup and teardown touch only the candidates it receives.  Levels are
+//    bounded by 64 (SimConfig::validate).
 //  * CandidateOrderScanArbiter ("coa-scan") — the reference formulation:
 //    every grant and removal scans the full candidate list.  Kept as the
 //    perf baseline (bench/perf_baseline) and differential-audit reference.
@@ -55,21 +56,20 @@ class CandidateOrderArbiter final : public SwitchArbiter {
   Rng rng_;
   bool use_priority_;
 
-  // Scratch buffers reused across cycles to stay allocation-free in the
-  // steady state.
-  std::vector<std::uint32_t> conflict_;     ///< (level, output) -> pending
-  std::vector<std::uint8_t> output_free_;
+  /// Retires live request `idx`: lowers its conflict count and, at zero,
+  /// its output's level bit — and with the output's last live request, its
+  /// active bit and list head.
+  void drop(const std::vector<Candidate>& all, std::uint32_t idx,
+            std::uint32_t levels);
+
+  // Scratch reused across calls; every entry is zero (lists: -1) between
+  // calls, so the steady state neither allocates nor clears.
+  std::vector<std::uint64_t> active_;      ///< outputs with a live request
+  std::vector<std::uint64_t> level_mask_;  ///< per output: levels pending
+  std::vector<std::uint32_t> conflict_;    ///< (output, level) -> pending
+  std::vector<std::int32_t> out_head_;     ///< per output: first candidate
+  std::vector<std::int32_t> out_next_;     ///< per candidate: next, same output
   std::vector<std::uint8_t> request_live_;  ///< per candidate
-  /// Candidate indices per output / per input in CSR form: bucket of port p
-  /// is items[begin[p] .. begin[p + 1]).  Counting sort fills each bucket in
-  /// ascending candidate-index order (the scan order of the reference
-  /// implementation, so RNG tie-break draws happen in the same sequence).
-  std::vector<std::uint32_t> out_begin_;  ///< ports_ + 1 offsets
-  std::vector<std::uint32_t> out_items_;
-  std::vector<std::uint32_t> in_begin_;
-  std::vector<std::uint32_t> in_items_;
-  std::vector<std::uint32_t> out_fill_;  ///< counting-sort cursors
-  std::vector<std::uint32_t> in_fill_;
 };
 
 /// Reference COA: identical algorithm and RNG stream, full-list scans per

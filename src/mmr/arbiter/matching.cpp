@@ -36,29 +36,4 @@ void Matching::match(std::uint32_t input, std::uint32_t output,
   ++size_;
 }
 
-bool Matching::input_matched(std::uint32_t input) const {
-  MMR_ASSERT(input < ports());
-  return output_of_input_[input] != -1;
-}
-
-bool Matching::output_matched(std::uint32_t output) const {
-  MMR_ASSERT(output < ports());
-  return input_of_output_[output] != -1;
-}
-
-std::int32_t Matching::output_of(std::uint32_t input) const {
-  MMR_ASSERT(input < ports());
-  return output_of_input_[input];
-}
-
-std::int32_t Matching::input_of(std::uint32_t output) const {
-  MMR_ASSERT(output < ports());
-  return input_of_output_[output];
-}
-
-std::int32_t Matching::candidate_of(std::uint32_t input) const {
-  MMR_ASSERT(input < ports());
-  return candidate_of_input_[input];
-}
-
 }  // namespace mmr

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "mmr/sim/assert.hpp"
+
 namespace mmr {
 
 namespace snapshot {
@@ -30,12 +32,25 @@ class Matching {
     return static_cast<std::uint32_t>(output_of_input_.size());
   }
   [[nodiscard]] std::uint32_t size() const { return size_; }
-  [[nodiscard]] bool input_matched(std::uint32_t input) const;
-  [[nodiscard]] bool output_matched(std::uint32_t output) const;
+  [[nodiscard]] bool input_matched(std::uint32_t input) const {
+    return output_of(input) != -1;
+  }
+  [[nodiscard]] bool output_matched(std::uint32_t output) const {
+    return input_of(output) != -1;
+  }
   /// -1 when unmatched.
-  [[nodiscard]] std::int32_t output_of(std::uint32_t input) const;
-  [[nodiscard]] std::int32_t input_of(std::uint32_t output) const;
-  [[nodiscard]] std::int32_t candidate_of(std::uint32_t input) const;
+  [[nodiscard]] std::int32_t output_of(std::uint32_t input) const {
+    MMR_ASSERT(input < ports());
+    return output_of_input_[input];
+  }
+  [[nodiscard]] std::int32_t input_of(std::uint32_t output) const {
+    MMR_ASSERT(output < ports());
+    return input_of_output_[output];
+  }
+  [[nodiscard]] std::int32_t candidate_of(std::uint32_t input) const {
+    MMR_ASSERT(input < ports());
+    return candidate_of_input_[input];
+  }
 
  private:
   std::vector<std::int32_t> output_of_input_;

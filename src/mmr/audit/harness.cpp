@@ -111,46 +111,48 @@ TwinDiffReport run_twin_diff(const TwinDiffOptions& options) {
     report.mismatches.push_back(out.str());
   };
 
+  // One generated case: replay it through both twins, stopping at the first
+  // diverging step (the twins' internal state differs from there).
+  const auto diff_case = [&](const std::string& fast, const std::string& ref,
+                             const GeneratorOptions& gen, std::uint64_t seed) {
+    const CaseSpec spec = generate_case(fast, seed, options.steps, gen);
+    ++report.cases;
+    const std::unique_ptr<SwitchArbiter> a =
+        make_arbiter(fast, gen.ports, Rng(seed, /*stream=*/0));
+    const std::unique_ptr<SwitchArbiter> b =
+        make_arbiter(ref, gen.ports, Rng(seed, /*stream=*/0));
+    for (std::size_t s = 0; s < spec.steps.size(); ++s) {
+      const CandidateSet set = spec.set_for_step(s);
+      const Matching ma = a->arbitrate(set);
+      const Matching mb = b->arbitrate(set);
+      ++report.steps_checked;
+      for (std::uint32_t in = 0; in < gen.ports; ++in) {
+        if (ma.output_of(in) == mb.output_of(in) &&
+            ma.candidate_of(in) == mb.candidate_of(in))
+          continue;
+        std::ostringstream detail;
+        detail << "input " << in << ": " << fast << " grants output "
+               << ma.output_of(in) << " candidate " << ma.candidate_of(in)
+               << ", " << ref << " grants output " << mb.output_of(in)
+               << " candidate " << mb.candidate_of(in);
+        record(fast, ref, spec, s, detail.str());
+        return;
+      }
+    }
+  };
+
   for (const auto& [fast, ref] : pairs) {
     for (const std::uint32_t ports : options.ports) {
-      for (const LoadProfile profile : all_profiles()) {
-        GeneratorOptions gen;
-        gen.ports = ports;
-        gen.levels = options.levels;
-        gen.profile = profile;
-        const std::uint64_t salt =
-            kProfileSalt * (static_cast<std::uint64_t>(profile) + 1);
-        for (std::uint32_t i = 0; i < options.seeds; ++i) {
-          const std::uint64_t seed = (options.seed_base + i) ^ salt;
-          const CaseSpec spec =
-              generate_case(fast, seed, options.steps, gen);
-          ++report.cases;
-          const std::unique_ptr<SwitchArbiter> a =
-              make_arbiter(fast, ports, Rng(seed, /*stream=*/0));
-          const std::unique_ptr<SwitchArbiter> b =
-              make_arbiter(ref, ports, Rng(seed, /*stream=*/0));
-          bool diverged = false;  // stop at the first diverging step: the
-                                  // twins' internal state differs from there
-          for (std::size_t s = 0; s < spec.steps.size() && !diverged; ++s) {
-            const CandidateSet set = spec.set_for_step(s);
-            const Matching ma = a->arbitrate(set);
-            const Matching mb = b->arbitrate(set);
-            ++report.steps_checked;
-            for (std::uint32_t in = 0; in < ports; ++in) {
-              if (ma.output_of(in) != mb.output_of(in) ||
-                  ma.candidate_of(in) != mb.candidate_of(in)) {
-                std::ostringstream detail;
-                detail << "input " << in << ": " << fast << " grants output "
-                       << ma.output_of(in) << " candidate "
-                       << ma.candidate_of(in) << ", " << ref
-                       << " grants output " << mb.output_of(in)
-                       << " candidate " << mb.candidate_of(in);
-                record(fast, ref, spec, s, detail.str());
-                diverged = true;
-                break;
-              }
-            }
-          }
+      for (const std::uint32_t levels : options.levels) {
+        for (const LoadProfile profile : all_profiles()) {
+          GeneratorOptions gen;
+          gen.ports = ports;
+          gen.levels = levels;
+          gen.profile = profile;
+          const std::uint64_t salt =
+              kProfileSalt * (static_cast<std::uint64_t>(profile) + 1);
+          for (std::uint32_t i = 0; i < options.seeds; ++i)
+            diff_case(fast, ref, gen, (options.seed_base + i) ^ salt);
         }
       }
     }

@@ -67,7 +67,7 @@ struct TwinDiffOptions {
   std::uint64_t seed_base = 1;
   std::uint32_t seeds = 200;  ///< random cases per (pair, port count, profile)
   std::vector<std::uint32_t> ports = {4};
-  std::uint32_t levels = 2;
+  std::vector<std::uint32_t> levels = {2};  ///< level counts, each run
   std::uint32_t steps = 12;
   std::size_t max_failures = 8;
 };

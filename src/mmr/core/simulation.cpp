@@ -52,7 +52,11 @@
 //     serial emission order.
 //   * Data races: none.  CreditManager::consume writes only `credits_` (the
 //     sending shard, phase B), release() appends only to `pending_` (the
-//     receiving shard), tick() applies pending->credits in phase A.
+//     receiving shard), tick() applies pending->credits in phase A.  A
+//     router's eligibility mask is written only by its own shard: returns
+//     that lift a count off zero are listed on the channel in phase A and
+//     drained into the sending router's mask at its phase-B start; every
+//     other mask event happens in phase B by that router or serially.
 // Shards hold no simulated state across cycles, so snapshots, state hashes
 // and resume behaviour are identical across thread counts.
 
@@ -143,7 +147,7 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
       ports_[port_index(r, p)].out_channel = channel;
       ports_[port_index(down->router, down->port)].in_channel = channel;
       channels_.push_back(Channel{
-          *down, false,
+          PortEndpoint{r, p}, *down, false,
           CreditManager(config_.vcs_per_link, config_.buffer_flits_per_vc,
                         config_.credit_latency),
           LinkPipeline(config_.link_latency)});
@@ -161,10 +165,9 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
     }
   }
 
-  // Per-router tables and next hops.  A table workload is its one router's
-  // table, every flit delivered locally; a routed workload registers one
-  // entry per hop in (connection, hop) order, reproducing its reservation.
-  next_hops_.resize(port_slots * config_.vcs_per_link);
+  // Per-router tables.  A table workload is its one router's table, every
+  // flit delivered locally; a routed workload registers one entry per hop
+  // in (connection, hop) order, reproducing its reservation.
   if (workload_.connections.empty()) {
     tables_.push_back(workload_.table);
   } else {
@@ -176,7 +179,6 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
         MMR_ASSERT_MSG(tables_[hop.router].get(local_id).vc == hop.vc,
                        "table VC assignment must match the reservation");
       }
-      install_path(connection.path);
     }
   }
 
@@ -210,22 +212,13 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
         std::make_unique<audit::SimAuditor>(config_, std::move(feeds));
   }
 
-  // A router offers a VC only when its next hop can take the flit: the
-  // channel is up, not paused by the downstream MMU, and holds a credit.
-  // Routers without an outgoing channel (one-router topology) have no gate.
-  for (std::uint32_t r = 0; r < routers; ++r) {
-    if (topology.local_output_ports(r).size() == config_.ports) continue;
-    nodes_[r].router.set_eligibility(
-        [this, r](std::uint32_t input, std::uint32_t vc) {
-          const NextHop& next =
-              next_hops_[port_index(r, input) * config_.vcs_per_link + vc];
-          if (next.local) return true;
-          const Channel& channel = channels_[next.channel];
-          if (channel.paused) return false;
-          if (fault_ && fault_->injector.is_down(next.channel)) return false;
-          return channel.credits.has_credit(next.downstream_vc);
-        });
-  }
+  // Next hops, and with them each router's eligibility mask: a router
+  // offers a VC only when its next hop can take the flit.  A one-router
+  // table workload delivers every flit locally, so its mask stays open.
+  next_hops_.resize(port_slots * config_.vcs_per_link);
+  upstream_vcs_.resize(channels_.size() * config_.vcs_per_link);
+  for (const NetworkConnection& connection : workload_.connections)
+    install_path(connection.path);
 
   if (!config_.police_spec.empty()) {
     const auto spec = overload::PoliceSpec::parse(config_.police_spec);
@@ -290,16 +283,72 @@ ConnectionDescriptor MmrSimulation::hop_descriptor(ConnectionId connection,
 
 void MmrSimulation::install_path(const std::vector<Hop>& path) {
   for (std::size_t h = 0; h < path.size(); ++h) {
-    NextHop& next = next_hops_[port_index(path[h].router, path[h].in_port) *
+    const Hop& hop = path[h];
+    NextHop& next = next_hops_[port_index(hop.router, hop.in_port) *
                                    config_.vcs_per_link +
-                               path[h].vc];
+                               hop.vc];
     next.local = h + 1 == path.size();
-    if (next.local) continue;
-    const std::int32_t channel = channel_at(path[h].router, path[h].out_port);
+    if (next.local) {
+      // Last-hop VCs are always eligible.
+      nodes_[hop.router].router.eligibility().set_credit(hop.in_port, hop.vc,
+                                                         true);
+      continue;
+    }
+    const std::int32_t channel = channel_at(hop.router, hop.out_port);
     MMR_ASSERT(channel != -1);
     next.channel = static_cast<std::uint32_t>(channel);
     next.downstream_vc = path[h + 1].vc;
+    upstream_vcs_[static_cast<std::size_t>(next.channel) *
+                      config_.vcs_per_link +
+                  next.downstream_vc] = {hop.in_port, hop.vc};
+    refresh_credit_bit(next.channel, next.downstream_vc);
   }
+}
+
+void MmrSimulation::refresh_credit_bit(std::uint32_t channel,
+                                       std::uint32_t downstream_vc) {
+  const UpstreamVc& up =
+      upstream_vcs_[static_cast<std::size_t>(channel) * config_.vcs_per_link +
+                    downstream_vc];
+  if (up.input == UpstreamVc::kNoInput) return;  // no path uses the VC
+  const Channel& c = channels_[channel];
+  nodes_[c.from.router].router.eligibility().set_credit(
+      up.input, up.vc, c.credits.has_credit(downstream_vc));
+}
+
+void MmrSimulation::refresh_gate(std::uint32_t channel) {
+  const Channel& c = channels_[channel];
+  nodes_[c.from.router].router.eligibility().set_blocked(
+      c.from.port, c.paused || (fault_ && fault_->injector.is_down(channel)));
+}
+
+void MmrSimulation::refresh_eligibility() {
+  std::fill(upstream_vcs_.begin(), upstream_vcs_.end(), UpstreamVc{});
+  const std::uint32_t vcs = config_.vcs_per_link;
+  for (std::uint32_t r = 0; r < nodes_.size(); ++r) {
+    EligibilityMask& mask = nodes_[r].router.eligibility();
+    for (std::uint32_t p = 0; p < config_.ports; ++p) {
+      for (std::uint32_t vc = 0; vc < vcs; ++vc) {
+        const NextHop& next = next_hop(r, p, vc);
+        if (next.local) {
+          mask.set_credit(p, vc, true);
+          continue;
+        }
+        upstream_vcs_[static_cast<std::size_t>(next.channel) * vcs +
+                      next.downstream_vc] = {p, vc};
+        const CreditManager& credits = channels_[next.channel].credits;
+        mask.set_credit(p, vc, credits.has_credit(next.downstream_vc));
+      }
+    }
+  }
+  for (std::uint32_t ch = 0; ch < channels_.size(); ++ch) refresh_gate(ch);
+}
+
+MmrSimulation::ChannelGate MmrSimulation::channel_gate(
+    std::uint32_t channel) const {
+  MMR_ASSERT(channel < channels_.size());
+  const Channel& c = channels_[channel];
+  return {&c.credits, c.paused, fault_ && fault_->injector.is_down(channel)};
 }
 
 Hop MmrSimulation::first_hop(ConnectionId connection) const {
@@ -425,9 +474,16 @@ void MmrSimulation::step_one() {
       {
         MMR_PERF_SCOPE(perf::Phase::kCredits);
         for (std::uint32_t p = 0; p < config_.ports; ++p) {
-          const std::int32_t h = ports_[port_index(r, p)].host;
-          if (h == -1) continue;
-          Host& host = hosts_[static_cast<std::size_t>(h)];
+          const PortMap& port = ports_[port_index(r, p)];
+          if (port.out_channel != -1) {
+            // Credits phase A returned to this router's outputs.
+            const auto oc = static_cast<std::uint32_t>(port.out_channel);
+            for (const std::uint32_t vc : channels_[oc].refilled)
+              refresh_credit_bit(oc, vc);
+            channels_[oc].refilled.clear();
+          }
+          if (port.host == -1) continue;
+          Host& host = hosts_[static_cast<std::size_t>(port.host)];
           if (auto transfer = host.nic.select_and_send(now))
             host.link.push(*transfer, now);
         }
@@ -453,7 +509,7 @@ void MmrSimulation::input_arrivals(std::uint32_t r, std::uint32_t p, Cycle now,
   if (host != nullptr) {
     host->link.pop_due(now, shard.arrivals);
   } else {
-    channel->credits.tick(now);
+    channel->credits.tick(now, &channel->refilled);
     channel->pipe.pop_due(now, shard.arrivals);
   }
   MMR_TRACE_SET_NODE(r);
@@ -624,10 +680,13 @@ void MmrSimulation::apply_pause_frames(Cycle now) {
       frames.pop_front();
       // A host link pauses its NIC; a channel gates the upstream router's
       // link scheduler through its eligibility check.
-      if (ports_[port_index(r, frame.port)].host != -1) {
+      const PortMap& port = ports_[port_index(r, frame.port)];
+      if (port.host != -1) {
         host_at(r, frame.port).nic.set_paused(frame.xoff);
       } else {
-        channel_into(r, frame.port).paused = frame.xoff;
+        const auto ci = static_cast<std::uint32_t>(port.in_channel);
+        channels_[ci].paused = frame.xoff;
+        refresh_gate(ci);
       }
     }
   }
@@ -682,6 +741,9 @@ void MmrSimulation::router_cycle(std::uint32_t r, Cycle now, bool measure,
             trace::credit_return_event(now, departure.input, departure.vc));
       Channel& channel = channels_[next.channel];
       channel.credits.consume(next.downstream_vc);
+      if (!channel.credits.has_credit(next.downstream_vc))
+        node.router.eligibility().set_credit(departure.input, departure.vc,
+                                             false);
       channel.pipe.push(LinkTransfer{flit, next.downstream_vc}, now);
       continue;
     }
@@ -846,6 +908,7 @@ void MmrSimulation::set_fault_plan(FaultPlan plan) {
   }
   f.leak_since.assign(channels_.size(),
                       std::vector<Cycle>(config_.vcs_per_link, kNever));
+  refresh_eligibility();
 }
 
 void MmrSimulation::apply_fault_transitions(Cycle now) {
@@ -858,7 +921,9 @@ void MmrSimulation::apply_fault_transitions(Cycle now) {
     // Flits on the wire are lost outright; their consumed downstream credits
     // leak until the resync watchdog notices the deficit.
     f.metrics.flits_dropped += channels_[ch].pipe.drain_all();
+    refresh_gate(ch);
   }
+  for (const std::uint32_t ch : f.came_up) refresh_gate(ch);
   const auto connections =
       static_cast<std::uint32_t>(workload_.connections.size());
   if (!f.went_down.empty()) {
@@ -1041,6 +1106,7 @@ void MmrSimulation::credit_resync(Cycle now) {
       if (now - since < plan.resync_timeout) continue;
       const std::uint32_t missing = capacity - accounted;
       channel.credits.restore(vc, missing);
+      refresh_credit_bit(static_cast<std::uint32_t>(ci), vc);
       f.metrics.credits_restored += missing;
       ++f.metrics.resync_events;
       const double leak_age_us =
@@ -1125,6 +1191,7 @@ void MmrSimulation::restore_checkpoint(const std::string& path) {
   snapshot::LoadWalker reader(snap);
   snap_walk(reader);
   reader.finish();
+  refresh_eligibility();
   MMR_ASSERT_MSG(now_ == snap.cycle,
                  "restored clock disagrees with the snapshot header");
 }

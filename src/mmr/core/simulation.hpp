@@ -132,6 +132,29 @@ class MmrSimulation {
   [[nodiscard]] std::int32_t channel_at(std::uint32_t router,
                                         std::uint32_t out_port) const;
 
+  /// Where a flit popped from (router, input, vc) goes next.
+  struct NextHop {
+    bool local = true;                ///< delivered to the attached host
+    std::uint32_t channel = 0;        ///< else: channel index...
+    std::uint32_t downstream_vc = 0;  ///< ...and VC on the next input link
+  };
+  [[nodiscard]] const NextHop& next_hop(std::uint32_t router,
+                                        std::uint32_t input,
+                                        std::uint32_t vc) const {
+    return next_hops_[port_index(router, input) * config_.vcs_per_link + vc];
+  }
+
+  /// What gates a router output feeding inter-router channel `channel`:
+  /// the upstream credit view of the downstream VCs, the downstream MMU's
+  /// Xoff, and the link's fault state (differential tests of the routers'
+  /// eligibility masks read these).
+  struct ChannelGate {
+    const CreditManager* credits = nullptr;
+    bool paused = false;
+    bool down = false;
+  };
+  [[nodiscard]] ChannelGate channel_gate(std::uint32_t channel) const;
+
   void check_invariants() const;
 
   // --- checkpoint/restore (mmr/snapshot/, `snap=` override) -----------------
@@ -157,20 +180,27 @@ class MmrSimulation {
   }
 
  private:
-  /// Where a flit popped from (router, input, vc) goes next.
-  struct NextHop {
-    bool local = true;                ///< delivered to the attached host
-    std::uint32_t channel = 0;        ///< else: channel index...
-    std::uint32_t downstream_vc = 0;  ///< ...and VC on the next input link
-  };
-
-  /// Directed inter-router channel into `to` with its credit loop.  The
-  /// fields the upstream router's eligibility check reads come first.
+  /// Directed inter-router channel from output `from` into input `to`,
+  /// with its credit loop.
   struct Channel {
+    PortEndpoint from;
     PortEndpoint to;
     bool paused;            ///< Xoff from the downstream router's MMU
     CreditManager credits;  ///< upstream view of the downstream VCM
     LinkPipeline pipe;
+    /// Downstream VCs whose credit count the receiving shard's tick lifted
+    /// off zero (phase A); the sending router drains them into its
+    /// eligibility mask before it schedules (phase B), so no shard writes
+    /// another shard's mask.
+    std::vector<std::uint32_t> refilled{};
+  };
+
+  /// The upstream (input, VC) whose next hop is a given downstream VC of a
+  /// channel: the eligibility bit that VC's credit count drives.
+  struct UpstreamVc {
+    std::uint32_t input = kNoInput;
+    std::uint32_t vc = 0;
+    static constexpr std::uint32_t kNoInput = ~std::uint32_t{0};
   };
 
   /// An Xon/Xoff frame in flight on an input link's credit channel; every
@@ -298,6 +328,15 @@ class MmrSimulation {
   [[nodiscard]] ConnectionDescriptor hop_descriptor(ConnectionId connection,
                                                     const Hop& hop) const;
   void install_path(const std::vector<Hop>& path);
+
+  // Eligibility masks (one per router; see MmrRouter::eligibility()).
+  /// Re-derives the credit bit fed by (channel, downstream_vc).
+  void refresh_credit_bit(std::uint32_t channel, std::uint32_t downstream_vc);
+  /// Re-derives the blocked bit of the output feeding `channel`.
+  void refresh_gate(std::uint32_t channel);
+  /// Rebuilds every mask and the upstream map from the simulation state
+  /// (construction, fault-plan install, checkpoint load).
+  void refresh_eligibility();
   void apply_fault_transitions(Cycle now);
   void tear_down(std::uint32_t connection, Cycle now);
   [[nodiscard]] bool try_readmit(std::uint32_t connection);
@@ -313,6 +352,8 @@ class MmrSimulation {
   std::vector<PortMap> ports_;  ///< per (router, port)
   /// Per (router, input, vc): where its flits go next.
   std::vector<NextHop> next_hops_;
+  /// Per (channel, downstream vc): the inverse of next_hops_.
+  std::vector<UpstreamVc> upstream_vcs_;
   MetricsCollector collector_;
   double generated_load_nominal_;
 

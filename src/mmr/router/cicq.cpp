@@ -40,7 +40,7 @@ void CicqFabric::tick(Cycle now) {
 
 void CicqFabric::drain_outputs(Cycle now, std::vector<Drained>& out,
                                std::vector<std::int32_t>& input_of_output,
-                               const EligibilityFn* eligible) {
+                               const EligibilityMask& eligible) {
   input_of_output.assign(ports_, -1);
   const auto vcs = static_cast<std::uint32_t>(xp_vc_count_.size() / ports_);
   for (std::uint32_t output = 0; output < ports_; ++output) {
@@ -48,8 +48,7 @@ void CicqFabric::drain_outputs(Cycle now, std::vector<Drained>& out,
       const std::uint32_t input = (output_ptr_[output] + k) % ports_;
       std::deque<VoqMemory::Slot>& fifo = xp_[xp_index(input, output)];
       if (fifo.empty()) continue;
-      if (eligible != nullptr && !(*eligible)(input, fifo.front().vc))
-        continue;
+      if (!eligible.eligible(input, fifo.front().vc, output)) continue;
       VoqMemory::Slot slot = fifo.front();
       fifo.pop_front();
       std::uint32_t& residency =

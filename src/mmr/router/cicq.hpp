@@ -54,12 +54,13 @@ class CicqFabric {
   /// this runs before fill_crosspoints().  Appends one Drained per served
   /// output (ascending output order) and records the per-output input pick
   /// in `input_of_output` (-1 = idle) for crossbar statistics.  A crosspoint
-  /// whose head `eligible` refuses (its next hop has no credit) waits; the
-  /// gate sits here, not at the input stage, because a flit's downstream
-  /// credit is only spent when it leaves.
+  /// whose head `eligible` refuses (its next hop has no credit, or the
+  /// output's channel is paused or down) waits; the gate sits here, not at
+  /// the input stage, because a flit's downstream credit is only spent when
+  /// it leaves.
   void drain_outputs(Cycle now, std::vector<Drained>& out,
                      std::vector<std::int32_t>& input_of_output,
-                     const EligibilityFn* eligible);
+                     const EligibilityMask& eligible);
 
   /// Input stage: per input, round-robin over outputs with a non-empty VOQ
   /// and an available crosspoint credit; transfers at most one head flit.

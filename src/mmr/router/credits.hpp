@@ -3,11 +3,14 @@
 // it forwards a flit and the router returns it (after a small propagation
 // latency) when the flit leaves the VC buffer through the crossbar.  This
 // is what lets the MMR avoid data losses with only a few flits of buffering.
+// Returns travel in a ring (release times never decrease) next to a per-VC
+// count of the returns in flight, so every query is O(1).
 #pragma once
 
-#include <deque>
 #include <vector>
 
+#include "mmr/sim/assert.hpp"
+#include "mmr/sim/ring.hpp"
 #include "mmr/sim/time.hpp"
 
 namespace mmr {
@@ -24,28 +27,44 @@ class CreditManager {
   [[nodiscard]] std::uint32_t vcs() const {
     return static_cast<std::uint32_t>(credits_.size());
   }
-  [[nodiscard]] std::uint32_t credits(std::uint32_t vc) const;
+  [[nodiscard]] std::uint32_t credits(std::uint32_t vc) const {
+    MMR_ASSERT(vc < vcs());
+    return credits_[vc];
+  }
   [[nodiscard]] bool has_credit(std::uint32_t vc) const {
     return credits(vc) > 0;
   }
 
   /// NIC side: consumes one credit to send a flit.
-  void consume(std::uint32_t vc);
+  void consume(std::uint32_t vc) {
+    MMR_ASSERT(vc < vcs());
+    MMR_ASSERT_MSG(credits_[vc] > 0, "sent without a credit");
+    --credits_[vc];
+  }
 
   /// Router side: schedules a credit return; it becomes usable at
   /// `now + return_latency`.
   void release(std::uint32_t vc, Cycle now);
 
   /// Applies every credit whose return has propagated by `now`.  Must be
-  /// called with non-decreasing `now`.
-  void tick(Cycle now);
+  /// called with non-decreasing `now`.  Each VC whose count this lifts off
+  /// zero is appended to `refilled` when given (eligibility masks track the
+  /// zero crossings).
+  void tick(Cycle now, std::vector<std::uint32_t>* refilled = nullptr) {
+    // Inline early-out: most cycles nothing has propagated yet.
+    if (!pending_.empty() && pending_.front().ready <= now)
+      apply_due(now, refilled);
+  }
 
   [[nodiscard]] std::uint32_t in_flight() const {
     return static_cast<std::uint32_t>(pending_.size());
   }
 
   /// Credits of `vc` currently travelling back (subset of in_flight()).
-  [[nodiscard]] std::uint32_t pending_for(std::uint32_t vc) const;
+  [[nodiscard]] std::uint32_t pending_for(std::uint32_t vc) const {
+    MMR_ASSERT(vc < vcs());
+    return pending_per_vc_[vc];
+  }
 
   [[nodiscard]] std::uint32_t capacity_per_vc() const {
     return credits_per_vc_;
@@ -77,10 +96,13 @@ class CreditManager {
     std::uint32_t vc;
   };
 
+  void apply_due(Cycle now, std::vector<std::uint32_t>* refilled);
+
   std::uint32_t credits_per_vc_;
   Cycle return_latency_;
   std::vector<std::uint32_t> credits_;
-  std::deque<PendingReturn> pending_;  ///< FIFO: release() times non-decreasing
+  Ring<PendingReturn> pending_;  ///< FIFO: release() times non-decreasing
+  std::vector<std::uint32_t> pending_per_vc_;
 };
 
 }  // namespace mmr

@@ -8,7 +8,9 @@
 
 namespace mmr {
 
-LinkPipeline::LinkPipeline(Cycle latency) : latency_(latency) {}
+LinkPipeline::LinkPipeline(Cycle latency)
+    : latency_(latency),
+      in_flight_(static_cast<std::size_t>(std::min<Cycle>(latency, 63)) + 1) {}
 
 void LinkPipeline::push(const LinkTransfer& transfer, Cycle now) {
   if (!(last_push_ == kNever || now > last_push_)) [[unlikely]] {
@@ -26,36 +28,27 @@ void LinkPipeline::push(const LinkTransfer& transfer, Cycle now) {
   ++carried_;
 }
 
-void LinkPipeline::pop_due(Cycle now, std::vector<LinkTransfer>& out) {
-  if (now < last_pop_) [[unlikely]] {
-    char msg[128];
-    std::snprintf(msg, sizeof msg,
-                  "pop_due times must not decrease: cycle %llu after a pop "
-                  "at cycle %llu",
-                  static_cast<unsigned long long>(now),
-                  static_cast<unsigned long long>(last_pop_));
-    detail::assert_fail("now >= last_pop_", __FILE__, __LINE__, msg);
-  }
-  last_pop_ = now;
-  while (!in_flight_.empty() && in_flight_.front().arrives <= now) {
-    out.push_back(in_flight_.front().transfer);
-    in_flight_.pop_front();
-  }
+void LinkPipeline::fail_pop(Cycle now) const {
+  char msg[128];
+  std::snprintf(msg, sizeof msg,
+                "pop_due times must not decrease: cycle %llu after a pop "
+                "at cycle %llu",
+                static_cast<unsigned long long>(now),
+                static_cast<unsigned long long>(last_pop_));
+  detail::assert_fail("now >= last_pop_", __FILE__, __LINE__, msg);
 }
 
 std::uint32_t LinkPipeline::in_flight_on_vc(std::uint32_t vc) const {
   std::uint32_t count = 0;
-  for (const InFlight& f : in_flight_) {
-    if (f.transfer.vc == vc) ++count;
+  for (std::size_t k = 0; k < in_flight_.size(); ++k) {
+    if (in_flight_[k].transfer.vc == vc) ++count;
   }
   return count;
 }
 
 std::uint32_t LinkPipeline::drain_vc(std::uint32_t vc) {
-  const std::size_t before = in_flight_.size();
-  std::erase_if(in_flight_,
-                [vc](const InFlight& f) { return f.transfer.vc == vc; });
-  return static_cast<std::uint32_t>(before - in_flight_.size());
+  return static_cast<std::uint32_t>(in_flight_.erase_if(
+      [vc](const InFlight& f) { return f.transfer.vc == vc; }));
 }
 
 std::uint32_t LinkPipeline::drain_all() {
@@ -67,7 +60,7 @@ std::uint32_t LinkPipeline::drain_all() {
 void LinkPipeline::snap(snapshot::Walker& w) {
   snapshot::value(w, last_push_);
   snapshot::value(w, last_pop_);
-  snapshot::walk_deque(w, in_flight_, [](snapshot::Walker& v, InFlight& f) {
+  snapshot::walk_ring(w, in_flight_, [](snapshot::Walker& v, InFlight& f) {
     snapshot::value(v, f.arrives);
     snap_flit(v, f.transfer.flit);
     snapshot::value(v, f.transfer.vc);

@@ -3,9 +3,9 @@
 // target environment (cluster/LAN), so latencies are a cycle or two.
 #pragma once
 
-#include <deque>
 #include <vector>
 
+#include "mmr/sim/ring.hpp"
 #include "mmr/sim/time.hpp"
 #include "mmr/traffic/flit.hpp"
 
@@ -33,7 +33,15 @@ class LinkPipeline {
 
   /// Appends transfers arriving at or before `now` (in order); call with
   /// non-decreasing `now`.
-  void pop_due(Cycle now, std::vector<LinkTransfer>& out);
+  void pop_due(Cycle now, std::vector<LinkTransfer>& out) {
+    if (now < last_pop_) [[unlikely]]
+      fail_pop(now);
+    last_pop_ = now;
+    while (!in_flight_.empty() && in_flight_.front().arrives <= now) {
+      out.push_back(in_flight_.front().transfer);
+      in_flight_.pop_front();
+    }
+  }
 
   /// Total flits ever carried (for utilization accounting).
   [[nodiscard]] std::uint64_t carried() const { return carried_; }
@@ -50,6 +58,8 @@ class LinkPipeline {
   void snap(snapshot::Walker& w);
 
  private:
+  [[noreturn]] void fail_pop(Cycle now) const;
+
   struct InFlight {
     Cycle arrives;
     LinkTransfer transfer;
@@ -58,7 +68,7 @@ class LinkPipeline {
   Cycle latency_;
   Cycle last_push_ = kNever;  ///< enforces one push per cycle
   Cycle last_pop_ = 0;        ///< enforces non-decreasing pop_due() times
-  std::deque<InFlight> in_flight_;
+  Ring<InFlight> in_flight_;  ///< at most latency + 1 transfers
   std::uint64_t carried_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mmr/sim/assert.hpp"
+#include "mmr/sim/config.hpp"
 #include "mmr/snapshot/walker.hpp"
 #include "mmr/trace/event.hpp"
 #include "mmr/trace/tracer.hpp"
@@ -23,7 +24,8 @@ class TopL {
   };
 
   explicit TopL(std::uint32_t levels) : levels_(levels) {
-    MMR_ASSERT_MSG(levels_ <= 64, "candidate levels beyond selection buffer");
+    MMR_ASSERT_MSG(levels_ <= kMaxCandidateLevels,
+                   "candidate levels beyond selection buffer");
   }
 
   void offer(const Entry& entry) {
@@ -61,7 +63,7 @@ class TopL {
     return a.vc < b.vc;
   }
 
-  Entry best_[64];
+  Entry best_[kMaxCandidateLevels];
   std::uint32_t levels_;
   std::uint32_t filled_ = 0;
 };
@@ -113,24 +115,28 @@ Priority LinkScheduler::head_priority(const VirtualChannelMemory& vcm,
 
 void LinkScheduler::select(const VirtualChannelMemory& vcm, Cycle now,
                            CandidateSet& out,
-                           const EligibilityFn* eligible) const {
+                           const EligibilityMask* eligible) const {
   TopL top(levels_);
   for (std::uint32_t vc : vcm.occupied_vcs()) {
     MMR_ASSERT(vc < output_of_vc_.size());
-    if (eligible != nullptr && !(*eligible)(input_port_, vc)) continue;
+    const std::uint32_t output = output_of_vc_[vc];
+    if (eligible != nullptr && !eligible->eligible(input_port_, vc, output))
+      continue;
     const Cycle arrived = vcm.head_arrival(vc);
     top.offer({priority_of(vc, vcm.head(vc).demoted, arrived, now), arrived,
-               vc, output_of_vc_[vc]});
+               vc, output});
   }
   top.emit(input_port_, now, out);
 }
 
 void LinkScheduler::select(const VoqMemory& voq, Cycle now, CandidateSet& out,
-                           const EligibilityFn* eligible) const {
+                           const EligibilityMask* eligible) const {
   TopL top(levels_);
   for (std::uint32_t output : voq.occupied_outputs()) {
     const VoqMemory::Slot& slot = voq.head(output);
-    if (eligible != nullptr && !(*eligible)(input_port_, slot.vc)) continue;
+    if (eligible != nullptr &&
+        !eligible->eligible(input_port_, slot.vc, output))
+      continue;
     top.offer({priority_of(slot.vc, slot.flit.demoted, slot.arrived, now),
                slot.arrived, slot.vc, output});
   }

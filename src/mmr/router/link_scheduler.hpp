@@ -11,21 +11,15 @@
 // checkpoints through snap().
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "mmr/arbiter/candidate.hpp"
 #include "mmr/qos/priority.hpp"
+#include "mmr/router/eligibility.hpp"
 #include "mmr/router/vcm.hpp"
 #include "mmr/router/voq.hpp"
 
 namespace mmr {
-
-/// Gate deciding whether the head of (input, vc) may compete this cycle
-/// (multi-router networks gate on downstream buffer credit; a null pointer
-/// makes every head eligible).
-using EligibilityFn =
-    std::function<bool(std::uint32_t input, std::uint32_t vc)>;
 
 class LinkScheduler {
  public:
@@ -37,13 +31,14 @@ class LinkScheduler {
                 std::vector<QosParams> qos_of_vc);
 
   /// Appends this port's candidates (up to `levels`) to `out`: the per-VC
-  /// heads, each aimed at its VC's output.
+  /// heads, each aimed at its VC's output.  Heads `eligible` refuses stay
+  /// out (a null mask makes every head eligible).
   void select(const VirtualChannelMemory& vcm, Cycle now, CandidateSet& out,
-              const EligibilityFn* eligible = nullptr) const;
+              const EligibilityMask* eligible = nullptr) const;
   /// Same policy over VOQ heads: a candidate's output is its VOQ, its VC —
   /// hence its QoS constants and tie-break — the head flit's.
   void select(const VoqMemory& voq, Cycle now, CandidateSet& out,
-              const EligibilityFn* eligible = nullptr) const;
+              const EligibilityMask* eligible = nullptr) const;
 
   /// The biased priority the head flit of `vc` has at `now` (test hook).
   [[nodiscard]] Priority head_priority(const VirtualChannelMemory& vcm,

@@ -16,6 +16,7 @@ MmrRouter::MmrRouter(const SimConfig& config, const ConnectionTable& table,
                      Rng rng)
     : ports_(config.ports),
       qd_(QdSpec::parse(config.qd_spec)),
+      eligibility_(config.ports, config.vcs_per_link),
       arbiter_(make_arbiter(config.arbiter, config.ports, rng.fork(0xA9B1))),
       crossbar_(config.ports),
       candidates_(config.ports, config.candidate_levels),
@@ -104,12 +105,13 @@ void MmrRouter::step(Cycle now, bool measure,
   {
     MMR_PERF_SCOPE(perf::Phase::kLinkSchedule);
     candidates_.clear();
-    const EligibilityFn* eligible = eligibility_ ? &eligibility_ : nullptr;
     for (std::uint32_t port = 0; port < ports_; ++port) {
       if (per_vc) {
-        schedulers_[port].select(vcms_[port], now, candidates_, eligible);
+        if (vcms_[port].total_flits() == 0) continue;
+        schedulers_[port].select(vcms_[port], now, candidates_, &eligibility_);
       } else {
-        schedulers_[port].select(voqs_[port], now, candidates_, eligible);
+        if (voqs_[port].total_flits() == 0) continue;
+        schedulers_[port].select(voqs_[port], now, candidates_, &eligibility_);
       }
     }
   }
@@ -178,7 +180,7 @@ void MmrRouter::step_cicq(Cycle now, bool measure,
     MMR_PERF_SCOPE(perf::Phase::kArbitration);
     drained_scratch_.clear();
     cicq_->drain_outputs(now, drained_scratch_, xp_pick_scratch_,
-                         eligibility_ ? &eligibility_ : nullptr);
+                         eligibility_);
   }
 
   {

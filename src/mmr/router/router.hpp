@@ -58,11 +58,12 @@ class MmrRouter {
   void accept(std::uint32_t input, std::uint32_t vc, const Flit& flit,
               Cycle now);
 
-  /// Gate deciding whether (input, vc) may compete for the crossbar this
-  /// cycle.  Multi-router networks install one to enforce downstream credit
-  /// availability; unset = every occupied VC is eligible.
-  void set_eligibility(EligibilityFn eligibility) {
-    eligibility_ = std::move(eligibility);
+  /// Which heads may compete for the crossbar: multi-router networks keep
+  /// it current with downstream credit, pauses and faults; untouched, every
+  /// occupied VC is eligible.
+  [[nodiscard]] EligibilityMask& eligibility() { return eligibility_; }
+  [[nodiscard]] const EligibilityMask& eligibility() const {
+    return eligibility_;
   }
 
   /// One scheduling cycle.  Departures leave their output links during this
@@ -113,7 +114,7 @@ class MmrRouter {
 
   std::uint32_t ports_;
   QdSpec qd_;
-  EligibilityFn eligibility_;
+  EligibilityMask eligibility_;
   std::vector<VirtualChannelMemory> vcms_;  ///< kVc only
   std::vector<VoqMemory> voqs_;             ///< kVoq / kCicq
   std::vector<LinkScheduler> schedulers_;   ///< one per input

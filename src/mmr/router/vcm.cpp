@@ -19,13 +19,6 @@ VirtualChannelMemory::VirtualChannelMemory(std::uint32_t vcs,
   MMR_ASSERT(banks > 0);
 }
 
-std::size_t VirtualChannelMemory::slot_index(std::uint32_t vc,
-                                             std::uint32_t k) const {
-  std::uint32_t index = rings_[vc].head + k;
-  if (index >= capacity_) index -= capacity_;
-  return static_cast<std::size_t>(vc) * capacity_ + index;
-}
-
 bool VirtualChannelMemory::can_accept(std::uint32_t vc) const {
   MMR_ASSERT(vc < vcs());
   return rings_[vc].size < capacity_;
@@ -50,28 +43,6 @@ void VirtualChannelMemory::push(std::uint32_t vc, const Flit& flit,
   }
   ++ring.size;
   ++total_;
-}
-
-bool VirtualChannelMemory::empty(std::uint32_t vc) const {
-  MMR_ASSERT(vc < vcs());
-  return rings_[vc].size == 0;
-}
-
-std::uint32_t VirtualChannelMemory::occupancy(std::uint32_t vc) const {
-  MMR_ASSERT(vc < vcs());
-  return rings_[vc].size;
-}
-
-const Flit& VirtualChannelMemory::head(std::uint32_t vc) const {
-  MMR_ASSERT(vc < vcs());
-  MMR_ASSERT_MSG(rings_[vc].size > 0, "head of an empty VC");
-  return slots_[slot_index(vc, 0)].flit;
-}
-
-Cycle VirtualChannelMemory::head_arrival(std::uint32_t vc) const {
-  MMR_ASSERT(vc < vcs());
-  MMR_ASSERT_MSG(rings_[vc].size > 0, "head of an empty VC");
-  return slots_[slot_index(vc, 0)].arrived;
 }
 
 std::uint32_t VirtualChannelMemory::head_slot(std::uint32_t vc) const {

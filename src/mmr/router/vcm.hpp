@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mmr/sim/assert.hpp"
 #include "mmr/sim/time.hpp"
 #include "mmr/traffic/flit.hpp"
 
@@ -34,12 +35,21 @@ class VirtualChannelMemory {
   [[nodiscard]] bool can_accept(std::uint32_t vc) const;
   void push(std::uint32_t vc, const Flit& flit, Cycle now);
 
-  [[nodiscard]] bool empty(std::uint32_t vc) const;
-  [[nodiscard]] std::uint32_t occupancy(std::uint32_t vc) const;
-  [[nodiscard]] const Flit& head(std::uint32_t vc) const;
+  [[nodiscard]] bool empty(std::uint32_t vc) const {
+    return occupancy(vc) == 0;
+  }
+  [[nodiscard]] std::uint32_t occupancy(std::uint32_t vc) const {
+    MMR_ASSERT(vc < vcs());
+    return rings_[vc].size;
+  }
+  [[nodiscard]] const Flit& head(std::uint32_t vc) const {
+    return head_of(vc).flit;
+  }
   /// Cycle the current head flit entered this memory (its queuing-delay
   /// epoch for priority biasing).
-  [[nodiscard]] Cycle head_arrival(std::uint32_t vc) const;
+  [[nodiscard]] Cycle head_arrival(std::uint32_t vc) const {
+    return head_of(vc).arrived;
+  }
   /// Ring slot of `vc`'s head, in [0, capacity_per_vc) (inspection only: a
   /// restored checkpoint lays every FIFO out from slot 0).
   [[nodiscard]] std::uint32_t head_slot(std::uint32_t vc) const;
@@ -78,7 +88,16 @@ class VirtualChannelMemory {
 
   /// Index in slots_ of the `k`-th flit of `vc`'s FIFO (k = 0: the head).
   [[nodiscard]] std::size_t slot_index(std::uint32_t vc,
-                                       std::uint32_t k) const;
+                                       std::uint32_t k) const {
+    std::uint32_t index = rings_[vc].head + k;
+    if (index >= capacity_) index -= capacity_;
+    return static_cast<std::size_t>(vc) * capacity_ + index;
+  }
+  [[nodiscard]] const Slot& head_of(std::uint32_t vc) const {
+    MMR_ASSERT(vc < vcs());
+    MMR_ASSERT_MSG(rings_[vc].size > 0, "head of an empty VC");
+    return slots_[slot_index(vc, 0)];
+  }
 
   std::uint32_t capacity_;
   std::vector<Slot> slots_;  ///< VC v owns [v * capacity_, (v+1) * capacity_)

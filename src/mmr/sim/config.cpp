@@ -43,7 +43,8 @@ const spec::Grammar& SimConfig::grammar() {
       bind<&C::flit_bits>({.name = "flit_bits", .lo = 1}),
       bind<&C::phit_bits>({.name = "phit_bits", .lo = 1}),
       bind<&C::buffer_flits_per_vc>({.name = "buffer_flits", .lo = 1}),
-      bind<&C::candidate_levels>({.name = "levels", .lo = 1}),
+      bind<&C::candidate_levels>(
+          {.name = "levels", .lo = 1, .hi = kMaxCandidateLevels}),
       bind<&C::link_latency>({.name = "link_latency", .hi = kMaxLatency}),
       bind<&C::credit_latency>({.name = "credit_latency", .hi = kMaxLatency}),
       bind<&C::round_multiple>({.name = "round_multiple", .lo = 1}),

@@ -27,6 +27,10 @@ enum class PriorityScheme : std::uint8_t {
 /// key and SweepSpec::validate reject counts outside [2, kMaxPorts].
 inline constexpr std::uint32_t kMaxPorts = 1024;
 
+/// Most candidates a link scheduler offers per input: the selection buffer
+/// and COA's per-output level mask are one 64-bit word.
+inline constexpr std::uint32_t kMaxCandidateLevels = 64;
+
 /// Largest ports x vcs x buffer_flits one router may hold: every VC buffer is
 /// a fixed ring allocated up front, so SimConfig::validate rejects
 /// geometries whose buffers alone would not fit in memory.

@@ -25,6 +25,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "mmr/sim/ring.hpp"
+
 namespace mmr::snapshot {
 
 /// Raised on any malformed / truncated / mismatching snapshot input.
@@ -112,6 +114,18 @@ void walk_deque(Walker& w, std::deque<T>& d, Fn fn) {
     d.resize(static_cast<std::size_t>(n));
   }
   for (T& element : d) fn(w, element);
+}
+
+/// A Ring walks exactly like a deque: its length, then front to back.
+template <typename T, typename Fn>
+void walk_ring(Walker& w, Ring<T>& r, Fn fn) {
+  std::uint64_t n = r.size();
+  value(w, n);
+  if (w.loading()) {
+    r.clear();
+    for (std::uint64_t k = 0; k < n; ++k) r.push_back(T{});
+  }
+  for (std::size_t k = 0; k < r.size(); ++k) fn(w, r[k]);
 }
 
 /// The container inside a std::priority_queue (standard-mandated protected

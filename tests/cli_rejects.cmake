@@ -1,5 +1,6 @@
 # Runs BIN once per malformed input and requires each run to exit with
 # status 1 and a stderr line starting "error:" (no abort, no uncaught throw).
+# An input may hold several space-separated overrides.
 #   cmake -DBIN=path/to/quickstart -P cli_rejects.cmake
 set(inputs
   "qd=cicq,xp:0" "ports=1" "levels=0" "flit_bits=100"
@@ -8,10 +9,12 @@ set(inputs
   "qd=cicq,xp:4294967297" "vcs=4294967297" "police=shape,penalty:4294967296"
   "qd=cicq,stab:7" "police=shape,burst:2,burst:3" "arbiter=bogus"
   "fault=down:0:10:20" "flow=shared,pool:18446744073709551615" "bogus=1"
-  "buffer_flits=100000000" "flow=shared,pool:4000000000")
+  "buffer_flits=100000000" "flow=shared,pool:4000000000"
+  "levels=65 vcs=128")
 set(failures "")
 foreach(input IN LISTS inputs)
-  execute_process(COMMAND "${BIN}" measure=100 "${input}"
+  separate_arguments(overrides UNIX_COMMAND "${input}")
+  execute_process(COMMAND "${BIN}" measure=100 ${overrides}
                   RESULT_VARIABLE status OUTPUT_QUIET ERROR_VARIABLE stderr)
   if(NOT status STREQUAL "1" OR NOT stderr MATCHES "(^|\n)error: ")
     string(APPEND failures "\n  ${input}: exit '${status}', stderr: ${stderr}")

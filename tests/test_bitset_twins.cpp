@@ -31,12 +31,13 @@ TEST(BitsetTwins, RegistryPairsAreRegistered) {
 TEST(BitsetTwins, BitIdenticalAcrossProfilesAndWidths) {
   // Ports straddle the word boundary on purpose: 5 (partial word), 63/64
   // (one word, last bit unused / exactly full), 65 (one bit into word 1),
-  // 127/128 (the same boundary again on multi-word rows).
+  // 127/128 (the same boundary again on multi-word rows).  Levels run from
+  // one candidate per input up to the 64 that fill COA's level mask.
   audit::TwinDiffOptions options;
   options.ports = {2, 5, 8, 16, 32, 63, 64, 65, 127, 128};
   options.seeds = 8;
   options.steps = 20;
-  options.levels = 3;
+  options.levels = {1, 2, 3, 4, 64};
   const audit::TwinDiffReport report = run_twin_diff(options);
   EXPECT_TRUE(report.clean()) << report.summary();
   EXPECT_GT(report.cases, 0u);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "arbiter_test_util.hpp"
 #include "mmr/arbiter/verify.hpp"
 #include "mmr/audit/generator.hpp"
@@ -182,41 +184,78 @@ TEST(CandidateOrderArbiter, MatchesPaperExampleShape) {
   EXPECT_EQ(matching.input_of(0), 2);
 }
 
-// The bucketed COA is a pure reimplementation of the reference scan-loop
+// The word-mask COA is a pure reimplementation of the reference scan-loop
 // COA ("coa-scan"): both must consume the identical RNG draw sequence and
 // therefore produce bit-identical matchings, candidate index included, on
 // every candidate set.  This is what lets the optimized arbiter replace the
-// original without perturbing golden-seed simulation metrics.
+// original without perturbing golden-seed simulation metrics.  Levels run
+// up to the 64-bit level mask's last bit (deep chains at 64); port counts
+// put outputs either side of the active mask's word boundaries (63/64/65,
+// 128); both the priority grant and the coa-np ablation are compared.
 TEST(CandidateOrderArbiter, BucketedMatchesReferenceScanExactly) {
   for (const bool use_priority : {true, false}) {
-    for (const audit::LoadProfile profile : audit::all_profiles()) {
-      for (std::uint32_t ports : {2u, 4u, 8u, 16u}) {
-        const std::uint64_t seed = 0xC0A0 + ports;
-        CandidateOrderArbiter bucketed(ports, Rng(seed, 7), use_priority);
-        CandidateOrderScanArbiter scan(ports, Rng(seed, 7), use_priority);
-        audit::GeneratorOptions opt;
-        opt.ports = ports;
-        opt.levels = 2;
-        opt.profile = profile;
-        Rng gen(0x5EED + ports, static_cast<std::uint64_t>(profile));
-        Matching a(ports);
-        Matching b(ports);
-        for (int step = 0; step < 50; ++step) {
-          CandidateSet set(ports, opt.levels);
-          for (const Candidate& c : audit::generate_step(gen, opt)) {
-            set.add(c);
-          }
-          bucketed.arbitrate_into(set, a);
-          scan.arbitrate_into(set, b);
-          ASSERT_EQ(a.size(), b.size());
-          for (std::uint32_t input = 0; input < ports; ++input) {
-            ASSERT_EQ(a.output_of(input), b.output_of(input))
-                << "profile=" << audit::profile_name(profile)
-                << " ports=" << ports << " step=" << step;
-            ASSERT_EQ(a.candidate_of(input), b.candidate_of(input));
+    for (const std::uint32_t levels : {1u, 2u, 4u, 64u}) {
+      for (const std::uint32_t ports :
+           {2u, 4u, 5u, 8u, 16u, 63u, 64u, 65u, 128u}) {
+        for (const audit::LoadProfile profile : audit::all_profiles()) {
+          const std::uint64_t seed = 0xC0A0 + ports;
+          CandidateOrderArbiter fast(ports, Rng(seed, 7), use_priority);
+          CandidateOrderScanArbiter scan(ports, Rng(seed, 7), use_priority);
+          audit::GeneratorOptions opt;
+          opt.ports = ports;
+          opt.levels = levels;
+          opt.profile = profile;
+          if (levels == 64) opt.fill = 0.99;  // chains reach the top bits
+          Rng gen(0x5EED + ports, static_cast<std::uint64_t>(profile));
+          Matching a(ports);
+          Matching b(ports);
+          for (int step = 0; step < 50; ++step) {
+            CandidateSet set(ports, opt.levels);
+            for (const Candidate& c : audit::generate_step(gen, opt)) {
+              set.add(c);
+            }
+            fast.arbitrate_into(set, a);
+            scan.arbitrate_into(set, b);
+            ASSERT_EQ(a.size(), b.size());
+            for (std::uint32_t input = 0; input < ports; ++input) {
+              ASSERT_EQ(a.output_of(input), b.output_of(input))
+                  << "profile=" << audit::profile_name(profile)
+                  << " ports=" << ports << " levels=" << levels
+                  << " priority=" << use_priority << " step=" << step;
+              ASSERT_EQ(a.candidate_of(input), b.candidate_of(input));
+            }
           }
         }
       }
+    }
+  }
+}
+
+TEST(CandidateOrderArbiter, ScratchIsCleanAcrossLevelCounts) {
+  // Setup touches only the received candidates, so each call must leave
+  // the scratch zeroed for the next — also when consecutive sets differ in
+  // level count (the conflict table's stride) and in the outputs they use.
+  const std::uint32_t ports = 70;
+  CandidateOrderArbiter fast(ports, Rng(3, 3));
+  CandidateOrderScanArbiter scan(ports, Rng(3, 3));
+  Rng gen(11, 1);
+  Matching a(ports);
+  Matching b(ports);
+  const std::array<std::uint32_t, 5> level_counts = {64, 2, 1, 4, 33};
+  const auto& profiles = audit::all_profiles();
+  for (std::size_t step = 0; step < 40; ++step) {
+    audit::GeneratorOptions opt;
+    opt.ports = ports;
+    opt.levels = level_counts[step % level_counts.size()];
+    opt.fill = opt.levels > 4 ? 0.99 : 0.6;
+    opt.profile = profiles[step % profiles.size()];
+    CandidateSet set(ports, opt.levels);
+    for (const Candidate& c : audit::generate_step(gen, opt)) set.add(c);
+    fast.arbitrate_into(set, a);
+    scan.arbitrate_into(set, b);
+    for (std::uint32_t input = 0; input < ports; ++input) {
+      ASSERT_EQ(a.output_of(input), b.output_of(input)) << "step " << step;
+      ASSERT_EQ(a.candidate_of(input), b.candidate_of(input));
     }
   }
 }

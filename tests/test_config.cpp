@@ -179,6 +179,16 @@ TEST(SimConfig, ValidateRejectsNonsense) {
   config = SimConfig{};
   config.candidate_levels = config.vcs_per_link + 1;
   EXPECT_INVALID(config.validate(), "levels");
+  // One 64-bit word holds every level (link-scheduler selection buffer,
+  // COA level masks): 65 levels fail validation, not a run mid-way.
+  config = SimConfig{};
+  config.vcs_per_link = 128;
+  config.candidate_levels = 64;
+  EXPECT_NO_THROW(config.validate());
+  config.candidate_levels = 65;
+  EXPECT_INVALID(config.validate(), "levels");
+  config = SimConfig{};
+  EXPECT_INVALID(apply_overrides(config, {"levels=65", "vcs=128"}), "levels");
   config = SimConfig{};
   config.concurrency_factor = 0.5;
   EXPECT_INVALID(config.validate(), "concurrency");

@@ -200,7 +200,7 @@ TEST(LinkSchedulerVoq, HeadVcBreaksExactTies) {
   EXPECT_EQ(first.priority, second.priority);
 }
 
-TEST(LinkSchedulerVoq, EligibilityGateSeesInputAndHeadVc) {
+TEST(LinkSchedulerVoq, EligibilityMaskGatesHeadVcAndOutput) {
   std::vector<QosParams> qos(4);
   LinkScheduler scheduler(/*input_port=*/2, /*levels=*/4,
                           PriorityFunction(PriorityScheme::kSiabp),
@@ -210,23 +210,32 @@ TEST(LinkSchedulerVoq, EligibilityGateSeesInputAndHeadVc) {
   voq.push(0, 0, make_flit(0), 0);
   voq.push(1, 1, make_flit(1), 0);
   voq.push(3, 2, make_flit(2), 0);
-  voq.push(3, 3, make_flit(3), 0);  // behind VC 2: never asked about
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> asked;
-  const EligibilityFn gate = [&asked](std::uint32_t input, std::uint32_t vc) {
-    asked.emplace_back(input, vc);
-    return vc != 1;
+  voq.push(3, 3, make_flit(3), 0);  // behind VC 2: its bit is never read
+  const auto offered_vcs = [&](const EligibilityMask& mask) {
+    CandidateSet set(4, 4);
+    scheduler.select(voq, 3, set, &mask);
+    std::vector<std::uint32_t> vcs;
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      EXPECT_EQ(set.at(i).input, 2u);
+      vcs.push_back(set.at(i).vc);
+    }
+    std::sort(vcs.begin(), vcs.end());
+    return vcs;
   };
-  CandidateSet set(4, 4);
-  scheduler.select(voq, 3, set, &gate);
-  std::sort(asked.begin(), asked.end());
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>> heads = {
-      {2, 0}, {2, 1}, {2, 2}};
-  EXPECT_EQ(asked, heads);
-  ASSERT_EQ(set.size(), 2u);
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    EXPECT_EQ(set.at(i).input, 2u);
-    EXPECT_NE(set.at(i).vc, 1u);
-  }
+  EligibilityMask mask(4, 4);
+  EXPECT_EQ(offered_vcs(mask), (std::vector<std::uint32_t>{0, 1, 2}));
+  mask.set_credit(2, 1, false);  // VC 1's next hop holds no credit
+  mask.set_credit(2, 3, false);
+  EXPECT_EQ(offered_vcs(mask), (std::vector<std::uint32_t>{0, 2}));
+  mask.set_blocked(3, true);  // output 3's channel paused or down
+  EXPECT_EQ(offered_vcs(mask), (std::vector<std::uint32_t>{0}));
+  mask.set_blocked(3, false);
+  mask.set_credit(2, 3, true);
+  mask.set_credit(2, 2, false);  // VOQ 3's head is gated: VC 3 waits too
+  EXPECT_EQ(offered_vcs(mask), (std::vector<std::uint32_t>{0}));
+  mask.set_credit(2, 2, true);
+  mask.set_credit(0, 1, false);  // another input's bit
+  EXPECT_EQ(offered_vcs(mask), (std::vector<std::uint32_t>{0, 2}));
 }
 
 TEST(LinkSchedulerVoq, DemotedHeadUsesDemotedQos) {
