@@ -42,6 +42,10 @@ class VbrSource final : public TrafficSource {
 
   [[nodiscard]] const MpegTrace& trace() const { return trace_; }
   [[nodiscard]] InjectionModel model() const { return model_; }
+  [[nodiscard]] double phase_cycles() const { return phase_cycles_; }
+  [[nodiscard]] std::uint32_t start_frame() const { return start_frame_; }
+  /// BB inter-arrival time, link bandwidth / the workload-wide peak.
+  [[nodiscard]] double peak_iat_cycles() const { return peak_iat_cycles_; }
   /// Flits of absolute frame `index` (trace position (start_frame + index)
   /// mod frames()).
   [[nodiscard]] std::uint32_t frame_flits(std::uint32_t index) const;
