@@ -257,7 +257,7 @@ void MetricsCollector::on_delivered(const MmrRouter::Departure& departure,
   ++delivered_;
   ++delivered_per_connection_[flit.connection];
   flit_delay_us_.add(delay_us);
-  if (hops != 0) delivered_hops_.add(static_cast<double>(hops));
+  delivered_hops_.add(static_cast<double>(hops));
   ClassMetrics& cls = classes_[class_of_connection_[flit.connection]];
   ++cls.flits_delivered;
   cls.flit_delay_us.add(delay_us);

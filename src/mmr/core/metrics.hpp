@@ -195,7 +195,7 @@ struct SimulationMetrics {
   std::uint64_t flits_delivered = 0;
   StreamingStats flit_delay_us;
   std::vector<ClassMetrics> per_class;
-  /// Routers traversed by delivered flits (routed workloads only).
+  /// Routers traversed by delivered flits (1.0 on one router).
   StreamingStats delivered_hops;
 
   // Frame-level (Fig. 9 and the jitter discussion).
@@ -264,8 +264,7 @@ class MetricsCollector {
                    std::uint32_t local_inputs, std::uint32_t local_outputs);
 
   void on_generated(ConnectionId connection, Cycle generated_at);
-  /// A flit reached its host after traversing `hops` routers (0: not
-  /// tracked, as on a one-router table workload).
+  /// A flit reached its host after traversing `hops` routers.
   void on_delivered(const MmrRouter::Departure& departure, Cycle delivered_at,
                     std::uint32_t hops);
 

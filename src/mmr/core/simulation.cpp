@@ -165,33 +165,27 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
     }
   }
 
-  // Per-router tables.  A table workload is its one router's table, every
-  // flit delivered locally; a routed workload registers one entry per hop
-  // in (connection, hop) order, reproducing its reservation.
-  if (workload_.connections.empty()) {
-    tables_.push_back(workload_.table);
-  } else {
-    tables_.assign(routers, ConnectionTable(config_.ports));
-    for (const NetworkConnection& connection : workload_.connections) {
-      for (const Hop& hop : connection.path) {
-        const ConnectionId local_id = tables_[hop.router].add(
-            hop_descriptor(connection.id, hop), config_.vcs_per_link);
-        MMR_ASSERT_MSG(tables_[hop.router].get(local_id).vc == hop.vc,
-                       "table VC assignment must match the reservation");
-      }
+  // Per-router tables: one entry per hop in (connection, hop) order,
+  // reproducing the reservation (on one router, the workload's own table).
+  tables_.assign(routers, ConnectionTable(config_.ports));
+  for (const NetworkConnection& connection : workload_.connections) {
+    for (const Hop& hop : connection.path) {
+      const ConnectionId local_id = tables_[hop.router].add(
+          hop_descriptor(connection.id, hop), config_.vcs_per_link);
+      MMR_ASSERT_MSG(tables_[hop.router].get(local_id).vc == hop.vc,
+                     "table VC assignment must match the reservation");
     }
   }
 
-  // Routers.  One-router table workloads keep the paper setup's RNG lane;
-  // routed workloads fork one lane per router.
+  // Routers.  One router keeps the paper setup's RNG lane; routed
+  // topologies fork one lane per router.
   const mmu::MmuSpec flow = config_.flow_spec.empty()
                                 ? mmu::MmuSpec{}
                                 : mmu::MmuSpec::parse(config_.flow_spec);
   nodes_.reserve(routers);
   for (std::uint32_t r = 0; r < routers; ++r) {
-    const Rng rng = workload_.connections.empty()
-                        ? Rng(config_.seed, 0xA0)
-                        : Rng(config_.seed, 0x4E7).fork(r);
+    const Rng rng = routers == 1 ? Rng(config_.seed, 0xA0)
+                                 : Rng(config_.seed, 0x4E7).fork(r);
     nodes_.push_back(Node{MmrRouter(config_, tables_[r], rng), nullptr,
                           nullptr, {}});
     Node& node = nodes_.back();
@@ -213,8 +207,8 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
   }
 
   // Next hops, and with them each router's eligibility mask: a router
-  // offers a VC only when its next hop can take the flit.  A one-router
-  // table workload delivers every flit locally, so its mask stays open.
+  // offers a VC only when its next hop can take the flit.  One-hop paths
+  // deliver locally, so a one-router mask stays open.
   next_hops_.resize(port_slots * config_.vcs_per_link);
   upstream_vcs_.resize(channels_.size() * config_.vcs_per_link);
   for (const NetworkConnection& connection : workload_.connections)
@@ -349,13 +343,6 @@ MmrSimulation::ChannelGate MmrSimulation::channel_gate(
   MMR_ASSERT(channel < channels_.size());
   const Channel& c = channels_[channel];
   return {&c.credits, c.paused, fault_ && fault_->injector.is_down(channel)};
-}
-
-Hop MmrSimulation::first_hop(ConnectionId connection) const {
-  if (!workload_.connections.empty())
-    return workload_.connections[connection].first_hop();
-  const ConnectionDescriptor& d = workload_.table.get(connection);
-  return Hop{0, d.input_link, d.output_link, d.vc};
 }
 
 const MmrRouter& MmrSimulation::router(std::uint32_t index) const {
@@ -817,12 +804,8 @@ void MmrSimulation::account_delivery(const MmrRouter::Departure& departure,
                                      Cycle delivered_at, bool measure) {
   const Flit& flit = departure.flit;
   // Teardown flushes every flit on a path it replaces, so a delivered flit
-  // travelled its connection's current path.  A one-router table workload
-  // has no paths to count.
-  const std::size_t hops =
-      workload_.connections.empty()
-          ? 0
-          : workload_.connections[flit.connection].path.size();
+  // travelled its connection's current path.
+  const std::size_t hops = workload_.connections[flit.connection].path.size();
   collector_.on_delivered(departure, delivered_at,
                           static_cast<std::uint32_t>(hops));
   if (observer_) observer_(departure, delivered_at);

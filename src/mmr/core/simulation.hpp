@@ -309,9 +309,10 @@ class MmrSimulation {
   void account_delivery(const MmrRouter::Departure& departure,
                         Cycle delivered_at, bool measure);
 
-  /// Entry hop of a connection (its live path, or its table entry on a
-  /// one-router table workload).
-  [[nodiscard]] Hop first_hop(ConnectionId connection) const;
+  /// Entry hop of a connection's live path.
+  [[nodiscard]] const Hop& first_hop(ConnectionId connection) const {
+    return workload_.connections[connection].first_hop();
+  }
   [[nodiscard]] std::size_t port_index(std::uint32_t router,
                                        std::uint32_t port) const {
     return static_cast<std::size_t>(router) * config_.ports + port;

@@ -1,6 +1,8 @@
-// Workloads for a network of MMRs (the paper's future work, Section 6):
-// connections follow fixed shortest paths, one VC reserved per traversed
-// input link.  MmrSimulation runs them; the network names are aliases.
+// The network names of the one engine, its metrics and its workload, and
+// the builders on an explicit topology.  Every mix builder in
+// traffic/mix.hpp places on any topology, so these forwarders and aliases
+// stay only because the benchmark harness (mmrbench/) still uses them;
+// they go with its next change (ROADMAP item 8).
 #pragma once
 
 #include "mmr/core/simulation.hpp"
@@ -14,20 +16,22 @@ using MmrNetworkSimulation = MmrSimulation;
 using NetworkMetrics = SimulationMetrics;
 using NetworkWorkload = Workload;
 
-/// Builds a CBR mix over the network: per local input port, connections are
-/// drawn from the spec's classes until `target_load` is reached;
-/// destinations are uniform over all local output ports of other placements
-/// (uniform-random policy only — balancing is topology-dependent).
-[[nodiscard]] Workload build_network_cbr_mix(const SimConfig& config,
-                                             const NetworkTopology& topology,
-                                             const CbrMixSpec& spec, Rng& rng);
+/// add_cbr_mix on an empty workload over `topology`.
+[[nodiscard]] inline Workload build_network_cbr_mix(
+    const SimConfig& config, const NetworkTopology& topology,
+    const CbrMixSpec& spec, Rng& rng) {
+  Workload workload(topology);
+  add_cbr_mix(workload, config, spec, rng);
+  return workload;
+}
 
-/// Builds an MPEG-2 VBR mix over the network (the paper's video workload on
-/// its future-work topology): per local input port, sequences are drawn
-/// uniformly from the library until `target_load` of average bandwidth is
-/// placed; the BB peak is workload-wide, as in the single-router builder.
-[[nodiscard]] Workload build_network_vbr_mix(const SimConfig& config,
-                                             const NetworkTopology& topology,
-                                             const VbrMixSpec& spec, Rng& rng);
+/// add_vbr_mix on an empty workload over `topology`.
+[[nodiscard]] inline Workload build_network_vbr_mix(
+    const SimConfig& config, const NetworkTopology& topology,
+    const VbrMixSpec& spec, Rng& rng) {
+  Workload workload(topology);
+  add_vbr_mix(workload, config, spec, rng);
+  return workload;
+}
 
 }  // namespace mmr

@@ -50,16 +50,14 @@ ConnectionId add_cbr(Workload& workload, const SimConfig& config,
                      double phase = 0.0) {
   ConnectionDescriptor descriptor;
   descriptor.traffic_class = TrafficClass::kCbr;
-  descriptor.input_link = in;
-  descriptor.output_link = out;
   descriptor.mean_bandwidth_bps = bps;
   descriptor.peak_bandwidth_bps = bps;
   RoundAccounting rounds(config.flit_cycles_per_round(), config.time_base());
   descriptor.slots_per_round = rounds.slots_for_bandwidth(bps);
-  const ConnectionId id = workload.table.add(descriptor, config.vcs_per_link);
-  workload.sources.push_back(
-      std::make_unique<CbrSource>(id, bps, config.time_base(), phase));
-  return id;
+  return workload.add(descriptor, {Hop{0, in, out}}, config.vcs_per_link,
+                      std::make_unique<CbrSource>(
+                          static_cast<ConnectionId>(workload.size()), bps,
+                          config.time_base(), phase));
 }
 
 SimConfig fairness_config(const std::string& arbiter) {

@@ -5,6 +5,8 @@
 #include <map>
 #include <tuple>
 
+#include "workload_digest.hpp"
+
 namespace mmr {
 namespace {
 
@@ -63,17 +65,118 @@ TEST(NetworkWorkload, LoadPlacedPerLocalInputPort) {
   }
 }
 
-TEST(NetworkSimulation, SingleRouterTopologyMatchesBaseBehaviour) {
+// Every mix option applies on a routed fabric too: destinations are drawn
+// over the local sinks, router-major.
+TEST(NetworkWorkload, BalancedDestinationsEqualiseSinkLoads) {
+  SimConfig config = net_config();
+  config.ports = 5;
+  config.vcs_per_link = 160;
+  const NetworkTopology torus = NetworkTopology::torus2d(3, 3, 5);
+  CbrMixSpec spec = fat_mix(0.35);
+  spec.destinations = DestinationPolicy::kBalanced;
+  Rng rng(12, 12);
+  const Workload workload = build_network_cbr_mix(config, torus, spec, rng);
+  std::map<std::uint32_t, double> sink_bps;
+  double total = 0.0;
+  for (const ConnectionDescriptor& d : workload.table.all()) {
+    sink_bps[d.output_link] += d.mean_bandwidth_bps;
+    total += d.mean_bandwidth_bps;
+  }
+  ASSERT_EQ(sink_bps.size(), 9u);  // one host port per router
+  // Each sink is within one high-rate connection of the even share.
+  for (const auto& [sink, bps] : sink_bps)
+    EXPECT_NEAR(bps, total / 9.0, kCbrHigh.bps) << "sink link " << sink;
+}
+
+TEST(NetworkWorkload, HotOutputNamesALocalSink) {
+  SimConfig config = net_config();
+  config.ports = 5;
+  config.vcs_per_link = 160;
+  const NetworkTopology torus = NetworkTopology::torus2d(3, 3, 5);
+  CbrMixSpec spec = fat_mix(0.05);
+  spec.hot_output = 7;  // the host port (4) of router 7
+  Rng rng(13, 13);
+  const Workload workload = build_network_cbr_mix(config, torus, spec, rng);
+  ASSERT_GT(workload.size(), 9u);
+  for (const NetworkConnection& c : workload.connections) {
+    EXPECT_EQ(c.last_hop().router, 7u);
+    EXPECT_EQ(c.last_hop().out_port, 4u);
+  }
+}
+
+TEST(NetworkWorkloadDeath, AdmissionNeedsOneRouter) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const SimConfig config = net_config();
-  const NetworkTopology single = NetworkTopology::single(4);
-  Rng rng(3, 3);
-  NetworkWorkload workload =
-      build_network_cbr_mix(config, single, fat_mix(0.4), rng);
-  MmrNetworkSimulation simulation(config, std::move(workload));
-  const NetworkMetrics metrics = simulation.run();
+  const NetworkTopology ring = NetworkTopology::bidirectional_ring(4, 4);
+  CbrMixSpec spec = fat_mix(0.3);
+  spec.enforce_admission = true;
+  Rng rng(14, 14);
+  EXPECT_DEATH((void)build_network_cbr_mix(config, ring, spec, rng),
+               "admission control is per router");
+  VbrMixSpec vbr;
+  vbr.enforce_admission = true;
+  EXPECT_DEATH((void)build_network_vbr_mix(config, ring, vbr, rng),
+               "admission control is per router");
+}
+
+TEST(NetworkWorkload, BestEffortLayersOnLocalInputs) {
+  const SimConfig config = net_config();
+  const NetworkTopology ring = NetworkTopology::bidirectional_ring(4, 4);
+  Rng rng(15, 15);
+  Workload workload = build_network_cbr_mix(config, ring, fat_mix(0.3), rng);
+  const std::size_t before = workload.size();
+  BestEffortSpec be;
+  be.load = 0.1;
+  be.connections_per_link = 3;
+  Rng be_rng(16, 16);
+  add_best_effort(workload, config, be, be_rng);
+  workload.check_invariants();
+  ASSERT_EQ(workload.size(), before + 3 * 8);  // 2 local inputs x 4 routers
+  for (std::size_t id = before; id < workload.size(); ++id) {
+    const Hop& first = workload.connections[id].first_hop();
+    EXPECT_TRUE(ring.input_is_local(first.router, first.in_port));
+    EXPECT_EQ(workload.table.get(static_cast<ConnectionId>(id)).traffic_class,
+              TrafficClass::kBestEffort);
+  }
+  MmrSimulation simulation(config, std::move(workload));
+  const SimulationMetrics metrics = simulation.run();
+  const ClassMetrics* best_effort = metrics.find_class("BE");
+  ASSERT_NE(best_effort, nullptr);
+  EXPECT_GT(best_effort->flits_delivered, 0u);
+}
+
+TEST(NetworkSimulation, SingleRouterTopologyMatchesBaseBehaviour) {
+  // On single(4) the network builder is the one-router builder: the same
+  // placements (one-router salts) and the same run (one-router RNG lane).
+  const SimConfig config = net_config();
+  Rng network_rng(3, 3);
+  Rng base_rng(3, 3);
+  NetworkWorkload network = build_network_cbr_mix(
+      config, NetworkTopology::single(4), fat_mix(0.4), network_rng);
+  Workload base = build_cbr_mix(config, fat_mix(0.4), base_rng);
+  EXPECT_EQ(test::workload_digest(network), test::workload_digest(base));
+
+  MmrNetworkSimulation network_simulation(config, std::move(network));
+  MmrSimulation base_simulation(config, std::move(base));
+  const NetworkMetrics metrics = network_simulation.run();
+  const SimulationMetrics expected = base_simulation.run();
+  EXPECT_EQ(network_simulation.state_hash(), base_simulation.state_hash());
+  EXPECT_EQ(metrics.flits_generated, expected.flits_generated);
+  EXPECT_EQ(metrics.flits_delivered, expected.flits_delivered);
+  EXPECT_EQ(metrics.backlog_flits, expected.backlog_flits);
+  EXPECT_EQ(metrics.delivered_per_connection,
+            expected.delivered_per_connection);
+  // Bit-identical floats: exact equality, not a tolerance.
+  EXPECT_EQ(metrics.flit_delay_us.mean(), expected.flit_delay_us.mean());
+  EXPECT_EQ(metrics.flit_delay_us.variance(),
+            expected.flit_delay_us.variance());
+  EXPECT_EQ(metrics.delivered_load, expected.delivered_load);
+  EXPECT_EQ(metrics.crossbar_utilization, expected.crossbar_utilization);
+  EXPECT_EQ(metrics.mean_matching_size, expected.mean_matching_size);
+
   EXPECT_FALSE(metrics.saturated());
   EXPECT_NEAR(metrics.delivered_load, metrics.generated_load_measured, 0.01);
-  EXPECT_DOUBLE_EQ(metrics.delivered_hops.mean(), 1.0);
+  EXPECT_EQ(metrics.delivered_hops.mean(), 1.0);
   EXPECT_LT(metrics.flit_delay_us.mean(), 30 * metrics.flit_cycle_us);
 }
 

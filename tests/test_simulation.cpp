@@ -39,6 +39,9 @@ TEST(Simulation, LowLoadDeliversEverythingWithSmallDelay) {
   // Delay should be a handful of flit cycles at 30% load.
   EXPECT_LT(metrics.flit_delay_us.mean(), 20 * metrics.flit_cycle_us);
   EXPECT_LT(metrics.backlog_flits, 50u);
+  // Every path on one router is one hop, and every delivery counts it.
+  EXPECT_EQ(metrics.delivered_hops.count(), metrics.flits_delivered);
+  EXPECT_EQ(metrics.delivered_hops.mean(), 1.0);
 }
 
 TEST(Simulation, FlitConservation) {

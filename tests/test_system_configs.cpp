@@ -144,14 +144,11 @@ TEST(ConfigSweep, LongLatencyLinksNeedDeeperBuffersForFullThroughput) {
   Workload workload(config.ports);
   ConnectionDescriptor descriptor;
   descriptor.traffic_class = TrafficClass::kCbr;
-  descriptor.input_link = 0;
-  descriptor.output_link = 1;
   descriptor.mean_bandwidth_bps = 2.4e9;  // wants the whole link
   descriptor.peak_bandwidth_bps = 2.4e9;
   descriptor.slots_per_round = 1024;
-  const ConnectionId id = workload.table.add(descriptor, config.vcs_per_link);
-  workload.sources.push_back(
-      std::make_unique<CbrSource>(id, 2.4e9, config.time_base()));
+  workload.add(descriptor, {Hop{0, 0, 1}}, config.vcs_per_link,
+               std::make_unique<CbrSource>(0, 2.4e9, config.time_base()));
   MmrSimulation simulation(config, std::move(workload));
   const SimulationMetrics metrics = simulation.run();
   const double round_trip = 8.0 + 8.0 + 2.0;
