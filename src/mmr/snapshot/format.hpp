@@ -3,7 +3,8 @@
 //
 // Layout (all integers little-endian):
 //   magic            "mmr-snap-v1\n"          12 bytes
-//   u32 version      3 (the state layout; 2 lacked the VC output bindings
+//   u32 version      4 (the state layout; 3 walked no paths and counted no
+//                    hops on one router, 2 lacked the VC output bindings
 //                    under qd=voq|cicq, 1 was the pre-unified-engine walk)
 //   u64 config_digest   fingerprint of the SimConfig the state belongs to;
 //                       restore refuses a snapshot whose digest differs
@@ -27,7 +28,7 @@ namespace mmr::snapshot {
 
 inline constexpr char kMagic[12] = {'m', 'm', 'r', '-', 's', 'n',
                                     'a', 'p', '-', 'v', '1', '\n'};
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 struct Section {
   std::string name;

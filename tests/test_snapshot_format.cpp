@@ -80,17 +80,21 @@ TEST(SnapFormat, RejectsBadMagicVersionAndTruncation) {
 }
 
 // Checkpoints written before the one-engine state layout carry version 1;
-// they must be refused by name, not misread.
+// those written before every connection had a path carry version 3.  Both
+// must be refused by name, not misread.
 TEST(SnapFormat, RefusesTheOldLayoutVersion) {
-  std::vector<std::uint8_t> bytes = snapshot::encode(sample_snapshot());
-  ASSERT_EQ(bytes[12], snapshot::kFormatVersion);
-  bytes[12] = 1;  // low byte of the little-endian version word
-  try {
-    (void)snapshot::decode(bytes.data(), bytes.size());
-    FAIL() << "a version-1 checkpoint must be refused";
-  } catch (const SnapshotError& error) {
-    EXPECT_NE(std::string(error.what()).find("version 1"), std::string::npos)
-        << error.what();
+  for (const std::uint8_t old_version : {std::uint8_t{1}, std::uint8_t{3}}) {
+    std::vector<std::uint8_t> bytes = snapshot::encode(sample_snapshot());
+    ASSERT_EQ(bytes[12], snapshot::kFormatVersion);
+    bytes[12] = old_version;  // low byte of the little-endian version word
+    const std::string expected = "version " + std::to_string(old_version);
+    try {
+      (void)snapshot::decode(bytes.data(), bytes.size());
+      ADD_FAILURE() << "a " << expected << " checkpoint must be refused";
+    } catch (const SnapshotError& error) {
+      EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+          << error.what();
+    }
   }
 }
 
