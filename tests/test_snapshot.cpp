@@ -638,7 +638,7 @@ TEST(SnapshotLayout, PinnedStateHashes) {
     const SimConfig config = cbr4_config();
     MmrSimulation sim(config, cbr4_workload(config));
     while (sim.now() < 3'000) sim.step_one();
-    EXPECT_EQ(sim.state_hash(), 0x4067e7a6e395bb10ull);
+    EXPECT_EQ(sim.state_hash(), 0x10906b5a64ea4e06ull);
   }
   {
     const SimConfig config = rogue_torus_config();
