@@ -54,6 +54,10 @@ std::vector<Hop> compute_path_avoiding(const NetworkTopology& topology,
                  "source must inject on a local input port");
   MMR_ASSERT_MSG(topology.output_is_local(dst_router, dst_port),
                  "destination must eject on a local output port");
+  // A sink on the source's router is one hop, crossing no link (the BFS
+  // would say the same; this skips its allocations for every one-router
+  // connection).
+  if (src_router == dst_router) return {Hop{src_router, src_port, dst_port}};
 
   const std::vector<Reach> reach = bfs(topology, src_router, blocked);
   if (reach[dst_router].distance == kUnreached) return {};

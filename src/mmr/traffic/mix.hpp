@@ -43,10 +43,12 @@ struct Workload {
   std::vector<NetworkConnection> connections;
   std::vector<std::unique_ptr<TrafficSource>> sources;
 
-  /// Registers one connection: the only way connections enter a workload.
-  /// The table entry is `descriptor` (class, rates, slots) with its links
-  /// set from the path's ends; each hop takes the next free VC of its
-  /// (router, input port); `source` must be built for id `size()`.
+  /// Registers one connection: the only way connections enter a workload,
+  /// and where each is validated against the topology (a path from a local
+  /// input to a local output, hop to hop along channels).  The table entry
+  /// is `descriptor` (class, rates, slots) with its links set from the
+  /// path's ends; each hop takes the next free VC of its (router, input
+  /// port); `source` must be built for id `size()`.
   ConnectionId add(ConnectionDescriptor descriptor, std::vector<Hop> path,
                    std::uint32_t vcs_per_link,
                    std::unique_ptr<TrafficSource> source);
@@ -62,6 +64,8 @@ struct Workload {
                                                const TimeBase& time_base) const;
   [[nodiscard]] std::size_t size() const { return sources.size(); }
 
+  /// One source and one path per connection, each under its id (add()
+  /// validated the paths).
   void check_invariants() const;
 
  private:
