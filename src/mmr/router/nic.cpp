@@ -48,7 +48,9 @@ void Nic::move_queue(std::uint32_t from_vc, std::uint32_t to_vc) {
   MMR_ASSERT(from_vc < vcs());
   MMR_ASSERT(to_vc < vcs());
   if (from_vc == to_vc || queues_[from_vc].empty()) return;
-  for (const Flit& flit : queues_[from_vc]) queues_[to_vc].push_back(flit);
+  const Ring<Flit>& from = queues_[from_vc];
+  for (std::size_t k = 0; k < from.size(); ++k)
+    queues_[to_vc].push_back(from[k]);
   queues_[from_vc].clear();
   bits_clear(backlogged_.data(), from_vc);
   bits_set(backlogged_.data(), to_vc);
@@ -74,9 +76,8 @@ void Nic::check_invariants() const {
 }
 
 void Nic::snap(snapshot::Walker& w) {
-  snapshot::walk_vector(w, queues_, [](snapshot::Walker& v,
-                                       std::deque<Flit>& q) {
-    snapshot::walk_deque(v, q, snap_flit);
+  snapshot::walk_vector(w, queues_, [](snapshot::Walker& v, Ring<Flit>& q) {
+    snapshot::walk_ring(v, q, snap_flit);
   });
   if (w.loading()) {
     if (vcs() != credits_.vcs())

@@ -10,12 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "mmr/router/credits.hpp"
 #include "mmr/router/link.hpp"
+#include "mmr/sim/ring.hpp"
 #include "mmr/sim/time.hpp"
 #include "mmr/traffic/flit.hpp"
 
@@ -72,7 +72,7 @@ class Nic {
   void snap(snapshot::Walker& w);
 
  private:
-  std::vector<std::deque<Flit>> queues_;
+  std::vector<Ring<Flit>> queues_;
   std::vector<std::uint64_t> backlogged_;  ///< bit per VC: queue non-empty
   CreditManager credits_;
   std::uint32_t rr_next_ = 0;  ///< round-robin cursor

@@ -2,7 +2,8 @@
 // index mask, never an allocation, once the ring has grown (by doubling,
 // order preserved) to its queue's high-water mark.  The credit-return and
 // link queues sit on the router's per-cycle path and hold a handful of
-// entries, so they need neither a block map nor per-push allocation.
+// entries, so they need neither a block map nor per-push allocation; a
+// NIC holds one per VC, mostly idle, so an empty ring allocates nothing.
 #pragma once
 
 #include <algorithm>
@@ -17,9 +18,10 @@ namespace mmr {
 template <class T>
 class Ring {
  public:
-  /// Room for at least `capacity` entries before the first growth.
-  explicit Ring(std::size_t capacity = 1)
-      : slots_(std::bit_ceil(std::max<std::size_t>(capacity, 1))) {}
+  /// Room for at least `capacity` entries before the first growth; 0
+  /// allocates nothing until the first push.
+  explicit Ring(std::size_t capacity = 0)
+      : slots_(capacity == 0 ? 0 : std::bit_ceil(capacity)) {}
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -69,7 +71,7 @@ class Ring {
 
  private:
   void grow() {
-    std::vector<T> bigger(slots_.size() * 2);
+    std::vector<T> bigger(std::max<std::size_t>(slots_.size() * 2, 1));
     for (std::size_t k = 0; k < size_; ++k) bigger[k] = (*this)[k];
     slots_.swap(bigger);
     head_ = 0;
