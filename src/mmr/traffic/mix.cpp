@@ -33,6 +33,7 @@ ConnectionId Workload::add(ConnectionDescriptor descriptor,
   descriptor.input_link = path.front().router * ports + path.front().in_port;
   descriptor.output_link = path.back().router * ports + path.back().out_port;
   const ConnectionId id = table.add(descriptor, vcs_per_link);
+  MMR_ASSERT(table.get(id).vc == path.front().vc);
   MMR_ASSERT(source != nullptr && source->connection() == id);
   connections.push_back({id, descriptor.traffic_class,
                          descriptor.mean_bandwidth_bps,
