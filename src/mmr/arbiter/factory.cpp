@@ -1,7 +1,6 @@
 #include "mmr/arbiter/factory.hpp"
 
 #include <bit>
-#include <map>
 #include <stdexcept>
 
 #include "mmr/arbiter/candidate_order.hpp"
@@ -14,34 +13,153 @@
 
 namespace mmr {
 
-std::unique_ptr<SwitchArbiter> make_arbiter(const std::string& name,
-                                            std::uint32_t ports, Rng rng) {
-  if (name == "coa")
-    return std::make_unique<CandidateOrderArbiter>(ports, rng);
-  if (name == "coa-np")
-    return std::make_unique<CandidateOrderArbiter>(ports, rng,
-                                                   /*use_priority=*/false);
-  if (name == "coa-scan")
-    return std::make_unique<CandidateOrderScanArbiter>(ports, rng);
-  if (name == "wfa") return std::make_unique<WaveFrontArbiter>(ports);
-  if (name == "wfa-scan")
-    return std::make_unique<WaveFrontScanArbiter>(ports, /*rotate=*/true);
-  if (name == "wfa-fixed")
-    return std::make_unique<WaveFrontScanArbiter>(ports, /*rotate=*/false);
-  if (name == "wwfa") return std::make_unique<WrappedWaveFrontArbiter>(ports);
-  if (name == "islip") return std::make_unique<IslipArbiter>(ports);
-  if (name == "islip1") return std::make_unique<IslipArbiter>(ports, 1);
-  if (name == "islip-scan")
-    return std::make_unique<IslipScanArbiter>(ports);
-  if (name == "pim") return std::make_unique<PimArbiter>(ports, rng);
-  if (name == "pim1") return std::make_unique<PimArbiter>(ports, rng, 1);
-  if (name == "pim-scan") return std::make_unique<PimScanArbiter>(ports, rng);
-  if (name == "greedy")
-    return std::make_unique<GreedyPriorityArbiter>(ports, rng);
-  if (name == "maxmatch") return std::make_unique<MaxMatchArbiter>(ports);
-  if (name == "rr") return std::make_unique<RoundRobinArbiter>(ports);
-  if (name == "rr-scan") return std::make_unique<RoundRobinScanArbiter>(ports);
+namespace {
 
+using Arbiter = std::unique_ptr<SwitchArbiter>;
+
+/// Iteration budget of a row, resolved against the port count.
+enum class Budget : std::uint8_t {
+  kNone,      ///< not iterative
+  kOne,       ///< a single grant/accept round
+  kLogPorts,  ///< the conventional log2(P) + 1 rounds
+};
+
+/// One registered arbiter: everything the factory knows about a name.  The
+/// builder receives the row's resolved budget, so the iteration count an
+/// arbiter runs and the one the audit assumes cannot disagree.
+struct Row {
+  const char* name;
+  Arbiter (*build)(std::uint32_t ports, Rng rng, std::uint32_t iterations);
+  ArbiterTraits traits;
+  Budget budget = Budget::kNone;
+  const char* scan_twin = nullptr;  ///< bit-identical reference, if any
+};
+
+// Traits.  COA loops until every remaining request is blocked and greedy
+// scans all candidates, so both are maximal; both grant within an output
+// strictly by priority.  The wavefront sweeps visit every crosspoint while
+// row/column freedom only decreases, so they are maximal too.  iSLIP/PIM
+// terminate either converged (maximal) or after their iteration budget,
+// gaining at least one match per iteration.  Rotation fairness: iSLIP's
+// grant/accept-pointer desynchronisation, WWFA's rotating diagonal, and
+// WFA's rotating corner row (under a full request matrix the corner row
+// walks every input, so the diagonal matchings cover each pair once per P
+// cycles).  "wfa-fixed" keeps the legacy fixed corner and is intentionally
+// corner-biased — that starvation is the bug the rotation fixes, and the
+// corner bias the paper measures.  "rr" runs a single grant/accept round
+// whose pointers advance unconditionally: not maximal, and deliberately not
+// rotation-fair (the synchronized-pointer pathology qd=cicq studies).
+const std::vector<Row>& rows() {
+  static const std::vector<Row> table = {
+      {"coa",
+       [](std::uint32_t p, Rng rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<CandidateOrderArbiter>(p, rng);
+       },
+       {.maximal = true, .priority_ordered = true}, Budget::kNone,
+       "coa-scan"},
+      {"coa-np",
+       [](std::uint32_t p, Rng rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<CandidateOrderArbiter>(
+             p, rng, /*use_priority=*/false);
+       },
+       {.maximal = true}},
+      {"coa-scan",
+       [](std::uint32_t p, Rng rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<CandidateOrderScanArbiter>(p, rng);
+       },
+       {.maximal = true, .priority_ordered = true}},
+      {"wfa",
+       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<WaveFrontArbiter>(p);
+       },
+       {.maximal = true, .rotation_fair = true}, Budget::kNone, "wfa-scan"},
+      {"wfa-scan",
+       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<WaveFrontScanArbiter>(p, /*rotate=*/true);
+       },
+       {.maximal = true, .rotation_fair = true}},
+      {"wfa-fixed",
+       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<WaveFrontScanArbiter>(p, /*rotate=*/false);
+       },
+       {.maximal = true}},
+      {"wwfa",
+       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<WrappedWaveFrontArbiter>(p);
+       },
+       {.maximal = true, .rotation_fair = true}},
+      {"islip",
+       [](std::uint32_t p, Rng, std::uint32_t iterations) -> Arbiter {
+         return std::make_unique<IslipArbiter>(p, iterations);
+       },
+       {.iteration_bounded = true, .rotation_fair = true}, Budget::kLogPorts,
+       "islip-scan"},
+      {"islip1",
+       [](std::uint32_t p, Rng, std::uint32_t iterations) -> Arbiter {
+         return std::make_unique<IslipArbiter>(p, iterations);
+       },
+       {.iteration_bounded = true}, Budget::kOne},
+      {"islip-scan",
+       [](std::uint32_t p, Rng, std::uint32_t iterations) -> Arbiter {
+         return std::make_unique<IslipScanArbiter>(p, iterations);
+       },
+       {.iteration_bounded = true, .rotation_fair = true}, Budget::kLogPorts},
+      {"pim",
+       [](std::uint32_t p, Rng rng, std::uint32_t iterations) -> Arbiter {
+         return std::make_unique<PimArbiter>(p, rng, iterations);
+       },
+       {.iteration_bounded = true}, Budget::kLogPorts, "pim-scan"},
+      {"pim1",
+       [](std::uint32_t p, Rng rng, std::uint32_t iterations) -> Arbiter {
+         return std::make_unique<PimArbiter>(p, rng, iterations);
+       },
+       {.iteration_bounded = true}, Budget::kOne},
+      {"pim-scan",
+       [](std::uint32_t p, Rng rng, std::uint32_t iterations) -> Arbiter {
+         return std::make_unique<PimScanArbiter>(p, rng, iterations);
+       },
+       {.iteration_bounded = true}, Budget::kLogPorts},
+      {"greedy",
+       [](std::uint32_t p, Rng rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<GreedyPriorityArbiter>(p, rng);
+       },
+       {.maximal = true, .priority_ordered = true}},
+      {"maxmatch",
+       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<MaxMatchArbiter>(p);
+       },
+       {.maximal = true, .exact_maximum = true}},
+      {"rr",
+       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<RoundRobinArbiter>(p);
+       },
+       {.iteration_bounded = true}, Budget::kOne, "rr-scan"},
+      {"rr-scan",
+       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
+         return std::make_unique<RoundRobinScanArbiter>(p);
+       },
+       {.iteration_bounded = true}, Budget::kOne},
+  };
+  return table;
+}
+
+std::uint32_t resolve(Budget budget, std::uint32_t ports) {
+  switch (budget) {
+    case Budget::kOne:
+      return 1;
+    case Budget::kLogPorts:
+      return std::bit_width(ports) + 1u;
+    case Budget::kNone:
+      break;
+  }
+  return 0;
+}
+
+/// The row named `name`; throws std::invalid_argument listing the valid
+/// names otherwise.
+const Row& row(const std::string& name) {
+  for (const Row& r : rows())
+    if (name == r.name) return r;
   std::string valid;
   for (const std::string& n : arbiter_names()) {
     if (!valid.empty()) valid += ", ";
@@ -51,78 +169,40 @@ std::unique_ptr<SwitchArbiter> make_arbiter(const std::string& name,
                               "'; valid arbiters: " + valid);
 }
 
+}  // namespace
+
+std::unique_ptr<SwitchArbiter> make_arbiter(const std::string& name,
+                                            std::uint32_t ports, Rng rng) {
+  const Row& r = row(name);
+  return r.build(ports, rng, resolve(r.budget, ports));
+}
+
 const std::vector<std::string>& arbiter_names() {
-  static const std::vector<std::string> names = {
-      "coa",  "coa-np", "coa-scan",   "wfa", "wfa-scan", "wfa-fixed",
-      "wwfa", "islip",  "islip1",     "islip-scan",      "pim",
-      "pim1", "pim-scan", "greedy",   "maxmatch", "rr",  "rr-scan"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> all;
+    for (const Row& r : rows()) all.emplace_back(r.name);
+    return all;
+  }();
   return names;
 }
 
 const std::vector<std::pair<std::string, std::string>>& arbiter_twin_pairs() {
-  static const std::vector<std::pair<std::string, std::string>> pairs = {
-      {"coa", "coa-scan"},
-      {"wfa", "wfa-scan"},
-      {"islip", "islip-scan"},
-      {"pim", "pim-scan"},
-      {"rr", "rr-scan"},
-  };
+  static const std::vector<std::pair<std::string, std::string>> pairs = [] {
+    std::vector<std::pair<std::string, std::string>> all;
+    for (const Row& r : rows())
+      if (r.scan_twin != nullptr) all.emplace_back(r.name, r.scan_twin);
+    return all;
+  }();
   return pairs;
 }
 
 const ArbiterTraits& arbiter_traits(const std::string& name) {
-  // COA loops until every remaining request is blocked and greedy scans all
-  // candidates, so both are maximal; both grant within an output strictly by
-  // priority.  The wavefront sweeps visit every crosspoint while row/column
-  // freedom only decreases, so they are maximal too.  iSLIP/PIM terminate
-  // either converged (maximal) or after their iteration budget, gaining at
-  // least one match per iteration.  Rotation fairness: iSLIP's
-  // grant/accept-pointer desynchronisation, WWFA's rotating diagonal, and
-  // WFA's rotating corner row (under a full request matrix the corner row
-  // walks every input, so the diagonal matchings cover each pair once per P
-  // cycles).  "wfa-fixed" keeps the legacy fixed corner and is intentionally
-  // corner-biased — that starvation is the bug the rotation fixes, and the
-  // corner bias the paper measures.
-  static const std::map<std::string, ArbiterTraits> traits = {
-      {"coa", {.maximal = true, .priority_ordered = true}},
-      {"coa-np", {.maximal = true}},
-      {"coa-scan", {.maximal = true, .priority_ordered = true}},
-      {"wfa", {.maximal = true, .rotation_fair = true}},
-      {"wfa-scan", {.maximal = true, .rotation_fair = true}},
-      {"wfa-fixed", {.maximal = true}},
-      {"wwfa", {.maximal = true, .rotation_fair = true}},
-      {"islip", {.iteration_bounded = true, .rotation_fair = true}},
-      {"islip1", {.iteration_bounded = true}},
-      {"islip-scan", {.iteration_bounded = true, .rotation_fair = true}},
-      {"pim", {.iteration_bounded = true}},
-      {"pim1", {.iteration_bounded = true}},
-      {"pim-scan", {.iteration_bounded = true}},
-      {"greedy", {.maximal = true, .priority_ordered = true}},
-      {"maxmatch", {.maximal = true, .exact_maximum = true}},
-      // Single grant/accept round, pointers advance unconditionally: not
-      // maximal, and deliberately not rotation-fair (the synchronized-
-      // pointer pathology is the behavior qd=cicq studies).
-      {"rr", {.iteration_bounded = true}},
-      {"rr-scan", {.iteration_bounded = true}},
-  };
-  const auto it = traits.find(name);
-  if (it == traits.end()) {
-    throw std::invalid_argument("no traits for unknown arbiter '" + name +
-                                "'");
-  }
-  return it->second;
+  return row(name).traits;
 }
 
 std::uint32_t arbiter_iterations(const std::string& name,
                                  std::uint32_t ports) {
-  // Mirrors the iteration defaults the constructors above apply.
-  if (name == "islip1" || name == "pim1" || name == "rr" ||
-      name == "rr-scan")
-    return 1;
-  if (name == "islip" || name == "pim" || name == "islip-scan" ||
-      name == "pim-scan")
-    return std::bit_width(ports) + 1u;
-  return 0;
+  return resolve(row(name).budget, ports);
 }
 
 }  // namespace mmr

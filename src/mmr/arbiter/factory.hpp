@@ -12,11 +12,8 @@
 
 namespace mmr {
 
-/// Known names: "coa", "wfa", "islip", "islip1" (single iteration), "pim",
-/// "pim1", "greedy", "maxmatch", plus legacy/reference engines "coa-scan",
-/// "wfa-scan", "wfa-fixed" (the pre-rotation fixed-corner WFA), "islip-scan"
-/// and "pim-scan".  Throws std::invalid_argument on unknown names (listing
-/// the valid ones).
+/// Builds the arbiter registered as `name` (see arbiter_names()).  Throws
+/// std::invalid_argument on unknown names (listing the valid ones).
 std::unique_ptr<SwitchArbiter> make_arbiter(const std::string& name,
                                             std::uint32_t ports, Rng rng);
 
@@ -59,7 +56,7 @@ const ArbiterTraits& arbiter_traits(const std::string& name);
 
 /// Iteration budget an arbiter of `name` runs at for a given port count
 /// (the floor used with ArbiterTraits::iteration_bounded); 0 for
-/// non-iterative arbiters.
+/// non-iterative arbiters.  Throws on unknown names like make_arbiter.
 std::uint32_t arbiter_iterations(const std::string& name, std::uint32_t ports);
 
 }  // namespace mmr
