@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
          AsciiTable::num(admitted_load * 100, 1),
          AsciiTable::num(metrics.delivered_load * 100, 1),
          AsciiTable::num(metrics.frame_delay_us.mean(), 1),
-         AsciiTable::num(metrics.frame_delay_hist.p99(), 1),
+         AsciiTable::num(metrics.frame_delay_us.p99(), 1),
          AsciiTable::num(metrics.frame_jitter_us.mean(), 2)});
   }
   std::cout << table.render();

@@ -14,7 +14,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "mmr/network/network.hpp"
+#include "mmr/core/simulation.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
@@ -65,9 +65,9 @@ int main(int argc, char** argv) {
   AsciiTable table({"load %", "arbiter", "delivered %", "dropped", "corrupted",
                     "cred lost/healed", "teardown/reroute/readmit",
                     "recovery p50/p95 us", "viol% fault", "viol% calm"});
-  std::vector<std::pair<double, std::vector<NetworkMetrics>>> grid;
+  std::vector<std::pair<double, std::vector<SimulationMetrics>>> grid;
   for (double load : args.loads) {
-    std::vector<NetworkMetrics> row;
+    std::vector<SimulationMetrics> row;
     for (const std::string& arbiter : args.arbiters) {
       SimConfig config = base;
       config.arbiter = arbiter;
@@ -78,9 +78,10 @@ int main(int argc, char** argv) {
       spec.target_load = load;
       spec.classes = {kCbrHigh, kCbrMedium, kCbrLow};
       spec.class_weights = {1.0, 1.0, 1.0};
-      NetworkWorkload workload = build_network_cbr_mix(config, ring, spec, rng);
-      MmrNetworkSimulation simulation(config, std::move(workload));
-      const NetworkMetrics m = simulation.run();
+      Workload workload(ring);
+      add_cbr_mix(workload, config, spec, rng);
+      MmrSimulation simulation(config, std::move(workload));
+      const SimulationMetrics m = simulation.run();
       const DegradationMetrics& deg = m.degradation;
       table.add_row(
           {AsciiTable::num(load * 100, 0), arbiter,
@@ -96,8 +97,8 @@ int main(int argc, char** argv) {
                std::to_string(deg.credits_restored),
            std::to_string(deg.teardowns) + "/" + std::to_string(deg.reroutes) +
                "/" + std::to_string(deg.readmissions),
-           AsciiTable::num(deg.recovery_latency_hist.p50(), 1) + "/" +
-               AsciiTable::num(deg.recovery_latency_hist.p95(), 1),
+           AsciiTable::num(deg.recovery_latency_us.p50(), 1) + "/" +
+               AsciiTable::num(deg.recovery_latency_us.p95(), 1),
            AsciiTable::num(deg.violation_rate_during_fault() * 100, 2),
            AsciiTable::num(deg.violation_rate_outside_fault() * 100, 2)});
       row.push_back(m);
@@ -115,11 +116,11 @@ int main(int argc, char** argv) {
   survival_header.insert(survival_header.end(), args.arbiters.begin(),
                          args.arbiters.end());
   AsciiTable survival_table(survival_header);
-  const std::vector<NetworkMetrics>& heavy = grid.back().second;
+  const std::vector<SimulationMetrics>& heavy = grid.back().second;
   if (!heavy.empty()) {
     for (std::size_t cls = 0; cls < heavy.front().per_class.size(); ++cls) {
       std::vector<std::string> cells = {heavy.front().per_class[cls].label};
-      for (const NetworkMetrics& m : heavy) {
+      for (const SimulationMetrics& m : heavy) {
         cells.push_back(AsciiTable::num(survival_rate(m.per_class[cls]) * 100,
                                         2) + "%");
       }

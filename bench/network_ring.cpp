@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "mmr/network/network.hpp"
+#include "mmr/core/simulation.hpp"
 
 namespace {
 int run_bench(int argc, char** argv);
@@ -62,7 +62,7 @@ int run_bench(int argc, char** argv) {
   mix.class_weights = {1.0, 1.0, 1.0};
 
   struct Cell {
-    NetworkMetrics metrics;
+    SimulationMetrics metrics;
   };
   std::vector<std::string> header = {"load %"};
   for (const std::string& arbiter : args.arbiters) {
@@ -71,22 +71,22 @@ int run_bench(int argc, char** argv) {
   }
   AsciiTable table(header);
 
-  std::vector<std::vector<NetworkMetrics>> grid;
+  std::vector<std::vector<SimulationMetrics>> grid;
   for (double load : args.loads) {
-    std::vector<NetworkMetrics> row;
+    std::vector<SimulationMetrics> row;
     for (const std::string& arbiter : args.arbiters) {
       SimConfig config = base;
       config.arbiter = arbiter;
       Rng rng(config.seed, 0x717 + static_cast<std::uint64_t>(load * 1000));
       CbrMixSpec spec = mix;
       spec.target_load = load;
-      NetworkWorkload workload =
-          build_network_cbr_mix(config, ring, spec, rng);
-      MmrNetworkSimulation simulation(config, std::move(workload));
+      Workload workload(ring);
+      add_cbr_mix(workload, config, spec, rng);
+      MmrSimulation simulation(config, std::move(workload));
       row.push_back(simulation.run());
     }
     std::vector<std::string> cells = {AsciiTable::num(load * 100, 0)};
-    for (const NetworkMetrics& m : row) {
+    for (const SimulationMetrics& m : row) {
       cells.push_back(AsciiTable::num(m.flit_delay_us.mean(), 1));
       cells.push_back(AsciiTable::num(
           m.flits_generated == 0
@@ -102,13 +102,13 @@ int run_bench(int argc, char** argv) {
   std::cout << table.render() << '\n';
 
   // Hop distribution + per-router utilization at the heaviest load.
-  const NetworkMetrics& heavy = grid.back().front();
+  const SimulationMetrics& heavy = grid.back().front();
   std::cout << "At " << AsciiTable::num(args.loads.back() * 100, 0)
             << "% load with " << args.arbiters.front()
             << ": mean path length "
             << AsciiTable::num(heavy.delivered_hops.mean(), 2)
             << " routers (max "
-            << AsciiTable::num(heavy.delivered_hops.max(), 0)
+            << AsciiTable::num(static_cast<double>(heavy.delivered_hops.max()), 0)
             << "); per-router crossbar utilization:";
   for (double u : heavy.router_utilization) {
     std::cout << ' ' << AsciiTable::num(u * 100, 1) << '%';
@@ -131,10 +131,10 @@ int run_bench(int argc, char** argv) {
       VbrMixSpec spec;
       spec.target_load = load;
       spec.trace_gops = 6;
-      NetworkWorkload workload =
-          build_network_vbr_mix(config, ring, spec, rng);
-      MmrNetworkSimulation simulation(config, std::move(workload));
-      const NetworkMetrics m = simulation.run();
+      Workload workload(ring);
+      add_vbr_mix(workload, config, spec, rng);
+      MmrSimulation simulation(config, std::move(workload));
+      const SimulationMetrics m = simulation.run();
       vbr_table.add_row(
           {AsciiTable::num(load * 100, 0), arbiter,
            AsciiTable::num(m.frame_delay_us.mean(), 1),

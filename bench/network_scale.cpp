@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "mmr/network/network.hpp"
+#include "mmr/core/simulation.hpp"
 #include "mmr/perf/probe.hpp"
 #include "mmr/perf/report.hpp"
 
@@ -76,9 +76,9 @@ perf::PerfRecord timed_run(const SimConfig& base, const Fabric& fabric,
   mix.target_load = 0.35;
   mix.classes = {kCbrHigh, kCbrMedium};
   mix.class_weights = {3.0, 1.0};
-  NetworkWorkload workload =
-      build_network_cbr_mix(config, fabric.topology, mix, rng);
-  MmrNetworkSimulation simulation(config, std::move(workload));
+  Workload workload(fabric.topology);
+  add_cbr_mix(workload, config, mix, rng);
+  MmrSimulation simulation(config, std::move(workload));
 
   perf::PerfRecord record;
   record.label = "network/" + fabric.name + "/" + engine;

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "mmr/network/network.hpp"
+#include "mmr/core/simulation.hpp"
 
 namespace mmr {
 namespace {
@@ -55,7 +55,7 @@ SoakArgs parse(int argc, char** argv) {
 
 struct RunOutcome {
   std::uint64_t hash = 0;
-  NetworkMetrics metrics;
+  SimulationMetrics metrics;
 };
 
 RunOutcome run_engine(const SimConfig& config, const NetworkTopology& topology,
@@ -67,8 +67,9 @@ RunOutcome run_engine(const SimConfig& config, const NetworkTopology& topology,
   mix.target_load = 0.4;
   mix.classes = {kCbrHigh, kCbrMedium};
   mix.class_weights = {3.0, 1.0};
-  MmrNetworkSimulation simulation(
-      run_config, build_network_cbr_mix(run_config, topology, mix, rng));
+  Workload workload(topology);
+  add_cbr_mix(workload, run_config, mix, rng);
+  MmrSimulation simulation(run_config, std::move(workload));
   RunOutcome outcome;
   outcome.metrics = simulation.run();
   outcome.hash = simulation.state_hash();

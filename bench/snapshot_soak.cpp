@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "mmr/core/simulation.hpp"
-#include "mmr/network/network.hpp"
 #include "mmr/snapshot/manager.hpp"
 #include "mmr/snapshot/signals.hpp"
 
@@ -49,7 +48,9 @@ mmr::Workload torus_workload(const mmr::SimConfig& config) {
   mix.target_load = 0.35;
   mix.classes = {kCbrHigh, kCbrMedium};
   mix.class_weights = {3.0, 1.0};
-  return build_network_cbr_mix(config, torus, mix, rng);
+  Workload workload(torus);
+  add_cbr_mix(workload, config, mix, rng);
+  return workload;
 }
 
 using HashSeq = std::vector<std::pair<std::uint64_t, std::uint64_t>>;

@@ -10,7 +10,7 @@
 #include <iostream>
 #include <stdexcept>
 
-#include "mmr/network/network.hpp"
+#include "mmr/core/simulation.hpp"
 #include "mmr/sim/table.hpp"
 #include "mmr/snapshot/signals.hpp"
 #include "mmr/snapshot/spec.hpp"
@@ -60,17 +60,17 @@ int main(int argc, char** argv) {
     }
   }();
   Rng rng(config.seed, 0xC1);
-  NetworkWorkload workload = [&] {
-    if (vbr) {
-      VbrMixSpec mix;
-      mix.target_load = load;
-      mix.trace_gops = 8;
-      return build_network_vbr_mix(config, ring, mix, rng);
-    }
+  Workload workload(ring);
+  if (vbr) {
+    VbrMixSpec mix;
+    mix.target_load = load;
+    mix.trace_gops = 8;
+    add_vbr_mix(workload, config, mix, rng);
+  } else {
     CbrMixSpec mix;
     mix.target_load = load;
-    return build_network_cbr_mix(config, ring, mix, rng);
-  }();
+    add_cbr_mix(workload, config, mix, rng);
+  }
 
   std::printf("Cluster ring: %u MMRs, %u hosts, %zu %s connections, %s "
               "arbiter, %.0f%% load per host link\n",
@@ -78,9 +78,9 @@ int main(int argc, char** argv) {
               workload.connections.size(), vbr ? "MPEG-2 VBR" : "CBR",
               config.arbiter.c_str(), load * 100);
 
-  NetworkMetrics metrics;
+  SimulationMetrics metrics;
   try {
-    MmrNetworkSimulation simulation(config, std::move(workload));
+    MmrSimulation simulation(config, std::move(workload));
     metrics = simulation.run();
   } catch (const snapshot::Interrupted& stop) {
     return snapshot::report_interrupted(stop);
@@ -98,7 +98,8 @@ int main(int argc, char** argv) {
   std::printf("  end-to-end delay: mean %.1f us, max %.1f us\n",
               metrics.flit_delay_us.mean(), metrics.flit_delay_us.max());
   std::printf("  mean path length: %.2f routers (max %.0f)\n",
-              metrics.delivered_hops.mean(), metrics.delivered_hops.max());
+              metrics.delivered_hops.mean(),
+              static_cast<double>(metrics.delivered_hops.max()));
 
   AsciiTable table({"class", "delivered", "mean delay (us)", "max (us)"});
   for (const ClassMetrics& cls : metrics.per_class) {

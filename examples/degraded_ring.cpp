@@ -14,7 +14,7 @@
 #include <iostream>
 #include <stdexcept>
 
-#include "mmr/network/network.hpp"
+#include "mmr/core/simulation.hpp"
 #include "mmr/snapshot/signals.hpp"
 #include "mmr/snapshot/spec.hpp"
 
@@ -72,16 +72,17 @@ int main(int argc, char** argv) {
   Rng rng(config.seed, 0xC1);
   CbrMixSpec mix;
   mix.target_load = load;
-  NetworkWorkload workload = build_network_cbr_mix(config, ring, mix, rng);
+  Workload workload(ring);
+  add_cbr_mix(workload, config, mix, rng);
 
   std::printf("Degraded ring: %u MMRs, %zu CBR connections, %s arbiter, "
               "%.0f%% load\nfault plan: %s\n",
               routers, workload.connections.size(), config.arbiter.c_str(),
               load * 100, fault_spec.c_str());
 
-  NetworkMetrics metrics;
+  SimulationMetrics metrics;
   try {
-    MmrNetworkSimulation simulation(config, std::move(workload));
+    MmrSimulation simulation(config, std::move(workload));
     metrics = simulation.run();
   } catch (const snapshot::Interrupted& stop) {
     return snapshot::report_interrupted(stop);
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
   if (!deg.recovery_latency_us.empty()) {
     std::printf("  recovery latency: mean %.1f us, p95 %.1f us, max %.1f us\n",
                 deg.recovery_latency_us.mean(),
-                deg.recovery_latency_hist.p95(),
+                deg.recovery_latency_us.p95(),
                 deg.recovery_latency_us.max());
   }
   std::printf("  QoS violations (> %.0f-cycle deadline): %.2f%% during fault "

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   for (const ClassMetrics& cls : metrics.per_class) {
     table.add_row({cls.label, std::to_string(cls.flits_delivered),
                    AsciiTable::num(cls.flit_delay_us.mean(), 1),
-                   AsciiTable::num(cls.flit_delay_hist.p99(), 1),
+                   AsciiTable::num(cls.flit_delay_us.p99(), 1),
                    AsciiTable::num(cls.flit_delay_us.max(), 1)});
   }
   std::cout << table.render() << '\n';

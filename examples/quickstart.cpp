@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   for (const mmr::ClassMetrics& cls : metrics.per_class) {
     table.add_row({cls.label, std::to_string(cls.flits_delivered),
                    mmr::AsciiTable::num(cls.flit_delay_us.mean(), 2),
-                   mmr::AsciiTable::num(cls.flit_delay_hist.p99(), 2),
+                   mmr::AsciiTable::num(cls.flit_delay_us.p99(), 2),
                    mmr::AsciiTable::num(cls.flit_delay_us.max(), 2)});
   }
   std::cout << '\n' << table.render();

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   std::printf("  frames completed     : %llu\n",
               static_cast<unsigned long long>(metrics.frames_completed));
   std::printf("  mean frame delay     : %.1f us (p99 %.1f, max %.1f)\n",
-              metrics.frame_delay_us.mean(), metrics.frame_delay_hist.p99(),
+              metrics.frame_delay_us.mean(), metrics.frame_delay_us.p99(),
               metrics.frame_delay_us.max());
   std::printf("  mean frame jitter    : %.2f us (max %.2f)\n",
               metrics.frame_jitter_us.mean(), metrics.max_frame_jitter_us);

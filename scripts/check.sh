@@ -96,13 +96,17 @@ echo
 echo "=== thread-sanitized sharded engine (equivalence soak under TSan) ==="
 # The soaks cover the cross-shard credit handover into the eligibility masks
 # (returns ticked by the receiving shard, drained by the sending router).
+# test_network_shard adds the delivery accounting the workers do in phase B:
+# fault, overload and VBR frame tallies, folded before every state hash.
 cmake -B build-tsan -S . -DSANITIZE=thread
-cmake --build build-tsan -j "${JOBS}" --target network_scale_soak
+cmake --build build-tsan -j "${JOBS}" --target network_scale_soak \
+  test_network_shard
 TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/bench/network_scale_soak seeds=5 threads=4
 TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/bench/network_scale_soak seeds=3 threads=4 flow=shared \
   police=shape
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_network_shard
 
 echo
 echo "all checks passed"

@@ -50,17 +50,13 @@ SimulationMetrics merge_runs(const std::vector<SimulationMetrics>& runs) {
       }
       if (mine == nullptr) {
         merged.per_class.push_back(cls);
-        continue;
+      } else {
+        mine->merge(cls);
       }
-      mine->flits_generated += cls.flits_generated;
-      mine->flits_delivered += cls.flits_delivered;
-      mine->flit_delay_us.merge(cls.flit_delay_us);
-      mine->flit_delay_hist.merge(cls.flit_delay_hist);
     }
 
     merged.frames_completed += run.frames_completed;
     merged.frame_delay_us.merge(run.frame_delay_us);
-    merged.frame_delay_hist.merge(run.frame_delay_hist);
     merged.frame_jitter_us.merge(run.frame_jitter_us);
     merged.max_frame_jitter_us =
         std::fmax(merged.max_frame_jitter_us, run.max_frame_jitter_us);
@@ -133,6 +129,86 @@ SimulationMetrics merge_runs(const std::vector<SimulationMetrics>& runs) {
     ++merged.merged_runs;
   }
   return merged;
+}
+
+void DelayStats::merge(const DelayStats& other) {
+  MMR_ASSERT_MSG(empty() || other.empty() || cycle_us_ == other.cycle_us_,
+                 "delay statistics of different flit times do not merge");
+  if (empty()) cycle_us_ = other.cycle_us_;
+  stats_.merge(other.stats_);
+  hist_.merge(other.hist_);
+}
+
+void DelayStats::snap(snapshot::Walker& w) {
+  stats_.snap(w);
+  hist_.snap(w);
+}
+
+void SortedSamples::add(double x) {
+  values_.insert(std::upper_bound(values_.begin(), values_.end(), x), x);
+}
+
+void SortedSamples::merge(const SortedSamples& other) {
+  const auto middle = static_cast<std::ptrdiff_t>(values_.size());
+  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
+  std::inplace_merge(values_.begin(), values_.begin() + middle,
+                     values_.end());
+}
+
+double SortedSamples::mean() const {
+  if (values_.empty()) return 0.0;
+  double sum = 0.0;
+  for (const double x : values_) sum += x;
+  return sum / static_cast<double>(values_.size());
+}
+
+double SortedSamples::variance() const {
+  if (values_.empty()) return 0.0;
+  const double m = mean();
+  double m2 = 0.0;
+  for (const double x : values_) m2 += (x - m) * (x - m);
+  return m2 / static_cast<double>(values_.size());
+}
+
+void ClassMetrics::merge(const ClassMetrics& other) {
+  flits_generated += other.flits_generated;
+  flits_delivered += other.flits_delivered;
+  flit_delay_us.merge(other.flit_delay_us);
+}
+
+void DegradationMetrics::merge(const DegradationMetrics& other) {
+  enabled = enabled || other.enabled;
+  flits_dropped += other.flits_dropped;
+  flits_corrupted += other.flits_corrupted;
+  flits_flushed += other.flits_flushed;
+  source_flits_discarded += other.source_flits_discarded;
+  credits_lost += other.credits_lost;
+  credits_restored += other.credits_restored;
+  resync_events += other.resync_events;
+  teardowns += other.teardowns;
+  reroutes += other.reroutes;
+  readmissions += other.readmissions;
+  connections_lost += other.connections_lost;
+  recovery_latency_us.merge(other.recovery_latency_us);
+  delivered_during_fault += other.delivered_during_fault;
+  delivered_outside_fault += other.delivered_outside_fault;
+  qos_violations_during_fault += other.qos_violations_during_fault;
+  qos_violations_outside_fault += other.qos_violations_outside_fault;
+}
+
+void DeliveryTally::merge(const DeliveryTally& other) {
+  MMR_ASSERT(classes.size() == other.classes.size());
+  for (std::size_t c = 0; c < classes.size(); ++c)
+    classes[c].merge(other.classes[c]);
+  delivered += other.delivered;
+  hops.merge(other.hops);
+  frames += other.frames;
+  frame_delay.merge(other.frame_delay);
+  compliant_delivered += other.compliant_delivered;
+  compliant_violations += other.compliant_violations;
+  rogue_delivered += other.rogue_delivered;
+  rogue_violations += other.rogue_violations;
+  fault.merge(other.fault);
 }
 
 namespace {
@@ -217,23 +293,25 @@ MetricsCollector::MetricsCollector(const ConnectionTable& table,
       frame_jitter_(table.size()),
       generated_per_connection_(table.size(), 0),
       delivered_per_connection_(table.size(), 0) {
+  const DelayStats delay(time_base_.flit_cycle_us());
+  std::vector<ClassMetrics>& classes = empty_.classes;
   class_of_connection_.reserve(table.size());
   for (const ConnectionDescriptor& c : table.all()) {
     const std::string label = class_label(c);
-    std::size_t index = classes_.size();
-    for (std::size_t i = 0; i < classes_.size(); ++i) {
-      if (classes_[i].label == label) {
+    std::size_t index = classes.size();
+    for (std::size_t i = 0; i < classes.size(); ++i) {
+      if (classes[i].label == label) {
         index = i;
         break;
       }
     }
-    if (index == classes_.size()) {
-      ClassMetrics metrics;
-      metrics.label = label;
-      classes_.push_back(std::move(metrics));
-    }
+    if (index == classes.size())
+      classes.push_back(ClassMetrics{label, 0, 0, delay});
     class_of_connection_.push_back(index);
   }
+  empty_.frame_delay = delay;
+  empty_.fault.recovery_latency_us = delay;
+  tally_ = empty_;
 }
 
 void MetricsCollector::on_generated(ConnectionId connection,
@@ -242,43 +320,39 @@ void MetricsCollector::on_generated(ConnectionId connection,
   MMR_ASSERT(connection < class_of_connection_.size());
   ++generated_;
   ++generated_per_connection_[connection];
-  ++classes_[class_of_connection_[connection]].flits_generated;
+  ++tally_.classes[class_of_connection_[connection]].flits_generated;
 }
 
-void MetricsCollector::on_delivered(const MmrRouter::Departure& departure,
-                                    Cycle delivered_at, std::uint32_t hops) {
+void MetricsCollector::on_delivered(const Flit& flit, Cycle delivered_at,
+                                    std::uint32_t hops,
+                                    DeliveryTally& tally) {
   if (!measured(delivered_at)) return;
-  const Flit& flit = departure.flit;
   MMR_ASSERT(flit.connection < class_of_connection_.size());
   MMR_ASSERT(delivered_at >= flit.generated_at);
 
-  const double delay_us = time_base_.cycles_to_us(
-      static_cast<double>(delivered_at - flit.generated_at));
-  ++delivered_;
+  const Cycle delay = delivered_at - flit.generated_at;
   ++delivered_per_connection_[flit.connection];
-  flit_delay_us_.add(delay_us);
-  delivered_hops_.add(static_cast<double>(hops));
-  ClassMetrics& cls = classes_[class_of_connection_[flit.connection]];
+  ++tally.delivered;
+  tally.hops.add(hops);
+  ClassMetrics& cls = tally.classes[class_of_connection_[flit.connection]];
   ++cls.flits_delivered;
-  cls.flit_delay_us.add(delay_us);
-  cls.flit_delay_hist.add(delay_us);
+  cls.flit_delay_us.add(delay);
 
   // Frame completion: the paper measures frame delay as the delay of the
   // last flit of the frame since its generation — a flit-delay measure, so
   // it compares across injection models (Section 5.2).
   const ConnectionDescriptor& descriptor = table_.get(flit.connection);
   if (flit.last_of_frame && descriptor.traffic_class == TrafficClass::kVbr) {
-    const double frame_delay_us = delay_us;
-    ++frames_completed_;
-    frame_delay_us_.add(frame_delay_us);
-    frame_delay_hist_.add(frame_delay_us);
-    frame_jitter_[flit.connection].add(frame_delay_us);
+    ++tally.frames;
+    tally.frame_delay.add(delay);
+    frame_jitter_[flit.connection].add(delay);
   }
 }
 
 SimulationMetrics MetricsCollector::finalize(
     const std::vector<const MmrRouter*>& routers,
-    double generated_load_nominal, std::uint64_t backlog) const {
+    double generated_load_nominal, std::uint64_t backlog,
+    const DeliveryTally& deliveries) const {
   MMR_ASSERT(!routers.empty());
   const MmrRouter& router = *routers.front();
   SimulationMetrics m;
@@ -310,7 +384,7 @@ SimulationMetrics MetricsCollector::finalize(
   const double cycles = static_cast<double>(measure_cycles_);
   m.generated_load_measured = static_cast<double>(generated_) /
                               (static_cast<double>(local_inputs_) * cycles);
-  m.delivered_load = static_cast<double>(delivered_) /
+  m.delivered_load = static_cast<double>(deliveries.delivered) /
                      (static_cast<double>(local_outputs_) * cycles);
 
   const double count = static_cast<double>(routers.size());
@@ -322,20 +396,28 @@ SimulationMetrics MetricsCollector::finalize(
   }
 
   m.flits_generated = generated_;
-  m.flits_delivered = delivered_;
-  m.flit_delay_us = flit_delay_us_;
-  m.per_class = classes_;
-  m.delivered_hops = delivered_hops_;
+  m.flits_delivered = deliveries.delivered;
+  m.flit_delay_us = DelayStats(m.flit_cycle_us);
+  for (const ClassMetrics& cls : deliveries.classes)
+    m.flit_delay_us.merge(cls.flit_delay_us);
+  m.per_class = deliveries.classes;
+  m.delivered_hops = deliveries.hops;
 
-  m.frames_completed = frames_completed_;
-  m.frame_delay_us = frame_delay_us_;
-  m.frame_delay_hist = frame_delay_hist_;
+  m.frames_completed = deliveries.frames;
+  m.frame_delay_us = deliveries.frame_delay;
   for (const JitterTracker& jitter : frame_jitter_) {
-    if (jitter.count() == 0) continue;
-    m.frame_jitter_us.add(jitter.mean_jitter());
-    m.max_frame_jitter_us = std::fmax(m.max_frame_jitter_us,
-                                      jitter.max_jitter());
+    const CycleStats& deltas = jitter.deltas();
+    if (deltas.empty()) continue;
+    m.frame_jitter_us.add(deltas.mean() * m.flit_cycle_us);
+    m.max_frame_jitter_us =
+        std::fmax(m.max_frame_jitter_us,
+                  static_cast<double>(deltas.max()) * m.flit_cycle_us);
   }
+  m.overload.compliant_delivered = deliveries.compliant_delivered;
+  m.overload.compliant_violations = deliveries.compliant_violations;
+  m.overload.rogue_delivered = deliveries.rogue_delivered;
+  m.overload.rogue_violations = deliveries.rogue_violations;
+  m.degradation = deliveries.fault;
   m.backlog_flits = backlog;
   m.generated_per_connection = generated_per_connection_;
   m.delivered_per_connection = delivered_per_connection_;
@@ -348,7 +430,6 @@ void ClassMetrics::snap(snapshot::Walker& w) {
   snapshot::value(w, flits_generated);
   snapshot::value(w, flits_delivered);
   flit_delay_us.snap(w);
-  flit_delay_hist.snap(w);
 }
 
 void DegradationMetrics::snap(snapshot::Walker& w) {
@@ -365,24 +446,36 @@ void DegradationMetrics::snap(snapshot::Walker& w) {
   snapshot::value(w, readmissions);
   snapshot::value(w, connections_lost);
   recovery_latency_us.snap(w);
-  recovery_latency_hist.snap(w);
   snapshot::value(w, delivered_during_fault);
   snapshot::value(w, delivered_outside_fault);
   snapshot::value(w, qos_violations_during_fault);
   snapshot::value(w, qos_violations_outside_fault);
 }
 
-void MetricsCollector::snap(snapshot::Walker& w) {
-  // classes_ and frame_jitter_ are sized (and labelled) at construction from
-  // the connection table; walk the accumulators in place so a restore keeps
-  // the labels instead of default-reconstructing the elements.
-  std::uint64_t count = classes_.size();
+void DeliveryTally::snap(snapshot::Walker& w) {
+  // The class list is sized (and labelled) at construction from the
+  // connection table; walk the accumulators in place so a restore keeps the
+  // labels instead of default-reconstructing the elements.
+  std::uint64_t count = classes.size();
   snapshot::value(w, count);
   if (w.loading())
-    MMR_ASSERT_MSG(count == classes_.size(),
+    MMR_ASSERT_MSG(count == classes.size(),
                    "metrics snapshot class count mismatch");
-  for (ClassMetrics& c : classes_) c.snap(w);
-  count = frame_jitter_.size();
+  for (ClassMetrics& c : classes) c.snap(w);
+  snapshot::value(w, delivered);
+  hops.snap(w);
+  snapshot::value(w, frames);
+  frame_delay.snap(w);
+  snapshot::value(w, compliant_delivered);
+  snapshot::value(w, compliant_violations);
+  snapshot::value(w, rogue_delivered);
+  snapshot::value(w, rogue_violations);
+  fault.snap(w);
+}
+
+void MetricsCollector::snap(snapshot::Walker& w) {
+  tally_.snap(w);
+  std::uint64_t count = frame_jitter_.size();
   snapshot::value(w, count);
   if (w.loading())
     MMR_ASSERT_MSG(count == frame_jitter_.size(),
@@ -391,12 +484,6 @@ void MetricsCollector::snap(snapshot::Walker& w) {
   snapshot::walk_vector_pod(w, generated_per_connection_);
   snapshot::walk_vector_pod(w, delivered_per_connection_);
   snapshot::value(w, generated_);
-  snapshot::value(w, delivered_);
-  flit_delay_us_.snap(w);
-  delivered_hops_.snap(w);
-  snapshot::value(w, frames_completed_);
-  frame_delay_us_.snap(w);
-  frame_delay_hist_.snap(w);
 }
 
 }  // namespace mmr

@@ -5,6 +5,8 @@
 //    each video frame, measured from the frame boundary (Fig. 9).
 //  * Frame jitter — delay variation between adjacent frames of one
 //    connection (Section 5.2).
+// Every delay is accumulated in integer flit cycles (sim/cycle_stats.hpp);
+// µs appear only where a result is read.
 #pragma once
 
 #include <string>
@@ -14,8 +16,7 @@
 #include "mmr/qos/connection.hpp"
 #include "mmr/router/router.hpp"
 #include "mmr/sim/config.hpp"
-#include "mmr/sim/histogram.hpp"
-#include "mmr/sim/stats.hpp"
+#include "mmr/sim/cycle_stats.hpp"
 
 namespace mmr {
 
@@ -23,16 +24,87 @@ namespace snapshot {
 class Walker;
 }
 
+/// A delay distribution kept in integer flit cycles and read in µs: the
+/// state merges exactly, and every read scales it once by the flit time.
+class DelayStats {
+ public:
+  /// Reads out raw cycles.
+  DelayStats() = default;
+  /// Reads out µs at a flit time of `cycle_us`.
+  explicit DelayStats(double cycle_us) : cycle_us_(cycle_us) {}
+
+  void add(Cycle cycles) {
+    stats_.add(cycles);
+    hist_.add(cycles);
+  }
+  /// Both sides must share the flit time.
+  void merge(const DelayStats& other);
+
+  [[nodiscard]] std::uint64_t count() const { return stats_.count(); }
+  [[nodiscard]] bool empty() const { return stats_.empty(); }
+  [[nodiscard]] double mean() const { return stats_.mean() * cycle_us_; }
+  [[nodiscard]] double variance() const {
+    return stats_.variance() * cycle_us_ * cycle_us_;
+  }
+  [[nodiscard]] double min() const { return us(stats_.min()); }
+  [[nodiscard]] double max() const { return us(stats_.max()); }
+  [[nodiscard]] double quantile(double q) const {
+    return hist_.quantile(q) * cycle_us_;
+  }
+  [[nodiscard]] double p50() const { return quantile(0.50); }
+  [[nodiscard]] double p95() const { return quantile(0.95); }
+  [[nodiscard]] double p99() const { return quantile(0.99); }
+
+  [[nodiscard]] const CycleStats& cycles() const { return stats_; }
+  [[nodiscard]] const CycleHistogram& histogram() const { return hist_; }
+
+  /// Checkpoint walk: the integer state (the flit time is configuration).
+  void snap(snapshot::Walker& w);
+
+  friend bool operator==(const DelayStats&, const DelayStats&) = default;
+
+ private:
+  [[nodiscard]] double us(std::uint64_t cycles) const {
+    return static_cast<double>(cycles) * cycle_us_;
+  }
+
+  CycleStats stats_;
+  CycleHistogram hist_;
+  double cycle_us_ = 1.0;
+};
+
+/// Real-valued samples kept sorted.  A merge is a multiset union, so it is
+/// exact, and the moments (summed in ascending order) do not depend on the
+/// order of merges.  Holds one value per connection, such as its mean
+/// frame jitter.
+class SortedSamples {
+ public:
+  void add(double x);
+  void merge(const SortedSamples& other);
+
+  [[nodiscard]] std::uint64_t count() const { return values_.size(); }
+  [[nodiscard]] bool empty() const { return values_.empty(); }
+  [[nodiscard]] double mean() const;
+  [[nodiscard]] double variance() const;  ///< population variance
+  [[nodiscard]] const std::vector<double>& values() const { return values_; }
+
+  friend bool operator==(const SortedSamples&,
+                         const SortedSamples&) = default;
+
+ private:
+  std::vector<double> values_;
+};
+
 /// Statistics for one traffic class (e.g. "CBR 64 Kbps", "VBR", "BE").
 struct ClassMetrics {
   std::string label;
   std::uint64_t flits_generated = 0;  ///< within the measurement window
   std::uint64_t flits_delivered = 0;
-  StreamingStats flit_delay_us;
-  LogHistogram flit_delay_hist{0.1, 1.15};
+  DelayStats flit_delay_us;
 
-  /// Checkpoint walk: the accumulators only (label and histogram shape are
-  /// construction-time constants).
+  void merge(const ClassMetrics& other);
+  /// Checkpoint walk: the accumulators only (the label is a
+  /// construction-time constant).
   void snap(snapshot::Walker& w);
 };
 
@@ -60,8 +132,7 @@ struct DegradationMetrics {
 
   /// Time from damage to repair: credit-leak age at restoration and
   /// connection outage duration at re-admission.
-  StreamingStats recovery_latency_us;
-  LogHistogram recovery_latency_hist{0.1, 1.3};
+  DelayStats recovery_latency_us;
 
   // QoS impact: deliveries and deadline violations, split by whether any
   // link was inside a down window at delivery time.
@@ -73,6 +144,7 @@ struct DegradationMetrics {
   [[nodiscard]] double violation_rate_during_fault() const;
   [[nodiscard]] double violation_rate_outside_fault() const;
 
+  void merge(const DegradationMetrics& other);
   /// Checkpoint walk (fault-injection runs accumulate these live).
   void snap(snapshot::Walker& w);
 };
@@ -96,7 +168,7 @@ struct OverloadMetrics {
   PolicedClassTally policed[3];
 
   /// Extra injection delay imposed on shaped flits (shape policy only).
-  StreamingStats shape_delay_us;
+  DelayStats shape_delay_us;
 
   // Saturation-watchdog ladder.
   std::uint64_t watchdog_escalations = 0;
@@ -146,7 +218,7 @@ struct MmuMetrics {
   // Occupancy extremes and the sampled shared-pool occupancy profile.
   std::uint64_t headroom_highwater = 0;
   std::uint64_t pool_highwater = 0;
-  StreamingStats pool_occupancy;
+  CycleStats pool_occupancy;  ///< shared-pool flits, sampled
 
   // ECN marking and the reactor's response.
   std::uint64_t ecn_marked = 0;
@@ -193,16 +265,15 @@ struct SimulationMetrics {
   // Flit-level (Fig. 5).
   std::uint64_t flits_generated = 0;
   std::uint64_t flits_delivered = 0;
-  StreamingStats flit_delay_us;
+  DelayStats flit_delay_us;  ///< every class's, merged
   std::vector<ClassMetrics> per_class;
   /// Routers traversed by delivered flits (1.0 on one router).
-  StreamingStats delivered_hops;
+  CycleStats delivered_hops;
 
   // Frame-level (Fig. 9 and the jitter discussion).
   std::uint64_t frames_completed = 0;
-  StreamingStats frame_delay_us;
-  LogHistogram frame_delay_hist{0.1, 1.15};
-  StreamingStats frame_jitter_us;  ///< per-connection mean jitters
+  DelayStats frame_delay_us;
+  SortedSamples frame_jitter_us;  ///< per-connection mean jitters
   double max_frame_jitter_us = 0.0;
 
   // End-of-run backlog (flits still in NICs + router): grows without bound
@@ -255,6 +326,31 @@ struct SimulationMetrics {
 /// Stable class label used for grouping (CBR classes keyed by rate).
 [[nodiscard]] std::string class_label(const ConnectionDescriptor& descriptor);
 
+/// Everything a host delivery updates outside per-connection state.  A
+/// sharded run keeps one per shard and folds them into the collector's;
+/// every field merges exactly, so the fold order does not matter.
+struct DeliveryTally {
+  std::vector<ClassMetrics> classes;  ///< in the collector's class order
+  std::uint64_t delivered = 0;
+  CycleStats hops;
+  std::uint64_t frames = 0;
+  DelayStats frame_delay;
+
+  // QoS deadline split between compliant and rogue sources (police= and
+  // rogue= runs only).
+  std::uint64_t compliant_delivered = 0;
+  std::uint64_t compliant_violations = 0;
+  std::uint64_t rogue_delivered = 0;
+  std::uint64_t rogue_violations = 0;
+
+  /// Fault accounting (fault-plan runs only), from the serial sections and
+  /// the shards alike.
+  DegradationMetrics fault;
+
+  void merge(const DeliveryTally& other);
+  void snap(snapshot::Walker& w);
+};
+
 /// Accumulates per-flit / per-frame events during a run.
 class MetricsCollector {
  public:
@@ -264,14 +360,26 @@ class MetricsCollector {
                    std::uint32_t local_inputs, std::uint32_t local_outputs);
 
   void on_generated(ConnectionId connection, Cycle generated_at);
-  /// A flit reached its host after traversing `hops` routers.
-  void on_delivered(const MmrRouter::Departure& departure, Cycle delivered_at,
-                    std::uint32_t hops);
+  /// A flit reached its host after traversing `hops` routers.  Its
+  /// connection's own counters are written here: every delivery of a
+  /// connection happens at its sink router, so in one shard.  Everything
+  /// else goes to `tally`.
+  void on_delivered(const Flit& flit, Cycle delivered_at, std::uint32_t hops,
+                    DeliveryTally& tally);
 
-  /// Assembles the final metrics.  `backlog` = flits still queued anywhere.
+  /// The collector's own tally: the serial loop delivers into it, and
+  /// shard tallies fold into it.
+  [[nodiscard]] DeliveryTally& tally() { return tally_; }
+  [[nodiscard]] const DeliveryTally& tally() const { return tally_; }
+  /// An empty tally in this collector's layout, to start a shard's from.
+  [[nodiscard]] const DeliveryTally& empty_tally() const { return empty_; }
+
+  /// Assembles the final metrics from `deliveries` (the collector's tally
+  /// with every shard's folded in).  `backlog` = flits still queued.
   [[nodiscard]] SimulationMetrics finalize(
       const std::vector<const MmrRouter*>& routers,
-      double generated_load_nominal, std::uint64_t backlog) const;
+      double generated_load_nominal, std::uint64_t backlog,
+      const DeliveryTally& deliveries) const;
 
   /// Checkpoint walk: every accumulator that feeds finalize().
   void snap(snapshot::Walker& w);
@@ -289,17 +397,12 @@ class MetricsCollector {
   std::uint32_t local_outputs_;
 
   std::vector<std::size_t> class_of_connection_;
-  std::vector<ClassMetrics> classes_;
+  DeliveryTally empty_;
+  DeliveryTally tally_;
   std::vector<JitterTracker> frame_jitter_;  ///< per QoS connection
   std::vector<std::uint64_t> generated_per_connection_;
   std::vector<std::uint64_t> delivered_per_connection_;
   std::uint64_t generated_ = 0;
-  std::uint64_t delivered_ = 0;
-  StreamingStats flit_delay_us_;
-  StreamingStats delivered_hops_;
-  std::uint64_t frames_completed_ = 0;
-  StreamingStats frame_delay_us_;
-  LogHistogram frame_delay_hist_{0.1, 1.15};
 };
 
 }  // namespace mmr

@@ -30,8 +30,8 @@
 //   1  serial   traffic generation off the global emission heap, shaped
 //               releases, ECN recovery, Xon/Xoff frames land
 //   B  shards   NIC sends + router scheduling cycles, credit returns,
-//               forwards, host deliveries
-//   2  serial   delivery accounting, watchdog, audit sweeps, credit resync
+//               forwards, host delivery and its accounting
+//   2  serial   watchdog, audit sweeps, credit resync
 //
 // Both phases walk routers in ascending order, each router's input or
 // output ports in ascending order.  The serial loop is one shard covering
@@ -39,9 +39,11 @@
 // into contiguous shards; a shard owns its routers, the hosts attached to
 // them and the channels they receive.
 // Determinism — the sharded loop is BIT-identical to the serial one:
-//   * Float accumulators are only updated in section 2, in ascending router
-//     order: phase B queues deliveries per shard and the barrier drains them
-//     shard-ascending, which is router order.
+//   * Delivery accounting is integer (sim/cycle_stats.hpp), so its merges
+//     are exact.  Each shard accounts into its own DeliveryTally, folded
+//     into the collector's before a snapshot walk or finalize; a
+//     connection's own counters are written only by its sink router's
+//     shard.
 //   * Cross-shard effects (ECN source throttles; Xon/Xoff frames, which may
 //     gate an upstream router in another shard) are queued per shard or per
 //     router and applied in a serial section.
@@ -57,8 +59,9 @@
 //     that lift a count off zero are listed on the channel in phase A and
 //     drained into the sending router's mask at its phase-B start; every
 //     other mask event happens in phase B by that router or serially.
-// Shards hold no simulated state across cycles, so snapshots, state hashes
-// and resume behaviour are identical across thread counts.
+// Across cycles a shard holds only its tally, which every snapshot walk
+// folds first, so snapshots, state hashes and resume behaviour are
+// identical across thread counts.
 
 namespace mmr {
 
@@ -117,7 +120,8 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
                  count_local(workload_.topology, /*inputs=*/true),
                  count_local(workload_.topology, /*inputs=*/false)),
       generated_load_nominal_(
-          workload_.generated_load(config_.time_base())) {
+          workload_.generated_load(config_.time_base())),
+      shape_delay_us_(config_.time_base().flit_cycle_us()) {
   config_.validate();
   workload_.check_invariants();
   const NetworkTopology& topology = workload_.topology;
@@ -252,7 +256,10 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
     shards_[s].router_end = static_cast<std::uint32_t>(
         static_cast<std::uint64_t>(routers) * (s + 1) / shard_count);
   }
-  if (shard_count >= 2) pool_ = std::make_unique<ThreadPool>(shard_count);
+  if (shard_count >= 2) {
+    pool_ = std::make_unique<ThreadPool>(shard_count);
+    for (Shard& shard : shards_) shard.tally = collector_.empty_tally();
+  }
 
   // Last: every subsystem the walk visits must already exist before a
   // `resume:` checkpoint is overlaid.
@@ -480,7 +487,7 @@ void MmrSimulation::step_one() {
   });
 
   // 2. Barrier bookkeeping.
-  close_cycle(now, measure);
+  close_cycle(now);
   ++now_;
 }
 
@@ -506,13 +513,13 @@ void MmrSimulation::input_arrivals(std::uint32_t r, std::uint32_t p, Cycle now,
       // A dropped or corrupt (CRC-failed) flit is discarded here; its
       // credit leaks until the resync watchdog repairs it.
       if (fault_->injector.drop_flit(ci)) {
-        ++shard.tally.flits_dropped;
+        ++tally_of(shard).fault.flits_dropped;
         MMR_TRACE_EVENT(
             trace::fault_event(now, trace::FaultKind::kFlitDrop, ci));
         continue;
       }
       if (fault_->injector.corrupt_flit(ci)) {
-        ++shard.tally.flits_corrupted;
+        ++tally_of(shard).fault.flits_corrupted;
         MMR_TRACE_EVENT(
             trace::fault_event(now, trace::FaultKind::kFlitCorrupt, ci));
         continue;
@@ -590,7 +597,7 @@ void MmrSimulation::generate_traffic(Cycle now, bool measure) {
     for (const Flit& flit : flit_buffer_) {
       collector_.on_generated(flit.connection, flit.generated_at);
       if (disconnected) {
-        ++fault_->metrics.source_flits_discarded;
+        ++fault_metrics().source_flits_discarded;
         continue;
       }
       const overload::Verdict verdict = policer_ == nullptr
@@ -642,7 +649,7 @@ void MmrSimulation::generate_traffic(Cycle now, bool measure) {
   for (const Flit& flit : release_buffer_) {
     if (fault_ && fault_->state[flit.connection] ==
                       FaultRuntime::ConnState::kDropped) {
-      ++fault_->metrics.source_flits_discarded;
+      ++fault_metrics().source_flits_discarded;
       continue;
     }
     const Hop first = first_hop(flit.connection);
@@ -652,8 +659,7 @@ void MmrSimulation::generate_traffic(Cycle now, bool measure) {
                                                flit.connection, flit.seq,
                                                now - flit.generated_at));
     if (measure && flit.generated_at >= config_.warmup_cycles) {
-      shape_delay_us_.add(config_.time_base().cycles_to_us(
-          static_cast<double>(now - flit.generated_at)));
+      shape_delay_us_.add(now - flit.generated_at);
     }
   }
 }
@@ -699,7 +705,7 @@ void MmrSimulation::router_cycle(std::uint32_t r, Cycle now, bool measure,
     } else {
       const auto up = static_cast<std::uint32_t>(port.in_channel);
       if (fault_ && fault_->injector.lose_credit(up)) {
-        ++shard.tally.credits_lost;  // the watchdog will restore it
+        ++tally_of(shard).fault.credits_lost;  // the watchdog restores it
         credit_returned = false;
         MMR_TRACE_EVENT(
             trace::fault_event(now, trace::FaultKind::kCreditLoss, up));
@@ -750,30 +756,18 @@ void MmrSimulation::router_cycle(std::uint32_t r, Cycle now, bool measure,
                                                    delay));
       }
     }
-    shard.deliveries.push_back(departure);
+    account_delivery(departure, now + 1, measure, tally_of(shard));
   }
   if (node.mmu) node.mmu->on_cycle(now);
   if (node.auditor) node.auditor->on_departures(now, node.router,
                                                 shard.departures);
 }
 
-void MmrSimulation::close_cycle(Cycle now, bool measure) {
+void MmrSimulation::close_cycle(Cycle now) {
   MMR_PERF_SCOPE(perf::Phase::kMetrics);
   // Fabric-wide events carry node 0; the register (part of the snapshot
   // walk) then no longer depends on which shard emitted last.
   MMR_TRACE_SET_NODE(0);
-  // Delivery accounting in ascending shard order == ascending router order.
-  for (Shard& shard : shards_) {
-    for (const MmrRouter::Departure& departure : shard.deliveries)
-      account_delivery(departure, now + 1, measure);
-    shard.deliveries.clear();
-    if (fault_) {
-      fault_->metrics.flits_dropped += shard.tally.flits_dropped;
-      fault_->metrics.flits_corrupted += shard.tally.flits_corrupted;
-      fault_->metrics.credits_lost += shard.tally.credits_lost;
-    }
-    shard.tally = FaultTally{};
-  }
 
   if (watchdog_) {
     const std::uint64_t sample =
@@ -801,13 +795,14 @@ void MmrSimulation::close_cycle(Cycle now, bool measure) {
 }
 
 void MmrSimulation::account_delivery(const MmrRouter::Departure& departure,
-                                     Cycle delivered_at, bool measure) {
+                                     Cycle delivered_at, bool measure,
+                                     DeliveryTally& tally) {
   const Flit& flit = departure.flit;
   // Teardown flushes every flit on a path it replaces, so a delivered flit
   // travelled its connection's current path.
   const std::size_t hops = workload_.connections[flit.connection].path.size();
-  collector_.on_delivered(departure, delivered_at,
-                          static_cast<std::uint32_t>(hops));
+  collector_.on_delivered(flit, delivered_at,
+                          static_cast<std::uint32_t>(hops), tally);
   if (observer_) observer_(departure, delivered_at);
 
   // Compliant-vs-rogue QoS deadline split (overload accounting only).
@@ -817,16 +812,16 @@ void MmrSimulation::account_delivery(const MmrRouter::Departure& departure,
         static_cast<double>(delivered_at - flit.generated_at) >
         qos_deadline_cycles_;
     if (!is_rogue_.empty() && is_rogue_[flit.connection]) {
-      ++rogue_delivered_;
-      if (violated) ++rogue_violations_;
+      ++tally.rogue_delivered;
+      if (violated) ++tally.rogue_violations;
     } else {
-      ++compliant_delivered_;
-      if (violated) ++compliant_violations_;
+      ++tally.compliant_delivered;
+      if (violated) ++tally.compliant_violations;
     }
   }
   // Deadline violations split by whether any link was down at delivery.
   if (fault_ && delivered_at >= config_.warmup_cycles) {
-    DegradationMetrics& d = fault_->metrics;
+    DegradationMetrics& d = tally.fault;
     const bool violated =
         static_cast<double>(delivered_at - flit.generated_at) >
         fault_->injector.plan().qos_deadline_cycles;
@@ -866,7 +861,7 @@ void MmrSimulation::set_fault_plan(FaultPlan plan) {
 
   fault_.reset(new FaultRuntime{FaultInjector(std::move(plan), channels)});
   FaultRuntime& f = *fault_;
-  f.metrics.enabled = true;
+  fault_metrics().enabled = true;
 
   // Mirror every hop's reservation into per-router admission controllers so
   // teardown can release it and re-admission re-check it.  Workloads are
@@ -903,7 +898,7 @@ void MmrSimulation::apply_fault_transitions(Cycle now) {
   for (const std::uint32_t ch : f.went_down) {
     // Flits on the wire are lost outright; their consumed downstream credits
     // leak until the resync watchdog notices the deficit.
-    f.metrics.flits_dropped += channels_[ch].pipe.drain_all();
+    fault_metrics().flits_dropped += channels_[ch].pipe.drain_all();
     refresh_gate(ch);
   }
   for (const std::uint32_t ch : f.came_up) refresh_gate(ch);
@@ -921,10 +916,10 @@ void MmrSimulation::apply_fault_transitions(Cycle now) {
             f.injector.is_down(static_cast<std::uint32_t>(ch));
       }
       if (!crosses_down_link) continue;
-      ++f.metrics.teardowns;
+      ++fault_metrics().teardowns;
       tear_down(c, now);
       if (try_readmit(c)) {
-        ++f.metrics.reroutes;
+        ++fault_metrics().reroutes;
       } else {
         f.state[c] = FaultRuntime::ConnState::kDropped;
         f.dropped_at[c] = now;
@@ -935,11 +930,8 @@ void MmrSimulation::apply_fault_transitions(Cycle now) {
     for (std::uint32_t c = 0; c < connections; ++c) {
       if (f.state[c] != FaultRuntime::ConnState::kDropped) continue;
       if (!try_readmit(c)) continue;
-      ++f.metrics.readmissions;
-      const double outage_us = config_.time_base().cycles_to_us(
-          static_cast<double>(now - f.dropped_at[c]));
-      f.metrics.recovery_latency_us.add(outage_us);
-      f.metrics.recovery_latency_hist.add(outage_us);
+      ++fault_metrics().readmissions;
+      fault_metrics().recovery_latency_us.add(now - f.dropped_at[c]);
     }
   }
 }
@@ -953,7 +945,7 @@ void MmrSimulation::tear_down(std::uint32_t connection, Cycle now) {
   // wire losses are left for the resync watchdog to repair.
   Host& host = host_at(path.front().router, path.front().in_port);
   const std::uint32_t on_nic_link = host.link.drain_vc(path.front().vc);
-  f.metrics.flits_flushed += on_nic_link;
+  fault_metrics().flits_flushed += on_nic_link;
   for (std::uint32_t i = 0; i < on_nic_link; ++i)
     host.nic.return_credit(path.front().vc, now);
 
@@ -962,7 +954,7 @@ void MmrSimulation::tear_down(std::uint32_t connection, Cycle now) {
     Node& node = nodes_[hop.router];
     const std::vector<Flit> in_vcm =
         node.router.drain_vc(hop.in_port, hop.vc, now);
-    f.metrics.flits_flushed += in_vcm.size();
+    fault_metrics().flits_flushed += in_vcm.size();
     for (const Flit& flit : in_vcm) {
       if (node.mmu) {
         // Flushed flits leave the shared pool under the class they were
@@ -981,7 +973,7 @@ void MmrSimulation::tear_down(std::uint32_t connection, Cycle now) {
       Channel& channel = channels_[static_cast<std::size_t>(
           channel_at(hop.router, hop.out_port))];
       const std::uint32_t on_wire = channel.pipe.drain_vc(path[h + 1].vc);
-      f.metrics.flits_flushed += on_wire;
+      fault_metrics().flits_flushed += on_wire;
       for (std::uint32_t i = 0; i < on_wire; ++i)
         channel.credits.release(path[h + 1].vc, now);
     }
@@ -1090,12 +1082,10 @@ void MmrSimulation::credit_resync(Cycle now) {
       const std::uint32_t missing = capacity - accounted;
       channel.credits.restore(vc, missing);
       refresh_credit_bit(static_cast<std::uint32_t>(ci), vc);
-      f.metrics.credits_restored += missing;
-      ++f.metrics.resync_events;
-      const double leak_age_us =
-          config_.time_base().cycles_to_us(static_cast<double>(now - since));
-      f.metrics.recovery_latency_us.add(leak_age_us);
-      f.metrics.recovery_latency_hist.add(leak_age_us);
+      DegradationMetrics& d = fault_metrics();
+      d.credits_restored += missing;
+      ++d.resync_events;
+      d.recovery_latency_us.add(now - since);
       since = kNever;
     }
   }
@@ -1182,12 +1172,9 @@ void MmrSimulation::restore_checkpoint(const std::string& path) {
 void MmrSimulation::snap_walk(snapshot::Walker& w) {
   using snapshot::value;
 
+  fold_tallies();
   w.section("sim");
   value(w, now_);
-  value(w, compliant_delivered_);
-  value(w, compliant_violations_);
-  value(w, rogue_delivered_);
-  value(w, rogue_violations_);
   shape_delay_us_.snap(w);
   // The emission heap's raw array: a rebuild from next_emission() would
   // change its layout (and could emit an already queued emission twice).
@@ -1287,7 +1274,6 @@ void MmrSimulation::snap_walk(snapshot::Walker& w) {
                           [](snapshot::Walker& v, std::vector<Cycle>& leaks) {
                             snapshot::walk_vector_pod(v, leaks);
                           });
-    f.metrics.snap(w);
   }
   if (tracer_) {
     w.section("trace");
@@ -1295,14 +1281,28 @@ void MmrSimulation::snap_walk(snapshot::Walker& w) {
   }
 }
 
+void MmrSimulation::fold_tallies() {
+  if (!pool_) return;
+  for (Shard& shard : shards_) {
+    collector_.tally().merge(shard.tally);
+    shard.tally = collector_.empty_tally();
+  }
+}
+
 SimulationMetrics MmrSimulation::finalize() const {
   std::vector<const MmrRouter*> routers;
   for (const Node& node : nodes_) routers.push_back(&node.router);
-  SimulationMetrics m =
-      collector_.finalize(routers, generated_load_nominal_, backlog());
+  // Read-only: fold the shard tallies into a copy.
+  DeliveryTally folded;
+  if (pool_) {
+    folded = collector_.tally();
+    for (const Shard& shard : shards_) folded.merge(shard.tally);
+  }
+  SimulationMetrics m = collector_.finalize(
+      routers, generated_load_nominal_, backlog(),
+      pool_ ? folded : collector_.tally());
 
   if (fault_) {
-    m.degradation = fault_->metrics;
     for (const FaultRuntime::ConnState state : fault_->state)
       if (state == FaultRuntime::ConnState::kDropped)
         ++m.degradation.connections_lost;
@@ -1339,10 +1339,6 @@ SimulationMetrics MmrSimulation::finalize() const {
   if (!o.enabled) return m;
   o.policy = policer_ ? to_string(policer_->spec().policy) : "off";
   o.rogue_connections = static_cast<std::uint32_t>(rogue_ids_.size());
-  o.compliant_delivered = compliant_delivered_;
-  o.compliant_violations = compliant_violations_;
-  o.rogue_delivered = rogue_delivered_;
-  o.rogue_violations = rogue_violations_;
   if (policer_) {
     o.noncompliant_connections = policer_->noncompliant_connections();
     for (const TrafficClass cls :

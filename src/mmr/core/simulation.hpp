@@ -90,7 +90,9 @@ class MmrSimulation {
   [[nodiscard]] std::uint64_t backlog() const;
 
   /// Invoked for every delivery to a host with its delivery cycle (tests,
-  /// custom sinks).  Set before running.
+  /// custom sinks), where the delivery is accounted: a sharded run calls it
+  /// from the worker threads, concurrently across shards.  Set before
+  /// running.
   using DepartureObserver =
       std::function<void(const MmrRouter::Departure&, Cycle)>;
   void set_departure_observer(DepartureObserver observer) {
@@ -249,16 +251,8 @@ class MmrSimulation {
     /// Per channel, per VC: when a credit deficit was first observed by the
     /// resync watchdog (kNever = currently balanced).
     std::vector<std::vector<Cycle>> leak_since{};
-    DegradationMetrics metrics{};
     std::vector<std::uint32_t> went_down{};  ///< advance_to() scratch
     std::vector<std::uint32_t> came_up{};
-  };
-
-  /// Fault counters a shard flushes into DegradationMetrics at the barrier.
-  struct FaultTally {
-    std::uint64_t flits_dropped = 0;
-    std::uint64_t flits_corrupted = 0;
-    std::uint64_t credits_lost = 0;
   };
 
   /// The slice of the fabric one worker steps: contiguous routers, the
@@ -271,11 +265,11 @@ class MmrSimulation {
     // Per-cycle scratch and cross-shard effects, drained at the barrier.
     std::vector<LinkTransfer> arrivals;
     std::vector<MmrRouter::Departure> departures;
-    /// Host deliveries, accounted at the barrier: the float accumulators
-    /// must be updated in router order to stay bit-identical.
-    std::vector<MmrRouter::Departure> deliveries;
     std::vector<ConnectionId> ecn_marks;
-    FaultTally tally;
+    /// Delivery and fault accounting of a sharded run's worker, folded
+    /// into the collector's tally before a snapshot walk or finalize.  The
+    /// serial loop accounts into the collector's tally directly.
+    DeliveryTally tally;
 
     /// Trace staging (sharded runs), replayed into the real tracer.
     std::unique_ptr<trace::Tracer> staging;
@@ -301,13 +295,25 @@ class MmrSimulation {
   void generate_traffic(Cycle now, bool measure);
   void apply_pause_frames(Cycle now);
   /// Phase B for one router: scheduling step, credit returns, forwards and
-  /// host deliveries (trace in place, accounting queued for the barrier).
+  /// host delivery, traced and accounted in place.
   void router_cycle(std::uint32_t r, Cycle now, bool measure, Shard& shard);
-  /// The serial section closing a cycle: delivery accounting, watchdog,
-  /// audit sweeps, credit resync.
-  void close_cycle(Cycle now, bool measure);
+  /// The serial section closing a cycle: watchdog, audit sweeps, credit
+  /// resync.
+  void close_cycle(Cycle now);
   void account_delivery(const MmrRouter::Departure& departure,
-                        Cycle delivered_at, bool measure);
+                        Cycle delivered_at, bool measure,
+                        DeliveryTally& tally);
+  /// Where `shard` accounts: its own tally when sharded, else the
+  /// collector's.
+  [[nodiscard]] DeliveryTally& tally_of(Shard& shard) {
+    return pool_ ? shard.tally : collector_.tally();
+  }
+  /// Folds every shard's tally into the collector's (sharded runs).
+  void fold_tallies();
+  /// Fault accounting of the serial sections.
+  [[nodiscard]] DegradationMetrics& fault_metrics() {
+    return collector_.tally().fault;
+  }
 
   /// Entry hop of a connection's live path.
   [[nodiscard]] const Hop& first_hop(ConnectionId connection) const {
@@ -373,11 +379,7 @@ class MmrSimulation {
   std::vector<ConnectionId> rogue_ids_;
   std::vector<char> is_rogue_;  ///< per-connection flag (empty = none)
   double qos_deadline_cycles_ = kQosDeadlineCycles;  ///< violation split
-  std::uint64_t compliant_delivered_ = 0;
-  std::uint64_t compliant_violations_ = 0;
-  std::uint64_t rogue_delivered_ = 0;
-  std::uint64_t rogue_violations_ = 0;
-  StreamingStats shape_delay_us_;
+  DelayStats shape_delay_us_;
   std::vector<Flit> release_buffer_;
 
   std::unique_ptr<mmu::EcnReactor> ecn_;  ///< flow=shared with marking

@@ -176,7 +176,7 @@ ReleaseResult SharedBufferMmu::release(std::uint32_t port, TrafficClass cls,
 
 void SharedBufferMmu::on_cycle(Cycle now) {
   if (now % spec_.sample_every == 0)
-    pool_occupancy_.add(static_cast<double>(shared_used_));
+    pool_occupancy_.add(shared_used_);
 }
 
 Cycle SharedBufferMmu::longest_open_pause(Cycle now) const {

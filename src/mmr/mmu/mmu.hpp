@@ -31,7 +31,7 @@
 #include "mmr/mmu/spec.hpp"
 #include "mmr/qos/connection.hpp"
 #include "mmr/sim/rng.hpp"
-#include "mmr/sim/stats.hpp"
+#include "mmr/sim/cycle_stats.hpp"
 #include "mmr/sim/time.hpp"
 
 namespace mmr::snapshot {
@@ -119,7 +119,7 @@ class SharedBufferMmu {
   [[nodiscard]] std::uint64_t pool_highwater() const { return pool_highwater_; }
   [[nodiscard]] std::uint64_t ecn_marked() const { return ecn_marked_; }
   [[nodiscard]] std::uint64_t ecn_eligible() const { return ecn_eligible_; }
-  [[nodiscard]] const StreamingStats& pool_occupancy() const {
+  [[nodiscard]] const CycleStats& pool_occupancy() const {
     return pool_occupancy_;
   }
 
@@ -170,7 +170,7 @@ class SharedBufferMmu {
   std::uint64_t pool_highwater_ = 0;
   std::uint64_t ecn_marked_ = 0;
   std::uint64_t ecn_eligible_ = 0;
-  StreamingStats pool_occupancy_;
+  CycleStats pool_occupancy_;
 };
 
 /// Turns ECN marks into per-connection injection rate factors in (0, 1]:

@@ -22,7 +22,7 @@ void Crossbar::apply(const Matching& matching, bool measure) {
   if (measure) {
     utilization_.add(matching.size(), ports());
     reconfigurations_.add(changed, 1);
-    matching_size_.add(static_cast<double>(matching.size()));
+    matching_size_.add(matching.size());
   }
 }
 
@@ -42,7 +42,7 @@ void Crossbar::apply_outputs(const std::vector<std::int32_t>& input_of_output,
   if (measure) {
     utilization_.add(served, ports());
     reconfigurations_.add(changed, 1);
-    matching_size_.add(static_cast<double>(served));
+    matching_size_.add(served);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "mmr/arbiter/matching.hpp"
+#include "mmr/sim/cycle_stats.hpp"
 #include "mmr/sim/stats.hpp"
 #include "mmr/sim/time.hpp"
 
@@ -61,7 +62,7 @@ class Crossbar {
   std::vector<std::int32_t> input_of_output_;
   RatioAccumulator utilization_;       ///< matched outputs / ports
   RatioAccumulator reconfigurations_;  ///< changed outputs / cycles
-  StreamingStats matching_size_;
+  CycleStats matching_size_;
 };
 
 }  // namespace mmr

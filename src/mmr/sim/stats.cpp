@@ -55,32 +55,6 @@ double StreamingStats::min() const { return n_ == 0 ? 0.0 : min_; }
 
 double StreamingStats::max() const { return n_ == 0 ? 0.0 : max_; }
 
-void StreamingStats::snap(snapshot::Walker& w) {
-  snapshot::value(w, n_);
-  snapshot::value(w, mean_);
-  snapshot::value(w, m2_);
-  snapshot::value(w, min_);
-  snapshot::value(w, max_);
-}
-
-void JitterTracker::add(double x) {
-  if (has_prev_) deltas_.add(std::abs(x - prev_));
-  prev_ = x;
-  has_prev_ = true;
-}
-
-void JitterTracker::reset() {
-  has_prev_ = false;
-  prev_ = 0.0;
-  deltas_.reset();
-}
-
-void JitterTracker::snap(snapshot::Walker& w) {
-  snapshot::value(w, has_prev_);
-  snapshot::value(w, prev_);
-  deltas_.snap(w);
-}
-
 void RatioAccumulator::add(std::uint64_t numerator, std::uint64_t denominator) {
   num_ += numerator;
   den_ += denominator;

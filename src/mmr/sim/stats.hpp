@@ -1,6 +1,7 @@
-// Streaming statistics used throughout the simulator: Welford mean/variance,
-// jitter tracking (mean |delta| between consecutive samples), and time-series
-// accumulation for utilization-style ratios.
+// Streaming statistics: Welford mean/variance over real-valued samples (the
+// spreads and ratios benches compute across trials) and count ratios for
+// utilization.  In-simulation delay accumulators are integer
+// (sim/cycle_stats.hpp).
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,7 @@ class Walker;
 /// Single-pass mean / variance / min / max accumulator (Welford).
 ///
 /// Variance convention: `variance()` is the POPULATION variance m2/n — right
-/// when the samples ARE the whole population (every flit delay of a run).
+/// when the samples ARE the whole population.
 /// `sample_variance()` is the unbiased estimator m2/(n-1) — use it (and
 /// `sample_stddev()`) when the samples estimate a larger population, e.g.
 /// spreads or confidence intervals over repeated trials in benches.
@@ -37,36 +38,12 @@ class StreamingStats {
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return mean() * static_cast<double>(n_); }
 
-  void snap(snapshot::Walker& w);
-
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Jitter: statistics of |x_i - x_{i-1}| over a sample stream (the paper's
-/// definition — delay variation between adjacent units of one connection).
-class JitterTracker {
- public:
-  void add(double x);
-  void reset();
-
-  [[nodiscard]] const StreamingStats& deltas() const { return deltas_; }
-  [[nodiscard]] double mean_jitter() const { return deltas_.mean(); }
-  [[nodiscard]] double max_jitter() const {
-    return deltas_.empty() ? 0.0 : deltas_.max();
-  }
-  [[nodiscard]] std::uint64_t count() const { return deltas_.count(); }
-
-  void snap(snapshot::Walker& w);
-
- private:
-  bool has_prev_ = false;
-  double prev_ = 0.0;
-  StreamingStats deltas_;
 };
 
 /// Accumulates a ratio of counts over cycles (e.g. matched outputs / ports).

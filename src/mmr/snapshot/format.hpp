@@ -28,7 +28,7 @@ namespace mmr::snapshot {
 
 inline constexpr char kMagic[12] = {'m', 'm', 'r', '-', 's', 'n',
                                     'a', 'p', '-', 'v', '1', '\n'};
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 struct Section {
   std::string name;

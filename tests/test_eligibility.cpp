@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "mmr/core/simulation.hpp"
-#include "mmr/network/network.hpp"
 #include "oracle_args.hpp"
 
 namespace mmr {
@@ -137,8 +136,9 @@ Seen run_oracle(Topo topo, const std::vector<std::string>& overrides,
   mix.class_weights = {3.0, 1.0};
   const auto make_sim = [&] {
     Rng rng(config.seed, 7);
-    return std::make_unique<MmrSimulation>(
-        config, build_network_cbr_mix(config, topology, mix, rng));
+    Workload workload(topology);
+    add_cbr_mix(workload, config, mix, rng);
+    return std::make_unique<MmrSimulation>(config, std::move(workload));
   };
   std::unique_ptr<MmrSimulation> sim = make_sim();
 

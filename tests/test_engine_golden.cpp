@@ -52,7 +52,9 @@ class Line {
   void count(const char* key, std::uint64_t value) {
     text_ += std::string(" ") + key + "=" + std::to_string(value);
   }
-  void stats(const char* key, const StreamingStats& s) {
+  /// Count, mean and variance of any of the statistics types.
+  template <class Stats>
+  void stats(const char* key, const Stats& s) {
     count((std::string(key) + ".n").c_str(), s.count());
     num((std::string(key) + ".mean").c_str(), s.empty() ? 0.0 : s.mean());
     num((std::string(key) + ".var").c_str(), s.empty() ? 0.0 : s.variance());

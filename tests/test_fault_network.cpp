@@ -1,4 +1,4 @@
-#include "mmr/network/network.hpp"
+#include "mmr/core/simulation.hpp"
 
 #include <gtest/gtest.h>
 
@@ -24,23 +24,25 @@ CbrMixSpec fat_mix(double load) {
   return spec;
 }
 
-NetworkWorkload ring_workload(const SimConfig& config, std::uint32_t routers,
+Workload ring_workload(const SimConfig& config, std::uint32_t routers,
                               double load, std::uint64_t seed) {
   const NetworkTopology ring =
       NetworkTopology::bidirectional_ring(routers, config.ports);
   Rng rng(seed, seed);
-  return build_network_cbr_mix(config, ring, fat_mix(load), rng);
+  Workload workload(ring);
+  add_cbr_mix(workload, config, fat_mix(load), rng);
+  return workload;
 }
 
 TEST(FaultNetwork, EmptyPlanIsBitIdenticalToNoPlan) {
   const SimConfig config = net_config();
   auto run = [&](bool install_empty_plan) {
-    MmrNetworkSimulation simulation(config, ring_workload(config, 4, 0.4, 21));
+    MmrSimulation simulation(config, ring_workload(config, 4, 0.4, 21));
     if (install_empty_plan) simulation.set_fault_plan(FaultPlan{});
     return simulation.run();
   };
-  const NetworkMetrics base = run(false);
-  const NetworkMetrics with_plan = run(true);
+  const SimulationMetrics base = run(false);
+  const SimulationMetrics with_plan = run(true);
   EXPECT_FALSE(base.degradation.enabled);
   EXPECT_FALSE(with_plan.degradation.enabled);
   EXPECT_EQ(base.flits_generated, with_plan.flits_generated);
@@ -62,21 +64,21 @@ TEST(FaultNetwork, EmptyPlanIsBitIdenticalToNoPlan) {
 TEST(FaultNetwork, FaultSpecConfigKeyInstallsThePlan) {
   SimConfig config = net_config();
   config.fault_spec = "drop:0.01,resync_period:256,resync_timeout:512";
-  MmrNetworkSimulation simulation(config, ring_workload(config, 3, 0.3, 22));
-  const NetworkMetrics metrics = simulation.run();
+  MmrSimulation simulation(config, ring_workload(config, 3, 0.3, 22));
+  const SimulationMetrics metrics = simulation.run();
   EXPECT_TRUE(metrics.degradation.enabled);
   EXPECT_GT(metrics.degradation.flits_dropped, 0u);
 }
 
 TEST(FaultNetwork, DropPlanLeaksCreditsAndWatchdogRestoresThem) {
   const SimConfig config = net_config();
-  MmrNetworkSimulation simulation(config, ring_workload(config, 4, 0.4, 23));
+  MmrSimulation simulation(config, ring_workload(config, 4, 0.4, 23));
   FaultPlan plan;
   plan.default_rates.drop_probability = 0.01;
   plan.resync_period = 256;
   plan.resync_timeout = 512;
   simulation.set_fault_plan(plan);
-  const NetworkMetrics metrics = simulation.run();
+  const SimulationMetrics metrics = simulation.run();
   simulation.check_invariants();
 
   const DegradationMetrics& deg = metrics.degradation;
@@ -102,14 +104,14 @@ TEST(FaultNetwork, DropPlanLeaksCreditsAndWatchdogRestoresThem) {
 
 TEST(FaultNetwork, CorruptAndCreditLossAreCountedSeparately) {
   const SimConfig config = net_config();
-  MmrNetworkSimulation simulation(config, ring_workload(config, 3, 0.4, 24));
+  MmrSimulation simulation(config, ring_workload(config, 3, 0.4, 24));
   FaultPlan plan;
   plan.default_rates.corrupt_probability = 0.005;
   plan.default_rates.credit_loss_probability = 0.005;
   plan.resync_period = 256;
   plan.resync_timeout = 512;
   simulation.set_fault_plan(plan);
-  const NetworkMetrics metrics = simulation.run();
+  const SimulationMetrics metrics = simulation.run();
   simulation.check_invariants();
   EXPECT_GT(metrics.degradation.flits_corrupted, 0u);
   EXPECT_GT(metrics.degradation.credits_lost, 0u);
@@ -121,7 +123,7 @@ TEST(FaultNetwork, CorruptAndCreditLossAreCountedSeparately) {
 TEST(FaultNetwork, NonZeroPlanIsDeterministicForAFixedSeed) {
   const SimConfig config = net_config();
   auto run = [&] {
-    MmrNetworkSimulation simulation(config,
+    MmrSimulation simulation(config,
                                     ring_workload(config, 4, 0.4, 25));
     FaultPlan plan;
     plan.default_rates.drop_probability = 0.005;
@@ -132,8 +134,8 @@ TEST(FaultNetwork, NonZeroPlanIsDeterministicForAFixedSeed) {
     simulation.set_fault_plan(plan);
     return simulation.run();
   };
-  const NetworkMetrics a = run();
-  const NetworkMetrics b = run();
+  const SimulationMetrics a = run();
+  const SimulationMetrics b = run();
   EXPECT_EQ(a.flits_delivered, b.flits_delivered);
   EXPECT_EQ(a.degradation.flits_dropped, b.degradation.flits_dropped);
   EXPECT_EQ(a.degradation.credits_lost, b.degradation.credits_lost);
@@ -143,7 +145,7 @@ TEST(FaultNetwork, NonZeroPlanIsDeterministicForAFixedSeed) {
 
 TEST(FaultNetwork, RingRoutesAroundAnOutage) {
   const SimConfig config = net_config();
-  MmrNetworkSimulation simulation(config, ring_workload(config, 4, 0.3, 26));
+  MmrSimulation simulation(config, ring_workload(config, 4, 0.3, 26));
 
   // Cut one directed ring channel mid-run; the ring's other direction
   // provides the next shortest path, so connections survive by rerouting.
@@ -157,7 +159,7 @@ TEST(FaultNetwork, RingRoutesAroundAnOutage) {
       {static_cast<std::uint32_t>(victim), 8'000, 14'000});
   simulation.set_fault_plan(plan);
 
-  const NetworkMetrics metrics = simulation.run();
+  const SimulationMetrics metrics = simulation.run();
   simulation.check_invariants();
   const DegradationMetrics& deg = metrics.degradation;
   EXPECT_GT(deg.teardowns, 0u);
@@ -177,9 +179,9 @@ TEST(FaultNetwork, LineCutDropsGracefullyAndReadmitsWhenTheLinkReturns) {
   SimConfig config = net_config();
   const NetworkTopology line = NetworkTopology::line(2, config.ports);
   Rng rng(27, 27);
-  NetworkWorkload workload =
-      build_network_cbr_mix(config, line, fat_mix(0.3), rng);
-  MmrNetworkSimulation simulation(config, std::move(workload));
+  Workload workload(line);
+  add_cbr_mix(workload, config, fat_mix(0.3), rng);
+  MmrSimulation simulation(config, std::move(workload));
 
   // Cut every channel leaving router 0 (on a 2-router line they all reach
   // router 1): traffic 0 -> 1 has no detour and must be dropped gracefully,
@@ -195,7 +197,7 @@ TEST(FaultNetwork, LineCutDropsGracefullyAndReadmitsWhenTheLinkReturns) {
   ASSERT_FALSE(plan.down_windows.empty());
   simulation.set_fault_plan(plan);
 
-  const NetworkMetrics metrics = simulation.run();
+  const SimulationMetrics metrics = simulation.run();
   simulation.check_invariants();
   const DegradationMetrics& deg = metrics.degradation;
   EXPECT_GT(deg.teardowns, 0u);
@@ -224,8 +226,9 @@ TEST(FaultNetwork, FinalizeLeavesTheSimulatedStateAlone) {
   config.measure_cycles = 4'000;
   const NetworkTopology line = NetworkTopology::line(2, config.ports);
   Rng rng(27, 27);
-  MmrNetworkSimulation simulation(
-      config, build_network_cbr_mix(config, line, fat_mix(0.3), rng));
+  Workload workload(line);
+  add_cbr_mix(workload, config, fat_mix(0.3), rng);
+  MmrSimulation simulation(config, std::move(workload));
   FaultPlan plan;  // router 0 loses router 1 for good: no detour exists
   for (std::uint32_t port = 0; port < config.ports; ++port) {
     const std::int32_t channel = simulation.channel_at(0, port);
@@ -236,9 +239,9 @@ TEST(FaultNetwork, FinalizeLeavesTheSimulatedStateAlone) {
   simulation.set_fault_plan(plan);
   while (simulation.now() < config.total_cycles()) simulation.step_one();
   const std::uint64_t before = simulation.state_hash();
-  const NetworkMetrics metrics = simulation.run();  // no cycle left to step
+  const SimulationMetrics metrics = simulation.run();  // no cycle left to step
   EXPECT_EQ(simulation.state_hash(), before);
-  const NetworkMetrics again = simulation.finalize();
+  const SimulationMetrics again = simulation.finalize();
   EXPECT_GT(metrics.degradation.connections_lost, 0u);
   EXPECT_EQ(again.degradation.connections_lost,
             metrics.degradation.connections_lost);
@@ -247,7 +250,7 @@ TEST(FaultNetwork, FinalizeLeavesTheSimulatedStateAlone) {
 
 TEST(FaultNetwork, QosViolationsAreWorseDuringHeavyFaults) {
   const SimConfig config = net_config();
-  MmrNetworkSimulation simulation(config, ring_workload(config, 4, 0.5, 28));
+  MmrSimulation simulation(config, ring_workload(config, 4, 0.5, 28));
   std::int32_t victim = -1;
   for (std::uint32_t port = 0; port < config.ports && victim == -1; ++port) {
     victim = simulation.channel_at(1, port);
@@ -258,7 +261,7 @@ TEST(FaultNetwork, QosViolationsAreWorseDuringHeavyFaults) {
       {static_cast<std::uint32_t>(victim), 6'000, 16'000});
   plan.qos_deadline_cycles = 100.0;
   simulation.set_fault_plan(plan);
-  const NetworkMetrics metrics = simulation.run();
+  const SimulationMetrics metrics = simulation.run();
   const DegradationMetrics& deg = metrics.degradation;
   ASSERT_GT(deg.delivered_during_fault, 0u);
   ASSERT_GT(deg.delivered_outside_fault, 0u);
@@ -274,7 +277,7 @@ TEST(FaultNetworkDeath, PlanInstallAfterRunAborts) {
   SimConfig config = net_config();
   config.warmup_cycles = 10;
   config.measure_cycles = 10;
-  MmrNetworkSimulation simulation(config, ring_workload(config, 3, 0.1, 29));
+  MmrSimulation simulation(config, ring_workload(config, 3, 0.1, 29));
   (void)simulation.run();
   EXPECT_DEATH(simulation.set_fault_plan(FaultPlan{}), "before the first");
 }

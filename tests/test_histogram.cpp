@@ -1,8 +1,15 @@
-#include "mmr/sim/histogram.hpp"
+// CycleStats and CycleHistogram: the integer accumulators every in-simulation
+// delay, matching size and occupancy statistic runs on.  Their merges must
+// be exact in any order (the sharded engine folds per-shard tallies), and
+// the histogram's one fixed layout must keep its stated error bound.
+
+#include "mmr/sim/cycle_stats.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <vector>
 
 #include "mmr/sim/rng.hpp"
@@ -10,235 +17,215 @@
 namespace mmr {
 namespace {
 
-TEST(LogHistogram, EmptyQuantileIsZero) {
-  LogHistogram h;
+/// Delay-like samples: mostly small, with a long tail up to ~2^20 cycles.
+std::vector<std::uint64_t> delays(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed, 0);
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(static_cast<std::uint64_t>(rng.exponential(40.0)) +
+                  (i % 97 == 0 ? rng.uniform(1u << 20) : 0));
+  return out;
+}
+
+TEST(CycleStats, EmptyReadsZero) {
+  const CycleStats s;
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.count(), 0u);
+  EXPECT_EQ(s.mean(), 0.0);
+  EXPECT_EQ(s.variance(), 0.0);
+  EXPECT_EQ(s.min(), 0u);
+  EXPECT_EQ(s.max(), 0u);
+  CycleStats merged;
+  merged.merge(s);
+  EXPECT_EQ(merged, CycleStats{});
+}
+
+TEST(CycleHistogram, EmptyReadsZero) {
+  const CycleHistogram h;
   EXPECT_TRUE(h.empty());
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
+  EXPECT_TRUE(h.buckets().empty());
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+  for (const double q : {0.0, 0.5, 1.0}) EXPECT_EQ(h.quantile(q), 0.0);
+  EXPECT_EQ(h.p99(), 0.0);
+  CycleHistogram merged;
+  merged.merge(h);
+  EXPECT_EQ(merged, CycleHistogram{});
+  // Merging into an empty histogram copies the other side exactly.
+  CycleHistogram one;
+  one.add(1234);
+  merged.merge(one);
+  EXPECT_EQ(merged, one);
 }
 
-TEST(LogHistogram, SingleValue) {
-  LogHistogram h;
-  h.add(100.0);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.min_seen(), 100.0);
-  EXPECT_DOUBLE_EQ(h.max_seen(), 100.0);
-  // The quantile lands in the containing bucket, clamped to the extremes.
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 100.0);
+TEST(CycleStats, KnownMoments) {
+  CycleStats s;
+  for (const std::uint64_t x : {2u, 4u, 4u, 4u, 5u, 5u, 7u, 9u}) s.add(x);
+  EXPECT_EQ(s.count(), 8u);
+  EXPECT_EQ(s.sum(), 40u);
+  EXPECT_EQ(s.sum_sq(), 232u);
+  EXPECT_EQ(s.mean(), 5.0);
+  EXPECT_EQ(s.variance(), 4.0);
+  EXPECT_EQ(s.min(), 2u);
+  EXPECT_EQ(s.max(), 9u);
 }
 
-TEST(LogHistogram, QuantilesAreMonotone) {
-  LogHistogram h;
-  Rng rng(31, 0);
-  for (int i = 0; i < 10000; ++i) h.add(rng.exponential(50.0));
-  double prev = 0.0;
-  for (double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
-    const double value = h.quantile(q);
-    EXPECT_GE(value, prev);
-    prev = value;
+TEST(CycleStats, VarianceMatchesTwoPassOnUnevenMeans) {
+  const std::vector<std::uint64_t> data = delays(3, 5000);
+  CycleStats s;
+  double sum = 0.0;
+  for (const std::uint64_t x : data) {
+    s.add(x);
+    sum += static_cast<double>(x);
   }
+  const double mean = sum / static_cast<double>(data.size());
+  double m2 = 0.0;
+  for (const std::uint64_t x : data)
+    m2 += (static_cast<double>(x) - mean) * (static_cast<double>(x) - mean);
+  EXPECT_NEAR(s.mean() / mean, 1.0, 1e-12);
+  EXPECT_NEAR(s.variance() / (m2 / static_cast<double>(data.size())), 1.0,
+              1e-9);
 }
 
-TEST(LogHistogram, QuantileAccuracyWithinBucketError) {
-  // Against exact order statistics of the same data.
-  LogHistogram h(1.0, 1.05);
-  Rng rng(32, 0);
-  std::vector<double> data;
-  for (int i = 0; i < 20000; ++i) data.push_back(rng.exponential(200.0));
-  for (double x : data) h.add(x);
-  std::sort(data.begin(), data.end());
-  for (double q : {0.5, 0.9, 0.99}) {
-    const double exact = data[static_cast<std::size_t>(
-        q * (static_cast<double>(data.size()) - 1))];
-    // Geometric buckets with growth 1.05 bound relative error ~5%.
-    EXPECT_NEAR(h.quantile(q) / exact, 1.0, 0.06) << "q=" << q;
+// Three tallies merged in every order and grouping equal one pass over all
+// samples, bit for bit — what lets a sharded run fold per-shard tallies.
+TEST(CycleStats, ThreeWayMergeInAnyOrderEqualsOnePass) {
+  const std::vector<std::uint64_t> data = delays(5, 3000);
+  std::array<CycleStats, 3> parts;
+  std::array<CycleHistogram, 3> hparts;
+  CycleStats whole;
+  CycleHistogram hwhole;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    // Uneven split: part 0 gets the tail samples.
+    const std::size_t p = i % 97 == 0 ? 0 : i % 3;
+    parts[p].add(data[i]);
+    hparts[p].add(data[i]);
+    whole.add(data[i]);
+    hwhole.add(data[i]);
   }
+  std::array<std::size_t, 3> order = {0, 1, 2};
+  do {
+    CycleStats left;
+    CycleHistogram hleft;
+    for (const std::size_t p : order) {
+      left.merge(parts[p]);
+      hleft.merge(hparts[p]);
+    }
+    EXPECT_EQ(left, whole);
+    EXPECT_EQ(hleft, hwhole);
+    // The other grouping: a + (b + c).
+    CycleStats inner = parts[order[1]];
+    inner.merge(parts[order[2]]);
+    CycleStats right = parts[order[0]];
+    right.merge(inner);
+    EXPECT_EQ(right, whole);
+    CycleHistogram hinner = hparts[order[1]];
+    hinner.merge(hparts[order[2]]);
+    CycleHistogram hright = hparts[order[0]];
+    hright.merge(hinner);
+    EXPECT_EQ(hright, hwhole);
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
-TEST(LogHistogram, ValuesBelowFloorLandInBucketZero) {
-  LogHistogram h(1.0, 1.5);
-  h.add(0.0);
-  h.add(0.5);
-  h.add(1.0);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_LE(h.quantile(0.0), 1.0);
+TEST(CycleStats, SumOfSquaresHoldsFortyBitSamples) {
+  constexpr std::uint64_t kBig = std::uint64_t{1} << 40;
+  CycleStats s;
+  for (int i = 0; i < 1000; ++i) s.add(kBig);
+  s.add(kBig + 2);
+  s.add(kBig - 2);
+  // 1002 samples of ~2^40: Σx² ~ 2^90, far past 64 bits.
+  const CycleWide big = kBig;
+  EXPECT_EQ(s.sum(), big * 1002);
+  EXPECT_EQ(s.sum_sq(), big * big * 1002 + 8);
+  EXPECT_EQ(s.mean(), static_cast<double>(kBig));
+  EXPECT_DOUBLE_EQ(s.variance(), 8.0 / 1002.0);
+  EXPECT_EQ(s.min(), kBig - 2);
+  EXPECT_EQ(s.max(), kBig + 2);
+
+  CycleStats constant;
+  for (int i = 0; i < 7; ++i) constant.add(kBig);
+  EXPECT_EQ(constant.variance(), 0.0);
 }
 
-TEST(LogHistogram, MergeMatchesCombined) {
-  LogHistogram a(1.0, 1.1);
-  LogHistogram b(1.0, 1.1);
-  LogHistogram whole(1.0, 1.1);
-  Rng rng(33, 0);
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.exponential(10.0);
-    whole.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_DOUBLE_EQ(a.max_seen(), whole.max_seen());
-  EXPECT_DOUBLE_EQ(a.min_seen(), whole.min_seen());
-  for (double q : {0.1, 0.5, 0.9}) {
-    EXPECT_DOUBLE_EQ(a.quantile(q), whole.quantile(q));
-  }
-}
+TEST(CycleHistogram, QuantileExtremesAreExactMinAndMax) {
+  CycleHistogram h;
+  for (const std::uint64_t x : delays(7, 2000)) h.add(x);
+  EXPECT_EQ(h.quantile(0.0), static_cast<double>(h.min()));
+  EXPECT_EQ(h.quantile(1.0), static_cast<double>(h.max()));
+  // Out-of-range q clamps to the extremes.
+  EXPECT_EQ(h.quantile(-1.0), static_cast<double>(h.min()));
+  EXPECT_EQ(h.quantile(2.0), static_cast<double>(h.max()));
 
-TEST(LogHistogram, MergeEmptyIsNoop) {
-  LogHistogram a;
-  LogHistogram b;
-  a.add(5.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.max_seen(), 5.0);
-}
-
-TEST(LogHistogram, ResetClears) {
-  LogHistogram h;
-  h.add(10.0);
-  h.reset();
-  EXPECT_TRUE(h.empty());
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-}
-
-TEST(LogHistogram, AsciiRendersSomething) {
-  LogHistogram h;
-  EXPECT_NE(h.ascii().find("empty"), std::string::npos);
-  for (int i = 1; i <= 100; ++i) h.add(static_cast<double>(i));
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_LE(std::count(art.begin(), art.end(), '\n'), 11);
-}
-
-// Regression: the bucket index used to grow without bound with the sampled
-// value; a single huge outlier (or inf) could allocate gigabytes.  Buckets
-// are now capped and outliers share one overflow bucket.
-TEST(LogHistogram, OutliersLandInTheOverflowBucket) {
-  LogHistogram h(1.0, 2.0, /*max_buckets=*/8);
-  h.add(4.0);
-  EXPECT_EQ(h.overflow_count(), 0u);
-  // Bucket cap 8 with growth 2 covers up to 2^6; everything beyond shares
-  // the overflow bucket regardless of magnitude.
-  h.add(1e18);
-  h.add(1e300);
-  EXPECT_EQ(h.overflow_count(), 2u);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.max_seen(), 1e300);
-}
-
-TEST(LogHistogram, OverflowQuantileIsBoundedByMaxSeen) {
-  LogHistogram h(1.0, 2.0, /*max_buckets=*/4);
-  for (int i = 0; i < 10; ++i) h.add(1e12);
-  EXPECT_EQ(h.overflow_count(), 10u);
-  // The overflow bucket has no geometric midpoint; quantiles report the
-  // largest observed sample instead of an invented bound.
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 1e12);
-  EXPECT_DOUBLE_EQ(h.p99(), 1e12);
-}
-
-TEST(LogHistogram, QuantilesStayCorrectBelowTheCap) {
-  // Same data, capped and effectively-uncapped histograms: quantiles of
-  // in-range samples must agree exactly.
-  LogHistogram capped(1.0, 1.5, /*max_buckets=*/64);
-  LogHistogram wide(1.0, 1.5, /*max_buckets=*/4096);
-  Rng rng(7, 0);
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.uniform_real(1.0, 1000.0);
-    capped.add(x);
-    wide.add(x);
-  }
-  EXPECT_EQ(capped.overflow_count(), 0u);
-  for (const double q : {0.1, 0.5, 0.9, 0.99})
-    EXPECT_DOUBLE_EQ(capped.quantile(q), wide.quantile(q)) << q;
-}
-
-TEST(LogHistogram, AsciiIncludesOverflowRow) {
-  LogHistogram h(1.0, 2.0, /*max_buckets=*/6);
-  h.add(2.0);
-  h.add(1e9);  // overflow
-  const std::string art = h.ascii();
-  EXPECT_FALSE(art.empty());
-  // The overflow row's upper edge is the max seen, not a bucket boundary,
-  // so the largest sample must appear as a rendered edge.
-  EXPECT_NE(art.find("1000000000.00"), std::string::npos) << art;
-}
-
-TEST(LogHistogram, MergePreservesOverflowCounts) {
-  LogHistogram a(1.0, 2.0, /*max_buckets=*/6);
-  LogHistogram b(1.0, 2.0, /*max_buckets=*/6);
-  a.add(1e9);
-  b.add(2e9);
-  b.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.overflow_count(), 2u);
-  EXPECT_DOUBLE_EQ(a.max_seen(), 2e9);
-}
-
-// Regression: quantile(0) / quantile(1) used to return the geometric
-// midpoint of the extreme sample's bucket — a value no sample ever took,
-// disagreeing with min_seen() / max_seen() by up to the bucket's relative
-// width.  The extreme order statistics are known exactly.
-TEST(LogHistogram, QuantileZeroIsExactMin) {
-  LogHistogram h(1.0, 1.05);
-  h.add(2.0);
-  h.add(3.0);
-  h.add(1000.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 2.0);
-}
-
-TEST(LogHistogram, QuantileOneIsExactMax) {
-  LogHistogram h(1.0, 1.05);
-  h.add(1.0);
-  h.add(7.0);
-  h.add(1000.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1000.0);
-}
-
-TEST(LogHistogram, SingleSampleQuantilesAreThatSample) {
-  LogHistogram h(1.0, 1.05);
-  h.add(123.456);
+  CycleHistogram single;
+  single.add(123'456);
   for (const double q : {0.0, 0.25, 0.5, 0.75, 1.0})
-    EXPECT_DOUBLE_EQ(h.quantile(q), 123.456) << q;
+    EXPECT_EQ(single.quantile(q), 123'456.0) << q;
 }
 
-TEST(LogHistogram, AllInOverflowQuantileExtremesAreExact) {
-  LogHistogram h(1.0, 2.0, /*max_buckets=*/4);
-  h.add(1e12);
-  h.add(5e12);
-  EXPECT_EQ(h.overflow_count(), 2u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1e12);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 5e12);
+TEST(CycleHistogram, SmallValuesAreExact) {
+  CycleHistogram h;
+  for (std::uint64_t x = 0; x < CycleHistogram::kExact; ++x)
+    for (int k = 0; k < 3; ++k) h.add(x);
+  // Rank r of 48 samples is value r / 3.
+  for (std::uint64_t r = 0; r < 48; ++r) {
+    const double q = (static_cast<double>(r) + 0.5) / 47.0;
+    EXPECT_EQ(h.quantile(q), static_cast<double>(r / 3)) << r;
+  }
 }
 
-// Regression: the ascii() bucket-0 row used to render `[0.00, min) ` like a
-// regular half-open bucket, but bucket 0 *includes* samples equal to the
-// resolution floor; and the overflow row rendered max_ as a half-open upper
-// edge, implying no sample reached it.
-TEST(LogHistogram, AsciiBucketZeroRowHasClosedUpperEdge) {
-  LogHistogram h(1.0, 2.0, /*max_buckets=*/8);
-  h.add(0.5);  // at/below the floor: bucket 0
-  h.add(1.0);  // exactly the floor: also bucket 0
-  const std::string art = h.ascii();
-  EXPECT_NE(art.find("      1.00] "), std::string::npos) << art;
-  EXPECT_EQ(art.find("      1.00) "), std::string::npos) << art;
+// The layout tiles [0, 2^64) with contiguous buckets, each at most 1/8 as
+// wide as its lower edge.
+TEST(CycleHistogram, LayoutTilesTheRangeWithinItsBound) {
+  EXPECT_EQ(CycleHistogram::bucket_of(0), 0u);
+  const std::size_t last = CycleHistogram::bucket_of(~std::uint64_t{0});
+  EXPECT_EQ(last, 495u);
+  EXPECT_EQ(CycleHistogram::bucket_hi(last), ~std::uint64_t{0});
+  for (std::size_t b = 0; b <= last; ++b) {
+    const std::uint64_t lo = CycleHistogram::bucket_lo(b);
+    const std::uint64_t hi = CycleHistogram::bucket_hi(b);
+    ASSERT_LE(lo, hi) << b;
+    EXPECT_EQ(CycleHistogram::bucket_of(lo), b);
+    EXPECT_EQ(CycleHistogram::bucket_of(hi), b);
+    if (b > 0) {
+      EXPECT_EQ(CycleHistogram::bucket_hi(b - 1) + 1, lo) << b;
+    }
+    const double half_width = static_cast<double>(hi - lo) / 2.0;
+    EXPECT_LE(half_width,
+              CycleHistogram::kRelativeError * static_cast<double>(lo))
+        << b;
+  }
 }
 
-TEST(LogHistogram, AsciiOverflowRowIsOpenEndedWithObservedMax) {
-  LogHistogram h(1.0, 2.0, /*max_buckets=*/6);
-  h.add(2.0);
-  h.add(1e9);  // overflow
-  const std::string art = h.ascii();
-  EXPECT_NE(art.find("+inf) "), std::string::npos) << art;
-  EXPECT_NE(art.find("(max 1000000000.00)"), std::string::npos) << art;
-}
-
-TEST(LogHistogram, P50P95P99Helpers) {
-  LogHistogram h;
-  for (int i = 1; i <= 1000; ++i) h.add(static_cast<double>(i));
+TEST(CycleHistogram, QuantilesStayWithinTheRelativeBound) {
+  std::vector<std::uint64_t> data = delays(11, 20000);
+  CycleHistogram h;
+  for (const std::uint64_t x : data) h.add(x);
+  std::sort(data.begin(), data.end());
+  double previous = 0.0;
+  for (const double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999}) {
+    const auto rank =
+        static_cast<std::size_t>(q * static_cast<double>(data.size() - 1));
+    const double exact = static_cast<double>(data[rank]);
+    const double read = h.quantile(q);
+    EXPECT_LE(std::abs(read - exact),
+              CycleHistogram::kRelativeError * exact)
+        << "q=" << q;
+    EXPECT_GE(read, previous) << "quantiles must be monotone";
+    previous = read;
+  }
   EXPECT_LT(h.p50(), h.p95());
   EXPECT_LT(h.p95(), h.p99());
-  EXPECT_LE(h.p99(), h.max_seen() * 1.05);
+}
+
+TEST(CycleHistogram, StorageGrowsOnlyToTheLargestSample) {
+  CycleHistogram h;
+  h.add(3);
+  EXPECT_EQ(h.buckets().size(), 4u);
+  h.add(1000);
+  EXPECT_EQ(h.buckets().size(), CycleHistogram::bucket_of(1000) + 1);
+  h.add(~std::uint64_t{0});
+  EXPECT_EQ(h.buckets().size(), 496u);
+  EXPECT_EQ(h.quantile(1.0), static_cast<double>(~std::uint64_t{0}));
 }
 
 }  // namespace

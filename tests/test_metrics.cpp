@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "mmr/core/simulation.hpp"
+
 namespace mmr {
 namespace {
 
@@ -49,7 +51,8 @@ TEST(SimulationMetrics, SaturationHeuristics) {
   m.delivered_load = 0.7999;  // within tolerance
   EXPECT_FALSE(m.saturated());
   // Exploded delays also count as saturation.
-  for (int i = 0; i < 10; ++i) m.flit_delay_us.add(10'000.0);
+  m.flit_delay_us = DelayStats(m.flit_cycle_us);
+  for (int i = 0; i < 10; ++i) m.flit_delay_us.add(6'000);
   EXPECT_TRUE(m.saturated());
 }
 
@@ -69,20 +72,20 @@ TEST(MergeRuns, AveragesRatiosAndPoolsSamples) {
   a.delivered_load = 0.4;
   a.crossbar_utilization = 0.4;
   a.flits_delivered = 10;
-  a.flit_delay_us.add(10.0);
+  a.flit_delay_us.add(10);
   ClassMetrics cls_a;
   cls_a.label = "VBR";
   cls_a.flits_delivered = 10;
-  cls_a.flit_delay_us.add(10.0);
+  cls_a.flit_delay_us.add(10);
   a.per_class.push_back(cls_a);
 
   SimulationMetrics b = a;
   b.delivered_load = 0.6;
   b.crossbar_utilization = 0.6;
-  b.flit_delay_us.reset();
-  b.flit_delay_us.add(30.0);
-  b.per_class[0].flit_delay_us.reset();
-  b.per_class[0].flit_delay_us.add(30.0);
+  b.flit_delay_us = DelayStats();
+  b.flit_delay_us.add(30);
+  b.per_class[0].flit_delay_us = DelayStats();
+  b.per_class[0].flit_delay_us.add(30);
 
   const SimulationMetrics merged = merge_runs({a, b});
   EXPECT_EQ(merged.merged_runs, 2u);
@@ -93,6 +96,62 @@ TEST(MergeRuns, AveragesRatiosAndPoolsSamples) {
   ASSERT_EQ(merged.per_class.size(), 1u);
   EXPECT_DOUBLE_EQ(merged.per_class[0].flit_delay_us.mean(), 20.0);
   EXPECT_EQ(merged.per_class[0].flits_delivered, 20u);
+}
+
+SimulationMetrics vbr_run(std::uint64_t seed) {
+  SimConfig config;
+  config.ports = 4;
+  config.vcs_per_link = 64;
+  config.warmup_cycles = 2'000;
+  config.measure_cycles = 60'000;  // ~3 frame periods: jitter samples
+  config.seed = seed;
+  Rng rng(seed, 9);
+  VbrMixSpec spec;
+  spec.target_load = 0.5;
+  spec.trace_gops = 2;
+  MmrSimulation simulation(config, build_vbr_mix(config, spec, rng));
+  return simulation.run();
+}
+
+// Every pooled field is exact, so merging the same runs in the other order
+// gives the same bits.
+TEST(MergeRuns, OrderDoesNotChangeABit) {
+  const SimulationMetrics a = vbr_run(1);
+  const SimulationMetrics b = vbr_run(2);
+  ASSERT_GT(a.frame_jitter_us.count(), 0u);
+  ASSERT_NE(a.flit_delay_us, b.flit_delay_us);
+  const SimulationMetrics ab = merge_runs({a, b});
+  const SimulationMetrics ba = merge_runs({b, a});
+
+  EXPECT_EQ(ab.generated_load_measured, ba.generated_load_measured);
+  EXPECT_EQ(ab.delivered_load, ba.delivered_load);
+  EXPECT_EQ(ab.crossbar_utilization, ba.crossbar_utilization);
+  EXPECT_EQ(ab.mean_matching_size, ba.mean_matching_size);
+  EXPECT_EQ(ab.mean_reconfigurations, ba.mean_reconfigurations);
+  EXPECT_EQ(ab.fairness_index, ba.fairness_index);
+  EXPECT_EQ(ab.flits_generated, ba.flits_generated);
+  EXPECT_EQ(ab.flits_delivered, ba.flits_delivered);
+  EXPECT_EQ(ab.flit_delay_us, ba.flit_delay_us);
+  EXPECT_EQ(ab.delivered_hops, ba.delivered_hops);
+  ASSERT_EQ(ab.per_class.size(), ba.per_class.size());
+  for (std::size_t c = 0; c < ab.per_class.size(); ++c) {
+    EXPECT_EQ(ab.per_class[c].label, ba.per_class[c].label);
+    EXPECT_EQ(ab.per_class[c].flits_generated, ba.per_class[c].flits_generated);
+    EXPECT_EQ(ab.per_class[c].flits_delivered, ba.per_class[c].flits_delivered);
+    EXPECT_EQ(ab.per_class[c].flit_delay_us, ba.per_class[c].flit_delay_us);
+  }
+  EXPECT_EQ(ab.frames_completed, ba.frames_completed);
+  EXPECT_EQ(ab.frame_delay_us, ba.frame_delay_us);
+  EXPECT_EQ(ab.frame_jitter_us, ba.frame_jitter_us);
+  EXPECT_EQ(ab.frame_jitter_us.mean(), ba.frame_jitter_us.mean());
+  EXPECT_EQ(ab.max_frame_jitter_us, ba.max_frame_jitter_us);
+  EXPECT_EQ(ab.backlog_flits, ba.backlog_flits);
+
+  // Pooled, not averaged: the merge holds every sample of both runs.
+  EXPECT_EQ(ab.flit_delay_us.count(),
+            a.flit_delay_us.count() + b.flit_delay_us.count());
+  EXPECT_EQ(ab.frame_jitter_us.count(),
+            a.frame_jitter_us.count() + b.frame_jitter_us.count());
 }
 
 TEST(MergeRuns, UnionsDistinctClasses) {

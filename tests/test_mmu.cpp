@@ -14,7 +14,6 @@
 
 #include "mmr/core/simulation.hpp"
 #include "mmr/fault/fault_plan.hpp"
-#include "mmr/network/network.hpp"
 #include "mmr/overload/spec.hpp"
 #include "mmr/traffic/rogue.hpp"
 #include "spec_test_util.hpp"
@@ -491,7 +490,7 @@ TEST(DeadlineUnification, EveryLayerSharesTheSingleConstant) {
   sim.flit_cycle_us = 1.0;
   sim.delivered_load = 1.0;
   sim.generated_load_measured = 1.0;
-  NetworkMetrics net;
+  SimulationMetrics net;
   net.flit_cycle_us = 1.0;
   net.flits_generated = 100;
   net.flits_delivered = 100;
@@ -519,9 +518,10 @@ TEST(Mmu, NetworkRunsSharedFlowLossless) {
   mix.target_load = 0.6;
   mix.classes = {kCbrHigh};
   mix.class_weights = {1.0};
-  MmrNetworkSimulation simulation(
-      config, build_network_cbr_mix(config, ring, mix, rng));
-  const NetworkMetrics metrics = simulation.run();
+  Workload workload(ring);
+  add_cbr_mix(workload, config, mix, rng);
+  MmrSimulation simulation(config, std::move(workload));
+  const SimulationMetrics metrics = simulation.run();
   EXPECT_TRUE(metrics.mmu.enabled);
   EXPECT_EQ(metrics.mmu.drops_lossless, 0u);
   EXPECT_GT(metrics.flits_delivered, 0u);

@@ -2,13 +2,13 @@
 //
 // `net_threads=` is an execution-strategy knob, not a model parameter: for
 // any thread count the sharded engine must reproduce the single-threaded
-// run exactly — metrics (including float accumulators, which are order-
-// sensitive), the full trace event stream, and the snapshot StateHash
-// sequence.  These tests drive both engines over generated torus and
-// fat-tree fabrics, with and without fault injection, and compare all
-// three.
+// run exactly — metrics (every delay statistic and histogram bucket, which
+// shards tally separately and fold), the full trace event stream, and the
+// snapshot StateHash sequence.  These tests drive both engines over
+// generated torus and fat-tree fabrics, CBR and VBR, with and without fault
+// injection, and compare all three.
 
-#include "mmr/network/network.hpp"
+#include "mmr/core/simulation.hpp"
 
 #include <gtest/gtest.h>
 
@@ -41,18 +41,27 @@ CbrMixSpec light_mix() {
   return mix;
 }
 
-enum class Topo { kTorus, kFatTree };
+enum class Topo { kTorus, kFatTree, kVbrTorus };
 
-NetworkWorkload make_workload(const SimConfig& config, Topo topo) {
+Workload make_workload(const SimConfig& config, Topo topo) {
   const NetworkTopology topology =
-      topo == Topo::kTorus ? NetworkTopology::torus2d(4, 4, config.ports)
-                           : NetworkTopology::fat_tree(4, config.ports);
+      topo == Topo::kFatTree ? NetworkTopology::fat_tree(4, config.ports)
+                             : NetworkTopology::torus2d(4, 4, config.ports);
   Rng rng(config.seed, 7);
-  return build_network_cbr_mix(config, topology, light_mix(), rng);
+  Workload workload(topology);
+  if (topo == Topo::kVbrTorus) {
+    VbrMixSpec mix;
+    mix.target_load = 0.3;
+    mix.trace_gops = 2;
+    add_vbr_mix(workload, config, mix, rng);
+  } else {
+    add_cbr_mix(workload, config, light_mix(), rng);
+  }
+  return workload;
 }
 
 struct RunResult {
-  NetworkMetrics metrics;
+  SimulationMetrics metrics;
   std::vector<std::uint64_t> hashes;  ///< StateHash every 250 early cycles
   std::vector<trace::Event> events;   ///< empty unless trace= configured
   std::uint64_t final_hash = 0;
@@ -60,7 +69,7 @@ struct RunResult {
 
 RunResult run_case(SimConfig config, Topo topo, std::uint32_t net_threads) {
   config.net_threads = net_threads;
-  MmrNetworkSimulation sim(config, make_workload(config, topo));
+  MmrSimulation sim(config, make_workload(config, topo));
   RunResult result;
   // Hash the state every 250 cycles across the first 1000 by stepping
   // manually; run() then completes the remaining cycles and finalizes.
@@ -74,52 +83,63 @@ RunResult run_case(SimConfig config, Topo topo, std::uint32_t net_threads) {
   return result;
 }
 
-void expect_stats_equal(const StreamingStats& a, const StreamingStats& b) {
+void expect_stats_equal(const CycleStats& a, const CycleStats& b) {
   EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.variance(), b.variance());
-  if (!a.empty() && !b.empty()) {
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
-  }
+  EXPECT_TRUE(a.sum() == b.sum());
+  EXPECT_TRUE(a.sum_sq() == b.sum_sq());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+/// Moments, then the histogram bucket for bucket.
+void expect_delay_equal(const DelayStats& a, const DelayStats& b) {
+  expect_stats_equal(a.cycles(), b.cycles());
+  EXPECT_EQ(a.histogram().buckets(), b.histogram().buckets());
+  EXPECT_EQ(a, b);
 }
 
 void expect_bit_identical(const RunResult& serial, const RunResult& sharded) {
   EXPECT_EQ(serial.hashes, sharded.hashes);
   EXPECT_EQ(serial.final_hash, sharded.final_hash);
 
-  const NetworkMetrics& a = serial.metrics;
-  const NetworkMetrics& b = sharded.metrics;
+  const SimulationMetrics& a = serial.metrics;
+  const SimulationMetrics& b = sharded.metrics;
   EXPECT_EQ(a.flits_generated, b.flits_generated);
   EXPECT_EQ(a.flits_delivered, b.flits_delivered);
   EXPECT_EQ(a.backlog_flits, b.backlog_flits);
   EXPECT_EQ(a.frames_completed, b.frames_completed);
-  expect_stats_equal(a.flit_delay_us, b.flit_delay_us);
+  expect_delay_equal(a.flit_delay_us, b.flit_delay_us);
   expect_stats_equal(a.delivered_hops, b.delivered_hops);
-  expect_stats_equal(a.frame_delay_us, b.frame_delay_us);
+  expect_delay_equal(a.frame_delay_us, b.frame_delay_us);
+  EXPECT_EQ(a.frame_jitter_us.values(), b.frame_jitter_us.values());
+  EXPECT_EQ(a.max_frame_jitter_us, b.max_frame_jitter_us);
   EXPECT_EQ(a.router_utilization, b.router_utilization);
   ASSERT_EQ(a.per_class.size(), b.per_class.size());
   for (std::size_t i = 0; i < a.per_class.size(); ++i) {
     EXPECT_EQ(a.per_class[i].label, b.per_class[i].label);
     EXPECT_EQ(a.per_class[i].flits_generated, b.per_class[i].flits_generated);
     EXPECT_EQ(a.per_class[i].flits_delivered, b.per_class[i].flits_delivered);
-    expect_stats_equal(a.per_class[i].flit_delay_us,
+    expect_delay_equal(a.per_class[i].flit_delay_us,
                        b.per_class[i].flit_delay_us);
-    EXPECT_EQ(a.per_class[i].flit_delay_hist.count(),
-              b.per_class[i].flit_delay_hist.count());
   }
   EXPECT_EQ(a.degradation.flits_dropped, b.degradation.flits_dropped);
   EXPECT_EQ(a.degradation.flits_corrupted, b.degradation.flits_corrupted);
   EXPECT_EQ(a.degradation.credits_lost, b.degradation.credits_lost);
   EXPECT_EQ(a.degradation.credits_restored, b.degradation.credits_restored);
   EXPECT_EQ(a.degradation.teardowns, b.degradation.teardowns);
+  EXPECT_EQ(a.degradation.delivered_during_fault,
+            b.degradation.delivered_during_fault);
+  EXPECT_EQ(a.degradation.qos_violations_during_fault,
+            b.degradation.qos_violations_during_fault);
+  expect_delay_equal(a.degradation.recovery_latency_us,
+                     b.degradation.recovery_latency_us);
   EXPECT_EQ(a.mmu.admitted_shared, b.mmu.admitted_shared);
   EXPECT_EQ(a.mmu.pause_events, b.mmu.pause_events);
   EXPECT_EQ(a.mmu.ecn_marked, b.mmu.ecn_marked);
   EXPECT_EQ(a.mmu.ecn_cuts, b.mmu.ecn_cuts);
   EXPECT_EQ(a.overload.compliant_delivered, b.overload.compliant_delivered);
   EXPECT_EQ(a.overload.rogue_violations, b.overload.rogue_violations);
-  expect_stats_equal(a.overload.shape_delay_us, b.overload.shape_delay_us);
+  expect_delay_equal(a.overload.shape_delay_us, b.overload.shape_delay_us);
   EXPECT_EQ(a.cicq.transfers, b.cicq.transfers);
 
   // Trace bytes: the staged replay must reproduce the serial emission order
@@ -147,6 +167,21 @@ TEST(NetworkShard, FatTreeShardedMatchesSerial) {
   const RunResult serial = run_case(config, Topo::kFatTree, 0);
   const RunResult sharded = run_case(config, Topo::kFatTree, 2);
   expect_bit_identical(serial, sharded);
+}
+
+// Frame delays and per-connection jitter are accounted in phase B by the
+// sink router's shard; a VBR run pins them across thread counts.
+TEST(NetworkShard, VbrTorusFramesAndJitterMatchSerial) {
+  SimConfig config = shard_config();
+  config.vcs_per_link = 64;
+  config.measure_cycles = 50'000;  // ~2.5 frame periods: jitter samples
+  const RunResult serial = run_case(config, Topo::kVbrTorus, 0);
+  ASSERT_GT(serial.metrics.frames_completed, 0u);
+  ASSERT_GT(serial.metrics.frame_jitter_us.count(), 0u);
+  for (const std::uint32_t threads : {2u, 4u}) {
+    const RunResult sharded = run_case(config, Topo::kVbrTorus, threads);
+    expect_bit_identical(serial, sharded);
+  }
 }
 
 TEST(NetworkShard, FaultInjectedTraceAndMetricsMatchSerial) {

@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "mmr/network/network.hpp"
 #include "mmr/sim/assert.hpp"
 #include "mmr/snapshot/format.hpp"
 #include "mmr/snapshot/manager.hpp"
@@ -398,20 +397,22 @@ TEST(SnapshotNetwork, ResumeBitIdenticalWithFaults) {
     mix.target_load = 0.4;
     mix.classes = {kCbrHigh, kCbrMedium};
     mix.class_weights = {3.0, 1.0};
-    return build_network_cbr_mix(config, ring, mix, rng);
+    Workload workload(ring);
+    add_cbr_mix(workload, config, mix, rng);
+    return workload;
   };
 
   SimConfig ref_config = config;
   ref_config.snap_spec = "hash_every:500,prefix:" + ::testing::TempDir() +
                          "/mmr_snap_net_ref";
-  MmrNetworkSimulation reference(ref_config, make_net_workload());
-  const NetworkMetrics ref_metrics = reference.run();
+  MmrSimulation reference(ref_config, make_net_workload());
+  const SimulationMetrics ref_metrics = reference.run();
   const std::uint64_t ref_hash = reference.state_hash();
 
   SimConfig ck_config = config;
   ck_config.snap_spec = "every:2000,prefix:" + ::testing::TempDir() +
                         "/mmr_snap_net_ck";
-  MmrNetworkSimulation interrupted(ck_config, make_net_workload());
+  MmrSimulation interrupted(ck_config, make_net_workload());
   (void)interrupted.run();
   const auto paths = interrupted.snapshot_manager()->checkpoints_written();
   ASSERT_EQ(paths.size(), 2u);
@@ -420,9 +421,9 @@ TEST(SnapshotNetwork, ResumeBitIdenticalWithFaults) {
   resume_config.snap_spec = "hash_every:500,resume:" + paths[0] +
                             ",prefix:" + ::testing::TempDir() +
                             "/mmr_snap_net_re";
-  MmrNetworkSimulation resumed(resume_config, make_net_workload());
+  MmrSimulation resumed(resume_config, make_net_workload());
   EXPECT_EQ(resumed.now(), 2000u);
-  const NetworkMetrics resumed_metrics = resumed.run();
+  const SimulationMetrics resumed_metrics = resumed.run();
 
   EXPECT_EQ(resumed_metrics.flits_delivered, ref_metrics.flits_delivered);
   EXPECT_EQ(resumed_metrics.frames_completed, ref_metrics.frames_completed);
@@ -465,18 +466,20 @@ TEST(SnapshotNetwork, ResumeBitIdenticalWithFaults) {
       mix.target_load = 0.35;
       mix.classes = {kCbrHigh, kCbrMedium};
       mix.class_weights = {3.0, 1.0};
-      return build_network_cbr_mix(torus_config, torus, mix, rng);
+      Workload workload(torus);
+      add_cbr_mix(workload, torus_config, mix, rng);
+      return workload;
     };
 
     SimConfig torus_ref_config = torus_config;
     torus_ref_config.snap_spec = "hash_every:250,prefix:" + dir + "_ref";
-    MmrNetworkSimulation torus_ref(torus_ref_config, make_torus_workload());
-    const NetworkMetrics torus_ref_metrics = torus_ref.run();
+    MmrSimulation torus_ref(torus_ref_config, make_torus_workload());
+    const SimulationMetrics torus_ref_metrics = torus_ref.run();
     EXPECT_GT(torus_ref_metrics.degradation.reroutes, 0u) << tag;
 
     SimConfig torus_ck_config = torus_config;
     torus_ck_config.snap_spec = "every:1000,prefix:" + dir + "_ck";
-    MmrNetworkSimulation torus_ck(torus_ck_config, make_torus_workload());
+    MmrSimulation torus_ck(torus_ck_config, make_torus_workload());
     (void)torus_ck.run();
     const auto torus_paths =
         torus_ck.snapshot_manager()->checkpoints_written();
@@ -485,9 +488,9 @@ TEST(SnapshotNetwork, ResumeBitIdenticalWithFaults) {
     SimConfig torus_re_config = torus_config;
     torus_re_config.snap_spec = "hash_every:250,resume:" + torus_paths[0] +
                                 ",prefix:" + dir + "_re";
-    MmrNetworkSimulation torus_re(torus_re_config, make_torus_workload());
+    MmrSimulation torus_re(torus_re_config, make_torus_workload());
     EXPECT_EQ(torus_re.now(), 1000u) << tag;
-    const NetworkMetrics torus_re_metrics = torus_re.run();
+    const SimulationMetrics torus_re_metrics = torus_re.run();
 
     EXPECT_EQ(torus_re_metrics.flits_generated,
               torus_ref_metrics.flits_generated) << tag;
@@ -538,14 +541,16 @@ TEST(SnapshotNetwork, ShardedResumeBitIdenticalAcrossThreadCounts) {
       mix.target_load = 0.35;
       mix.classes = {kCbrHigh, kCbrMedium};
       mix.class_weights = {3.0, 1.0};
-      return build_network_cbr_mix(config, topology, mix, rng);
+      Workload workload(topology);
+      add_cbr_mix(workload, config, mix, rng);
+      return workload;
     };
     const std::string tag = torus ? "torus" : "fattree";
 
     // Serial reference: final metrics + state hash.
     SimConfig ref_config = config;
-    MmrNetworkSimulation reference(ref_config, make_net_workload());
-    const NetworkMetrics ref_metrics = reference.run();
+    MmrSimulation reference(ref_config, make_net_workload());
+    const SimulationMetrics ref_metrics = reference.run();
     const std::uint64_t ref_hash = reference.state_hash();
 
     // Checkpoint under the sharded engine...
@@ -553,7 +558,7 @@ TEST(SnapshotNetwork, ShardedResumeBitIdenticalAcrossThreadCounts) {
     ck_config.net_threads = 2;
     ck_config.snap_spec = "every:2000,prefix:" + ::testing::TempDir() +
                           "/mmr_snap_shard_ck_" + tag;
-    MmrNetworkSimulation interrupted(ck_config, make_net_workload());
+    MmrSimulation interrupted(ck_config, make_net_workload());
     (void)interrupted.run();
     const auto paths = interrupted.snapshot_manager()->checkpoints_written();
     ASSERT_FALSE(paths.empty());
@@ -566,9 +571,9 @@ TEST(SnapshotNetwork, ShardedResumeBitIdenticalAcrossThreadCounts) {
       resume_config.snap_spec = "resume:" + paths[0] +
                                 ",prefix:" + ::testing::TempDir() +
                                 "/mmr_snap_shard_re_" + tag;
-      MmrNetworkSimulation resumed(resume_config, make_net_workload());
+      MmrSimulation resumed(resume_config, make_net_workload());
       EXPECT_EQ(resumed.now(), 2000u);
-      const NetworkMetrics resumed_metrics = resumed.run();
+      const SimulationMetrics resumed_metrics = resumed.run();
       EXPECT_EQ(resumed_metrics.flits_delivered, ref_metrics.flits_delivered)
           << tag << " threads=" << threads;
       EXPECT_EQ(resumed_metrics.flits_generated, ref_metrics.flits_generated);
@@ -630,7 +635,9 @@ Workload rogue_torus_workload(const SimConfig& config) {
   mix.target_load = 0.35;
   mix.classes = {kCbrHigh, kCbrMedium};
   mix.class_weights = {3.0, 1.0};
-  return build_network_cbr_mix(config, torus, mix, rng);
+  Workload workload(torus);
+  add_cbr_mix(workload, config, mix, rng);
+  return workload;
 }
 
 TEST(SnapshotLayout, PinnedStateHashes) {

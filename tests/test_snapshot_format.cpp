@@ -80,10 +80,12 @@ TEST(SnapFormat, RejectsBadMagicVersionAndTruncation) {
 }
 
 // Checkpoints written before the one-engine state layout carry version 1;
-// those written before every connection had a path carry version 3.  Both
-// must be refused by name, not misread.
+// those written before every connection had a path carry version 3, and
+// those whose metric accumulators were floating point version 4.  All must
+// be refused by name, not misread.
 TEST(SnapFormat, RefusesTheOldLayoutVersion) {
-  for (const std::uint8_t old_version : {std::uint8_t{1}, std::uint8_t{3}}) {
+  for (const std::uint8_t old_version :
+       {std::uint8_t{1}, std::uint8_t{3}, std::uint8_t{4}}) {
     std::vector<std::uint8_t> bytes = snapshot::encode(sample_snapshot());
     ASSERT_EQ(bytes[12], snapshot::kFormatVersion);
     bytes[12] = old_version;  // low byte of the little-endian version word

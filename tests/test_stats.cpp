@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "mmr/sim/cycle_stats.hpp"
 #include "mmr/sim/rng.hpp"
 
 namespace mmr {
@@ -114,37 +115,30 @@ TEST(StreamingStats, ResetClears) {
 
 TEST(JitterTracker, FirstSampleProducesNoDelta) {
   JitterTracker j;
-  j.add(10.0);
-  EXPECT_EQ(j.count(), 0u);
-  EXPECT_DOUBLE_EQ(j.mean_jitter(), 0.0);
-  EXPECT_DOUBLE_EQ(j.max_jitter(), 0.0);
+  j.add(10);
+  EXPECT_TRUE(j.deltas().empty());
+  EXPECT_EQ(j.deltas().mean(), 0.0);
+  EXPECT_EQ(j.deltas().max(), 0u);
 }
 
 TEST(JitterTracker, AbsoluteDeltas) {
   JitterTracker j;
-  j.add(10.0);
-  j.add(13.0);  // +3
-  j.add(9.0);   // -4 -> 4
-  j.add(9.0);   // 0
-  EXPECT_EQ(j.count(), 3u);
-  EXPECT_NEAR(j.mean_jitter(), (3.0 + 4.0 + 0.0) / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(j.max_jitter(), 4.0);
+  j.add(10);
+  j.add(13);  // +3
+  j.add(9);   // -4 -> 4
+  j.add(9);   // 0
+  EXPECT_EQ(j.deltas().count(), 3u);
+  EXPECT_EQ(j.deltas().sum(), 7u);
+  EXPECT_DOUBLE_EQ(j.deltas().mean(), (3.0 + 4.0 + 0.0) / 3.0);
+  EXPECT_EQ(j.deltas().max(), 4u);
 }
 
 TEST(JitterTracker, ConstantStreamHasZeroJitter) {
   JitterTracker j;
-  for (int i = 0; i < 10; ++i) j.add(42.0);
-  EXPECT_DOUBLE_EQ(j.mean_jitter(), 0.0);
-  EXPECT_DOUBLE_EQ(j.max_jitter(), 0.0);
-}
-
-TEST(JitterTracker, ResetForgetsPrevious) {
-  JitterTracker j;
-  j.add(1.0);
-  j.add(5.0);
-  j.reset();
-  j.add(100.0);
-  EXPECT_EQ(j.count(), 0u);
+  for (int i = 0; i < 10; ++i) j.add(42);
+  EXPECT_EQ(j.deltas().count(), 9u);
+  EXPECT_EQ(j.deltas().mean(), 0.0);
+  EXPECT_EQ(j.deltas().max(), 0u);
 }
 
 TEST(RatioAccumulator, BasicRatio) {

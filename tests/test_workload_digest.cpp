@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "mmr/network/network.hpp"
+#include "mmr/traffic/mix.hpp"
 #include "workload_digest.hpp"
 
 namespace mmr {
@@ -106,9 +106,9 @@ std::vector<Case> cases() {
                    SimConfig config = single_config(5);
                    config.vcs_per_link = 64;
                    Rng rng(config.seed, 9);
-                   return build_network_cbr_mix(
-                       config, NetworkTopology::torus2d(4, 4, 5),
-                       fat_mix(0.35), rng);
+                   Workload workload(NetworkTopology::torus2d(4, 4, 5));
+                   add_cbr_mix(workload, config, fat_mix(0.35), rng);
+                   return workload;
                  },
                  0x07129b36628d0a0aull});
   all.push_back({"torus4x4-vbr", [] {
@@ -118,17 +118,18 @@ std::vector<Case> cases() {
                    VbrMixSpec spec;
                    spec.target_load = 0.30;
                    spec.trace_gops = 2;
-                   return build_network_vbr_mix(
-                       config, NetworkTopology::torus2d(4, 4, 5), spec, rng);
+                   Workload workload(NetworkTopology::torus2d(4, 4, 5));
+                   add_vbr_mix(workload, config, spec, rng);
+                   return workload;
                  },
                  0x0734880cd646ea4full});
   all.push_back({"fat-tree4-cbr", [] {
                    SimConfig config = single_config(4);
                    config.vcs_per_link = 64;
                    Rng rng(config.seed, 11);
-                   return build_network_cbr_mix(
-                       config, NetworkTopology::fat_tree(4, 4), fat_mix(0.35),
-                       rng);
+                   Workload workload(NetworkTopology::fat_tree(4, 4));
+                   add_cbr_mix(workload, config, fat_mix(0.35), rng);
+                   return workload;
                  },
                  0x9497a5fc65a0243bull});
   return all;
