@@ -4,13 +4,14 @@
 // computed by Hopcroft-Karp) for every arbiter over random request
 // ensembles of varying density and port count.
 
+#include <cmath>
 #include <iostream>
+#include <vector>
 
 #include "mmr/arbiter/factory.hpp"
 #include "mmr/arbiter/maxmatch.hpp"
 #include "mmr/arbiter/verify.hpp"
 #include "mmr/sim/rng.hpp"
-#include "mmr/sim/stats.hpp"
 #include "mmr/sim/table.hpp"
 
 namespace {
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
     for (std::uint32_t ports : port_counts) {
       Rng workload_rng(0x5EED, ports);  // same ensembles for every arbiter
       auto arbiter = make_arbiter(name, ports, Rng(0x5EED, 0xA1));
-      StreamingStats ratio;
+      std::vector<double> ratios;
       MaxMatchArbiter oracle(ports);
       for (std::uint32_t t = 0; t < trials; ++t) {
         const CandidateSet set =
@@ -80,13 +81,19 @@ int main(int argc, char** argv) {
         }
         const Matching best = oracle.arbitrate(set);
         if (best.size() == 0) continue;
-        ratio.add(static_cast<double>(matching.size()) /
-                  static_cast<double>(best.size()));
+        ratios.push_back(static_cast<double>(matching.size()) /
+                         static_cast<double>(best.size()));
       }
+      const auto n = static_cast<double>(ratios.size());
+      double mean = 0.0;
+      for (const double r : ratios) mean += r / n;
+      double m2 = 0.0;
+      for (const double r : ratios) m2 += (r - mean) * (r - mean);
       // The trials sample an infinite ensemble, so spread uses the sample
       // (n-1) convention.
-      row.push_back(AsciiTable::num(ratio.mean(), 4) + " +/- " +
-                    AsciiTable::num(ratio.sample_stddev(), 3));
+      const double stddev = n < 2 ? 0.0 : std::sqrt(m2 / (n - 1));
+      row.push_back(AsciiTable::num(mean, 4) + " +/- " +
+                    AsciiTable::num(stddev, 3));
     }
     table.add_row(std::move(row));
   }

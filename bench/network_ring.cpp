@@ -108,7 +108,7 @@ int run_bench(int argc, char** argv) {
             << ": mean path length "
             << AsciiTable::num(heavy.delivered_hops.mean(), 2)
             << " routers (max "
-            << AsciiTable::num(static_cast<double>(heavy.delivered_hops.max()), 0)
+            << heavy.delivered_hops.max()
             << "); per-router crossbar utilization:";
   for (double u : heavy.router_utilization) {
     std::cout << ' ' << AsciiTable::num(u * 100, 1) << '%';

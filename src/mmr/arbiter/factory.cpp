@@ -17,12 +17,8 @@ namespace {
 
 using Arbiter = std::unique_ptr<SwitchArbiter>;
 
-/// Iteration budget of a row, resolved against the port count.
-enum class Budget : std::uint8_t {
-  kNone,      ///< not iterative
-  kOne,       ///< a single grant/accept round
-  kLogPorts,  ///< the conventional log2(P) + 1 rounds
-};
+/// Iteration budget standing for the conventional log2(P) + 1 rounds.
+constexpr std::uint32_t kLogPorts = ~std::uint32_t{0};
 
 /// One registered arbiter: everything the factory knows about a name.  The
 /// builder receives the row's resolved budget, so the iteration count an
@@ -31,9 +27,27 @@ struct Row {
   const char* name;
   Arbiter (*build)(std::uint32_t ports, Rng rng, std::uint32_t iterations);
   ArbiterTraits traits;
-  Budget budget = Budget::kNone;
+  std::uint32_t budget = 0;  ///< iterations, or kLogPorts; 0: not iterative
   const char* scan_twin = nullptr;  ///< bit-identical reference, if any
 };
+
+template <class A>
+Arbiter unseeded(std::uint32_t ports, Rng, std::uint32_t) {
+  return std::make_unique<A>(ports);
+}
+template <class A>
+Arbiter seeded(std::uint32_t ports, Rng rng, std::uint32_t) {
+  return std::make_unique<A>(ports, rng);
+}
+template <class A>
+Arbiter iterative(std::uint32_t ports, Rng, std::uint32_t iterations) {
+  return std::make_unique<A>(ports, iterations);
+}
+template <class A>
+Arbiter seeded_iterative(std::uint32_t ports, Rng rng,
+                         std::uint32_t iterations) {
+  return std::make_unique<A>(ports, rng, iterations);
+}
 
 // Traits.  COA loops until every remaining request is blocked and greedy
 // scans all candidates, so both are maximal; both grant within an output
@@ -49,110 +63,53 @@ struct Row {
 // corner bias the paper measures.  "rr" runs a single grant/accept round
 // whose pointers advance unconditionally: not maximal, and deliberately not
 // rotation-fair (the synchronized-pointer pathology qd=cicq studies).
+constexpr ArbiterTraits kMaximal{.maximal = true};
+constexpr ArbiterTraits kPriority{.maximal = true, .priority_ordered = true};
+constexpr ArbiterTraits kRotating{.maximal = true, .rotation_fair = true};
+constexpr ArbiterTraits kBounded{.iteration_bounded = true};
+constexpr ArbiterTraits kBoundedRotating{.iteration_bounded = true,
+                                         .rotation_fair = true};
+
 const std::vector<Row>& rows() {
   static const std::vector<Row> table = {
-      {"coa",
-       [](std::uint32_t p, Rng rng, std::uint32_t) -> Arbiter {
-         return std::make_unique<CandidateOrderArbiter>(p, rng);
-       },
-       {.maximal = true, .priority_ordered = true}, Budget::kNone,
-       "coa-scan"},
+      {"coa", seeded<CandidateOrderArbiter>, kPriority, 0, "coa-scan"},
       {"coa-np",
        [](std::uint32_t p, Rng rng, std::uint32_t) -> Arbiter {
          return std::make_unique<CandidateOrderArbiter>(
              p, rng, /*use_priority=*/false);
        },
-       {.maximal = true}},
-      {"coa-scan",
-       [](std::uint32_t p, Rng rng, std::uint32_t) -> Arbiter {
-         return std::make_unique<CandidateOrderScanArbiter>(p, rng);
-       },
-       {.maximal = true, .priority_ordered = true}},
-      {"wfa",
-       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
-         return std::make_unique<WaveFrontArbiter>(p);
-       },
-       {.maximal = true, .rotation_fair = true}, Budget::kNone, "wfa-scan"},
+       kMaximal},
+      {"coa-scan", seeded<CandidateOrderScanArbiter>, kPriority},
+      {"wfa", unseeded<WaveFrontArbiter>, kRotating, 0, "wfa-scan"},
       {"wfa-scan",
        [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
          return std::make_unique<WaveFrontScanArbiter>(p, /*rotate=*/true);
        },
-       {.maximal = true, .rotation_fair = true}},
+       kRotating},
       {"wfa-fixed",
        [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
          return std::make_unique<WaveFrontScanArbiter>(p, /*rotate=*/false);
        },
-       {.maximal = true}},
-      {"wwfa",
-       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
-         return std::make_unique<WrappedWaveFrontArbiter>(p);
-       },
-       {.maximal = true, .rotation_fair = true}},
-      {"islip",
-       [](std::uint32_t p, Rng, std::uint32_t iterations) -> Arbiter {
-         return std::make_unique<IslipArbiter>(p, iterations);
-       },
-       {.iteration_bounded = true, .rotation_fair = true}, Budget::kLogPorts,
+       kMaximal},
+      {"wwfa", unseeded<WrappedWaveFrontArbiter>, kRotating},
+      {"islip", iterative<IslipArbiter>, kBoundedRotating, kLogPorts,
        "islip-scan"},
-      {"islip1",
-       [](std::uint32_t p, Rng, std::uint32_t iterations) -> Arbiter {
-         return std::make_unique<IslipArbiter>(p, iterations);
-       },
-       {.iteration_bounded = true}, Budget::kOne},
-      {"islip-scan",
-       [](std::uint32_t p, Rng, std::uint32_t iterations) -> Arbiter {
-         return std::make_unique<IslipScanArbiter>(p, iterations);
-       },
-       {.iteration_bounded = true, .rotation_fair = true}, Budget::kLogPorts},
-      {"pim",
-       [](std::uint32_t p, Rng rng, std::uint32_t iterations) -> Arbiter {
-         return std::make_unique<PimArbiter>(p, rng, iterations);
-       },
-       {.iteration_bounded = true}, Budget::kLogPorts, "pim-scan"},
-      {"pim1",
-       [](std::uint32_t p, Rng rng, std::uint32_t iterations) -> Arbiter {
-         return std::make_unique<PimArbiter>(p, rng, iterations);
-       },
-       {.iteration_bounded = true}, Budget::kOne},
-      {"pim-scan",
-       [](std::uint32_t p, Rng rng, std::uint32_t iterations) -> Arbiter {
-         return std::make_unique<PimScanArbiter>(p, rng, iterations);
-       },
-       {.iteration_bounded = true}, Budget::kLogPorts},
-      {"greedy",
-       [](std::uint32_t p, Rng rng, std::uint32_t) -> Arbiter {
-         return std::make_unique<GreedyPriorityArbiter>(p, rng);
-       },
-       {.maximal = true, .priority_ordered = true}},
-      {"maxmatch",
-       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
-         return std::make_unique<MaxMatchArbiter>(p);
-       },
+      {"islip1", iterative<IslipArbiter>, kBounded, 1},
+      {"islip-scan", iterative<IslipScanArbiter>, kBoundedRotating, kLogPorts},
+      {"pim", seeded_iterative<PimArbiter>, kBounded, kLogPorts, "pim-scan"},
+      {"pim1", seeded_iterative<PimArbiter>, kBounded, 1},
+      {"pim-scan", seeded_iterative<PimScanArbiter>, kBounded, kLogPorts},
+      {"greedy", seeded<GreedyPriorityArbiter>, kPriority},
+      {"maxmatch", unseeded<MaxMatchArbiter>,
        {.maximal = true, .exact_maximum = true}},
-      {"rr",
-       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
-         return std::make_unique<RoundRobinArbiter>(p);
-       },
-       {.iteration_bounded = true}, Budget::kOne, "rr-scan"},
-      {"rr-scan",
-       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
-         return std::make_unique<RoundRobinScanArbiter>(p);
-       },
-       {.iteration_bounded = true}, Budget::kOne},
+      {"rr", unseeded<RoundRobinArbiter>, kBounded, 1, "rr-scan"},
+      {"rr-scan", unseeded<RoundRobinScanArbiter>, kBounded, 1},
   };
   return table;
 }
 
-std::uint32_t resolve(Budget budget, std::uint32_t ports) {
-  switch (budget) {
-    case Budget::kOne:
-      return 1;
-    case Budget::kLogPorts:
-      return std::bit_width(ports) + 1u;
-    case Budget::kNone:
-      break;
-  }
-  return 0;
+std::uint32_t iterations(const Row& r, std::uint32_t ports) {
+  return r.budget == kLogPorts ? std::bit_width(ports) + 1u : r.budget;
 }
 
 /// The row named `name`; throws std::invalid_argument listing the valid
@@ -174,7 +131,7 @@ const Row& row(const std::string& name) {
 std::unique_ptr<SwitchArbiter> make_arbiter(const std::string& name,
                                             std::uint32_t ports, Rng rng) {
   const Row& r = row(name);
-  return r.build(ports, rng, resolve(r.budget, ports));
+  return r.build(ports, rng, iterations(r, ports));
 }
 
 const std::vector<std::string>& arbiter_names() {
@@ -202,7 +159,7 @@ const ArbiterTraits& arbiter_traits(const std::string& name) {
 
 std::uint32_t arbiter_iterations(const std::string& name,
                                  std::uint32_t ports) {
-  return resolve(row(name).budget, ports);
+  return iterations(row(name), ports);
 }
 
 }  // namespace mmr

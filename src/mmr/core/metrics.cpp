@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "mmr/core/fairness.hpp"
 #include "mmr/sim/assert.hpp"
@@ -132,9 +133,8 @@ SimulationMetrics merge_runs(const std::vector<SimulationMetrics>& runs) {
 }
 
 void DelayStats::merge(const DelayStats& other) {
-  MMR_ASSERT_MSG(empty() || other.empty() || cycle_us_ == other.cycle_us_,
+  MMR_ASSERT_MSG(other.empty() || cycle_us_ == other.cycle_us_,
                  "delay statistics of different flit times do not merge");
-  if (empty()) cycle_us_ = other.cycle_us_;
   stats_.merge(other.stats_);
   hist_.merge(other.hist_);
 }
@@ -142,32 +142,6 @@ void DelayStats::merge(const DelayStats& other) {
 void DelayStats::snap(snapshot::Walker& w) {
   stats_.snap(w);
   hist_.snap(w);
-}
-
-void SortedSamples::add(double x) {
-  values_.insert(std::upper_bound(values_.begin(), values_.end(), x), x);
-}
-
-void SortedSamples::merge(const SortedSamples& other) {
-  const auto middle = static_cast<std::ptrdiff_t>(values_.size());
-  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-  std::inplace_merge(values_.begin(), values_.begin() + middle,
-                     values_.end());
-}
-
-double SortedSamples::mean() const {
-  if (values_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double x : values_) sum += x;
-  return sum / static_cast<double>(values_.size());
-}
-
-double SortedSamples::variance() const {
-  if (values_.empty()) return 0.0;
-  const double m = mean();
-  double m2 = 0.0;
-  for (const double x : values_) m2 += (x - m) * (x - m);
-  return m2 / static_cast<double>(values_.size());
 }
 
 void ClassMetrics::merge(const ClassMetrics& other) {
@@ -200,9 +174,7 @@ void DeliveryTally::merge(const DeliveryTally& other) {
   MMR_ASSERT(classes.size() == other.classes.size());
   for (std::size_t c = 0; c < classes.size(); ++c)
     classes[c].merge(other.classes[c]);
-  delivered += other.delivered;
   hops.merge(other.hops);
-  frames += other.frames;
   frame_delay.merge(other.frame_delay);
   compliant_delivered += other.compliant_delivered;
   compliant_violations += other.compliant_violations;
@@ -332,7 +304,6 @@ void MetricsCollector::on_delivered(const Flit& flit, Cycle delivered_at,
 
   const Cycle delay = delivered_at - flit.generated_at;
   ++delivered_per_connection_[flit.connection];
-  ++tally.delivered;
   tally.hops.add(hops);
   ClassMetrics& cls = tally.classes[class_of_connection_[flit.connection]];
   ++cls.flits_delivered;
@@ -343,7 +314,6 @@ void MetricsCollector::on_delivered(const Flit& flit, Cycle delivered_at,
   // it compares across injection models (Section 5.2).
   const ConnectionDescriptor& descriptor = table_.get(flit.connection);
   if (flit.last_of_frame && descriptor.traffic_class == TrafficClass::kVbr) {
-    ++tally.frames;
     tally.frame_delay.add(delay);
     frame_jitter_[flit.connection].add(delay);
   }
@@ -384,7 +354,7 @@ SimulationMetrics MetricsCollector::finalize(
   const double cycles = static_cast<double>(measure_cycles_);
   m.generated_load_measured = static_cast<double>(generated_) /
                               (static_cast<double>(local_inputs_) * cycles);
-  m.delivered_load = static_cast<double>(deliveries.delivered) /
+  m.delivered_load = static_cast<double>(deliveries.hops.count()) /
                      (static_cast<double>(local_outputs_) * cycles);
 
   const double count = static_cast<double>(routers.size());
@@ -396,19 +366,26 @@ SimulationMetrics MetricsCollector::finalize(
   }
 
   m.flits_generated = generated_;
-  m.flits_delivered = deliveries.delivered;
+  m.flits_delivered = deliveries.hops.count();
   m.flit_delay_us = DelayStats(m.flit_cycle_us);
   for (const ClassMetrics& cls : deliveries.classes)
     m.flit_delay_us.merge(cls.flit_delay_us);
   m.per_class = deliveries.classes;
   m.delivered_hops = deliveries.hops;
 
-  m.frames_completed = deliveries.frames;
+  m.frames_completed = deliveries.frame_delay.count();
   m.frame_delay_us = deliveries.frame_delay;
+  // Mean jitters are fractions of a cycle; rounded to 2^-32 cycles they stay
+  // integer, so merge_runs pools them exactly.
+  constexpr int kJitterBits = 32;
+  m.frame_jitter_us = DelayStats(std::ldexp(m.flit_cycle_us, -kJitterBits));
   for (const JitterTracker& jitter : frame_jitter_) {
     const CycleStats& deltas = jitter.deltas();
     if (deltas.empty()) continue;
-    m.frame_jitter_us.add(deltas.mean() * m.flit_cycle_us);
+    const CycleWide mean =
+        ((deltas.sum() << kJitterBits) + deltas.count() / 2) / deltas.count();
+    MMR_ASSERT(mean <= std::numeric_limits<Cycle>::max());
+    m.frame_jitter_us.add(static_cast<Cycle>(mean));
     m.max_frame_jitter_us =
         std::fmax(m.max_frame_jitter_us,
                   static_cast<double>(deltas.max()) * m.flit_cycle_us);
@@ -462,9 +439,7 @@ void DeliveryTally::snap(snapshot::Walker& w) {
     MMR_ASSERT_MSG(count == classes.size(),
                    "metrics snapshot class count mismatch");
   for (ClassMetrics& c : classes) c.snap(w);
-  snapshot::value(w, delivered);
   hops.snap(w);
-  snapshot::value(w, frames);
   frame_delay.snap(w);
   snapshot::value(w, compliant_delivered);
   snapshot::value(w, compliant_violations);

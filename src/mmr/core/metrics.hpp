@@ -46,14 +46,15 @@ class DelayStats {
   [[nodiscard]] double variance() const {
     return stats_.variance() * cycle_us_ * cycle_us_;
   }
-  [[nodiscard]] double min() const { return us(stats_.min()); }
-  [[nodiscard]] double max() const { return us(stats_.max()); }
-  [[nodiscard]] double quantile(double q) const {
-    return hist_.quantile(q) * cycle_us_;
+  [[nodiscard]] double min() const {
+    return static_cast<double>(stats_.min()) * cycle_us_;
   }
-  [[nodiscard]] double p50() const { return quantile(0.50); }
-  [[nodiscard]] double p95() const { return quantile(0.95); }
-  [[nodiscard]] double p99() const { return quantile(0.99); }
+  [[nodiscard]] double max() const {
+    return static_cast<double>(stats_.max()) * cycle_us_;
+  }
+  [[nodiscard]] double p50() const { return hist_.quantile(0.50) * cycle_us_; }
+  [[nodiscard]] double p95() const { return hist_.quantile(0.95) * cycle_us_; }
+  [[nodiscard]] double p99() const { return hist_.quantile(0.99) * cycle_us_; }
 
   [[nodiscard]] const CycleStats& cycles() const { return stats_; }
   [[nodiscard]] const CycleHistogram& histogram() const { return hist_; }
@@ -64,35 +65,9 @@ class DelayStats {
   friend bool operator==(const DelayStats&, const DelayStats&) = default;
 
  private:
-  [[nodiscard]] double us(std::uint64_t cycles) const {
-    return static_cast<double>(cycles) * cycle_us_;
-  }
-
   CycleStats stats_;
   CycleHistogram hist_;
   double cycle_us_ = 1.0;
-};
-
-/// Real-valued samples kept sorted.  A merge is a multiset union, so it is
-/// exact, and the moments (summed in ascending order) do not depend on the
-/// order of merges.  Holds one value per connection, such as its mean
-/// frame jitter.
-class SortedSamples {
- public:
-  void add(double x);
-  void merge(const SortedSamples& other);
-
-  [[nodiscard]] std::uint64_t count() const { return values_.size(); }
-  [[nodiscard]] bool empty() const { return values_.empty(); }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double variance() const;  ///< population variance
-  [[nodiscard]] const std::vector<double>& values() const { return values_; }
-
-  friend bool operator==(const SortedSamples&,
-                         const SortedSamples&) = default;
-
- private:
-  std::vector<double> values_;
 };
 
 /// Statistics for one traffic class (e.g. "CBR 64 Kbps", "VBR", "BE").
@@ -273,7 +248,8 @@ struct SimulationMetrics {
   // Frame-level (Fig. 9 and the jitter discussion).
   std::uint64_t frames_completed = 0;
   DelayStats frame_delay_us;
-  SortedSamples frame_jitter_us;  ///< per-connection mean jitters
+  /// Per-connection mean jitters, in fixed point: 2^-32 cycles per unit.
+  DelayStats frame_jitter_us;
   double max_frame_jitter_us = 0.0;
 
   // End-of-run backlog (flits still in NICs + router): grows without bound
@@ -331,10 +307,8 @@ struct SimulationMetrics {
 /// every field merges exactly, so the fold order does not matter.
 struct DeliveryTally {
   std::vector<ClassMetrics> classes;  ///< in the collector's class order
-  std::uint64_t delivered = 0;
-  CycleStats hops;
-  std::uint64_t frames = 0;
-  DelayStats frame_delay;
+  CycleStats hops;  ///< one sample per delivered flit
+  DelayStats frame_delay;  ///< one sample per completed frame
 
   // QoS deadline split between compliant and rogue sources (police= and
   // rogue= runs only).

@@ -1,10 +1,8 @@
 // The old network names of the one engine, its metrics and its workload,
-// and the builders on an explicit topology.  Every mix builder in
-// traffic/mix.hpp places on any topology, and benches, examples and tests
-// use MmrSimulation / SimulationMetrics / Workload(topology) +
-// add_{cbr,vbr}_mix directly.  This header and the mmr_network target stay
-// only for the benchmark harness (mmrbench/); both go with its next change
-// (ROADMAP item 8).
+// and the builders on an explicit topology.  Everything else uses
+// MmrSimulation / SimulationMetrics / Workload(topology) + add_*_mix; this
+// header and the mmr_network target stay only for the benchmark harness
+// (mmrbench/) and go with its next change (ROADMAP item 8).
 #pragma once
 
 #include "mmr/core/simulation.hpp"

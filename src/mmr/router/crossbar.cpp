@@ -20,9 +20,9 @@ void Crossbar::apply(const Matching& matching, bool measure) {
     }
   }
   if (measure) {
-    utilization_.add(matching.size(), ports());
-    reconfigurations_.add(changed, 1);
-    matching_size_.add(matching.size());
+    ++cycles_;
+    switched_ += matching.size();
+    reconfigurations_ += changed;
   }
 }
 
@@ -40,9 +40,9 @@ void Crossbar::apply_outputs(const std::vector<std::int32_t>& input_of_output,
     }
   }
   if (measure) {
-    utilization_.add(served, ports());
-    reconfigurations_.add(changed, 1);
-    matching_size_.add(served);
+    ++cycles_;
+    switched_ += served;
+    reconfigurations_ += changed;
   }
 }
 
@@ -53,9 +53,9 @@ std::int32_t Crossbar::input_of(std::uint32_t output) const {
 
 void Crossbar::snap(snapshot::Walker& w) {
   snapshot::walk_vector_pod(w, input_of_output_);
-  utilization_.snap(w);
-  reconfigurations_.snap(w);
-  matching_size_.snap(w);
+  snapshot::value(w, cycles_);
+  snapshot::value(w, switched_);
+  snapshot::value(w, reconfigurations_);
 }
 
 }  // namespace mmr

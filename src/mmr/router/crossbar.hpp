@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "mmr/arbiter/matching.hpp"
-#include "mmr/sim/cycle_stats.hpp"
-#include "mmr/sim/stats.hpp"
 #include "mmr/sim/time.hpp"
 
 namespace mmr {
@@ -40,17 +38,17 @@ class Crossbar {
   [[nodiscard]] std::int32_t input_of(std::uint32_t output) const;
 
   /// Fraction of output-port cycles that carried a flit (measured window).
-  [[nodiscard]] double utilization() const { return utilization_.ratio(); }
-  [[nodiscard]] std::uint64_t flits_switched() const {
-    return utilization_.numerator();
+  [[nodiscard]] double utilization() const {
+    return ratio(switched_, cycles_ * ports());
   }
+  [[nodiscard]] std::uint64_t flits_switched() const { return switched_; }
   /// Crosspoint configuration changes per cycle, averaged (measured window).
   [[nodiscard]] double mean_reconfigurations() const {
-    return reconfigurations_.ratio();
+    return ratio(reconfigurations_, cycles_);
   }
   /// Matching size per cycle, averaged (measured window).
   [[nodiscard]] double mean_matching_size() const {
-    return matching_size_.mean();
+    return ratio(switched_, cycles_);
   }
 
   /// Checkpoint walk.  The crosspoint configuration persists across cycles
@@ -59,10 +57,17 @@ class Crossbar {
   void snap(snapshot::Walker& w);
 
  private:
+  /// 0 before the first measured cycle.
+  [[nodiscard]] static double ratio(std::uint64_t num, std::uint64_t den) {
+    return den == 0 ? 0.0
+                    : static_cast<double>(num) / static_cast<double>(den);
+  }
+
   std::vector<std::int32_t> input_of_output_;
-  RatioAccumulator utilization_;       ///< matched outputs / ports
-  RatioAccumulator reconfigurations_;  ///< changed outputs / cycles
-  CycleStats matching_size_;
+  // Totals over the measured cycles.
+  std::uint64_t cycles_ = 0;
+  std::uint64_t switched_ = 0;          ///< outputs that carried a flit
+  std::uint64_t reconfigurations_ = 0;  ///< outputs reconfigured
 };
 
 }  // namespace mmr

@@ -9,14 +9,6 @@ namespace mmr {
 
 namespace {
 
-void walk_wide(snapshot::Walker& w, CycleWide& x) {
-  auto lo = static_cast<std::uint64_t>(x);
-  auto hi = static_cast<std::uint64_t>(x >> 64);
-  snapshot::value(w, lo);
-  snapshot::value(w, hi);
-  if (w.loading()) x = (static_cast<CycleWide>(hi) << 64) | lo;
-}
-
 // Bucket b >= kExact covers [2^e, 2^(e+1)) sub-bucket s: e and s below.
 constexpr unsigned kSubBits = std::countr_zero(CycleHistogram::kSubBuckets);
 constexpr unsigned kFirstExponent = std::countr_zero(CycleHistogram::kExact);
@@ -51,8 +43,8 @@ double CycleStats::variance() const {
 
 void CycleStats::snap(snapshot::Walker& w) {
   snapshot::value(w, n_);
-  walk_wide(w, sum_);
-  walk_wide(w, sum_sq_);
+  w.bytes(&sum_, sizeof sum_);
+  w.bytes(&sum_sq_, sizeof sum_sq_);
   snapshot::value(w, min_);
   snapshot::value(w, max_);
 }

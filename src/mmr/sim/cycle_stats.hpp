@@ -92,9 +92,6 @@ class CycleHistogram {
   /// and max() at the two extreme ranks, otherwise the midpoint of the
   /// bucket holding that rank, clamped to [min(), max()].  0 when empty.
   [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double p50() const { return quantile(0.50); }
-  [[nodiscard]] double p95() const { return quantile(0.95); }
-  [[nodiscard]] double p99() const { return quantile(0.99); }
 
   [[nodiscard]] static std::size_t bucket_of(std::uint64_t x);
   /// Smallest and largest value bucket `b` holds (both inclusive).

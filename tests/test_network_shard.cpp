@@ -111,7 +111,7 @@ void expect_bit_identical(const RunResult& serial, const RunResult& sharded) {
   expect_delay_equal(a.flit_delay_us, b.flit_delay_us);
   expect_stats_equal(a.delivered_hops, b.delivered_hops);
   expect_delay_equal(a.frame_delay_us, b.frame_delay_us);
-  EXPECT_EQ(a.frame_jitter_us.values(), b.frame_jitter_us.values());
+  expect_delay_equal(a.frame_jitter_us, b.frame_jitter_us);
   EXPECT_EQ(a.max_frame_jitter_us, b.max_frame_jitter_us);
   EXPECT_EQ(a.router_utilization, b.router_utilization);
   ASSERT_EQ(a.per_class.size(), b.per_class.size());

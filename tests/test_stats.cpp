@@ -1,117 +1,12 @@
-#include "mmr/sim/stats.hpp"
+// JitterTracker: the integer |delta| stream behind per-connection frame
+// jitter.
+
+#include "mmr/sim/cycle_stats.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <vector>
-
-#include "mmr/sim/cycle_stats.hpp"
-#include "mmr/sim/rng.hpp"
-
 namespace mmr {
 namespace {
-
-TEST(StreamingStats, EmptyIsZero) {
-  StreamingStats s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(StreamingStats, SingleSample) {
-  StreamingStats s;
-  s.add(3.5);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.5);
-}
-
-TEST(StreamingStats, KnownMoments) {
-  StreamingStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // classic textbook example
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-// The documented convention: variance() is population (m2/n),
-// sample_variance() the unbiased estimator (m2/(n-1)).
-TEST(StreamingStats, SampleVarianceUsesBesselCorrection) {
-  StreamingStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);                    // m2 / 8
-  EXPECT_DOUBLE_EQ(s.sample_variance(), 32.0 / 7.0);      // m2 / 7
-  EXPECT_DOUBLE_EQ(s.sample_stddev(), std::sqrt(32.0 / 7.0));
-  EXPECT_GT(s.sample_variance(), s.variance());
-}
-
-TEST(StreamingStats, SampleVarianceDegenerateCounts) {
-  StreamingStats s;
-  EXPECT_DOUBLE_EQ(s.sample_variance(), 0.0);  // n = 0
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.sample_variance(), 0.0);  // n = 1: undefined -> 0
-  EXPECT_DOUBLE_EQ(s.sample_stddev(), 0.0);
-  s.add(5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
-  EXPECT_DOUBLE_EQ(s.sample_variance(), 2.0);
-}
-
-TEST(StreamingStats, NegativeValues) {
-  StreamingStats s;
-  s.add(-5.0);
-  s.add(5.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), -5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(StreamingStats, MergeMatchesSequential) {
-  Rng rng(21, 0);
-  StreamingStats whole;
-  StreamingStats a;
-  StreamingStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    whole.add(x);
-    (i % 3 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(StreamingStats, MergeWithEmptySides) {
-  StreamingStats a;
-  StreamingStats b;
-  b.add(1.0);
-  b.add(2.0);
-  a.merge(b);  // empty.merge(full)
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 1.5);
-  StreamingStats c;
-  a.merge(c);  // full.merge(empty)
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 1.5);
-}
-
-TEST(StreamingStats, ResetClears) {
-  StreamingStats s;
-  s.add(1.0);
-  s.reset();
-  EXPECT_TRUE(s.empty());
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
 
 TEST(JitterTracker, FirstSampleProducesNoDelta) {
   JitterTracker j;
@@ -139,24 +34,6 @@ TEST(JitterTracker, ConstantStreamHasZeroJitter) {
   EXPECT_EQ(j.deltas().count(), 9u);
   EXPECT_EQ(j.deltas().mean(), 0.0);
   EXPECT_EQ(j.deltas().max(), 0u);
-}
-
-TEST(RatioAccumulator, BasicRatio) {
-  RatioAccumulator r;
-  EXPECT_DOUBLE_EQ(r.ratio(), 0.0);
-  r.add(3, 4);
-  r.add(1, 4);
-  EXPECT_DOUBLE_EQ(r.ratio(), 0.5);
-  EXPECT_EQ(r.numerator(), 4u);
-  EXPECT_EQ(r.denominator(), 8u);
-}
-
-TEST(RatioAccumulator, ResetClears) {
-  RatioAccumulator r;
-  r.add(1, 2);
-  r.reset();
-  EXPECT_DOUBLE_EQ(r.ratio(), 0.0);
-  EXPECT_EQ(r.denominator(), 0u);
 }
 
 }  // namespace
