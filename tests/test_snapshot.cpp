@@ -645,13 +645,13 @@ TEST(SnapshotLayout, PinnedStateHashes) {
     const SimConfig config = cbr4_config();
     MmrSimulation sim(config, cbr4_workload(config));
     while (sim.now() < 3'000) sim.step_one();
-    EXPECT_EQ(sim.state_hash(), 0x10906b5a64ea4e06ull);
+    EXPECT_EQ(sim.state_hash(), 0x30f7226ff9ca9f92ull);
   }
   {
     const SimConfig config = rogue_torus_config();
     MmrSimulation sim(config, rogue_torus_workload(config));
     while (sim.now() < 2'000) sim.step_one();
-    EXPECT_EQ(sim.state_hash(), 0x24b4a1530fd0ddacull);
+    EXPECT_EQ(sim.state_hash(), 0xe02c86f7a5d5d926ull);
   }
 }
 
