@@ -13,13 +13,6 @@ namespace mmr::audit {
 
 std::uint32_t credit_accounted_slots(const CreditManager& credits,
                                      const LinkPipeline& pipe,
-                                     const VirtualChannelMemory& vcm,
-                                     std::uint32_t vc) {
-  return credit_accounted_slots(credits, pipe, vcm.occupancy(vc), vc);
-}
-
-std::uint32_t credit_accounted_slots(const CreditManager& credits,
-                                     const LinkPipeline& pipe,
                                      std::uint32_t buffered,
                                      std::uint32_t vc) {
   return credits.credits(vc) + credits.pending_for(vc) +

@@ -20,7 +20,6 @@
 #include "mmr/router/link.hpp"
 #include "mmr/router/nic.hpp"
 #include "mmr/router/router.hpp"
-#include "mmr/router/vcm.hpp"
 #include "mmr/sim/config.hpp"
 
 namespace mmr::mmu {
@@ -34,16 +33,11 @@ class Walker;
 namespace mmr::audit {
 
 /// Buffer slots of (channel, vc) that are accounted for: available credits,
-/// credits travelling back, flits on the wire, flits in the downstream VCM.
-/// Conservation demands this equals CreditManager::capacity_per_vc(); the
-/// fault layer's resync watchdog treats a persistent deficit as a leak.
-[[nodiscard]] std::uint32_t credit_accounted_slots(
-    const CreditManager& credits, const LinkPipeline& pipe,
-    const VirtualChannelMemory& vcm, std::uint32_t vc);
-
-/// Discipline-agnostic form: `buffered` is however many of the VC's flits
-/// the router currently holds, wherever its queue discipline buffers them
-/// (VC FIFO, VOQs, crosspoint buffers) — MmrRouter::vc_occupancy().
+/// credits travelling back, flits on the wire, and `buffered`, the VC's
+/// flits inside the downstream router wherever its queue discipline holds
+/// them (MmrRouter::vc_occupancy()).  Conservation demands this equals
+/// CreditManager::capacity_per_vc(); the fault layer's resync watchdog
+/// treats a persistent deficit as a leak.
 [[nodiscard]] std::uint32_t credit_accounted_slots(const CreditManager& credits,
                                                    const LinkPipeline& pipe,
                                                    std::uint32_t buffered,

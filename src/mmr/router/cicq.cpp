@@ -46,10 +46,10 @@ void CicqFabric::drain_outputs(Cycle now, std::vector<Drained>& out,
   for (std::uint32_t output = 0; output < ports_; ++output) {
     for (std::uint32_t k = 0; k < ports_; ++k) {
       const std::uint32_t input = (output_ptr_[output] + k) % ports_;
-      std::deque<VoqMemory::Slot>& fifo = xp_[xp_index(input, output)];
+      std::deque<InputBuffer::Slot>& fifo = xp_[xp_index(input, output)];
       if (fifo.empty()) continue;
       if (!eligible.eligible(input, fifo.front().vc, output)) continue;
-      VoqMemory::Slot slot = fifo.front();
+      InputBuffer::Slot slot = fifo.front();
       fifo.pop_front();
       std::uint32_t& residency =
           xp_vc_count_[static_cast<std::size_t>(input) * vcs + slot.vc];
@@ -73,10 +73,10 @@ void CicqFabric::drain_vc(std::uint32_t input, std::uint32_t vc, Cycle now,
   const auto vcs = static_cast<std::uint32_t>(xp_vc_count_.size() / ports_);
   std::uint32_t drained = 0;
   for (std::uint32_t output = 0; output < ports_; ++output) {
-    std::deque<VoqMemory::Slot>& fifo = xp_[xp_index(input, output)];
+    std::deque<InputBuffer::Slot>& fifo = xp_[xp_index(input, output)];
     const auto kept = std::stable_partition(
         fifo.begin(), fifo.end(),
-        [vc](const VoqMemory::Slot& s) { return s.vc != vc; });
+        [vc](const InputBuffer::Slot& s) { return s.vc != vc; });
     const auto count = static_cast<std::uint32_t>(fifo.end() - kept);
     for (auto it = kept; it != fifo.end(); ++it) out.push_back(it->flit);
     fifo.erase(kept, fifo.end());
@@ -88,12 +88,12 @@ void CicqFabric::drain_vc(std::uint32_t input, std::uint32_t vc, Cycle now,
   total_ -= drained;
 }
 
-void CicqFabric::fill_crosspoints(Cycle now, std::vector<VoqMemory>& voqs) {
+void CicqFabric::fill_crosspoints(Cycle now, std::vector<InputBuffer>& voqs) {
   MMR_ASSERT(voqs.size() == ports_);
   const std::uint32_t vcs = static_cast<std::uint32_t>(
       xp_vc_count_.size() / ports_);
   for (std::uint32_t input = 0; input < ports_; ++input) {
-    VoqMemory& voq = voqs[input];
+    InputBuffer& voq = voqs[input];
     bool had_work = false;
     bool sent = false;
     for (std::uint32_t k = 0; k < ports_; ++k) {
@@ -102,8 +102,8 @@ void CicqFabric::fill_crosspoints(Cycle now, std::vector<VoqMemory>& voqs) {
       had_work = true;
       if (!credits_[input].has_credit(output)) continue;
       credits_[input].consume(output);
-      VoqMemory::Slot slot = voq.pop(output);
-      std::deque<VoqMemory::Slot>& fifo = xp_[xp_index(input, output)];
+      InputBuffer::Slot slot = voq.pop(output);
+      std::deque<InputBuffer::Slot>& fifo = xp_[xp_index(input, output)];
       MMR_ASSERT_MSG(fifo.size() < spec_.crosspoint_flits,
                      "crosspoint overflow: credit protocol was violated");
       fifo.push_back(slot);
@@ -121,7 +121,7 @@ void CicqFabric::fill_crosspoints(Cycle now, std::vector<VoqMemory>& voqs) {
   }
 }
 
-void CicqFabric::update_stabilization(const std::vector<VoqMemory>& voqs) {
+void CicqFabric::update_stabilization(const std::vector<InputBuffer>& voqs) {
   if (!spec_.stabilize || spec_.crosspoint_flits <= 1) return;
   const std::uint32_t parked = spec_.crosspoint_flits - 1;
   for (std::uint32_t input = 0; input < ports_; ++input) {
@@ -173,10 +173,10 @@ void CicqFabric::check_invariants() const {
   for (std::uint32_t input = 0; input < ports_; ++input) {
     credits_[input].check_invariants();
     for (std::uint32_t output = 0; output < ports_; ++output) {
-      const std::deque<VoqMemory::Slot>& fifo = xp_[xp_index(input, output)];
+      const std::deque<InputBuffer::Slot>& fifo = xp_[xp_index(input, output)];
       MMR_ASSERT(fifo.size() <= spec_.crosspoint_flits);
       counted += fifo.size();
-      for (const VoqMemory::Slot& slot : fifo) {
+      for (const InputBuffer::Slot& slot : fifo) {
         ++per_vc[static_cast<std::size_t>(input) * vcs + slot.vc];
       }
       // Credit conservation per crosspoint: available + travelling back +
@@ -197,9 +197,9 @@ void CicqFabric::check_invariants() const {
 
 void CicqFabric::snap(snapshot::Walker& w) {
   snapshot::walk_vector(w, xp_, [](snapshot::Walker& v,
-                                   std::deque<VoqMemory::Slot>& q) {
+                                   std::deque<InputBuffer::Slot>& q) {
     snapshot::walk_deque(v, q, [](snapshot::Walker& u,
-                                  VoqMemory::Slot& slot) {
+                                  InputBuffer::Slot& slot) {
       snap_flit(u, slot.flit);
       snapshot::value(u, slot.arrived);
       snapshot::value(u, slot.vc);

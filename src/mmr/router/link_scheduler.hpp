@@ -5,10 +5,9 @@
 // hardware counters do.
 //
 // One scheduler per input serves every queue discipline (`qd=`): it selects
-// over per-VC heads (a VirtualChannelMemory) or over virtual-output-queue
-// heads (a VoqMemory) with the same policy, and it owns each VC's bindings
-// — output port, QoS constants, demoted QoS — which every discipline
-// checkpoints through snap().
+// over the heads of its input buffer, keyed by VC or by output, and it owns
+// each VC's bindings — output port, QoS constants, demoted QoS — which
+// every discipline checkpoints through snap().
 #pragma once
 
 #include <vector>
@@ -16,8 +15,7 @@
 #include "mmr/arbiter/candidate.hpp"
 #include "mmr/qos/priority.hpp"
 #include "mmr/router/eligibility.hpp"
-#include "mmr/router/vcm.hpp"
-#include "mmr/router/voq.hpp"
+#include "mmr/router/input_buffer.hpp"
 
 namespace mmr {
 
@@ -30,19 +28,17 @@ class LinkScheduler {
                 std::vector<std::uint32_t> output_of_vc,
                 std::vector<QosParams> qos_of_vc);
 
-  /// Appends this port's candidates (up to `levels`) to `out`: the per-VC
-  /// heads, each aimed at its VC's output.  Heads `eligible` refuses stay
-  /// out (a null mask makes every head eligible).
-  void select(const VirtualChannelMemory& vcm, Cycle now, CandidateSet& out,
-              const EligibilityMask* eligible = nullptr) const;
-  /// Same policy over VOQ heads: a candidate's output is its VOQ, its VC —
-  /// hence its QoS constants and tie-break — the head flit's.
-  void select(const VoqMemory& voq, Cycle now, CandidateSet& out,
+  /// Appends this port's candidates (up to `levels`) to `out`: the queue
+  /// heads, each aimed at its VC's output, with its VC's QoS constants and
+  /// tie-break.  The ranking is a total order, so the keying does not
+  /// matter.  Heads `eligible` refuses stay out (a null mask makes every
+  /// head eligible).
+  void select(const InputBuffer& buffer, Cycle now, CandidateSet& out,
               const EligibilityMask* eligible = nullptr) const;
 
-  /// The biased priority the head flit of `vc` has at `now` (test hook).
-  [[nodiscard]] Priority head_priority(const VirtualChannelMemory& vcm,
-                                       std::uint32_t vc, Cycle now) const;
+  /// The biased priority the head flit of `key` has at `now` (test hook).
+  [[nodiscard]] Priority head_priority(const InputBuffer& buffer,
+                                       std::uint32_t key, Cycle now) const;
 
   /// The output port `vc` is bound to.
   [[nodiscard]] std::uint32_t output_of(std::uint32_t vc) const;

@@ -10,7 +10,7 @@ set(inputs
   "qd=cicq,stab:7" "police=shape,burst:2,burst:3" "arbiter=bogus"
   "fault=down:0:10:20" "flow=shared,pool:18446744073709551615" "bogus=1"
   "buffer_flits=100000000" "flow=shared,pool:4000000000"
-  "levels=65 vcs=128")
+  "levels=65 vcs=128" "ports=16 vcs=64 flow=shared,pool:1100000")
 set(failures "")
 foreach(input IN LISTS inputs)
   separate_arguments(overrides UNIX_COMMAND "${input}")

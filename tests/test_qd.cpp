@@ -203,12 +203,23 @@ TEST_F(QdRouterTest, VoqAdmissionBudgetStaysPerVc) {
   EXPECT_EQ(router.vc_occupancy(0, vc), config_.buffer_flits_per_vc);
 }
 
-TEST_F(QdRouterTest, VcAccessorsRejectWrongDiscipline) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  config_.qd_spec = "voq";
+// One buffer type under every discipline: keyed by VC under qd=vc and by
+// output otherwise, over the same vcs x buffer_flits pool.
+TEST_F(QdRouterTest, BufferKeyingFollowsTheDiscipline) {
   (void)add_connection(0, 1);
-  MmrRouter router(config_, table_, Rng(6, 6));
-  EXPECT_DEATH((void)router.vcm(0), "");
+  for (const char* qd : {"vc", "voq", "cicq"}) {
+    SCOPED_TRACE(qd);
+    config_.qd_spec = qd;
+    const MmrRouter router(config_, table_, Rng(6, 6));
+    const bool by_vc = std::string(qd) == "vc";
+    for (std::uint32_t input = 0; input < config_.ports; ++input) {
+      const InputBuffer& buffer = router.buffer(input);
+      EXPECT_EQ(buffer.keys(), by_vc ? config_.vcs_per_link : config_.ports);
+      EXPECT_EQ(buffer.vcs(), config_.vcs_per_link);
+      EXPECT_EQ(buffer.slots(),
+                config_.vcs_per_link * config_.buffer_flits_per_vc);
+    }
+  }
 }
 
 // Fault teardown drains a VC wherever the discipline holds its flits: the
