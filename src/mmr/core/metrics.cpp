@@ -32,6 +32,12 @@ SimulationMetrics merge_runs(const std::vector<SimulationMetrics>& runs) {
     merged.delivered_load = avg(merged.delivered_load, run.delivered_load);
     merged.crossbar_utilization =
         avg(merged.crossbar_utilization, run.crossbar_utilization);
+    MMR_ASSERT_MSG(run.router_utilization.size() ==
+                       merged.router_utilization.size(),
+                   "can only merge runs of the same topology");
+    for (std::size_t i = 0; i < merged.router_utilization.size(); ++i)
+      merged.router_utilization[i] =
+          avg(merged.router_utilization[i], run.router_utilization[i]);
     merged.mean_matching_size =
         avg(merged.mean_matching_size, run.mean_matching_size);
     merged.mean_reconfigurations =
@@ -122,6 +128,7 @@ SimulationMetrics merge_runs(const std::vector<SimulationMetrics>& runs) {
     merged.cicq.credit_stalls += run.cicq.credit_stalls;
     merged.cicq.burst_activations += run.cicq.burst_activations;
     merged.cicq.burst_deactivations += run.cicq.burst_deactivations;
+    merged.degradation.merge(run.degradation);
 
     // Per-connection vectors are not comparable across workload
     // realisations; only the pooled index survives a merge.

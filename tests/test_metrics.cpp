@@ -154,6 +154,66 @@ TEST(MergeRuns, OrderDoesNotChangeABit) {
             a.frame_jitter_us.count() + b.frame_jitter_us.count());
 }
 
+SimulationMetrics faulty_ring_run(std::uint64_t seed) {
+  SimConfig config;
+  config.ports = 4;
+  config.vcs_per_link = 64;
+  config.warmup_cycles = 1'000;
+  config.measure_cycles = 8'000;
+  config.seed = seed;
+  config.fault_spec = "drop:0.01,resync_period:256,resync_timeout:512";
+  Rng rng(seed, 3);
+  CbrMixSpec mix;
+  mix.target_load = 0.3;
+  Workload workload(NetworkTopology::bidirectional_ring(3, config.ports));
+  add_cbr_mix(workload, config, mix, rng);
+  MmrSimulation simulation(config, std::move(workload));
+  return simulation.run();
+}
+
+// Fault counters and per-router utilization pool across runs like every
+// other field, in either order.
+TEST(MergeRuns, PoolsDegradationAndRouterUtilization) {
+  const SimulationMetrics a = faulty_ring_run(1);
+  const SimulationMetrics b = faulty_ring_run(2);
+  ASSERT_GT(a.degradation.flits_dropped, 0u);
+  ASSERT_GT(b.degradation.credits_restored, 0u);
+  ASSERT_EQ(a.router_utilization.size(), 3u);
+  ASSERT_NE(a.router_utilization, b.router_utilization);
+  const SimulationMetrics ab = merge_runs({a, b});
+  const SimulationMetrics ba = merge_runs({b, a});
+
+  const auto sum = [&](auto field) {
+    return a.degradation.*field + b.degradation.*field;
+  };
+  for (const SimulationMetrics* m : {&ab, &ba}) {
+    const DegradationMetrics& d = m->degradation;
+    EXPECT_TRUE(d.enabled);
+    EXPECT_EQ(d.flits_dropped, sum(&DegradationMetrics::flits_dropped));
+    EXPECT_EQ(d.flits_corrupted, sum(&DegradationMetrics::flits_corrupted));
+    EXPECT_EQ(d.credits_lost, sum(&DegradationMetrics::credits_lost));
+    EXPECT_EQ(d.credits_restored, sum(&DegradationMetrics::credits_restored));
+    EXPECT_EQ(d.resync_events, sum(&DegradationMetrics::resync_events));
+    EXPECT_EQ(d.delivered_outside_fault,
+              sum(&DegradationMetrics::delivered_outside_fault));
+    EXPECT_EQ(d.recovery_latency_us.count(),
+              a.degradation.recovery_latency_us.count() +
+                  b.degradation.recovery_latency_us.count());
+    ASSERT_EQ(m->router_utilization.size(), 3u);
+    for (std::size_t r = 0; r < 3; ++r)
+      EXPECT_DOUBLE_EQ(m->router_utilization[r],
+                       (a.router_utilization[r] + b.router_utilization[r]) /
+                           2.0);
+  }
+  EXPECT_EQ(ab.degradation.flits_flushed, ba.degradation.flits_flushed);
+  EXPECT_EQ(ab.degradation.teardowns, ba.degradation.teardowns);
+  EXPECT_EQ(ab.degradation.qos_violations_outside_fault,
+            ba.degradation.qos_violations_outside_fault);
+  EXPECT_EQ(ab.degradation.recovery_latency_us,
+            ba.degradation.recovery_latency_us);
+  EXPECT_EQ(ab.router_utilization, ba.router_utilization);
+}
+
 TEST(MergeRuns, UnionsDistinctClasses) {
   SimulationMetrics a;
   a.arbiter = "wfa";
