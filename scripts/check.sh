@@ -3,8 +3,9 @@
 # (differential arbiter audit + 200-seed overload-protection soak), then the
 # whole suite — mmr_overload included — again under AddressSanitizer +
 # UndefinedBehaviorSanitizer (SANITIZE applies tree-wide), plus longer
-# spec-fuzzer and NIC/VCM/eligibility differential-oracle runs in that
-# sanitized tree.
+# spec-fuzzer and differential-oracle runs in that sanitized tree: the NIC,
+# the eligibility masks, and the input buffer keyed both by VC and by
+# output (test_vcm's two *Oracle* cases).
 # Usage: scripts/check.sh [--perf] [jobs]
 #   --perf   additionally run the perf_baseline smoke sweep and validate the
 #            emitted BENCH_perf.json schema with scripts/bench_compare.py
@@ -79,7 +80,7 @@ for seed in 1 2 3; do
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-asan/tests/fuzz_specs iterations=20000 seed="${seed}"
 done
-echo "--- NIC / VCM / eligibility oracles, more seeds under ASan/UBSan ---"
+echo "--- NIC / input buffer (both keyings) / eligibility oracles, more seeds under ASan/UBSan ---"
 for seed in 1 2 3; do
   for oracle in test_nic test_vcm; do
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
