@@ -16,7 +16,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "mmr/core/metrics.hpp"
@@ -26,6 +25,7 @@
 #include "mmr/router/nic.hpp"
 #include "mmr/router/router.hpp"
 #include "mmr/sim/config.hpp"
+#include "mmr/sim/emission_wheel.hpp"
 #include "mmr/traffic/mix.hpp"
 
 namespace mmr {
@@ -365,9 +365,8 @@ class MmrSimulation {
   MetricsCollector collector_;
   double generated_load_nominal_;
 
-  /// Min-heap of (next emission cycle, source index).
-  using Emission = std::pair<Cycle, std::uint32_t>;
-  std::priority_queue<Emission, std::vector<Emission>, std::greater<>> heap_;
+  /// When each source next emits.
+  EmissionWheel wheel_;
 
   DepartureObserver observer_;
   std::unique_ptr<FaultRuntime> fault_;  ///< null = fault-free run

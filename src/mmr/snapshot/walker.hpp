@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -126,20 +125,6 @@ void walk_ring(Walker& w, Ring<T>& r, Fn fn) {
     for (std::uint64_t k = 0; k < n; ++k) r.push_back(T{});
   }
   for (std::size_t k = 0; k < r.size(); ++k) fn(w, r[k]);
-}
-
-/// The container inside a std::priority_queue (standard-mandated protected
-/// member `c`).  The raw heap array is deterministic given a deterministic
-/// operation sequence, so saving and restoring it verbatim keeps every
-/// later pop bit-identical.
-template <typename T, typename C, typename Cmp>
-[[nodiscard]] C& queue_container(std::priority_queue<T, C, Cmp>& q) {
-  struct Access : std::priority_queue<T, C, Cmp> {
-    static C& get(std::priority_queue<T, C, Cmp>& queue) {
-      return queue.*&Access::c;
-    }
-  };
-  return Access::get(q);
 }
 
 // --- the three consumers ---------------------------------------------------

@@ -85,7 +85,8 @@ TEST(SnapFormat, RejectsBadMagicVersionAndTruncation) {
 // be refused by name, not misread.
 TEST(SnapFormat, RefusesTheOldLayoutVersion) {
   for (const std::uint8_t old_version :
-       {std::uint8_t{1}, std::uint8_t{3}, std::uint8_t{4}, std::uint8_t{5}}) {
+       {std::uint8_t{1}, std::uint8_t{3}, std::uint8_t{4}, std::uint8_t{5},
+        std::uint8_t{6}}) {
     std::vector<std::uint8_t> bytes = snapshot::encode(sample_snapshot());
     ASSERT_EQ(bytes[12], snapshot::kFormatVersion);
     bytes[12] = old_version;  // low byte of the little-endian version word
