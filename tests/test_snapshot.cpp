@@ -645,13 +645,13 @@ TEST(SnapshotLayout, PinnedStateHashes) {
     const SimConfig config = cbr4_config();
     MmrSimulation sim(config, cbr4_workload(config));
     while (sim.now() < 3'000) sim.step_one();
-    EXPECT_EQ(sim.state_hash(), 0x31f078f5d45a33d9ull);
+    EXPECT_EQ(sim.state_hash(), 0x6f3781e61a19cf8dull);
   }
   {
     const SimConfig config = rogue_torus_config();
     MmrSimulation sim(config, rogue_torus_workload(config));
     while (sim.now() < 2'000) sim.step_one();
-    EXPECT_EQ(sim.state_hash(), 0x9f1625036b8319eeull);
+    EXPECT_EQ(sim.state_hash(), 0xf8dac4fd7a905de6ull);
   }
 }
 
