@@ -215,5 +215,20 @@ TEST(ValidateSpecs, BoundsTheBufferSlotsOfOneRouter) {
   EXPECT_INVALID(validate_specs(config), "buffer slots of one router");
 }
 
+// A ring of routers that each fit the per-router bound can still exceed
+// the bound on one run; the simulation refuses it before building anything.
+TEST(ValidateSpecs, BoundsTheBufferSlotsOfOneRun) {
+  SimConfig config;
+  config.ports = 4;
+  config.vcs_per_link = 256;
+  config.buffer_flits_per_vc = 4096;  // 4 x 256 x 4096 = 2^22 per router
+  EXPECT_NO_THROW(validate_specs(config));
+  config.buffer_flits_per_vc = 4097;  // four routers: just over 2^24
+  EXPECT_NO_THROW(validate_specs(config));
+  EXPECT_INVALID((void)MmrSimulation(
+                     config, Workload(NetworkTopology::bidirectional_ring(4, 4))),
+                 "buffer slots of one run");
+}
+
 }  // namespace
 }  // namespace mmr
