@@ -81,6 +81,8 @@ struct ClassMetrics {
   /// Checkpoint walk: the accumulators only (the label is a
   /// construction-time constant).
   void snap(snapshot::Walker& w);
+
+  friend bool operator==(const ClassMetrics&, const ClassMetrics&) = default;
 };
 
 /// Graceful-degradation accounting produced by fault-injection runs (see
@@ -122,6 +124,9 @@ struct DegradationMetrics {
   void merge(const DegradationMetrics& other);
   /// Checkpoint walk (fault-injection runs accumulate these live).
   void snap(snapshot::Walker& w);
+
+  friend bool operator==(const DegradationMetrics&,
+                         const DegradationMetrics&) = default;
 };
 
 /// Delivered fraction of generated flits for a class (1.0 when nothing was
@@ -167,6 +172,9 @@ struct OverloadMetrics {
   [[nodiscard]] double rogue_violation_rate() const;
   /// Fraction of the run spent above kNormal (0 when nothing ran).
   [[nodiscard]] double degraded_fraction() const;
+
+  friend bool operator==(const OverloadMetrics&,
+                         const OverloadMetrics&) = default;
 };
 
 /// Shared-buffer MMU accounting produced by `flow=shared` runs (see
@@ -207,6 +215,8 @@ struct MmuMetrics {
                : static_cast<double>(ecn_marked) /
                      static_cast<double>(ecn_eligible);
   }
+
+  friend bool operator==(const MmuMetrics&, const MmuMetrics&) = default;
 };
 
 /// Crosspoint-fabric accounting produced by `qd=cicq` runs (see
@@ -218,6 +228,8 @@ struct CicqMetrics {
   std::uint64_t credit_stalls = 0;     ///< input cycles blocked only on credit
   std::uint64_t burst_activations = 0;   ///< parked credits unlocked
   std::uint64_t burst_deactivations = 0; ///< bursts drained, credits parked
+
+  friend bool operator==(const CicqMetrics&, const CicqMetrics&) = default;
 };
 
 struct SimulationMetrics {
@@ -292,10 +304,14 @@ struct SimulationMetrics {
   std::uint32_t merged_runs = 1;
 
   [[nodiscard]] const ClassMetrics* find_class(const std::string& label) const;
+
+  friend bool operator==(const SimulationMetrics&,
+                         const SimulationMetrics&) = default;
 };
 
 /// Pools several runs of the same experiment point (different workload
-/// realisations): sample statistics are merged, per-run ratios averaged.
+/// realisations): sample statistics are merged, per-run ratios averaged,
+/// classes listed by label.  The order of `runs` does not change a bit.
 [[nodiscard]] SimulationMetrics merge_runs(
     const std::vector<SimulationMetrics>& runs);
 

@@ -50,6 +50,8 @@ struct ClassTally {
   std::uint64_t shaped = 0;    ///< excess delayed via the penalty queue
   std::uint64_t penalty_overflow = 0;  ///< shape queue full: discarded
   std::uint64_t shed = 0;      ///< best-effort dropped by watchdog order
+
+  friend bool operator==(const ClassTally&, const ClassTally&) = default;
 };
 
 class InjectionPolicer {
