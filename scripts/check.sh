@@ -3,9 +3,9 @@
 # (differential arbiter audit + 200-seed overload-protection soak), then the
 # whole suite — mmr_overload included — again under AddressSanitizer +
 # UndefinedBehaviorSanitizer (SANITIZE applies tree-wide), plus longer
-# spec-fuzzer and differential-oracle runs in that sanitized tree: the NIC,
-# the eligibility masks, and the input buffer keyed both by VC and by
-# output (test_vcm's two *Oracle* cases).
+# spec-fuzzer and differential-oracle runs in that sanitized tree: the
+# emission wheel, the NIC, the eligibility masks, and the input buffer keyed
+# both by VC and by output (test_vcm's two *Oracle* cases).
 # Usage: scripts/check.sh [--perf] [jobs]
 #   --perf   additionally run the perf_baseline smoke sweep and validate the
 #            emitted BENCH_perf.json schema with scripts/bench_compare.py
@@ -80,9 +80,9 @@ for seed in 1 2 3; do
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-asan/tests/fuzz_specs iterations=20000 seed="${seed}"
 done
-echo "--- NIC / input buffer (both keyings) / eligibility oracles, more seeds under ASan/UBSan ---"
+echo "--- emission wheel / NIC / input buffer (both keyings) / eligibility oracles, more seeds under ASan/UBSan ---"
 for seed in 1 2 3; do
-  for oracle in test_nic test_vcm; do
+  for oracle in test_emission_wheel test_nic test_vcm; do
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
       ./build-asan/tests/"${oracle}" --gtest_filter='*Oracle*' \
       iterations=100000 seed="${seed}"
