@@ -4,11 +4,14 @@
 # whole suite — mmr_overload included — again under AddressSanitizer +
 # UndefinedBehaviorSanitizer (SANITIZE applies tree-wide), plus longer
 # spec-fuzzer and differential-oracle runs in that sanitized tree: the
-# emission wheel, the NIC, the eligibility masks, and the input buffer keyed
-# both by VC and by output (test_vcm's two *Oracle* cases).
+# emission wheel, the NIC, the eligibility masks, the input buffer keyed
+# both by VC and by output (test_vcm's two *Oracle* cases), and COA against
+# its scan twin.
 # Usage: scripts/check.sh [--perf] [jobs]
-#   --perf   additionally run the perf_baseline smoke sweep and validate the
-#            emitted BENCH_perf.json schema with scripts/bench_compare.py
+#   --perf   additionally run the perf_baseline smoke sweep, validate the
+#            emitted BENCH_perf.json schema with scripts/bench_compare.py,
+#            and compare two records of one binary (A/A): a gate that flags
+#            an unchanged tree cannot judge a change
 set -euo pipefail
 
 RUN_PERF=0
@@ -63,6 +66,14 @@ if [[ "${RUN_PERF}" == "1" ]]; then
     micro_ports=4,32,128 out=build/BENCH_perf_smoke.json
   python3 scripts/bench_compare.py --check build/BENCH_perf_smoke.json
   echo
+  echo "=== perf A/A (two records of one binary must compare clean) ==="
+  for run in a b; do
+    ./build/bench/perf_baseline mode=quick ports=4 arbiters=coa,coa-scan \
+      micro_ports=4,16 out=build/BENCH_perf_"${run}".json > /dev/null
+  done
+  python3 scripts/bench_compare.py build/BENCH_perf_a.json \
+    build/BENCH_perf_b.json
+  echo
   echo "=== wide-port arbitration micro (bitset engines, p16..p128) ==="
   ./build/bench/arbiter_micro \
     --benchmark_filter='/(16|32|64|128)$' \
@@ -80,13 +91,17 @@ for seed in 1 2 3; do
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-asan/tests/fuzz_specs iterations=20000 seed="${seed}"
 done
-echo "--- emission wheel / NIC / input buffer (both keyings) / eligibility oracles, more seeds under ASan/UBSan ---"
+echo "--- emission wheel / NIC / input buffer (both keyings) / COA / eligibility oracles, more seeds under ASan/UBSan ---"
 for seed in 1 2 3; do
   for oracle in test_emission_wheel test_nic test_vcm; do
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
       ./build-asan/tests/"${oracle}" --gtest_filter='*Oracle*' \
       iterations=100000 seed="${seed}"
   done
+  # COA iterations are candidate sets at 16 ports, fewer at wider ones.
+  ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
+    ./build-asan/tests/test_coa --gtest_filter='*Oracle*' \
+    iterations=20000 seed="${seed}"
   # Eligibility iterations are simulated cycles per scenario.
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-asan/tests/test_eligibility --gtest_filter='*Oracle*' \

@@ -1,7 +1,5 @@
 #include "mmr/arbiter/candidate.hpp"
 
-#include "mmr/perf/probe.hpp"
-
 namespace mmr {
 
 CandidateSet::CandidateSet(std::uint32_t ports, std::uint32_t levels)
@@ -15,22 +13,6 @@ void CandidateSet::clear() {
   // Only the slots the last cycle filled hold an index.
   for (const Candidate& c : flat_) slot_index_[slot(c.input, c.level)] = -1;
   flat_.clear();
-}
-
-void CandidateSet::add(const Candidate& candidate) {
-  MMR_ASSERT(candidate.input < ports_);
-  MMR_ASSERT(candidate.output < ports_);
-  MMR_ASSERT(candidate.level < levels_);
-  const std::size_t s = slot(candidate.input, candidate.level);
-  MMR_ASSERT_MSG(slot_index_[s] == -1, "duplicate (input, level) candidate");
-  if (candidate.level > 0) {
-    MMR_ASSERT_MSG(slot_index_[slot(candidate.input, candidate.level - 1)] != -1,
-                   "candidate levels must be contiguous from 0");
-  }
-  slot_index_[s] = static_cast<std::int32_t>(flat_.size());
-  if (flat_.size() == flat_.capacity())
-    MMR_PERF_COUNT(perf::Counter::kCandidateRealloc, 1);
-  flat_.push_back(candidate);
 }
 
 std::uint32_t CandidateSet::levels_used(std::uint32_t input) const {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mmr/perf/probe.hpp"
 #include "mmr/sim/assert.hpp"
 
 namespace mmr {
@@ -30,7 +31,20 @@ class CandidateSet {
   CandidateSet(std::uint32_t ports, std::uint32_t levels);
 
   void clear();
-  void add(const Candidate& candidate);
+  /// Inline: link scheduling adds every candidate of every cycle.
+  void add(const Candidate& candidate) {
+    MMR_ASSERT(candidate.input < ports_);
+    MMR_ASSERT(candidate.output < ports_);
+    MMR_ASSERT(candidate.level < levels_);
+    const std::size_t s = slot(candidate.input, candidate.level);
+    MMR_ASSERT_MSG(slot_index_[s] == -1, "duplicate (input, level) candidate");
+    MMR_ASSERT_MSG(candidate.level == 0 || slot_index_[s - 1] != -1,
+                   "candidate levels must be contiguous from 0");
+    slot_index_[s] = static_cast<std::int32_t>(flat_.size());
+    if (flat_.size() == flat_.capacity())
+      MMR_PERF_COUNT(perf::Counter::kCandidateRealloc, 1);
+    flat_.push_back(candidate);
+  }
 
   [[nodiscard]] std::uint32_t ports() const { return ports_; }
   [[nodiscard]] std::uint32_t levels() const { return levels_; }

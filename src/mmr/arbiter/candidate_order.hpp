@@ -14,14 +14,20 @@
 //
 // Two implementations produce bit-identical matchings (same RNG draw
 // sequence; tests/test_coa.cpp proves the equivalence):
-//  * CandidateOrderArbiter ("coa") — the port ordering on bit words: an
-//    active-output mask (free outputs that still have a live request) and,
-//    per output, a 64-bit mask of the levels holding pending requests, so
-//    an output's lowest level is one count-trailing-zeros and a grant
-//    visits only active outputs.  Conflict counts, level masks and the
-//    per-output candidate lists are left zeroed between calls, so a call's
-//    setup and teardown touch only the candidates it receives.  Levels are
-//    bounded by 64 (SimConfig::validate).
+//  * CandidateOrderArbiter ("coa") — the port ordering on cached keys.
+//    Each active output (free, with a live request) keeps one packed key,
+//    (lowest pending level << 32 | conflict count at that level), so "lower
+//    level first, then fewer conflicts" is one integer compare.  A port
+//    ordering is one sweep over the active outputs that records every
+//    output whose key is at or below the running minimum; replaying the
+//    reservoir over those events alone makes exactly the scan's tie draws.
+//    A grant clears its input's free bit, deactivates its output and re-keys
+//    only the outputs its input requested (at most L); requests of a granted
+//    output are never retired, since an inactive output is never visited
+//    again, and the winner walk skips requests whose input is matched.
+//    Conflict counts, level masks and list heads are left zeroed between
+//    calls, so setup and teardown touch only the candidates received.
+//    Levels are bounded by 64 (SimConfig::validate).
 //  * CandidateOrderScanArbiter ("coa-scan") — the reference formulation:
 //    every grant and removal scans the full candidate list.  Kept as the
 //    perf baseline (bench/perf_baseline) and differential-audit reference.
@@ -56,20 +62,17 @@ class CandidateOrderArbiter final : public SwitchArbiter {
   Rng rng_;
   bool use_priority_;
 
-  /// Retires live request `idx`: lowers its conflict count and, at zero,
-  /// its output's level bit — and with the output's last live request, its
-  /// active bit and list head.
-  void drop(const std::vector<Candidate>& all, std::uint32_t idx,
-            std::uint32_t levels);
-
-  // Scratch reused across calls; every entry is zero (lists: -1) between
-  // calls, so the steady state neither allocates nor clears.
+  // Scratch reused across calls; every count, mask and list head is zero
+  // (lists: -1) between calls, so the steady state neither allocates nor
+  // clears.
   std::vector<std::uint64_t> active_;      ///< outputs with a live request
+  std::vector<std::uint64_t> free_in_;     ///< inputs not yet matched
   std::vector<std::uint64_t> level_mask_;  ///< per output: levels pending
+  std::vector<std::uint64_t> key_;         ///< per active output: its key
   std::vector<std::uint32_t> conflict_;    ///< (output, level) -> pending
   std::vector<std::int32_t> out_head_;     ///< per output: first candidate
   std::vector<std::int32_t> out_next_;     ///< per candidate: next, same output
-  std::vector<std::uint8_t> request_live_;  ///< per candidate
+  std::vector<std::uint32_t> events_;      ///< one sweep's resets and ties
 };
 
 /// Reference COA: identical algorithm and RNG stream, full-list scans per

@@ -24,16 +24,4 @@ Matching SwitchArbiter::arbitrate(const CandidateSet& candidates) {
   return out;
 }
 
-void Matching::match(std::uint32_t input, std::uint32_t output,
-                     std::int32_t candidate_index) {
-  MMR_ASSERT(input < ports());
-  MMR_ASSERT(output < ports());
-  MMR_ASSERT_MSG(output_of_input_[input] == -1, "input matched twice");
-  MMR_ASSERT_MSG(input_of_output_[output] == -1, "output matched twice");
-  output_of_input_[input] = static_cast<std::int32_t>(output);
-  input_of_output_[output] = static_cast<std::int32_t>(input);
-  candidate_of_input_[input] = candidate_index;
-  ++size_;
-}
-
 }  // namespace mmr

@@ -26,7 +26,16 @@ class Matching {
   /// Records that `input` was matched to `output`, transmitting the
   /// candidate at `candidate_index` within the arbitrated CandidateSet.
   void match(std::uint32_t input, std::uint32_t output,
-             std::int32_t candidate_index);
+             std::int32_t candidate_index) {
+    MMR_ASSERT(input < ports());
+    MMR_ASSERT(output < ports());
+    MMR_ASSERT_MSG(output_of_input_[input] == -1, "input matched twice");
+    MMR_ASSERT_MSG(input_of_output_[output] == -1, "output matched twice");
+    output_of_input_[input] = static_cast<std::int32_t>(output);
+    input_of_output_[output] = static_cast<std::int32_t>(input);
+    candidate_of_input_[input] = candidate_index;
+    ++size_;
+  }
 
   [[nodiscard]] std::uint32_t ports() const {
     return static_cast<std::uint32_t>(output_of_input_.size());

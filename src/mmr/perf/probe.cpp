@@ -2,12 +2,6 @@
 
 namespace mmr::perf {
 
-namespace {
-
-thread_local PerfProbe* tl_probe = nullptr;
-
-}  // namespace
-
 const char* to_string(Phase phase) {
   switch (phase) {
     case Phase::kTraffic: return "traffic";
@@ -62,12 +56,10 @@ void PerfProbe::merge(const PerfProbe& other) {
 
 void PerfProbe::reset() { *this = PerfProbe{}; }
 
-PerfProbe* current() { return tl_probe; }
-
-ProbeScope::ProbeScope(PerfProbe* probe) : prev_(tl_probe) {
-  tl_probe = probe;
+ProbeScope::ProbeScope(PerfProbe* probe) : prev_(t_probe) {
+  t_probe = probe;
 }
 
-ProbeScope::~ProbeScope() { tl_probe = prev_; }
+ProbeScope::~ProbeScope() { t_probe = prev_; }
 
 }  // namespace mmr::perf

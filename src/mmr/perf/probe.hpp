@@ -111,8 +111,13 @@ class PerfProbe {
   std::uint64_t run_wall_ns_ = 0;
 };
 
+/// The thread's armed probe; read it through current().  Inline and
+/// constant-initialized, so a read is one thread-local load: every
+/// MMR_PERF_* site pays that when disarmed.
+inline constinit thread_local PerfProbe* t_probe = nullptr;
+
 /// The calling thread's armed probe, or nullptr (the default).
-[[nodiscard]] PerfProbe* current();
+[[nodiscard]] inline PerfProbe* current() { return t_probe; }
 
 /// RAII arming of `probe` on the calling thread; restores the previous
 /// probe (nesting is allowed) on destruction.  Arm with nullptr to disarm.
@@ -128,7 +133,8 @@ class ProbeScope {
 };
 
 /// Scope timer: charges the enclosed block to `phase` on the thread's armed
-/// probe; a single load + branch when no probe is armed.
+/// probe; a single thread-local load + branch when no probe is armed, since
+/// current() is an inline read.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Phase phase) : probe_(current()), phase_(phase) {

@@ -59,8 +59,17 @@ class LinkScheduler {
   void snap(snapshot::Walker& w);
 
  private:
+  /// Inline: select evaluates it for every eligible head.
   [[nodiscard]] Priority priority_of(std::uint32_t vc, bool demoted,
-                                     Cycle arrived, Cycle now) const;
+                                     Cycle arrived, Cycle now) const {
+    MMR_ASSERT(vc < qos_of_vc_.size());
+    MMR_ASSERT(arrived <= now);
+    const std::uint64_t age_router_cycles = (now - arrived) * phits_per_flit_;
+    // Policed-excess flits compete with a minimal best-effort claim instead
+    // of their connection's reserved one (demote policy).
+    return priority_(demoted ? demoted_qos_ : qos_of_vc_[vc],
+                     age_router_cycles);
+  }
 
   std::uint32_t input_port_;
   std::uint32_t levels_;

@@ -26,18 +26,14 @@ void EmissionWheel::schedule(std::uint32_t source, Cycle at) {
   std::push_heap(overflow_.begin(), overflow_.end(), std::greater<>());
 }
 
-void EmissionWheel::link(std::uint32_t source, Cycle at) {
-  std::uint32_t* slot = &head_[static_cast<std::size_t>(at & kMask)];
-  while (*slot < source) slot = &next_[*slot];  // kNone ends every list
-  next_[source] = *slot;
-  *slot = source;
-}
-
 void EmissionWheel::take(Cycle now) {
-  MMR_ASSERT_MSG(now == cursor_ && due_ == kNone,
+  MMR_ASSERT_MSG(now == cursor_ && drained(),
                  "the emission wheel takes every cycle once, in order");
   std::uint32_t& slot = head_[static_cast<std::size_t>(now & kMask)];
-  due_ = slot;
+  due_.clear();
+  popped_ = 0;
+  for (std::uint32_t s = slot; s != kNone; s = next_[s]) due_.push_back(s);
+  std::sort(due_.begin(), due_.end());
   slot = kNone;
   ++cursor_;
   // The ring now reaches cursor_ + kSpan - 1, the slot just emptied.
@@ -55,9 +51,8 @@ std::vector<EmissionWheel::Entry> EmissionWheel::pending() const {
          s != kNone; s = next_[s])
       entries.emplace_back(at, s);
   // Every overflow entry lies beyond the ring.
-  std::vector<Entry> beyond = overflow_;
-  std::sort(beyond.begin(), beyond.end());
-  entries.insert(entries.end(), beyond.begin(), beyond.end());
+  entries.insert(entries.end(), overflow_.begin(), overflow_.end());
+  std::sort(entries.begin(), entries.end());
   return entries;
 }
 
@@ -65,7 +60,7 @@ void EmissionWheel::snap(snapshot::Walker& w, Cycle now) {
   using snapshot::SnapshotError;
   std::vector<Entry> entries;
   if (!w.loading()) {
-    MMR_ASSERT_MSG(now == cursor_ && due_ == kNone,
+    MMR_ASSERT_MSG(now == cursor_ && drained(),
                    "the emission wheel is walked between cycles");
     entries = pending();
   }
@@ -86,7 +81,8 @@ void EmissionWheel::snap(snapshot::Walker& w, Cycle now) {
 
   std::fill(head_.begin(), head_.end(), kNone);
   overflow_.clear();
-  due_ = kNone;
+  due_.clear();
+  popped_ = 0;
   cursor_ = now;
   std::vector<char> seen(next_.size(), 0);
   for (const auto& [at, source] : entries) {

@@ -2,12 +2,12 @@
 // kept as a hashed timing wheel (Varghese & Lauck, SOSP 1987).  A ring of
 // kSpan slots, one per cycle, holds every emission due within kSpan cycles
 // of the wheel's position; each slot is an intrusive singly linked list
-// through a per-source `next` array, in ascending source order.  Emissions
+// through a per-source `next` array, in no particular order.  Emissions
 // further ahead (a 64 Kbps CBR source waits 37,500 cycles between flits)
 // wait in a small overflow min-heap and move into the ring as they come
-// within its span.  Scheduling is O(1) plus the walk of the target slot's
-// list; taking a cycle's due list is O(1).  Sources come off the wheel in
-// exactly (cycle, source index) order, as they would off one
+// within its span.  Scheduling is O(1): a source is pushed at its slot's
+// head.  Taking a cycle sorts its due list once, so sources come off the
+// wheel in exactly (cycle, source index) order, as they would off one
 // (cycle, source) min-heap.
 #pragma once
 
@@ -46,9 +46,7 @@ class EmissionWheel {
   /// The next source of the due list, in ascending index order; kNone once
   /// the list is drained.  A popped source may be rescheduled at once.
   [[nodiscard]] std::uint32_t pop() {
-    const std::uint32_t source = due_;
-    if (source != kNone) due_ = next_[source];
-    return source;
+    return popped_ < due_.size() ? due_[popped_++] : kNone;
   }
 
   /// Every pending (cycle, source), sorted.
@@ -65,13 +63,19 @@ class EmissionWheel {
   static constexpr Cycle kMask = kSpan - 1;
   using Entry = std::pair<Cycle, std::uint32_t>;
 
-  /// Links `source` into the slot of `at`, keeping the list ascending.
-  void link(std::uint32_t source, Cycle at);
+  /// Pushes `source` at the head of the slot of `at`.
+  void link(std::uint32_t source, Cycle at) {
+    std::uint32_t& slot = head_[static_cast<std::size_t>(at & kMask)];
+    next_[source] = slot;
+    slot = source;
+  }
+  [[nodiscard]] bool drained() const { return popped_ == due_.size(); }
 
   std::vector<std::uint32_t> head_;  ///< per slot: first source, or kNone
   std::vector<std::uint32_t> next_;  ///< per source: next in its list
   std::vector<Entry> overflow_;      ///< min-heap of entries >= kSpan ahead
-  std::uint32_t due_ = kNone;        ///< the due list's remaining head
+  std::vector<std::uint32_t> due_;   ///< the taken cycle's sources, sorted
+  std::size_t popped_ = 0;           ///< how many of due_ were popped
   /// The next cycle to take; the ring holds [cursor_, cursor_ + kSpan).
   Cycle cursor_ = 0;
 };

@@ -22,14 +22,6 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
   return splitmix64(state);
 }
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed, std::uint64_t stream)
     : seed_(seed), stream_(stream) {
   // Mix seed and stream so that nearby (seed, stream) pairs diverge.
@@ -38,32 +30,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
   for (auto& word : s_) word = splitmix64(sm);
   // xoshiro must not start from the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::uniform(std::uint64_t bound) {
-  MMR_ASSERT(bound > 0);
-  // Lemire's unbiased bounded generation (rejection on the low product half).
-  __extension__ using uint128 = unsigned __int128;
-  while (true) {
-    const std::uint64_t x = next();
-    const uint128 m = static_cast<uint128>(x) * static_cast<uint128>(bound);
-    const auto low = static_cast<std::uint64_t>(m);
-    if (low >= bound || low >= (-bound) % bound) {
-      return static_cast<std::uint64_t>(m >> 64);
-    }
-  }
 }
 
 std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) {
@@ -140,7 +106,7 @@ void Rng::snap(snapshot::Walker& w) {
 Rng Rng::fork(std::uint64_t stream) const {
   // Children are derived from the *identity* of this stream, not its current
   // position, so forking is insensitive to how many numbers were drawn.
-  return Rng(seed_ ^ rotl(stream_, 32) ^ 0xA5A5A5A55A5A5A5AULL, stream);
+  return Rng(seed_ ^ std::rotl(stream_, 32) ^ 0xA5A5A5A55A5A5A5AULL, stream);
 }
 
 }  // namespace mmr

@@ -4,8 +4,11 @@
 // reproducible regardless of sweep parallelism or component count.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "mmr/sim/assert.hpp"
 
 namespace mmr {
 
@@ -34,10 +37,34 @@ class Rng {
   static constexpr result_type max() { return ~result_type{0}; }
 
   result_type operator()() { return next(); }
-  std::uint64_t next();
+  /// Inline, like uniform(): the arbiters draw tie-breaks in their loops.
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound).  bound must be > 0.
-  std::uint64_t uniform(std::uint64_t bound);
+  std::uint64_t uniform(std::uint64_t bound) {
+    MMR_ASSERT(bound > 0);
+    // Lemire's unbiased bounded generation (rejection on the low product
+    // half).
+    __extension__ using uint128 = unsigned __int128;
+    while (true) {
+      const std::uint64_t x = next();
+      const uint128 m = static_cast<uint128>(x) * static_cast<uint128>(bound);
+      const auto low = static_cast<std::uint64_t>(m);
+      if (low >= bound || low >= (-bound) % bound) {
+        return static_cast<std::uint64_t>(m >> 64);
+      }
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_range(std::int64_t lo, std::int64_t hi);

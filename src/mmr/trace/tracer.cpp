@@ -17,8 +17,6 @@ namespace mmr::trace {
 
 namespace {
 
-thread_local Tracer* t_current = nullptr;
-
 // The MMR_ASSERT hook is a bare function pointer, so the flight recorder to
 // dump is found through this process-global slot.  One flight-mode tracer
 // owns it at a time (last constructed wins); simultaneous flight recorders
@@ -190,8 +188,6 @@ void Tracer::write_outputs() {
       out << render_connection_summary(snapshot());
     });
 }
-
-Tracer* current() { return t_current; }
 
 TraceScope::TraceScope(Tracer* tracer) : prev_(t_current) {
   t_current = tracer;

@@ -137,8 +137,13 @@ class Tracer {
   bool registered_for_assert_ = false;
 };
 
+/// The thread's armed tracer; read it through current().  Inline and
+/// constant-initialized, so a read is one thread-local load: every
+/// MMR_TRACE_* site pays that when disarmed.
+inline constinit thread_local Tracer* t_current = nullptr;
+
 /// The tracer armed for this thread, or nullptr (the common case).
-[[nodiscard]] Tracer* current();
+[[nodiscard]] inline Tracer* current() { return t_current; }
 
 /// RAII arming, identical in spirit to perf::ProbeScope: arms `tracer` for
 /// the current thread, restores the previous tracer on destruction.  Pass

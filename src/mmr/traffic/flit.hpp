@@ -15,21 +15,24 @@ namespace snapshot {
 class Walker;
 }
 
+/// Fields are ordered widest first, so only tail padding remains.
 struct Flit {
-  ConnectionId connection = kInvalidConnection;
   std::uint64_t seq = 0;       ///< per-connection sequence number
-  std::uint32_t frame = 0;     ///< video frame (VBR) / message (BE) index
-  bool last_of_frame = false;  ///< closes its frame / message
   Cycle generated_at = 0;      ///< when the source emitted this flit
   Cycle frame_origin = 0;      ///< when its frame was generated (application
                                ///< data unit boundary); == generated_at for
                                ///< CBR and best-effort traffic
+  ConnectionId connection = kInvalidConnection;
+  std::uint32_t frame = 0;     ///< video frame (VBR) / message (BE) index
+  bool last_of_frame = false;  ///< closes its frame / message
   bool demoted = false;        ///< policed excess: scheduled at best-effort
                                ///< priority regardless of the VC's class
 };
+static_assert(sizeof(Flit) == 40, "Flit gained padding");
 
-/// Checkpoint walk of one Flit.  Field-by-field: the struct has padding, so
-/// a whole-struct byte walk would fold indeterminate bytes into the hash.
+/// Checkpoint walk of one Flit.  Field-by-field, in the order the format
+/// has always used: the struct has tail padding, so a whole-struct byte walk
+/// would fold indeterminate bytes into the hash.
 void snap_flit(snapshot::Walker& w, Flit& flit);
 
 /// Interface implemented by every traffic generator.  Sources are pulled by

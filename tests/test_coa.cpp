@@ -1,16 +1,22 @@
 // Behavioural tests of the Candidate-Order Arbiter against the paper's
 // Section 4 description: port ordering by level then conflict count, and
-// priority-based arbitration within an output.
+// priority-based arbitration within an output.  CoaOracle is the seeded
+// differential oracle against the scan twin:
+//   test_coa [--gtest_*] [iterations=N] [seed=S]
 
 #include "mmr/arbiter/candidate_order.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <string>
+#include <vector>
 
 #include "arbiter_test_util.hpp"
 #include "mmr/arbiter/verify.hpp"
 #include "mmr/audit/generator.hpp"
+#include "oracle_args.hpp"
 
 namespace mmr {
 namespace {
@@ -260,5 +266,87 @@ TEST(CandidateOrderArbiter, ScratchIsCleanAcrossLevelCounts) {
   }
 }
 
+// Differential oracle: `coa` and `coa-np` against the scan twin, which
+// shares their RNG stream, so every grant must name the same candidate.
+// Each port count keeps one arbiter of each kind across all its calls while
+// the level count (1, 4 or 64) changes from call to call, and the
+// candidates of a set are added in one of three orders: as generated (input
+// by input), level by level, or inputs shuffled.  Wider shapes get fewer
+// sets, so `iterations` buys the same work at every port count.
+void run_coa_oracle(std::uint32_t ports) {
+  SCOPED_TRACE("ports=" + std::to_string(ports));
+  Rng rng(oracle::args().seed, ports);
+  const std::uint64_t seed = rng.next();
+  CandidateOrderArbiter fast(ports, Rng(seed, 1));
+  CandidateOrderScanArbiter scan(ports, Rng(seed, 1));
+  CandidateOrderArbiter fast_np(ports, Rng(seed, 2), /*use_priority=*/false);
+  CandidateOrderScanArbiter scan_np(ports, Rng(seed, 2),
+                                    /*use_priority=*/false);
+  const std::array<std::uint32_t, 3> level_counts = {1, 4, 64};
+  const auto& profiles = audit::all_profiles();
+  Matching a(ports);
+  Matching b(ports);
+  const std::uint64_t sets =
+      std::max<std::uint64_t>(16, oracle::args().iterations * 16 / ports);
+  std::uint64_t grants = 0;
+  std::uint64_t deep = 0;  // sets with a candidate at level 32 or deeper
+  for (std::uint64_t step = 0; step < sets; ++step) {
+    audit::GeneratorOptions opt;
+    opt.ports = ports;
+    opt.levels = level_counts[rng.uniform(level_counts.size())];
+    opt.fill = opt.levels == 64 && rng.chance(0.25) ? 0.99 : 0.6;
+    opt.profile = profiles[rng.uniform(profiles.size())];
+    std::vector<Candidate> added = audit::generate_step(rng, opt);
+    // Levels of one input stay in order; the inputs are interleaved.
+    std::vector<std::uint64_t> rank(ports);
+    for (std::uint32_t input = 0; input < ports; ++input)
+      rank[input] = input;
+    switch (rng.uniform(3)) {
+      case 0:
+        break;
+      case 1:
+        std::fill(rank.begin(), rank.end(), 0);  // level by level
+        break;
+      default:
+        for (std::uint64_t& r : rank) r = rng.next();
+        break;
+    }
+    std::stable_sort(added.begin(), added.end(),
+                     [&rank](const Candidate& x, const Candidate& y) {
+                       if (rank[x.input] != rank[y.input])
+                         return rank[x.input] < rank[y.input];
+                       return x.level < y.level;
+                     });
+    CandidateSet set(ports, opt.levels);
+    for (const Candidate& c : added) {
+      set.add(c);
+      if (c.level >= 32) ++deep;
+    }
+    for (const bool use_priority : {true, false}) {
+      (use_priority ? fast : fast_np).arbitrate_into(set, a);
+      (use_priority ? scan : scan_np).arbitrate_into(set, b);
+      for (std::uint32_t input = 0; input < ports; ++input) {
+        ASSERT_EQ(a.candidate_of(input), b.candidate_of(input))
+            << "step " << step << " input " << input << " levels "
+            << opt.levels << " priority " << use_priority;
+      }
+      grants += a.size();
+    }
+  }
+  EXPECT_GT(grants, sets);
+  if (sets >= 100) {
+    EXPECT_GT(deep, 0u) << "no set reached level 32";
+  }
+}
+
+TEST(CoaOracle, MatchesTheScanTwin) {
+  for (const std::uint32_t ports : {4u, 16u, 65u, 128u}) {
+    run_coa_oracle(ports);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 }  // namespace
 }  // namespace mmr
+
+int main(int argc, char** argv) { return mmr::oracle::main(argc, argv); }

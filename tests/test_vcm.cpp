@@ -202,6 +202,84 @@ TEST(InputBuffer, DrainTakesOneVcAndKeepsTheRestInOrder) {
   buffer.check_invariants();
 }
 
+/// Every occupied key's head view must equal its pool head.
+void expect_head_views(const InputBuffer& buffer) {
+  buffer.for_each_occupied([&buffer](std::uint32_t key) {
+    const InputBuffer::HeadView& view = buffer.head_view(key);
+    const InputBuffer::Slot& head = buffer.head(key);
+    EXPECT_EQ(view.arrived, head.arrived) << "key " << key;
+    EXPECT_EQ(view.vc, head.vc) << "key " << key;
+    EXPECT_EQ(view.demoted, head.flit.demoted) << "key " << key;
+  });
+  buffer.check_invariants();
+}
+
+Flit demoted_flit(ConnectionId connection, std::uint64_t seq) {
+  Flit flit = make_flit(connection, seq);
+  flit.demoted = true;
+  return flit;
+}
+
+// A drain that takes a key's head moves its view to the next flit kept, or
+// (keyed by VC, where a drain empties the key) leaves the key empty until a
+// push sets the view afresh.
+TEST(InputBuffer, HeadViewFollowsADrainedHead) {
+  for (const bool by_output : {false, true}) {
+    SCOPED_TRACE(by_output ? "by output" : "by vc");
+    InputBuffer buffer(4, 4, 4, 16);
+    const auto key_of = [by_output](std::uint32_t vc) {
+      return by_output ? 2u : vc;
+    };
+    buffer.push(key_of(1), 1, demoted_flit(1, 0), 5);
+    buffer.push(key_of(2), 2, make_flit(2, 0), 6);
+    buffer.push(key_of(1), 1, make_flit(1, 1), 7);
+    buffer.push(key_of(3), 3, make_flit(3, 0), 8);
+    EXPECT_TRUE(buffer.head_view(key_of(1)).demoted);
+    std::vector<Flit> drained;
+    buffer.drain(key_of(1), 1, drained);
+    EXPECT_EQ(drained.size(), 2u);
+    expect_head_views(buffer);
+    if (by_output) {
+      const InputBuffer::HeadView& view = buffer.head_view(2);
+      EXPECT_EQ(view.vc, 2u);
+      EXPECT_EQ(view.arrived, 6u);
+      EXPECT_FALSE(view.demoted);
+    } else {
+      EXPECT_TRUE(buffer.empty(1));
+    }
+    buffer.push(key_of(1), 1, make_flit(1, 2), 9);
+    expect_head_views(buffer);
+    buffer.drain(key_of(3), 3, drained);  // a lone flit: head when keyed by VC
+    expect_head_views(buffer);
+  }
+}
+
+// A checkpoint load rebuilds the head views by pushing, under either keying.
+TEST(InputBuffer, HeadViewSurvivesASnapshotLoad) {
+  for (const bool by_output : {false, true}) {
+    SCOPED_TRACE(by_output ? "by output" : "by vc");
+    InputBuffer buffer(4, 4, 4, 16);
+    const auto key_of = [by_output](std::uint32_t vc) {
+      return by_output ? vc % 2 : vc;
+    };
+    for (std::uint32_t vc = 0; vc < 4; ++vc) {
+      buffer.push(key_of(vc), vc, make_flit(vc, 0), 10 + vc);
+      buffer.push(key_of(vc), vc, demoted_flit(vc, 1), 20 + vc);
+    }
+    (void)buffer.pop(key_of(0));  // VC 0's demoted flit leads key 0
+    (void)buffer.pop(key_of(3));
+    expect_head_views(buffer);
+    const InputBuffer copy = restored_copy(buffer);
+    expect_head_views(copy);
+    EXPECT_EQ(occupied_keys(copy), occupied_keys(buffer));
+    for (const std::uint32_t key : occupied_keys(buffer)) {
+      EXPECT_EQ(copy.head_view(key).arrived, buffer.head_view(key).arrived);
+      EXPECT_EQ(copy.head_view(key).vc, buffer.head_view(key).vc);
+      EXPECT_EQ(copy.head_view(key).demoted, buffer.head_view(key).demoted);
+    }
+  }
+}
+
 TEST(InputBuffer, RestoreLaysFifosOutFromSlotZero) {
   InputBuffer buffer = per_vc(3, 3);
   buffer.push(2, 2, make_flit(2, 0), 0);
@@ -232,7 +310,8 @@ TEST(InputBuffer, RestoreLaysFifosOutFromSlotZero) {
 // an output and now and then rebinds a drained VC, as a fault reroute
 // does.  After every step the buffer must agree with the reference on every
 // head and its arrival, every key's and VC's count, the occupied-key set
-// and the total; every pop and drain must return the reference's flits.
+// and the total, and its head views on every head; every pop and drain
+// must return the reference's flits.
 // Each scenario ends with a checkpoint round trip into a fresh buffer.
 void run_buffer_oracle(bool by_output, std::uint32_t vcs,
                        std::uint32_t capacity) {
@@ -289,7 +368,8 @@ void run_buffer_oracle(bool by_output, std::uint32_t vcs,
       // VCs sit at their cap and others near empty.
       ASSERT_EQ(buffer.can_accept(vc), vc_count[vc] < capacity);
       if (vc_count[vc] < capacity && total < slots) {
-        const Flit flit = make_flit(vc, seq++);
+        Flit flit = make_flit(vc, seq++);
+        flit.demoted = flit.seq % 3 == 0;
         buffer.push(key, vc, flit, now);
         ref[key].push_back({flit, now, vc});
         ++vc_count[vc];
@@ -317,6 +397,9 @@ void run_buffer_oracle(bool by_output, std::uint32_t vcs,
           << "cycle " << now;
       ASSERT_EQ(buffer.head(k).arrived, ref[k].front().arrived);
       ASSERT_EQ(buffer.head(k).vc, ref[k].front().vc);
+      ASSERT_EQ(buffer.head_view(k).arrived, ref[k].front().arrived);
+      ASSERT_EQ(buffer.head_view(k).vc, ref[k].front().vc);
+      ASSERT_EQ(buffer.head_view(k).demoted, ref[k].front().flit.demoted);
     }
     ASSERT_EQ(occupied_keys(buffer), occupied) << "cycle " << now;
     for (std::uint32_t v = 0; v < vcs; ++v)
