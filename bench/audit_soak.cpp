@@ -3,8 +3,9 @@
 // maximality / exact-maximum vs the Hopcroft-Karp oracle, iteration bounds,
 // COA/greedy priority ordering, iSLIP/WFA/WWFA rotation fairness).  Any
 // failure is shrunk and dumped as a replayable spec.  `twins` additionally
-// replays every (optimised, reference) pair from arbiter_twin_pairs() over
-// the same case corpus and demands bit-identical grants.  `ports` accepts a
+// replays every runtime arbiter against its scan reference (the twin table
+// in tests/support) over the same case corpus and demands bit-identical
+// grants.  `ports` accepts a
 // comma-separated list; the invariant audit and the twin diff run at every
 // listed width.  Exit status 0 only on a clean soak, so scripts/check.sh and
 // CI can gate on it.
@@ -14,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "mmr/audit/harness.hpp"
 #include "mmr/snapshot/signals.hpp"
+#include "support/audit/harness.hpp"
 
 namespace {
 
@@ -119,8 +120,8 @@ int main(int argc, char** argv) {
     std::cout << report.summary();
     if (!report.clean()) {
       clean = false;
-      std::cout << "\ntwin diff FAILED: the optimised engine diverges from "
-                   "its reference twin\n";
+      std::cout << "\ntwin diff FAILED: a runtime engine diverges from "
+                   "its scan reference\n";
     }
   }
 

@@ -4,10 +4,13 @@
 // scripts/bench_compare.py to diff against an earlier baseline.
 //
 // Every record repeats its work until the repetitions add up to at least
-// 1 s of wall time (mode=smoke: once) and keeps the fastest repetition, so
-// one slow window
-// on a shared host does not become the recorded speed: two records of one
-// binary compare clean (the A/A stage of scripts/check.sh --perf).
+// 1 s (mode=smoke: once) and keeps the fastest repetition, so one slow
+// window on a shared host does not become the recorded speed: two records
+// of one binary compare clean (the A/A stage of scripts/check.sh --perf).
+// The single-threaded sections time each repetition in the thread's CPU
+// time, which leaves out the time a descheduled virtual CPU waits; their
+// phase shares are probe wall time over that CPU time.  sweep-cbr runs on
+// the thread pool, so it stays on wall time.
 //
 // Sections:
 //   sim-cbr          one full simulation per (arbiter, ports), probe armed
@@ -19,21 +22,15 @@
 // Arguments (key=value):
 //   out=FILE         write the JSON baseline here (default BENCH_perf.json)
 //   mode=MODE        quick (default) | full | smoke  -- run length preset
-//   arbiters=a,b     arbiters to measure (default coa,coa-scan,wfa,islip)
+//   arbiters=a,b     arbiters to measure (default coa,wfa,wfa-fixed,islip)
 //   ports=4,8        port counts for the sim-cbr section (full simulations)
 //   micro_ports=...  port counts for the arbitrate-micro section (defaults
 //                    to 4,8,16,32,64,128 — the micro loop is cheap enough to
 //                    chart the wide-port scaling the bitset engines target)
 //   threads=N        sweep worker threads (0 = hardware concurrency)
-//   alias=F:T[,F:T]  relabel arbiter FROM as TO in record labels; lets the
-//                    reference engines (coa-scan, wfa-scan, islip-scan,
-//                    pim-scan) be recorded under the labels of their
-//                    optimized twins so two baselines diff cleanly:
-//                      perf_baseline arbiters=coa-scan,wfa-scan
-//                        alias=coa-scan:coa,wfa-scan:wfa
-//                        out=BENCH_perf_before.json
 
-#include <chrono>
+#include <time.h>
+
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -52,11 +49,10 @@ namespace {
 struct PerfBenchArgs {
   std::string out = "BENCH_perf.json";
   std::string mode = "quick";  // quick | full | smoke
-  std::vector<std::string> arbiters = {"coa", "coa-scan", "wfa", "islip"};
+  std::vector<std::string> arbiters = {"coa", "wfa", "wfa-fixed", "islip"};
   std::vector<std::uint32_t> ports = {4, 8};
   std::vector<std::uint32_t> micro_ports = {4, 8, 16, 32, 64, 128};
   std::size_t threads = 0;
-  std::vector<std::pair<std::string, std::string>> aliases;
 };
 
 PerfBenchArgs parse(int argc, char** argv) {
@@ -87,17 +83,6 @@ PerfBenchArgs parse(int argc, char** argv) {
       }
     } else if (key == "threads") {
       args.threads = std::stoul(value);
-    } else if (key == "alias") {
-      for (const std::string& pair : bench::split(value, ',')) {
-        const auto colon = pair.find(':');
-        if (colon == std::string::npos) {
-          std::cerr << "alias wants FROM:TO[,FROM:TO...], got '" << value
-                    << "'\n";
-          std::exit(2);
-        }
-        args.aliases.emplace_back(pair.substr(0, colon),
-                                  pair.substr(colon + 1));
-      }
     } else {
       std::cerr << "unknown argument '" << arg << "'\n";
       std::exit(2);
@@ -115,7 +100,7 @@ struct RunScale {
   Cycle measure;
   std::uint64_t micro_iterations;
   std::vector<double> sweep_loads;
-  double min_seconds;  ///< least wall time a record repeats its work for
+  double min_seconds;  ///< least time a record repeats its work for
 };
 
 RunScale scale_for(const std::string& mode) {
@@ -125,8 +110,16 @@ RunScale scale_for(const std::string& mode) {
   return {2'000, 40'000, 50'000, {0.3, 0.5, 0.7}, 1.0};  // quick
 }
 
+/// CPU time of the calling thread, in nanoseconds.
+std::uint64_t thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
 /// Runs `once` — one repetition of a record's work, returning its record —
-/// until the repetitions' wall time adds up to `min_seconds`, and keeps the
+/// until the repetitions' timed runs add up to `min_seconds`, and keeps the
 /// fastest repetition's record whole (its probe phases included).
 template <class Once>
 perf::PerfRecord fastest_of(double min_seconds, Once&& once) {
@@ -139,13 +132,6 @@ perf::PerfRecord fastest_of(double min_seconds, Once&& once) {
       best = std::move(next);
   }
   return best;
-}
-
-std::string labeled(const PerfBenchArgs& args, const std::string& arbiter) {
-  for (const auto& [from, to] : args.aliases) {
-    if (arbiter == from) return to;
-  }
-  return arbiter;
 }
 
 SimConfig sim_config(std::uint32_t ports, const std::string& arbiter,
@@ -168,12 +154,11 @@ Workload cbr_workload(const SimConfig& config) {
   return build_cbr_mix(config, spec, rng);
 }
 
-perf::PerfRecord sim_cbr_record(const PerfBenchArgs& args,
-                                const std::string& arbiter,
+perf::PerfRecord sim_cbr_record(const std::string& arbiter,
                                 std::uint32_t ports, const RunScale& scale) {
   perf::PerfRecord record;
   record.kind = "sim-cbr";
-  record.arbiter = labeled(args, arbiter);
+  record.arbiter = arbiter;
   record.ports = ports;
   record.label =
       "sim-cbr/" + record.arbiter + "/p" + std::to_string(ports);
@@ -183,19 +168,18 @@ perf::PerfRecord sim_cbr_record(const PerfBenchArgs& args,
     perf::PerfRecord run = record;
     MmrSimulation simulation(config, cbr_workload(config));
     const perf::ProbeScope arm(&run.probe);
-    const std::uint64_t start = perf::now_ns();
+    const std::uint64_t start = thread_cpu_ns();
     (void)simulation.run();
-    run.probe.add_run(config.total_cycles(), perf::now_ns() - start);
+    run.probe.add_run(config.total_cycles(), thread_cpu_ns() - start);
     return run;
   });
 }
 
-perf::PerfRecord micro_record(const PerfBenchArgs& args,
-                              const std::string& arbiter,
+perf::PerfRecord micro_record(const std::string& arbiter,
                               std::uint32_t ports, const RunScale& scale) {
   perf::PerfRecord record;
   record.kind = "arbitrate-micro";
-  record.arbiter = labeled(args, arbiter);
+  record.arbiter = arbiter;
   record.ports = ports;
   record.label =
       "arb-micro/" + record.arbiter + "/p" + std::to_string(ports);
@@ -223,14 +207,14 @@ perf::PerfRecord micro_record(const PerfBenchArgs& args,
   return fastest_of(scale.min_seconds, [&] {
     perf::PerfRecord run = record;
     const perf::ProbeScope arm(&run.probe);
-    const std::uint64_t start = perf::now_ns();
+    const std::uint64_t start = thread_cpu_ns();
     for (std::uint64_t i = 0; i < scale.micro_iterations; ++i) {
       arbiter_impl->arbitrate_into(sets[i % sets.size()], matching);
     }
-    const std::uint64_t wall = perf::now_ns() - start;
-    run.probe.add_time(perf::Phase::kArbitration, wall);
+    const std::uint64_t spent = thread_cpu_ns() - start;
+    run.probe.add_time(perf::Phase::kArbitration, spent);
     // "Cycles" for the micro section are arbitrations.
-    run.probe.add_run(scale.micro_iterations, wall);
+    run.probe.add_run(scale.micro_iterations, spent);
     return run;
   });
 }
@@ -240,7 +224,7 @@ perf::PerfRecord sweep_record(const PerfBenchArgs& args,
                               const RunScale& scale) {
   perf::PerfRecord record;
   record.kind = "sweep-cbr";
-  record.arbiter = labeled(args, arbiter);
+  record.arbiter = arbiter;
   record.ports = 4;
   record.label = "sweep-cbr/" + record.arbiter;
 
@@ -280,11 +264,11 @@ int main(int argc, char** argv) {
   std::vector<perf::PerfRecord> records;
   for (const std::string& arbiter : args.arbiters) {
     for (const std::uint32_t ports : args.ports) {
-      records.push_back(sim_cbr_record(args, arbiter, ports, scale));
+      records.push_back(sim_cbr_record(arbiter, ports, scale));
       std::cout << perf::render_phase_summary(records.back()) << "\n";
     }
     for (const std::uint32_t ports : args.micro_ports) {
-      records.push_back(micro_record(args, arbiter, ports, scale));
+      records.push_back(micro_record(arbiter, ports, scale));
       std::cout << perf::render_phase_summary(records.back()) << "\n";
     }
     records.push_back(sweep_record(args, arbiter, scale));
@@ -302,9 +286,5 @@ int main(int argc, char** argv) {
   perf::write_perf_json(out, meta, records);
   std::cout << "wrote " << records.size() << " records to " << args.out
             << "\n";
-  if (!perf::kCompiledIn) {
-    std::cout << "note: built with MMR_PERF=OFF -- phase shares and "
-                 "allocation counters are all zero\n";
-  }
   return 0;
 }

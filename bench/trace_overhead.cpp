@@ -79,9 +79,6 @@ int main(int argc, char** argv) {
             << ", " << config.vcs_per_link << " VCs, "
             << config.total_cycles() << " cycles, arbiter "
             << config.arbiter << ") ====\n";
-  if (!mmr::trace::kCompiledIn)
-    std::cout << "note: tracing compiled out (-DMMR_TRACE=OFF); the traced "
-                 "runs measure the disabled-macro path\n";
 
   const mmr::trace::TraceMeta meta = mmr::trace::TraceMeta::from_config(config);
   mmr::trace::Tracer stream(

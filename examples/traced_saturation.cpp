@@ -44,9 +44,6 @@ int main(int argc, char** argv) {
   std::printf("Traced saturation: %ux%u router, %s arbiter, trace=%s\n\n",
               config.ports, config.ports, config.arbiter.c_str(),
               config.trace_spec.c_str());
-  if (!mmr::trace::kCompiledIn)
-    std::printf("note: tracing compiled out (-DMMR_TRACE=OFF); dumps will "
-                "hold no events\n\n");
 
   mmr::Rng rng(config.seed, /*stream=*/1);
   mmr::CbrMixSpec mix;

@@ -6,12 +6,13 @@
 # spec-fuzzer and differential-oracle runs in that sanitized tree: the
 # emission wheel, the NIC, the eligibility masks, the input buffer keyed
 # both by VC and by output (test_vcm's two *Oracle* cases), and COA against
-# its scan twin.
+# its scan twin — plus the test-support library (scan twins and the
+# arbiter-audit harness) and the twin soak in that sanitized tree.
 # Usage: scripts/check.sh [--perf] [jobs]
 #   --perf   additionally run the perf_baseline smoke sweep, validate the
 #            emitted BENCH_perf.json schema with scripts/bench_compare.py,
-#            and compare two records of one binary (A/A): a gate that flags
-#            an unchanged tree cannot judge a change
+#            and compare two records of one binary (A/A) three times: a
+#            gate that flags an unchanged tree cannot judge a change
 set -euo pipefail
 
 RUN_PERF=0
@@ -62,17 +63,31 @@ python3 scripts/bench_compare.py --check build/BENCH_network_smoke.json
 if [[ "${RUN_PERF}" == "1" ]]; then
   echo
   echo "=== perf smoke (perf_baseline + schema check) ==="
-  ./build/bench/perf_baseline mode=smoke ports=4 arbiters=coa,coa-scan \
+  ./build/bench/perf_baseline mode=smoke ports=4 arbiters=coa,wfa \
     micro_ports=4,32,128 out=build/BENCH_perf_smoke.json
   python3 scripts/bench_compare.py --check build/BENCH_perf_smoke.json
   echo
-  echo "=== perf A/A (two records of one binary must compare clean) ==="
-  for run in a b; do
-    ./build/bench/perf_baseline mode=quick ports=4 arbiters=coa,coa-scan \
-      micro_ports=4,16 out=build/BENCH_perf_"${run}".json > /dev/null
+  echo "=== perf A/A (two records of one binary must compare clean, 3 rounds) ==="
+  # Every round runs; the stage lists each label any round flagged.
+  flagged=""
+  for round in 1 2 3; do
+    for run in a b; do
+      ./build/bench/perf_baseline mode=quick ports=4 arbiters=coa,wfa \
+        micro_ports=4,16 out=build/BENCH_perf_"${run}".json > /dev/null
+    done
+    if ! python3 scripts/bench_compare.py build/BENCH_perf_a.json \
+        build/BENCH_perf_b.json > build/BENCH_perf_aa.txt; then
+      labels=$(sed -n "s/^\([^ ]*\) .* \([0-9.]*x\)  << REGRESSION$/\1 \2,/p" \
+                 build/BENCH_perf_aa.txt | tr '\n' ' ')
+      flagged+="  round ${round}: ${labels:-no shared labels}"$'\n'
+    fi
   done
-  python3 scripts/bench_compare.py build/BENCH_perf_a.json \
-    build/BENCH_perf_b.json
+  if [[ -n "${flagged}" ]]; then
+    echo "A/A flagged labels on one binary:"
+    printf '%s' "${flagged}"
+    exit 1
+  fi
+  echo "A/A clean in all 3 rounds"
   echo
   echo "=== wide-port arbitration micro (bitset engines, p16..p128) ==="
   ./build/bench/arbiter_micro \
@@ -91,6 +106,13 @@ for seed in 1 2 3; do
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-asan/tests/fuzz_specs iterations=20000 seed="${seed}"
 done
+echo "--- test support (scan twins, arbiter-audit harness) under ASan/UBSan ---"
+ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
+  ./build-asan/tests/test_bitset_twins
+ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
+  ./build-asan/tests/test_audit
+ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
+  ./build-asan/bench/audit_soak seeds=60 twins
 echo "--- emission wheel / NIC / input buffer (both keyings) / COA / eligibility oracles, more seeds under ASan/UBSan ---"
 for seed in 1 2 3; do
   for oracle in test_emission_wheel test_nic test_vcm; do

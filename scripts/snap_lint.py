@@ -34,7 +34,7 @@ import sys
 import zlib
 
 MAGIC = b"mmr-snap-v1\n"
-VERSION = 7
+VERSION = 8
 MAX_NAME_LEN = 4096  # sanity bound; real section names are short identifiers
 
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "mmr/perf/probe.hpp"
 #include "mmr/sim/bits.hpp"
@@ -188,110 +187,6 @@ void CandidateOrderArbiter::arbitrate_into(const CandidateSet& candidates,
   }
 }
 
-CandidateOrderScanArbiter::CandidateOrderScanArbiter(std::uint32_t ports,
-                                                     Rng rng,
-                                                     bool use_priority)
-    : ports_(ports), rng_(rng), use_priority_(use_priority) {
-  MMR_ASSERT(ports_ > 0);
-}
-
-void CandidateOrderScanArbiter::arbitrate_into(const CandidateSet& candidates,
-                                               Matching& matching) {
-  MMR_ASSERT(candidates.ports() == ports_);
-  matching.reset(ports_);
-  const auto& all = candidates.all();
-  if (all.empty()) return;
-
-  const std::uint32_t levels = candidates.levels();
-
-  // Conflict vector: pending request count per (level, output).
-  conflict_.assign(static_cast<std::size_t>(levels) * ports_, 0);
-  input_free_.assign(ports_, 1);
-  output_free_.assign(ports_, 1);
-  request_live_.assign(all.size(), 1);
-  for (const Candidate& c : all) {
-    ++conflict_[static_cast<std::size_t>(c.level) * ports_ + c.output];
-  }
-
-  std::size_t live = all.size();
-  while (live > 0) {
-    // --- port ordering: pick the next output — lowest level with pending
-    // requests first, then fewest conflicts at that level, ties random.
-    std::uint32_t best_output = ports_;
-    std::uint32_t best_level = levels;
-    std::uint32_t best_conflict = std::numeric_limits<std::uint32_t>::max();
-    std::uint32_t tie_count = 0;
-    for (std::uint32_t out = 0; out < ports_; ++out) {
-      if (!output_free_[out]) continue;
-      // Lowest level at which this output has a pending request.
-      std::uint32_t lvl = levels;
-      for (std::uint32_t l = 0; l < levels; ++l) {
-        if (conflict_[static_cast<std::size_t>(l) * ports_ + out] > 0) {
-          lvl = l;
-          break;
-        }
-      }
-      if (lvl == levels) continue;  // no pending request for this output
-      const std::uint32_t cnt =
-          conflict_[static_cast<std::size_t>(lvl) * ports_ + out];
-      if (lvl < best_level || (lvl == best_level && cnt < best_conflict)) {
-        best_output = out;
-        best_level = lvl;
-        best_conflict = cnt;
-        tie_count = 1;
-      } else if (lvl == best_level && cnt == best_conflict) {
-        // Reservoir sampling over tied ports = uniform random tie-break.
-        ++tie_count;
-        if (rng_.uniform(tie_count) == 0) best_output = out;
-      }
-    }
-    if (best_output == ports_) break;  // all pending requests are blocked
-
-    // --- arbitration: highest-priority pending request for that output
-    // (or, in the coa-np ablation, a uniformly random pending request).
-    std::int32_t winner = -1;
-    Priority best_priority = 0;
-    std::uint32_t prio_ties = 0;
-    for (std::size_t idx = 0; idx < all.size(); ++idx) {
-      if (!request_live_[idx]) continue;
-      const Candidate& c = all[idx];
-      if (c.output != best_output) continue;
-      const Priority effective = use_priority_ ? c.priority : 0;
-      if (winner == -1 || effective > best_priority) {
-        winner = static_cast<std::int32_t>(idx);
-        best_priority = effective;
-        prio_ties = 1;
-      } else if (effective == best_priority) {
-        ++prio_ties;
-        if (rng_.uniform(prio_ties) == 0)
-          winner = static_cast<std::int32_t>(idx);
-      }
-    }
-    MMR_ASSERT(winner != -1);
-    const Candidate& granted = all[static_cast<std::size_t>(winner)];
-    matching.match(granted.input, granted.output, winner);
-    MMR_TRACE_EMIT_NOW(trace::grant_reason_event, granted.input,
-                       granted.output, granted.vc, granted.level,
-                       granted.priority, best_conflict);
-    input_free_[granted.input] = 0;
-    output_free_[granted.output] = 0;
-
-    // Drop every request involving the matched input or output and
-    // recompute (incrementally) the conflict vector.
-    for (std::size_t idx = 0; idx < all.size(); ++idx) {
-      if (!request_live_[idx]) continue;
-      const Candidate& c = all[idx];
-      if (c.input == granted.input || c.output == granted.output) {
-        request_live_[idx] = 0;
-        --conflict_[static_cast<std::size_t>(c.level) * ports_ + c.output];
-        --live;
-      }
-    }
-  }
-}
-
 void CandidateOrderArbiter::snap(snapshot::Walker& w) { rng_.snap(w); }
-
-void CandidateOrderScanArbiter::snap(snapshot::Walker& w) { rng_.snap(w); }
 
 }  // namespace mmr

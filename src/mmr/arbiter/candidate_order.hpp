@@ -12,25 +12,25 @@
 // conflict vector is recomputed and the process repeats until no requests
 // remain, yielding a conflict-free matching.
 //
-// Two implementations produce bit-identical matchings (same RNG draw
-// sequence; tests/test_coa.cpp proves the equivalence):
-//  * CandidateOrderArbiter ("coa") — the port ordering on cached keys.
-//    Each active output (free, with a live request) keeps one packed key,
-//    (lowest pending level << 32 | conflict count at that level), so "lower
-//    level first, then fewer conflicts" is one integer compare.  A port
-//    ordering is one sweep over the active outputs that records every
-//    output whose key is at or below the running minimum; replaying the
-//    reservoir over those events alone makes exactly the scan's tie draws.
-//    A grant clears its input's free bit, deactivates its output and re-keys
-//    only the outputs its input requested (at most L); requests of a granted
-//    output are never retired, since an inactive output is never visited
-//    again, and the winner walk skips requests whose input is matched.
-//    Conflict counts, level masks and list heads are left zeroed between
-//    calls, so setup and teardown touch only the candidates received.
-//    Levels are bounded by 64 (SimConfig::validate).
-//  * CandidateOrderScanArbiter ("coa-scan") — the reference formulation:
-//    every grant and removal scans the full candidate list.  Kept as the
-//    perf baseline (bench/perf_baseline) and differential-audit reference.
+// CandidateOrderArbiter ("coa") runs the port ordering on cached keys.
+// Each active output (free, with a live request) keeps one packed key,
+// (lowest pending level << 32 | conflict count at that level), so "lower
+// level first, then fewer conflicts" is one integer compare.  A port
+// ordering is one sweep over the active outputs that records every output
+// whose key is at or below the running minimum; replaying the reservoir over
+// those events alone makes exactly the tie draws of a full scan.  A grant
+// clears its input's free bit, deactivates its output and re-keys only the
+// outputs its input requested (at most L); requests of a granted output are
+// never retired, since an inactive output is never visited again, and the
+// winner walk skips requests whose input is matched.  Conflict counts, level
+// masks and list heads are left zeroed between calls, so setup and teardown
+// touch only the candidates received.  Levels are bounded by 64
+// (SimConfig::validate).
+//
+// It grants bit-identically to the reference formulation, which rescans the
+// full candidate list per grant and removal (CandidateOrderScanArbiter in
+// tests/support; test_coa's CoaOracle compares every grant and the RNG state
+// after every call).
 #pragma once
 
 #include "mmr/arbiter/candidate.hpp"
@@ -73,32 +73,6 @@ class CandidateOrderArbiter final : public SwitchArbiter {
   std::vector<std::int32_t> out_head_;     ///< per output: first candidate
   std::vector<std::int32_t> out_next_;     ///< per candidate: next, same output
   std::vector<std::uint32_t> events_;      ///< one sweep's resets and ties
-};
-
-/// Reference COA: identical algorithm and RNG stream, full-list scans per
-/// grant and removal.  Registered as "coa-scan" so perf baselines and the
-/// differential audit can compare the two implementations forever.
-class CandidateOrderScanArbiter final : public SwitchArbiter {
- public:
-  CandidateOrderScanArbiter(std::uint32_t ports, Rng rng,
-                            bool use_priority = true);
-
-  [[nodiscard]] const char* name() const override { return "coa-scan"; }
-
-  void arbitrate_into(const CandidateSet& candidates,
-                      Matching& matching) override;
-
-  void snap(snapshot::Walker& w) override;
-
- private:
-  std::uint32_t ports_;
-  Rng rng_;
-  bool use_priority_;
-
-  std::vector<std::uint32_t> conflict_;
-  std::vector<std::uint8_t> input_free_;
-  std::vector<std::uint8_t> output_free_;
-  std::vector<std::uint8_t> request_live_;
 };
 
 }  // namespace mmr

@@ -17,8 +17,10 @@ namespace {
 
 using Arbiter = std::unique_ptr<SwitchArbiter>;
 
-/// Iteration budget standing for the conventional log2(P) + 1 rounds.
-constexpr std::uint32_t kLogPorts = ~std::uint32_t{0};
+/// Iteration budget standing for bit_width(P) + 1 rounds, which is
+/// floor(log2 P) + 2: one more than the log2(P) + 1 usually quoted for
+/// iSLIP, and kept so because every recorded result ran with it.
+constexpr std::uint32_t kPortBits = ~std::uint32_t{0};
 
 /// One registered arbiter: everything the factory knows about a name.  The
 /// builder receives the row's resolved budget, so the iteration count an
@@ -27,8 +29,7 @@ struct Row {
   const char* name;
   Arbiter (*build)(std::uint32_t ports, Rng rng, std::uint32_t iterations);
   ArbiterTraits traits;
-  std::uint32_t budget = 0;  ///< iterations, or kLogPorts; 0: not iterative
-  const char* scan_twin = nullptr;  ///< bit-identical reference, if any
+  std::uint32_t budget = 0;  ///< iterations, or kPortBits; 0: not iterative
 };
 
 template <class A>
@@ -58,7 +59,7 @@ Arbiter seeded_iterative(std::uint32_t ports, Rng rng,
 // grant/accept-pointer desynchronisation, WWFA's rotating diagonal, and
 // WFA's rotating corner row (under a full request matrix the corner row
 // walks every input, so the diagonal matchings cover each pair once per P
-// cycles).  "wfa-fixed" keeps the legacy fixed corner and is intentionally
+// cycles).  "wfa-fixed" holds the corner at row 0 and is intentionally
 // corner-biased — that starvation is the bug the rotation fixes, and the
 // corner bias the paper measures.  "rr" runs a single grant/accept round
 // whose pointers advance unconditionally: not maximal, and deliberately not
@@ -72,44 +73,34 @@ constexpr ArbiterTraits kBoundedRotating{.iteration_bounded = true,
 
 const std::vector<Row>& rows() {
   static const std::vector<Row> table = {
-      {"coa", seeded<CandidateOrderArbiter>, kPriority, 0, "coa-scan"},
+      {"coa", seeded<CandidateOrderArbiter>, kPriority},
       {"coa-np",
        [](std::uint32_t p, Rng rng, std::uint32_t) -> Arbiter {
          return std::make_unique<CandidateOrderArbiter>(
              p, rng, /*use_priority=*/false);
        },
        kMaximal},
-      {"coa-scan", seeded<CandidateOrderScanArbiter>, kPriority},
-      {"wfa", unseeded<WaveFrontArbiter>, kRotating, 0, "wfa-scan"},
-      {"wfa-scan",
-       [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
-         return std::make_unique<WaveFrontScanArbiter>(p, /*rotate=*/true);
-       },
-       kRotating},
+      {"wfa", unseeded<WaveFrontArbiter>, kRotating},
       {"wfa-fixed",
        [](std::uint32_t p, Rng, std::uint32_t) -> Arbiter {
-         return std::make_unique<WaveFrontScanArbiter>(p, /*rotate=*/false);
+         return std::make_unique<WaveFrontArbiter>(p, /*rotate=*/false);
        },
        kMaximal},
       {"wwfa", unseeded<WrappedWaveFrontArbiter>, kRotating},
-      {"islip", iterative<IslipArbiter>, kBoundedRotating, kLogPorts,
-       "islip-scan"},
+      {"islip", iterative<IslipArbiter>, kBoundedRotating, kPortBits},
       {"islip1", iterative<IslipArbiter>, kBounded, 1},
-      {"islip-scan", iterative<IslipScanArbiter>, kBoundedRotating, kLogPorts},
-      {"pim", seeded_iterative<PimArbiter>, kBounded, kLogPorts, "pim-scan"},
+      {"pim", seeded_iterative<PimArbiter>, kBounded, kPortBits},
       {"pim1", seeded_iterative<PimArbiter>, kBounded, 1},
-      {"pim-scan", seeded_iterative<PimScanArbiter>, kBounded, kLogPorts},
       {"greedy", seeded<GreedyPriorityArbiter>, kPriority},
       {"maxmatch", unseeded<MaxMatchArbiter>,
        {.maximal = true, .exact_maximum = true}},
-      {"rr", unseeded<RoundRobinArbiter>, kBounded, 1, "rr-scan"},
-      {"rr-scan", unseeded<RoundRobinScanArbiter>, kBounded, 1},
+      {"rr", unseeded<RoundRobinArbiter>, kBounded, 1},
   };
   return table;
 }
 
 std::uint32_t iterations(const Row& r, std::uint32_t ports) {
-  return r.budget == kLogPorts ? std::bit_width(ports) + 1u : r.budget;
+  return r.budget == kPortBits ? std::bit_width(ports) + 1u : r.budget;
 }
 
 /// The row named `name`; throws std::invalid_argument listing the valid
@@ -141,16 +132,6 @@ const std::vector<std::string>& arbiter_names() {
     return all;
   }();
   return names;
-}
-
-const std::vector<std::pair<std::string, std::string>>& arbiter_twin_pairs() {
-  static const std::vector<std::pair<std::string, std::string>> pairs = [] {
-    std::vector<std::pair<std::string, std::string>> all;
-    for (const Row& r : rows())
-      if (r.scan_twin != nullptr) all.emplace_back(r.name, r.scan_twin);
-    return all;
-  }();
-  return pairs;
 }
 
 const ArbiterTraits& arbiter_traits(const std::string& name) {

@@ -4,7 +4,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "mmr/arbiter/matching.hpp"
@@ -20,15 +19,9 @@ std::unique_ptr<SwitchArbiter> make_arbiter(const std::string& name,
 /// All registered arbiter names (for sweeps and help text).
 const std::vector<std::string>& arbiter_names();
 
-/// (optimised, reference) name pairs that must produce bit-identical
-/// matchings from identical inputs and RNG seeds: the word-parallel bitset /
-/// SoA engines and the straightforward scan formulations they replaced.  The
-/// differential audit (mmr/audit, bench/audit_soak --twins) replays both
-/// sides of every pair and aborts on the first diverging grant.
-const std::vector<std::pair<std::string, std::string>>& arbiter_twin_pairs();
-
 /// The documented correctness envelope of a registered arbiter — what the
-/// differential audit harness (mmr/audit) may assert about its matchings.
+/// differential audit harness (tests/support/audit) may assert about its
+/// matchings.
 /// Claims here are guarantees of the algorithm, not empirical observations;
 /// an audit violation therefore always means an implementation bug.
 struct ArbiterTraits {
@@ -54,9 +47,11 @@ struct ArbiterTraits {
 /// make_arbiter.
 const ArbiterTraits& arbiter_traits(const std::string& name);
 
-/// Iteration budget an arbiter of `name` runs at for a given port count
-/// (the floor used with ArbiterTraits::iteration_bounded); 0 for
-/// non-iterative arbiters.  Throws on unknown names like make_arbiter.
+/// Iteration budget an arbiter of `name` runs at for a given port count:
+/// bit_width(P) + 1 for "islip" and "pim" (4 at P = 4, 5 at P = 8 to 15),
+/// 1 for "islip1", "pim1" and "rr", 0 for non-iterative arbiters.  It is
+/// the floor used with ArbiterTraits::iteration_bounded and the count
+/// estimate_arbiter costs.  Throws on unknown names like make_arbiter.
 std::uint32_t arbiter_iterations(const std::string& name, std::uint32_t ports);
 
 }  // namespace mmr

@@ -1,9 +1,9 @@
 #include "mmr/arbiter/hardware_model.hpp"
 
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
+#include "mmr/arbiter/factory.hpp"
 #include "mmr/sim/assert.hpp"
 
 namespace mmr {
@@ -66,27 +66,20 @@ HardwareEstimate estimate_arbiter(const std::string& name,
   MMR_ASSERT(levels >= 1);
   const double p = ports;
   const double l = levels;
-  const double iterations_log = std::floor(std::log2(p)) + 1.0;
 
-  // wfa-scan/wfa-fixed are software-implementation variants of wfa (scan
-  // loop vs bitset engine; rotating vs fixed corner is a control register,
-  // not datapath); the synthesised crosspoint array is the same, except the
-  // rotating corner adds a row-select barrel stage.
-  if (name == "wfa" || name == "wfa-scan" || name == "wfa-fixed" ||
-      name == "wwfa") {
+  // wfa and wfa-fixed synthesise the same crosspoint array; the rotating
+  // corner adds a row-select barrel stage.
+  if (name == "wfa" || name == "wfa-fixed" || name == "wwfa") {
     // One arbitration cell per crosspoint (~6 GE: request/grant logic);
     // the wave crosses 2P-1 (plain) or P (wrapped, plus the rotating
     // start mux) cell rows, 2 gate delays per cell.
     const double cells = p * p;
     const double rows = name == "wwfa" ? p : 2.0 * p - 1.0;
     const double mux = name == "wwfa" ? 3.0 * p * p : 0.0;  // wrap select
-    const double rotate =                                   // corner select
-        name == "wfa" || name == "wfa-scan" ? 3.0 * p * p : 0.0;
+    const double rotate = name == "wfa" ? 3.0 * p * p : 0.0;  // corner select
     return {6.0 * cells + mux + rotate, 2.0 * rows};
   }
-  // coa-scan is a software-implementation variant of coa (reference scan
-  // loop vs bucketed); the synthesised circuit is the same.
-  if (name == "coa" || name == "coa-np" || name == "coa-scan") {
+  if (name == "coa" || name == "coa-np") {
     // Selection matrix: L*P candidate registers feed (a) the conflict
     // vector — per (level, output) a P-input population count — and (b) a
     // per-output max-priority tree; port ordering is a min-tree over P
@@ -117,22 +110,24 @@ HardwareEstimate estimate_arbiter(const std::string& name,
         p * (ordering.critical_path_gates + arbitration.critical_path_gates);
     return total;
   }
-  if (name == "islip" || name == "islip1" || name == "islip-scan") {
-    const double iterations = name == "islip1" ? 1.0 : iterations_log;
+  // iSLIP and PIM cost the simulator's own iteration budget: one grant and
+  // one accept encoder traversal per iteration.
+  if (name == "islip" || name == "islip1") {
+    const double iterations = arbiter_iterations(name, ports);
     const HardwareEstimate enc = hw::priority_encoder(ports);
     // P grant + P accept encoders, plus pointer registers (~8 GE each).
     return {2.0 * p * enc.gate_equivalents + 16.0 * p,
             iterations * 2.0 * enc.critical_path_gates};
   }
-  if (name == "rr" || name == "rr-scan") {
+  if (name == "rr") {
     // One grant/accept round of the iSLIP datapath: the same P+P encoder
     // banks and pointer registers, one traversal of the decision path.
     const HardwareEstimate enc = hw::priority_encoder(ports);
     return {2.0 * p * enc.gate_equivalents + 16.0 * p,
             2.0 * enc.critical_path_gates};
   }
-  if (name == "pim" || name == "pim1" || name == "pim-scan") {
-    const double iterations = name == "pim1" ? 1.0 : iterations_log;
+  if (name == "pim" || name == "pim1") {
+    const double iterations = arbiter_iterations(name, ports);
     const HardwareEstimate enc = hw::priority_encoder(ports);
     // Like iSLIP but with per-port LFSRs (~10 GE) instead of pointers.
     return {2.0 * p * enc.gate_equivalents + 10.0 * p,

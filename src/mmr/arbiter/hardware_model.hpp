@@ -29,9 +29,9 @@ struct HardwareEstimate {
   }
 };
 
-/// Complexity of one switch arbitration for a registered arbiter name
-/// ("coa", "wfa", "wwfa", "islip", "islip1", "pim", "pim1", "greedy",
-/// "maxmatch").  `priority_bits` sizes the comparators of priority-aware
+/// Complexity of one switch arbitration for any registered arbiter name
+/// (arbiter_names()); iterative schemes cost arbiter_iterations(name, P)
+/// rounds.  `priority_bits` sizes the comparators of priority-aware
 /// schemes.
 [[nodiscard]] HardwareEstimate estimate_arbiter(const std::string& name,
                                                 std::uint32_t ports,

@@ -10,12 +10,12 @@ namespace mmr {
 IslipArbiter::IslipArbiter(std::uint32_t ports, std::uint32_t iterations)
     : ports_(ports),
       words_(bit_words(ports)),
-      iterations_(iterations != 0 ? iterations
-                                  : std::bit_width(ports) + 1u),
+      iterations_(iterations),
       grant_ptr_(ports, 0),
       accept_ptr_(ports, 0) {
   MMR_ASSERT(ports_ > 0);
   MMR_ASSERT(ports_ <= kMaxPorts);
+  MMR_ASSERT(iterations_ > 0);
 }
 
 void IslipArbiter::arbitrate_into(const CandidateSet& candidates,
@@ -97,85 +97,10 @@ void IslipArbiter::arbitrate_into(const CandidateSet& candidates,
   }
 }
 
-IslipScanArbiter::IslipScanArbiter(std::uint32_t ports,
-                                   std::uint32_t iterations)
-    : ports_(ports),
-      iterations_(iterations != 0 ? iterations
-                                  : std::bit_width(ports) + 1u),
-      grant_ptr_(ports, 0),
-      accept_ptr_(ports, 0) {
-  MMR_ASSERT(ports_ > 0);
-}
-
-void IslipScanArbiter::arbitrate_into(const CandidateSet& candidates,
-                                      Matching& matching) {
-  MMR_ASSERT(candidates.ports() == ports_);
-  matching.reset(ports_);
-
-  request_.assign(static_cast<std::size_t>(ports_) * ports_, -1);
-  const auto& all = candidates.all();
-  for (std::size_t idx = 0; idx < all.size(); ++idx) {
-    const Candidate& c = all[idx];
-    std::int32_t& cell =
-        request_[static_cast<std::size_t>(c.input) * ports_ + c.output];
-    if (cell == -1 || c.level < all[static_cast<std::size_t>(cell)].level)
-      cell = static_cast<std::int32_t>(idx);
-  }
-
-  std::vector<std::int32_t> grant_of_input(ports_);
-  for (std::uint32_t iter = 0; iter < iterations_; ++iter) {
-    std::fill(grant_of_input.begin(), grant_of_input.end(), -1);
-    bool any_grant = false;
-    for (std::uint32_t out = 0; out < ports_; ++out) {
-      if (matching.output_matched(out)) continue;
-      for (std::uint32_t k = 0; k < ports_; ++k) {
-        const std::uint32_t in = (grant_ptr_[out] + k) % ports_;
-        if (matching.input_matched(in)) continue;
-        if (request_[static_cast<std::size_t>(in) * ports_ + out] == -1)
-          continue;
-        if (grant_of_input[in] == -1) {
-          grant_of_input[in] = static_cast<std::int32_t>(out);
-        } else {
-          const auto cur = static_cast<std::uint32_t>(grant_of_input[in]);
-          const std::uint32_t a = accept_ptr_[in];
-          const std::uint32_t cur_rank = (cur + ports_ - a) % ports_;
-          const std::uint32_t new_rank = (out + ports_ - a) % ports_;
-          if (new_rank < cur_rank)
-            grant_of_input[in] = static_cast<std::int32_t>(out);
-        }
-        any_grant = true;
-        break;  // one grant per output
-      }
-    }
-    if (!any_grant) break;
-
-    bool any_accept = false;
-    for (std::uint32_t in = 0; in < ports_; ++in) {
-      if (grant_of_input[in] == -1) continue;
-      const auto out = static_cast<std::uint32_t>(grant_of_input[in]);
-      const std::int32_t cell =
-          request_[static_cast<std::size_t>(in) * ports_ + out];
-      MMR_ASSERT(cell != -1);
-      matching.match(in, out, cell);
-      any_accept = true;
-      if (iter == 0) {
-        accept_ptr_[in] = (out + 1) % ports_;
-        grant_ptr_[out] = (in + 1) % ports_;
-      }
-    }
-    if (!any_accept) break;
-  }
-}
-
 void IslipArbiter::snap(snapshot::Walker& w) {
   snapshot::walk_vector_pod(w, grant_ptr_);
   snapshot::walk_vector_pod(w, accept_ptr_);
   requests_.snap(w);
-}
-
-void IslipScanArbiter::snap(snapshot::Walker& w) {
-  snapshot::walk_vector_pod(w, grant_ptr_);
-  snapshot::walk_vector_pod(w, accept_ptr_);
 }
 
 }  // namespace mmr

@@ -6,9 +6,9 @@
 // The default engine grants from word-parallel bitset request rows
 // (BitRequestMatrix): each output's grant stage is a cyclic first-set-bit
 // search from its grant pointer over `inputs_of(out) & free_inputs`, one AND
-// and a ctz per word instead of a cell-by-cell walk.  IslipScanArbiter keeps
-// the original dense-array engine as the differential-audit twin proving the
-// bitset engine bit-identical.
+// and a ctz per word instead of a cell-by-cell walk.  It grants
+// bit-identically to the original dense-array engine (IslipScanArbiter in
+// tests/support).
 #pragma once
 
 #include "mmr/arbiter/bitreq.hpp"
@@ -19,10 +19,11 @@ namespace mmr {
 
 class IslipArbiter final : public SwitchArbiter {
  public:
-  /// `iterations == 0` selects the conventional log2(P)+1 iterations.
-  IslipArbiter(std::uint32_t ports, std::uint32_t iterations = 0);
+  /// Runs at most `iterations` grant/accept rounds per arbitration; the
+  /// factory passes arbiter_iterations(name, ports).
+  IslipArbiter(std::uint32_t ports, std::uint32_t iterations);
 
-  /// "islip" at the default iteration count, "islip1" single-iteration.
+  /// "islip" at the factory's budget, "islip1" single-iteration.
   [[nodiscard]] const char* name() const override {
     return iterations_ == 1 ? "islip1" : "islip";
   }
@@ -55,29 +56,6 @@ class IslipArbiter final : public SwitchArbiter {
   std::vector<std::uint64_t> granted_;   ///< inputs granted this iteration
   std::vector<std::uint64_t> scratch_;   ///< per-output grant-row workspace
   std::vector<std::int32_t> grant_of_input_;
-};
-
-/// The original dense-array iSLIP engine, kept registered ("islip-scan") as
-/// the differential-audit twin of the bitset "islip".
-class IslipScanArbiter final : public SwitchArbiter {
- public:
-  IslipScanArbiter(std::uint32_t ports, std::uint32_t iterations = 0);
-
-  [[nodiscard]] const char* name() const override { return "islip-scan"; }
-
-  void arbitrate_into(const CandidateSet& candidates,
-                      Matching& matching) override;
-
-  void snap(snapshot::Walker& w) override;
-
-  [[nodiscard]] std::uint32_t iterations() const { return iterations_; }
-
- private:
-  std::uint32_t ports_;
-  std::uint32_t iterations_;
-  std::vector<std::uint32_t> grant_ptr_;
-  std::vector<std::uint32_t> accept_ptr_;
-  std::vector<std::int32_t> request_;  ///< (input, output) -> candidate
 };
 
 }  // namespace mmr

@@ -11,9 +11,10 @@ PimArbiter::PimArbiter(std::uint32_t ports, Rng rng, std::uint32_t iterations)
     : ports_(ports),
       words_(bit_words(ports)),
       rng_(rng),
-      iterations_(iterations != 0 ? iterations : std::bit_width(ports) + 1u) {
+      iterations_(iterations) {
   MMR_ASSERT(ports_ > 0);
   MMR_ASSERT(ports_ <= kMaxPorts);
+  MMR_ASSERT(iterations_ > 0);
 }
 
 void PimArbiter::arbitrate_into(const CandidateSet& candidates,
@@ -90,69 +91,9 @@ void PimArbiter::arbitrate_into(const CandidateSet& candidates,
   }
 }
 
-PimScanArbiter::PimScanArbiter(std::uint32_t ports, Rng rng,
-                               std::uint32_t iterations)
-    : ports_(ports),
-      rng_(rng),
-      iterations_(iterations != 0 ? iterations : std::bit_width(ports) + 1u) {
-  MMR_ASSERT(ports_ > 0);
-}
-
-void PimScanArbiter::arbitrate_into(const CandidateSet& candidates,
-                                    Matching& matching) {
-  MMR_ASSERT(candidates.ports() == ports_);
-  matching.reset(ports_);
-
-  request_.assign(static_cast<std::size_t>(ports_) * ports_, -1);
-  const auto& all = candidates.all();
-  for (std::size_t idx = 0; idx < all.size(); ++idx) {
-    const Candidate& c = all[idx];
-    std::int32_t& cell =
-        request_[static_cast<std::size_t>(c.input) * ports_ + c.output];
-    if (cell == -1 || c.level < all[static_cast<std::size_t>(cell)].level)
-      cell = static_cast<std::int32_t>(idx);
-  }
-
-  std::vector<std::int32_t> grant_of_input(ports_);
-  std::vector<std::uint32_t> grants_seen(ports_);
-  for (std::uint32_t iter = 0; iter < iterations_; ++iter) {
-    std::fill(grant_of_input.begin(), grant_of_input.end(), -1);
-    std::fill(grants_seen.begin(), grants_seen.end(), 0u);
-    bool any_grant = false;
-    for (std::uint32_t out = 0; out < ports_; ++out) {
-      if (matching.output_matched(out)) continue;
-      std::int32_t pick = -1;
-      std::uint32_t seen = 0;
-      for (std::uint32_t in = 0; in < ports_; ++in) {
-        if (matching.input_matched(in)) continue;
-        if (request_[static_cast<std::size_t>(in) * ports_ + out] == -1)
-          continue;
-        ++seen;
-        if (rng_.uniform(seen) == 0) pick = static_cast<std::int32_t>(in);
-      }
-      if (pick == -1) continue;
-      any_grant = true;
-      const auto in = static_cast<std::uint32_t>(pick);
-      ++grants_seen[in];
-      if (rng_.uniform(grants_seen[in]) == 0)
-        grant_of_input[in] = static_cast<std::int32_t>(out);
-    }
-    if (!any_grant) break;
-    for (std::uint32_t in = 0; in < ports_; ++in) {
-      if (grant_of_input[in] == -1) continue;
-      const auto out = static_cast<std::uint32_t>(grant_of_input[in]);
-      const std::int32_t cell =
-          request_[static_cast<std::size_t>(in) * ports_ + out];
-      matching.match(in, out, cell);
-    }
-  }
-}
-
 void PimArbiter::snap(snapshot::Walker& w) {
   rng_.snap(w);
   requests_.snap(w);
 }
-
-void PimScanArbiter::snap(snapshot::Walker& w) { rng_.snap(w); }
 
 }  // namespace mmr

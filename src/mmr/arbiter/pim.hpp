@@ -5,8 +5,8 @@
 // The default engine walks word-parallel bitset request rows
 // (BitRequestMatrix); reservoir draws are consumed in the exact ascending
 // (output, input) order of the original cell-by-cell scan, so the RNG stream
-// — and therefore every matching — is bit-identical to PimScanArbiter, the
-// dense-array twin kept registered ("pim-scan") for differential audits.
+// — and therefore every matching — is bit-identical to the dense-array
+// engine (PimScanArbiter in tests/support).
 #pragma once
 
 #include "mmr/arbiter/bitreq.hpp"
@@ -18,10 +18,12 @@ namespace mmr {
 
 class PimArbiter final : public SwitchArbiter {
  public:
-  /// `iterations == 0` selects log2(P)+1 (PIM converges in O(log P) expected).
-  PimArbiter(std::uint32_t ports, Rng rng, std::uint32_t iterations = 0);
+  /// Runs at most `iterations` grant/accept rounds per arbitration (PIM
+  /// converges in O(log P) expected); the factory passes
+  /// arbiter_iterations(name, ports).
+  PimArbiter(std::uint32_t ports, Rng rng, std::uint32_t iterations);
 
-  /// "pim" at the default iteration count, "pim1" single-iteration.
+  /// "pim" at the factory's budget, "pim1" single-iteration.
   [[nodiscard]] const char* name() const override {
     return iterations_ == 1 ? "pim1" : "pim";
   }
@@ -45,28 +47,6 @@ class PimArbiter final : public SwitchArbiter {
   std::vector<std::uint64_t> scratch_;
   std::vector<std::int32_t> grant_of_input_;
   std::vector<std::uint32_t> grants_seen_;
-};
-
-/// The original dense-array PIM engine, kept registered ("pim-scan") as the
-/// differential-audit twin of the bitset "pim".
-class PimScanArbiter final : public SwitchArbiter {
- public:
-  PimScanArbiter(std::uint32_t ports, Rng rng, std::uint32_t iterations = 0);
-
-  [[nodiscard]] const char* name() const override { return "pim-scan"; }
-
-  void arbitrate_into(const CandidateSet& candidates,
-                      Matching& matching) override;
-
-  void snap(snapshot::Walker& w) override;
-
-  [[nodiscard]] std::uint32_t iterations() const { return iterations_; }
-
- private:
-  std::uint32_t ports_;
-  Rng rng_;
-  std::uint32_t iterations_;
-  std::vector<std::int32_t> request_;
 };
 
 }  // namespace mmr

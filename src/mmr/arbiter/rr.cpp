@@ -72,59 +72,4 @@ void RoundRobinArbiter::snap(snapshot::Walker& w) {
   requests_.snap(w);
 }
 
-RoundRobinScanArbiter::RoundRobinScanArbiter(std::uint32_t ports)
-    : ports_(ports), grant_ptr_(ports, 0), accept_ptr_(ports, 0) {
-  MMR_ASSERT(ports_ > 0);
-}
-
-void RoundRobinScanArbiter::arbitrate_into(const CandidateSet& candidates,
-                                           Matching& matching) {
-  MMR_ASSERT(candidates.ports() == ports_);
-  matching.reset(ports_);
-
-  request_.assign(static_cast<std::size_t>(ports_) * ports_, -1);
-  const auto& all = candidates.all();
-  for (std::size_t idx = 0; idx < all.size(); ++idx) {
-    const Candidate& c = all[idx];
-    std::int32_t& cell =
-        request_[static_cast<std::size_t>(c.input) * ports_ + c.output];
-    if (cell == -1 || c.level < all[static_cast<std::size_t>(cell)].level)
-      cell = static_cast<std::int32_t>(idx);
-  }
-
-  std::vector<std::int32_t> grant_of_input(ports_, -1);
-  for (std::uint32_t out = 0; out < ports_; ++out) {
-    for (std::uint32_t k = 0; k < ports_; ++k) {
-      const std::uint32_t in = (grant_ptr_[out] + k) % ports_;
-      if (request_[static_cast<std::size_t>(in) * ports_ + out] == -1)
-        continue;
-      grant_ptr_[out] = (in + 1) % ports_;
-      if (grant_of_input[in] == -1) {
-        grant_of_input[in] = static_cast<std::int32_t>(out);
-      } else {
-        const auto cur = static_cast<std::uint32_t>(grant_of_input[in]);
-        const std::uint32_t a = accept_ptr_[in];
-        if ((out + ports_ - a) % ports_ < (cur + ports_ - a) % ports_)
-          grant_of_input[in] = static_cast<std::int32_t>(out);
-      }
-      break;  // one grant per output
-    }
-  }
-
-  for (std::uint32_t in = 0; in < ports_; ++in) {
-    if (grant_of_input[in] == -1) continue;
-    const auto out = static_cast<std::uint32_t>(grant_of_input[in]);
-    const std::int32_t cell =
-        request_[static_cast<std::size_t>(in) * ports_ + out];
-    MMR_ASSERT(cell != -1);
-    matching.match(in, out, cell);
-    accept_ptr_[in] = (out + 1) % ports_;
-  }
-}
-
-void RoundRobinScanArbiter::snap(snapshot::Walker& w) {
-  snapshot::walk_vector_pod(w, grant_ptr_);
-  snapshot::walk_vector_pod(w, accept_ptr_);
-}
-
 }  // namespace mmr

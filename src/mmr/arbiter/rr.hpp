@@ -7,7 +7,9 @@
 // pointer update the pointers never desynchronise, which is exactly the
 // throughput pathology the CICQ crosspoint buffers (qd=cicq) paper over.
 // Registered in the factory so the differential audit harness and the
-// simulation oracle cover it like every other arbiter.
+// simulation oracle cover it like every other arbiter; it grants
+// bit-identically to an O(P^2) pointer scan (RoundRobinScanArbiter in
+// tests/support).
 #pragma once
 
 #include <vector>
@@ -34,24 +36,6 @@ class RoundRobinArbiter final : public SwitchArbiter {
   std::vector<std::uint32_t> accept_ptr_;  ///< per input: next output
   BitRequestMatrix requests_;
   std::vector<std::int32_t> grant_of_input_;  ///< scratch
-};
-
-/// Naive O(P^2) twin of RoundRobinArbiter for the differential harness;
-/// bit-identical matchings by construction.
-class RoundRobinScanArbiter final : public SwitchArbiter {
- public:
-  explicit RoundRobinScanArbiter(std::uint32_t ports);
-
-  [[nodiscard]] const char* name() const override { return "rr-scan"; }
-  void arbitrate_into(const CandidateSet& candidates,
-                      Matching& matching) override;
-  void snap(snapshot::Walker& w) override;
-
- private:
-  std::uint32_t ports_;
-  std::vector<std::uint32_t> grant_ptr_;
-  std::vector<std::uint32_t> accept_ptr_;
-  std::vector<std::int32_t> request_;  ///< (input, output) -> candidate index
 };
 
 }  // namespace mmr

@@ -30,8 +30,8 @@ void collapse_requests(const CandidateSet& candidates, std::uint32_t ports,
 
 }  // namespace detail
 
-WaveFrontArbiter::WaveFrontArbiter(std::uint32_t ports)
-    : ports_(ports), words_(bit_words(ports)) {
+WaveFrontArbiter::WaveFrontArbiter(std::uint32_t ports, bool rotate)
+    : ports_(ports), words_(bit_words(ports)), rotate_(rotate) {
   MMR_ASSERT(ports_ > 0);
   MMR_ASSERT(ports_ <= kMaxPorts);
 }
@@ -41,7 +41,7 @@ void WaveFrontArbiter::arbitrate_into(const CandidateSet& candidates,
   MMR_ASSERT(candidates.ports() == ports_);
   matching.reset(ports_);
   const std::uint32_t offset = offset_;
-  offset_ = offset_ + 1 == ports_ ? 0 : offset_ + 1;
+  if (rotate_) offset_ = offset_ + 1 == ports_ ? 0 : offset_ + 1;
   requests_.build(candidates);
 
   // Rotated row coordinates: wave row r corresponds to physical input
@@ -105,43 +105,6 @@ void WaveFrontArbiter::arbitrate_into(const CandidateSet& candidates,
   }
 }
 
-WaveFrontScanArbiter::WaveFrontScanArbiter(std::uint32_t ports, bool rotate)
-    : ports_(ports), rotate_(rotate) {
-  MMR_ASSERT(ports_ > 0);
-}
-
-void WaveFrontScanArbiter::arbitrate_into(const CandidateSet& candidates,
-                                          Matching& matching) {
-  MMR_ASSERT(candidates.ports() == ports_);
-  matching.reset(ports_);
-  detail::collapse_requests(candidates, ports_, request_);
-  const std::uint32_t offset = offset_;
-  if (rotate_) offset_ = offset_ + 1 == ports_ ? 0 : offset_ + 1;
-
-  // 2P-1 partial anti-diagonals row + col == wave; row r is physical input
-  // (r + offset) mod P (offset stays 0 for the legacy fixed corner).
-  for (std::uint32_t wave = 0; wave <= 2 * (ports_ - 1); ++wave) {
-    const std::uint32_t r_begin = wave < ports_ ? 0 : wave - (ports_ - 1);
-    const std::uint32_t r_end = wave < ports_ ? wave : ports_ - 1;
-    for (std::uint32_t row = r_begin; row <= r_end; ++row) {
-      const std::uint32_t j = wave - row;
-      const std::uint32_t i =
-          row + offset >= ports_ ? row + offset - ports_ : row + offset;
-      if (matching.input_matched(i) || matching.output_matched(j)) continue;
-      const std::int32_t cell =
-          request_[static_cast<std::size_t>(i) * ports_ + j];
-      if (cell == -1) continue;
-      matching.match(i, j, cell);
-      if (MMR_TRACE_ON()) {
-        const Candidate& granted =
-            candidates.at(static_cast<std::size_t>(cell));
-        MMR_TRACE_EMIT_NOW(trace::grant_reason_event, i, j, granted.vc,
-                           granted.level, granted.priority, wave);
-      }
-    }
-  }
-}
-
 WrappedWaveFrontArbiter::WrappedWaveFrontArbiter(std::uint32_t ports)
     : ports_(ports) {
   MMR_ASSERT(ports_ > 0);
@@ -179,10 +142,6 @@ void WrappedWaveFrontArbiter::arbitrate_into(const CandidateSet& candidates,
 void WaveFrontArbiter::snap(snapshot::Walker& w) {
   snapshot::value(w, offset_);
   requests_.snap(w);
-}
-
-void WaveFrontScanArbiter::snap(snapshot::Walker& w) {
-  snapshot::value(w, offset_);
 }
 
 void WrappedWaveFrontArbiter::snap(snapshot::Walker& w) {

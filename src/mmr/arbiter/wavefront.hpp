@@ -20,15 +20,14 @@
 //
 // Variants:
 //  * WaveFrontArbiter ("wfa") — bitset engine, rotating corner row.
-//  * WaveFrontScanArbiter("wfa-scan") — reference scan engine with the same
-//    rotating-corner semantics; the differential-audit twin proving the
-//    bitset engine bit-identical.
-//  * WaveFrontScanArbiter("wfa-fixed") — the paper's fixed top-left corner,
-//    exactly as "wfa" behaved before the rotation fix; kept registered so
-//    the starvation bug stays measurable (and the paper's corner-bias
-//    results stay reproducible).
+//  * WaveFrontArbiter with rotate=false ("wfa-fixed") — the same engine with
+//    the corner held at row 0: the paper's fixed top-left corner, exactly as
+//    "wfa" behaved before the rotation fix; registered so the starvation bug
+//    stays measurable (and the paper's corner-bias results reproducible).
 //  * WrappedWaveFrontArbiter ("wwfa") — Tamir & Chi's wrapped variant: P
 //    full diagonals, with the starting diagonal rotating every arbitration.
+// Both corner policies grant bit-identically to a cell-by-cell scan of the
+// dense request array (WaveFrontScanArbiter in tests/support).
 #pragma once
 
 #include "mmr/arbiter/bitreq.hpp"
@@ -46,13 +45,16 @@ void collapse_requests(const CandidateSet& candidates, std::uint32_t ports,
 
 }  // namespace detail
 
-/// Default WFA: word-parallel bitset engine, corner rotating one row per
-/// arbitration (the starvation fix).
+/// WFA on word-parallel bitset request rows.  rotate=true ("wfa") moves
+/// the corner one row per arbitration (the starvation fix); rotate=false
+/// ("wfa-fixed") holds it at row 0.
 class WaveFrontArbiter final : public SwitchArbiter {
  public:
-  explicit WaveFrontArbiter(std::uint32_t ports);
+  explicit WaveFrontArbiter(std::uint32_t ports, bool rotate = true);
 
-  [[nodiscard]] const char* name() const override { return "wfa"; }
+  [[nodiscard]] const char* name() const override {
+    return rotate_ ? "wfa" : "wfa-fixed";
+  }
 
   void arbitrate_into(const CandidateSet& candidates,
                       Matching& matching) override;
@@ -65,35 +67,11 @@ class WaveFrontArbiter final : public SwitchArbiter {
  private:
   std::uint32_t ports_;
   std::uint32_t words_;
+  bool rotate_;
   std::uint32_t offset_ = 0;
   BitRequestMatrix requests_;
   std::vector<std::uint64_t> free_rows_;  ///< rotated-row indices still free
   std::vector<std::uint64_t> free_cols_;
-};
-
-/// Reference scan engine (dense request array, cell-by-cell sweep) with a
-/// selectable corner policy.  rotate=true is the audit twin of the bitset
-/// "wfa"; rotate=false is the legacy fixed-corner arbiter ("wfa-fixed").
-class WaveFrontScanArbiter final : public SwitchArbiter {
- public:
-  WaveFrontScanArbiter(std::uint32_t ports, bool rotate);
-
-  [[nodiscard]] const char* name() const override {
-    return rotate_ ? "wfa-scan" : "wfa-fixed";
-  }
-
-  void arbitrate_into(const CandidateSet& candidates,
-                      Matching& matching) override;
-
-  void snap(snapshot::Walker& w) override;
-
-  [[nodiscard]] std::uint32_t next_corner_row() const { return offset_; }
-
- private:
-  std::uint32_t ports_;
-  bool rotate_;
-  std::uint32_t offset_ = 0;
-  std::vector<std::int32_t> request_;  ///< (input, output) -> candidate index
 };
 
 /// Wrapped WFA with rotating starting diagonal (positionally fair).

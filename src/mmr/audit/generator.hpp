@@ -1,4 +1,5 @@
-// Seeded random CandidateSet generator for the differential audit harness.
+// Seeded random CandidateSet generator for the differential audit harness
+// (tests/support/audit) and the arbitration micro-benchmarks.
 // Each profile stresses a different arbiter code path: uniform request
 // matrices, load skewed onto a few inputs, hotspot outputs everyone fights
 // over, and duplicate (input -> output) requests at different levels (the

@@ -208,14 +208,6 @@ struct MmuMetrics {
   std::uint64_t ecn_eligible = 0;  ///< shared-pool admissions (mark trials)
   std::uint64_t ecn_cuts = 0;      ///< multiplicative rate reductions taken
 
-  /// Marked fraction of mark-eligible admissions (0 when none).
-  [[nodiscard]] double mark_rate() const {
-    return ecn_eligible == 0
-               ? 0.0
-               : static_cast<double>(ecn_marked) /
-                     static_cast<double>(ecn_eligible);
-  }
-
   friend bool operator==(const MmuMetrics&, const MmuMetrics&) = default;
 };
 

@@ -117,22 +117,6 @@ MetricExtractor frame_jitter_us() {
   };
 }
 
-MetricExtractor compliant_violation_pct() {
-  return [](const SimulationMetrics& m) {
-    return m.overload.enabled
-               ? m.overload.compliant_violation_rate() * 100.0
-               : std::numeric_limits<double>::quiet_NaN();
-  };
-}
-
-MetricExtractor rogue_violation_pct() {
-  return [](const SimulationMetrics& m) {
-    return m.overload.enabled
-               ? m.overload.rogue_violation_rate() * 100.0
-               : std::numeric_limits<double>::quiet_NaN();
-  };
-}
-
 AsciiTable overload_table(const SimulationMetrics& metrics) {
   const OverloadMetrics& o = metrics.overload;
   AsciiTable table({"class", "conforming", "dropped", "demoted", "shaped",
@@ -190,27 +174,6 @@ void print_overload_summary(std::ostream& out,
         << o.cycles_in_stage[2] << ", alarm " << o.cycles_in_stage[3]
         << " cycles)\n";
   }
-}
-
-void print_mmu_summary(std::ostream& out, const SimulationMetrics& metrics) {
-  const MmuMetrics& m = metrics.mmu;
-  if (!m.enabled) return;
-  out << "Shared-buffer MMU: admitted reserved " << m.admitted_reserved
-      << ", shared " << m.admitted_shared << ", headroom "
-      << m.admitted_headroom << "; drops lossless " << m.drops_lossless
-      << ", lossy " << m.drops_lossy << "\n";
-  out << "  Pause: " << m.pause_events << " Xoff / " << m.resume_events
-      << " Xon, total " << m.pause_cycles_total << " cycles, longest "
-      << m.pause_cycles_max << "; headroom highwater " << m.headroom_highwater
-      << ", pool highwater " << m.pool_highwater << "\n";
-  out << "  ECN: " << m.ecn_marked << "/" << m.ecn_eligible << " marked ("
-      << AsciiTable::num(m.mark_rate() * 100.0, 2) << "%), " << m.ecn_cuts
-      << " rate cuts";
-  if (!m.pool_occupancy.empty()) {
-    out << "; pool occupancy mean "
-        << AsciiTable::num(m.pool_occupancy.mean(), 1) << " flits";
-  }
-  out << "\n";
 }
 
 void print_saturation_summary(std::ostream& out,

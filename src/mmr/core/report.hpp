@@ -40,11 +40,6 @@ void write_sweep_csv(std::ostream& out, const std::vector<SweepPoint>& points,
 
 // Overload protection (mmr/overload/) -------------------------------------
 
-/// QoS deadline-violation rate (%) of compliant / rogue connections, from
-/// the OverloadMetrics split (NaN when overload accounting was off).
-[[nodiscard]] MetricExtractor compliant_violation_pct();
-[[nodiscard]] MetricExtractor rogue_violation_pct();
-
 /// One row per traffic class with the policer's verdict tallies, plus a
 /// totals row.  `metrics.overload.enabled` must be true.
 [[nodiscard]] AsciiTable overload_table(const SimulationMetrics& metrics);
@@ -53,10 +48,6 @@ void write_sweep_csv(std::ostream& out, const std::vector<SweepPoint>& points,
 /// run with overload accounting; prints nothing when it was off.
 void print_overload_summary(std::ostream& out,
                             const SimulationMetrics& metrics);
-
-/// Prints the shared-buffer MMU summary (admission split, pause activity,
-/// ECN marking) for a flow=shared run; prints nothing when it was off.
-void print_mmu_summary(std::ostream& out, const SimulationMetrics& metrics);
 
 /// Prints the standard bench footer: saturation loads per arbiter.
 void print_saturation_summary(std::ostream& out,

@@ -412,7 +412,7 @@ void MmrSimulation::for_each_shard(trace::Tracer* cycle_tracer, Fn&& fn) {
     fn(shards_.front());
     return;
   }
-  const bool staged = trace::kCompiledIn && cycle_tracer != nullptr;
+  const bool staged = cycle_tracer != nullptr;
   for (Shard& shard : shards_) {
     if (staged) {
       if (!shard.staging) {

@@ -67,10 +67,6 @@ class SaturationWatchdog {
   [[nodiscard]] Cycle cycles_in_stage(WatchdogStage s) const {
     return cycles_in_stage_[static_cast<std::size_t>(s)];
   }
-  /// Cycles spent in any degraded stage (everything above kNormal).
-  [[nodiscard]] Cycle cycles_degraded() const {
-    return cycles_in_stage_[1] + cycles_in_stage_[2] + cycles_in_stage_[3];
-  }
 
   /// Checkpoint walk: ladder position, EWMA, hysteresis counters.
   void snap(snapshot::Walker& w);

@@ -4,13 +4,11 @@
 // (re)allocations.
 //
 // Design rules:
-//  * Zero cost when compiled out: configure with -DMMR_PERF=OFF and every
-//    MMR_PERF_* macro expands to nothing.
-//  * Near-zero cost when compiled in but not armed: probes are armed per
-//    thread via ProbeScope; an unarmed thread pays one thread-local load and
-//    a predictable branch per scope.
+//  * Near-zero cost when not armed: probes are armed per thread via
+//    ProbeScope; an unarmed thread pays one thread-local load and a
+//    predictable branch per scope.
 //  * Never touches simulation state or RNG streams: metrics are bit-identical
-//    with probes on, off, or compiled out (tests/test_perf.cpp proves it).
+//    with probes armed or not (tests/test_perf.cpp proves it).
 #pragma once
 
 #include <chrono>
@@ -18,13 +16,6 @@
 #include <cstdint>
 
 namespace mmr::perf {
-
-/// True when the tree was configured with MMR_PERF=ON (the default).
-#if defined(MMR_PERF_ENABLED)
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
 
 /// One simulation phase per hot section of MmrSimulation::step_one and
 /// MmrRouter::step.  kOther is for callers instrumenting custom sections.
@@ -154,9 +145,7 @@ class ScopedTimer {
 
 }  // namespace mmr::perf
 
-// Instrumentation macros.  Use these (not the classes) in hot paths so a
-// -DMMR_PERF=OFF build compiles the probes out entirely.
-#if defined(MMR_PERF_ENABLED)
+// Instrumentation macros for hot paths.
 #define MMR_PERF_CONCAT_IMPL(a, b) a##b
 #define MMR_PERF_CONCAT(a, b) MMR_PERF_CONCAT_IMPL(a, b)
 #define MMR_PERF_SCOPE(phase) \
@@ -167,7 +156,3 @@ class ScopedTimer {
             ::mmr::perf::current())                             \
       mmr_perf_probe_->add_count((counter), (n));               \
   } while (false)
-#else
-#define MMR_PERF_SCOPE(phase) ((void)0)
-#define MMR_PERF_COUNT(counter, n) ((void)0)
-#endif

@@ -71,8 +71,7 @@ void write_perf_json(std::ostream& out, const PerfReportMeta& meta,
   out << "  \"schema\": \"mmr-perf-v1\",\n";
   out << "  \"mode\": \"" << escape(meta.mode) << "\",\n";
   out << "  \"threads\": " << meta.threads << ",\n";
-  out << "  \"probes_compiled\": " << (kCompiledIn ? "true" : "false")
-      << ",\n";
+  out << "  \"probes_compiled\": true,\n";
   out << "  \"records\": [\n";
   for (std::size_t r = 0; r < records.size(); ++r) {
     const PerfRecord& record = records[r];

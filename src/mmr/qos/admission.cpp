@@ -120,11 +120,6 @@ std::uint32_t AdmissionController::input_peak_slots(std::uint32_t link) const {
   return static_cast<std::uint32_t>(input_budget_[link].peak_slots);
 }
 
-std::uint32_t AdmissionController::output_peak_slots(std::uint32_t link) const {
-  MMR_ASSERT(link < ports_);
-  return static_cast<std::uint32_t>(output_budget_[link].peak_slots);
-}
-
 double AdmissionController::max_mean_utilization() const {
   std::uint64_t busiest = 0;
   for (std::uint32_t link = 0; link < ports_; ++link) {

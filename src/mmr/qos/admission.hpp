@@ -53,7 +53,6 @@ class AdmissionController {
   [[nodiscard]] std::uint32_t input_mean_slots(std::uint32_t link) const;
   [[nodiscard]] std::uint32_t output_mean_slots(std::uint32_t link) const;
   [[nodiscard]] std::uint32_t input_peak_slots(std::uint32_t link) const;
-  [[nodiscard]] std::uint32_t output_peak_slots(std::uint32_t link) const;
 
   /// Fraction of the round reserved (mean) on the busiest link.
   [[nodiscard]] double max_mean_utilization() const;

@@ -48,10 +48,6 @@ TraceMeta TraceMeta::from_config(const SimConfig& config) {
 Tracer::Tracer(TraceSpec spec, TraceMeta meta)
     : spec_(std::move(spec)), meta_(std::move(meta)) {
   spec_.validate();
-  if (!kCompiledIn) {
-    log_warn("trace= configured but tracing is compiled out (-DMMR_TRACE=OFF);"
-             " outputs will contain no events");
-  }
   if (spec_.mode == TraceSpec::Mode::kFlight) {
     g_assert_tracer.store(this, std::memory_order_release);
     detail::exchange_assert_hook(&dump_armed_tracer_on_assert);

@@ -2,8 +2,8 @@
 //
 // Arming follows the mmr/perf precedent exactly: a Tracer is armed for the
 // current thread via TraceScope (RAII, nestable, thread-local), call sites
-// emit through MMR_TRACE_* macros that compile to nothing under
-// -DMMR_TRACE=OFF, and emission is strictly read-only with respect to
+// emit through MMR_TRACE_* macros that cost one thread-local load while
+// disarmed, and emission is strictly read-only with respect to
 // simulation state and RNG streams — traced and untraced runs are
 // bit-identical (tested in tests/test_trace.cpp).
 //
@@ -29,12 +29,6 @@ class Walker;
 }
 
 namespace mmr::trace {
-
-#if defined(MMR_TRACE_ENABLED)
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
 
 /// Run provenance written into every export header; consumers (trace_lint,
 /// the Chrome exporter) use it to bound-check event fields.
@@ -164,17 +158,15 @@ class TraceScope {
 // --- emission macros -------------------------------------------------------
 // MMR_TRACE_EVENT(expr)        records the Event built by `expr` when a
 //                              tracer is armed; `expr` is not evaluated
-//                              otherwise, and the whole statement compiles
-//                              out under -DMMR_TRACE=OFF.
+//                              otherwise.
 // MMR_TRACE_EMIT_NOW(b, ...)   like MMR_TRACE_EVENT but calls the builder
 //                              `b` with the armed tracer's mirrored clock
 //                              as its first argument — for call sites that
 //                              have no `now` of their own (arbiters,
 //                              admission control).
-// MMR_TRACE_ON()               true when tracing is compiled in AND a
-//                              tracer is armed; guards event-only
-//                              computations (e.g. the grant/deny sweep).
-#if defined(MMR_TRACE_ENABLED)
+// MMR_TRACE_ON()               true when a tracer is armed; guards
+//                              event-only computations (e.g. the
+//                              grant/deny sweep).
 #define MMR_TRACE_EVENT(expr)                                              \
   do {                                                                     \
     if (::mmr::trace::Tracer* mmr_trace_t_ = ::mmr::trace::current())      \
@@ -191,12 +183,3 @@ class TraceScope {
       mmr_trace_t_->set_node(static_cast<std::uint16_t>(node));            \
   } while (false)
 #define MMR_TRACE_ON() (::mmr::trace::current() != nullptr)
-#else
-// The sizeof keeps every operand referenced (no -Wunused-variable at call
-// sites) without evaluating anything; the whole statement folds to nothing.
-#define MMR_TRACE_EVENT(expr) ((void)sizeof((expr)))
-#define MMR_TRACE_EMIT_NOW(builder, ...) \
-  ((void)sizeof(builder(::mmr::Cycle{0}, __VA_ARGS__)))
-#define MMR_TRACE_SET_NODE(node) ((void)sizeof(node))
-#define MMR_TRACE_ON() (false)
-#endif

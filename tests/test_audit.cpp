@@ -7,12 +7,12 @@
 
 #include "mmr/arbiter/factory.hpp"
 #include "mmr/audit/generator.hpp"
-#include "mmr/audit/harness.hpp"
-#include "mmr/audit/invariants.hpp"
-#include "mmr/audit/shrink.hpp"
-#include "mmr/audit/spec.hpp"
 #include "mmr/audit/sim_auditor.hpp"
+#include "mmr/audit/spec.hpp"
 #include "mmr/core/simulation.hpp"
+#include "support/audit/harness.hpp"
+#include "support/audit/invariants.hpp"
+#include "support/audit/shrink.hpp"
 
 namespace mmr::audit {
 namespace {

@@ -1,7 +1,7 @@
 // Behavioural tests of the Candidate-Order Arbiter against the paper's
 // Section 4 description: port ordering by level then conflict count, and
 // priority-based arbitration within an output.  CoaOracle is the seeded
-// differential oracle against the scan twin:
+// differential oracle against the scan twin (support/scan_arbiters.hpp):
 //   test_coa [--gtest_*] [iterations=N] [seed=S]
 
 #include "mmr/arbiter/candidate_order.hpp"
@@ -16,7 +16,9 @@
 #include "arbiter_test_util.hpp"
 #include "mmr/arbiter/verify.hpp"
 #include "mmr/audit/generator.hpp"
+#include "mmr/snapshot/walker.hpp"
 #include "oracle_args.hpp"
+#include "support/scan_arbiters.hpp"
 
 namespace mmr {
 namespace {
@@ -266,8 +268,18 @@ TEST(CandidateOrderArbiter, ScratchIsCleanAcrossLevelCounts) {
   }
 }
 
+/// Hash of an arbiter's checkpoint walk.  COA and its scan twin walk their
+/// RNG state and nothing else, so equal hashes mean equal RNG states.
+std::uint64_t rng_state_hash(SwitchArbiter& arbiter) {
+  snapshot::HashWalker hasher;
+  arbiter.snap(hasher);
+  return hasher.digest();
+}
+
 // Differential oracle: `coa` and `coa-np` against the scan twin, which
-// shares their RNG stream, so every grant must name the same candidate.
+// shares their RNG stream, so every grant must name the same candidate and
+// both RNG states must agree after every call (a spare or missing draw
+// that happens not to change this call's grants still fails).
 // Each port count keeps one arbiter of each kind across all its calls while
 // the level count (1, 4 or 64) changes from call to call, and the
 // candidates of a set are added in one of three orders: as generated (input
@@ -323,13 +335,18 @@ void run_coa_oracle(std::uint32_t ports) {
       if (c.level >= 32) ++deep;
     }
     for (const bool use_priority : {true, false}) {
-      (use_priority ? fast : fast_np).arbitrate_into(set, a);
-      (use_priority ? scan : scan_np).arbitrate_into(set, b);
+      CandidateOrderArbiter& fast_one = use_priority ? fast : fast_np;
+      CandidateOrderScanArbiter& scan_one = use_priority ? scan : scan_np;
+      fast_one.arbitrate_into(set, a);
+      scan_one.arbitrate_into(set, b);
       for (std::uint32_t input = 0; input < ports; ++input) {
         ASSERT_EQ(a.candidate_of(input), b.candidate_of(input))
             << "step " << step << " input " << input << " levels "
             << opt.levels << " priority " << use_priority;
       }
+      ASSERT_EQ(rng_state_hash(fast_one), rng_state_hash(scan_one))
+          << "step " << step << " levels " << opt.levels << " priority "
+          << use_priority << ": RNG streams diverged";
       grants += a.size();
     }
   }

@@ -106,6 +106,19 @@ TEST(ArbiterModel, SingleIterationVariantsAreFaster) {
             estimate_arbiter("pim", 8, 4, 16).critical_path_gates);
 }
 
+TEST(ArbiterModel, IterativeCriticalPathCostsTheSimulatorsBudget) {
+  // One grant and one accept encoder traversal per iteration, for exactly
+  // the iterations the simulator runs.
+  for (const char* name : {"islip", "pim", "islip1", "pim1"}) {
+    for (const std::uint32_t ports : {4u, 5u, 8u, 16u}) {
+      const double encoder = hw::priority_encoder(ports).critical_path_gates;
+      EXPECT_DOUBLE_EQ(estimate_arbiter(name, ports, 4, 16).critical_path_gates,
+                       2.0 * arbiter_iterations(name, ports) * encoder)
+          << name << " at " << ports << " ports";
+    }
+  }
+}
+
 TEST(ArbiterModel, EstimatesCompose) {
   const HardwareEstimate a{10.0, 2.0, true};
   const HardwareEstimate b{5.0, 3.0, false};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "arbiter_test_util.hpp"
+#include "mmr/arbiter/factory.hpp"
 #include "mmr/arbiter/islip.hpp"
 #include "mmr/arbiter/pim.hpp"
 #include "mmr/arbiter/verify.hpp"
@@ -8,9 +9,13 @@
 namespace mmr {
 namespace {
 
-TEST(Islip, DefaultIterationsAreLogarithmic) {
-  EXPECT_EQ(IslipArbiter(4).iterations(), 4u);   // bit_width(4)=3, +1
-  EXPECT_EQ(IslipArbiter(16).iterations(), 6u);  // bit_width(16)=5, +1
+TEST(Islip, FactoryBuildsAtTheRegisteredBudget) {
+  // The constructor takes the budget as given; make_arbiter passes the
+  // registered one (bit_width(P) + 1).
+  const auto islip = make_arbiter("islip", 16, Rng(1, 1));
+  EXPECT_EQ(dynamic_cast<const IslipArbiter&>(*islip).iterations(), 6u);
+  const auto islip1 = make_arbiter("islip1", 16, Rng(1, 1));
+  EXPECT_EQ(dynamic_cast<const IslipArbiter&>(*islip1).iterations(), 1u);
   EXPECT_EQ(IslipArbiter(8, 2).iterations(), 2u);
 }
 
@@ -19,7 +24,7 @@ TEST(Islip, PointerDesynchronisationUnderFullContention) {
   // pointers desynchronise and the contested output round-robins across
   // inputs — no input is served twice before the others are served once
   // (after the first rotation).
-  IslipArbiter arbiter(4);
+  IslipArbiter arbiter(4, arbiter_iterations("islip", 4));
   std::vector<int> wins(4, 0);
   for (int trial = 0; trial < 400; ++trial) {
     const CandidateSet set = test::contention_candidates(4, 0, 10);
@@ -56,13 +61,14 @@ TEST(Islip, PermutationGrantedInOneIteration) {
   EXPECT_EQ(arbiter.arbitrate(set).size(), 8u);
 }
 
-TEST(Pim, DefaultIterationsAreLogarithmic) {
-  EXPECT_EQ(PimArbiter(4, Rng(1, 1)).iterations(), 4u);
+TEST(Pim, FactoryBuildsAtTheRegisteredBudget) {
+  const auto pim = make_arbiter("pim", 4, Rng(1, 1));
+  EXPECT_EQ(dynamic_cast<const PimArbiter&>(*pim).iterations(), 4u);
   EXPECT_EQ(PimArbiter(8, Rng(1, 1), 3).iterations(), 3u);
 }
 
 TEST(Pim, GrantsAreRandomisedAcrossInputs) {
-  PimArbiter arbiter(4, Rng(0x99, 7));
+  PimArbiter arbiter(4, Rng(0x99, 7), arbiter_iterations("pim", 4));
   std::vector<int> wins(4, 0);
   for (int trial = 0; trial < 1000; ++trial) {
     const CandidateSet set = test::contention_candidates(4, 0, 10);
@@ -77,9 +83,9 @@ TEST(Pim, GrantsAreRandomisedAcrossInputs) {
 }
 
 TEST(Pim, ConvergesNearMaximalWithIterations) {
-  // With log+1 iterations PIM should almost always reach a maximal match on
-  // dense requests (statistical bound, not exact).
-  PimArbiter arbiter(8, Rng(0x77, 7));
+  // At the factory's budget PIM should almost always reach a maximal match
+  // on dense requests (statistical bound, not exact).
+  PimArbiter arbiter(8, Rng(0x77, 7), arbiter_iterations("pim", 8));
   Rng rng(0x53, 0);
   int maximal = 0;
   constexpr int kTrials = 300;

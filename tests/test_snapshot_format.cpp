@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "mmr/arbiter/factory.hpp"
 #include "mmr/arbiter/pim.hpp"
 #include "mmr/mmu/mmu.hpp"
 #include "mmr/sim/config.hpp"
@@ -316,8 +317,9 @@ TEST(SnapRngLane, TrafficSourceMidSequence) {
 
 TEST(SnapRngLane, PimArbiterMidSequence) {
   constexpr std::uint32_t kPorts = 8;
-  PimArbiter original(kPorts, Rng(0xA5, 7));
-  PimArbiter twin(kPorts, Rng(0xA5, 7));
+  const std::uint32_t iterations = arbiter_iterations("pim", kPorts);
+  PimArbiter original(kPorts, Rng(0xA5, 7), iterations);
+  PimArbiter twin(kPorts, Rng(0xA5, 7), iterations);
   Rng gen(0x600D, 0);
   for (int step = 0; step < 2'000; ++step) {
     const CandidateSet set = test::random_candidates(kPorts, 2, 0.6, gen);
@@ -329,7 +331,7 @@ TEST(SnapRngLane, PimArbiterMidSequence) {
   SaveWalker save(snap);
   save.section("pim");
   original.snap(save);
-  PimArbiter restored(kPorts, Rng(1, 1));
+  PimArbiter restored(kPorts, Rng(1, 1), iterations);
   LoadWalker load(snap);
   load.section("pim");
   restored.snap(load);

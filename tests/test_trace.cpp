@@ -338,16 +338,12 @@ void expect_bit_identical(const SimulationMetrics& off,
 
 // The determinism proof: arming a tracer must not perturb the simulation in
 // any way — golden-seed metrics are bit-identical with tracing on and off.
-// (The compiled-out case is covered by building with -DMMR_TRACE=OFF; the
-// macros never touch sim state, so it is the same code path as "off" here.)
 TEST(TraceDeterminism, TracedCbrRunIsBitIdentical) {
   const SimulationMetrics off = run_cbr_golden(nullptr);
   Tracer tracer(TraceSpec::parse("stream,limit:2000000"), tiny_meta());
   const SimulationMetrics on = run_cbr_golden(&tracer);
   expect_bit_identical(off, on);
-  if (trace::kCompiledIn) {
-    EXPECT_GT(tracer.emitted(), 0u);
-  }
+  EXPECT_GT(tracer.emitted(), 0u);
 }
 
 TEST(TraceDeterminism, TracedVbrRunIsBitIdentical) {
@@ -355,9 +351,7 @@ TEST(TraceDeterminism, TracedVbrRunIsBitIdentical) {
   Tracer tracer(TraceSpec::parse("flight,ring:1024"), tiny_meta());
   const SimulationMetrics on = run_vbr_golden(&tracer);
   expect_bit_identical(off, on);
-  if (trace::kCompiledIn) {
-    EXPECT_GT(tracer.emitted(), 0u);
-  }
+  EXPECT_GT(tracer.emitted(), 0u);
 }
 
 /// One tiny 2-port CBR run with every output configured; used by both the
@@ -402,8 +396,6 @@ TEST(TraceDeterminism, RepeatedRunsProduceByteIdenticalOutputs) {
 // Regenerate deliberately (after a reviewed schema change) with:
 //   MMR_REGEN_GOLDEN=1 ./test_trace --gtest_filter='*MatchesGoldenFile*'
 TEST(TraceGolden, TinyCbrRunMatchesGoldenFile) {
-  if (!trace::kCompiledIn)
-    GTEST_SKIP() << "tracing compiled out (-DMMR_TRACE=OFF)";
   (void)run_tiny_traced("golden");
   const std::string produced = read_file(tmp_path("golden.jsonl"));
   ASSERT_FALSE(produced.empty());

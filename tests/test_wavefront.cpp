@@ -5,6 +5,7 @@
 #include "arbiter_test_util.hpp"
 #include "mmr/arbiter/verify.hpp"
 #include "mmr/sim/time.hpp"
+#include "support/scan_arbiters.hpp"
 
 namespace mmr {
 namespace {
@@ -20,8 +21,9 @@ Candidate make_candidate(std::uint32_t input, std::uint32_t output,
 }
 
 // ---------------------------------------------------------------------------
-// Legacy fixed-corner engine ("wfa-fixed"): the corner bias the paper
-// measures, preserved exactly as the pre-rotation "wfa" behaved.
+// Fixed-corner wavefront ("wfa-fixed", the bitset engine with its corner
+// held at row 0): the corner bias the paper measures, preserved exactly as
+// the pre-rotation "wfa" behaved.
 
 TEST(FixedWaveFront, FavoursTopLeftCornerConsistently) {
   // With inputs 0 and 1 both requesting output 0, the cell closer to the
@@ -29,7 +31,7 @@ TEST(FixedWaveFront, FavoursTopLeftCornerConsistently) {
   // single time.  This positional bias is why the paper's WFA cannot honour
   // priorities, and (under sustained contention) why it starves high-index
   // inputs.
-  WaveFrontScanArbiter arbiter(4, /*rotate=*/false);
+  WaveFrontArbiter arbiter(4, /*rotate=*/false);
   for (int trial = 0; trial < 20; ++trial) {
     const CandidateSet set = test::contention_candidates(4, 0, 10);
     const Matching matching = arbiter.arbitrate(set);
@@ -40,7 +42,7 @@ TEST(FixedWaveFront, FavoursTopLeftCornerConsistently) {
 TEST(FixedWaveFront, IgnoresPriorities) {
   // Input 3 has a colossal priority but input 0 sits on the earlier
   // diagonal: input 0 still wins output 0.
-  WaveFrontScanArbiter arbiter(4, /*rotate=*/false);
+  WaveFrontArbiter arbiter(4, /*rotate=*/false);
   CandidateSet set(4, 1);
   set.add(make_candidate(0, 0, 0, 1));
   set.add(make_candidate(3, 0, 0, Priority{1} << 40));
@@ -57,7 +59,7 @@ TEST(FixedWaveFront, StarvesHighIndexInputBeyondQosDeadline) {
   // cycles this way.
   constexpr std::uint32_t kPorts = 4;
   const auto cycles = static_cast<int>(kQosDeadlineCycles) + 50;
-  WaveFrontScanArbiter arbiter(kPorts, /*rotate=*/false);
+  WaveFrontArbiter arbiter(kPorts, /*rotate=*/false);
   int wins_high = 0;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     const CandidateSet set = test::contention_candidates(kPorts, 0, 10);
@@ -71,7 +73,8 @@ TEST(FixedWaveFront, StarvesHighIndexInputBeyondQosDeadline) {
 }
 
 // ---------------------------------------------------------------------------
-// Default rotating-corner engine ("wfa") and its scan twin ("wfa-scan").
+// Default rotating-corner engine ("wfa"), and both corner policies against
+// the scan reference.
 
 TEST(WaveFrontArbiter, CornerRowRotatesEveryArbitration) {
   WaveFrontArbiter arbiter(4);
@@ -157,22 +160,36 @@ TEST(WaveFrontArbiter, FullRequestMatrixYieldsPerfectMatching) {
 }
 
 TEST(WaveFrontArbiter, BitsetMatchesScanTwinAcrossWidths) {
-  // The word-parallel engine must grant exactly as the rotating scan twin,
-  // including above 64 ports where request rows span multiple words.
-  for (const std::uint32_t ports : {3u, 16u, 64u, 65u, 128u}) {
-    WaveFrontArbiter bitset(ports);
-    WaveFrontScanArbiter scan(ports, /*rotate=*/true);
-    Rng rng(0xF00D, ports);
-    for (int trial = 0; trial < 40; ++trial) {
-      const CandidateSet set = test::random_candidates(ports, 3, 0.5, rng);
-      const Matching a = bitset.arbitrate(set);
-      const Matching b = scan.arbitrate(set);
-      for (std::uint32_t in = 0; in < ports; ++in) {
-        ASSERT_EQ(a.output_of(in), b.output_of(in))
-            << "ports=" << ports << " trial=" << trial << " input=" << in;
-        ASSERT_EQ(a.candidate_of(in), b.candidate_of(in));
+  // The word-parallel engine must grant exactly as the scan twin of the
+  // same corner policy, including above 64 ports where request rows span
+  // multiple words, and keep the same corner row.
+  for (const bool rotate : {true, false}) {
+    for (const std::uint32_t ports : {3u, 16u, 64u, 65u, 128u}) {
+      WaveFrontArbiter bitset(ports, rotate);
+      WaveFrontScanArbiter scan(ports, rotate);
+      Rng rng(0xF00D, ports);
+      for (int trial = 0; trial < 40; ++trial) {
+        const CandidateSet set = test::random_candidates(ports, 3, 0.5, rng);
+        const Matching a = bitset.arbitrate(set);
+        const Matching b = scan.arbitrate(set);
+        for (std::uint32_t in = 0; in < ports; ++in) {
+          ASSERT_EQ(a.output_of(in), b.output_of(in))
+              << "rotate=" << rotate << " ports=" << ports
+              << " trial=" << trial << " input=" << in;
+          ASSERT_EQ(a.candidate_of(in), b.candidate_of(in));
+        }
+        ASSERT_EQ(bitset.next_corner_row(), scan.next_corner_row());
       }
     }
+  }
+}
+
+TEST(FixedWaveFront, CornerStaysAtRowZero) {
+  WaveFrontArbiter arbiter(4, /*rotate=*/false);
+  EXPECT_STREQ(arbiter.name(), "wfa-fixed");
+  for (int i = 0; i < 5; ++i) {
+    (void)arbiter.arbitrate(CandidateSet(4, 1));
+    EXPECT_EQ(arbiter.next_corner_row(), 0u);
   }
 }
 
