@@ -6,7 +6,8 @@
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"loads", "arbiters", "threads"});
   if (args.loads.empty()) args.loads = {0.60, 0.75, 0.85};
   const std::vector<std::uint32_t> depths = {1, 2, 4, 8};
 

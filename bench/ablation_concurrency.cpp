@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args = bench::parse_args(argc, argv, {"arbiters"});
   const std::vector<double> factors = {1.0, 1.5, 2.0, 3.0, 5.0};
   const double offered = 1.2;  // more than admission can ever accept
 
@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
     const std::size_t connections = workload.size();
     const double admitted_load =
         workload.generated_load(config.time_base());
-    MmrSimulation simulation(config, std::move(workload));
-    const SimulationMetrics metrics = simulation.run();
+    const SimulationMetrics metrics = run_or_exit(config, std::move(workload));
     table.add_row(
         {AsciiTable::num(factor, 1), std::to_string(connections),
          AsciiTable::num(admitted_load * 100, 1),

@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args = bench::parse_args(argc, argv, {"loads", "threads"});
   if (args.loads.empty()) args.loads = {0.60, 0.75, 0.85};
   const std::vector<PriorityScheme> schemes = {
       PriorityScheme::kSiabp, PriorityScheme::kIabp, PriorityScheme::kFifoAge,

@@ -5,82 +5,55 @@
 // failure is shrunk and dumped as a replayable spec.  `twins` additionally
 // replays every runtime arbiter against its scan reference (the twin table
 // in tests/support) over the same case corpus and demands bit-identical
-// grants.  `ports` accepts a
-// comma-separated list; the invariant audit and the twin diff run at every
-// listed width.  Exit status 0 only on a clean soak, so scripts/check.sh and
-// CI can gate on it.
+// grants.  `ports` accepts a comma-separated list; the invariant audit and
+// the twin diff run at every listed width.  `arbiter=` repeats (default:
+// every registered arbiter).  Exit status 0 only on a clean soak, so
+// scripts/check.sh and CI can gate on it.
 
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "mmr/snapshot/signals.hpp"
 #include "support/audit/harness.hpp"
 
-namespace {
-
-std::vector<std::uint32_t> parse_ports_list(const std::string& text) {
-  std::vector<std::uint32_t> ports;
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty())
-      ports.push_back(static_cast<std::uint32_t>(std::stoul(item)));
-  }
-  return ports;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace mmr;
   using namespace mmr::audit;
-  AuditOptions options;
-  options.seeds = 1000;
-  std::vector<std::uint32_t> ports_list = {4};
-  bool twins = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eat = [&](const char* key) -> const char* {
-      const std::string prefix = std::string(key) + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
-                                       : nullptr;
-    };
-    const char* v = nullptr;
-    if ((v = eat("seeds")) != nullptr) {
-      options.seeds = static_cast<std::uint32_t>(std::stoul(v));
-    } else if ((v = eat("ports")) != nullptr) {
-      ports_list = parse_ports_list(v);
-      if (ports_list.empty()) {
-        std::cerr << "ports= needs a comma-separated list of widths\n";
-        return 2;
-      }
-    } else if ((v = eat("levels")) != nullptr) {
-      options.levels = static_cast<std::uint32_t>(std::stoul(v));
-    } else if ((v = eat("steps")) != nullptr) {
-      options.steps = static_cast<std::uint32_t>(std::stoul(v));
-    } else if ((v = eat("seed_base")) != nullptr) {
-      options.seed_base = std::stoull(v);
-    } else if ((v = eat("arbiter")) != nullptr) {
-      options.arbiters.push_back(v);
-    } else if (arg == "twins") {
-      twins = true;
-    } else {
-      std::cerr << "usage: audit_soak [seeds=N] [ports=N[,N...]] [levels=N] "
-                   "[steps=N] [seed_base=N] [arbiter=name ...] [twins]\n";
-      return 2;
-    }
-  }
+  struct Options {
+    AuditOptions audit;
+    std::vector<std::uint32_t> ports = {4};
+    bool twins = false;
+  } options;
+  options.audit.seeds = 1000;
+  using O = Options;
+  using A = AuditOptions;
+  const spec::Grammar grammar{
+      "audit_soak", '=',
+      {bench::seeds<&O::audit, &A::seeds>(), bench::ports<&O::ports>(),
+       spec::bind<&O::audit, &A::levels>(
+           {.name = "levels", .lo = 1, .hi = kMaxCandidateLevels}),
+       spec::bind<&O::audit, &A::steps>({.name = "steps", .lo = 1}),
+       spec::bind<&O::audit, &A::seed_base>({.name = "seed_base"}),
+       spec::bind<&O::audit, &A::arbiters>(
+           {.name = "arbiter",
+            .words = bench::arbiter_words(),
+            .repeat = true}),
+       spec::bind<&O::twins>({.name = "twins"})}};
+  spec::parse_command_line(grammar, &options, argc, argv);
+  auto& [audit, ports_list, twins] = options;
 
   std::ostringstream ports_text;
   for (std::size_t i = 0; i < ports_list.size(); ++i)
     ports_text << (i == 0 ? "" : ",") << ports_list[i];
 
   std::cout << "==== Differential arbiter audit soak ====\n"
-            << "seeds per (arbiter, profile): " << options.seeds
+            << "seeds per (arbiter, profile): " << audit.seeds
             << ", ports: " << ports_text.str()
-            << ", levels: " << options.levels
-            << ", steps per case: " << options.steps
+            << ", levels: " << audit.levels
+            << ", steps per case: " << audit.steps
             << (twins ? ", twin bit-identity diff: on" : "") << "\n\n";
 
   // SIGINT/SIGTERM stop the soak at the next ports-width boundary with the
@@ -96,8 +69,8 @@ int main(int argc, char** argv) {
   for (const std::uint32_t ports : ports_list) {
     if (const int sig = mmr::snapshot::SignalGuard::consume())
       return interrupted(sig);
-    options.ports = ports;
-    const AuditReport report = run_audit(options);
+    audit.ports = ports;
+    const AuditReport report = run_audit(audit);
     std::cout << "[ports=" << ports << "] " << report.summary();
     if (!report.clean()) {
       clean = false;
@@ -111,11 +84,11 @@ int main(int argc, char** argv) {
     if (const int sig = mmr::snapshot::SignalGuard::consume())
       return interrupted(sig);
     TwinDiffOptions diff;
-    diff.seed_base = options.seed_base;
-    diff.seeds = options.seeds;
+    diff.seed_base = audit.seed_base;
+    diff.seeds = audit.seeds;
     diff.ports = ports_list;
-    diff.levels = {options.levels};
-    diff.steps = options.steps;
+    diff.levels = {audit.levels};
+    diff.steps = audit.steps;
     const TwinDiffReport report = run_twin_diff(diff);
     std::cout << report.summary();
     if (!report.clean()) {

@@ -1,68 +1,91 @@
-// Shared plumbing for the paper-reproduction bench binaries.
+// Shared plumbing for the bench binaries.
 //
-// Every bench accepts `key=value` arguments: SimConfig keys (see
-// src/mmr/sim/config.hpp) plus the bench keys
-//   loads=0.1,0.3,...   sweep points (fractions)
-//   arbiters=coa,wfa    arbiters to compare
-//   threads=N           parallel sweep workers (0 = hardware)
-//   full=1              paper-scale cycle counts (also via MMR_FULL=1)
+// Every bench reads its command line with one spec::parse_command_line
+// call, through a grammar of exactly the keys it reads (README "Spec
+// reference" lists them); the rows below are the ones several mains share.
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
+#include <initializer_list>
 #include <iostream>
-#include <sstream>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "mmr/arbiter/factory.hpp"
 #include "mmr/core/experiment.hpp"
 #include "mmr/core/report.hpp"
 #include "mmr/core/simulation.hpp"
+#include "mmr/sim/assert.hpp"
+#include "mmr/sim/spec_parser.hpp"
+#include "mmr/sim/thread_pool.hpp"
 
 namespace mmr::bench {
 
+/// The registered arbiter names, as the words an `arbiters=` element takes.
+inline spec::Words arbiter_words() {
+  static const std::vector<const char*> words = [] {
+    std::vector<const char*> out;
+    for (const std::string& name : arbiter_names()) out.push_back(name.c_str());
+    return out;
+  }();
+  return words;
+}
+
+// The shared rows, bound to the main's own field (`F...` as in spec::bind).
+template <auto... F>
+spec::Key loads() {  ///< sweep points, fractions of link bandwidth
+  return spec::bind<F...>({.name = "loads", .dlo = spec::kPositive});
+}
+template <auto... F>
+spec::Key arbiters() {
+  return spec::bind<F...>({.name = "arbiters", .words = arbiter_words()});
+}
+template <auto... F>
+spec::Key threads(std::uint64_t lo = 0) {  ///< 0: hardware concurrency
+  return spec::bind<F...>({.name = "threads", .lo = lo, .hi = kMaxThreads});
+}
+template <auto... F>
+spec::Key full() { return spec::bind<F...>({.name = "full"}); }
+template <auto... F>
+spec::Key seeds() { return spec::bind<F...>({.name = "seeds", .lo = 1}); }
+template <auto... F>
+spec::Key ports(const char* name = "ports") {
+  return spec::bind<F...>({.name = name, .lo = 2, .hi = kMaxPorts});
+}
+
+/// A sweep bench's keys.
 struct BenchArgs {
-  std::vector<double> loads;
+  std::vector<double> loads;  ///< empty: the bench's own sweep points
   std::vector<std::string> arbiters = {"coa", "wfa"};
   std::size_t threads = 0;
-  bool full = false;
+  bool full = std::getenv("MMR_FULL") != nullptr &&
+              std::string_view(std::getenv("MMR_FULL")) == "1";
+  std::uint32_t routers = 4;  ///< ring size
   std::vector<std::string> config_overrides;
 };
 
-inline std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::istringstream in(text);
-  std::string part;
-  while (std::getline(in, part, sep)) parts.push_back(part);
-  return parts;
-}
-
-inline BenchArgs parse_args(int argc, char** argv) {
+/// Parses a sweep bench's command line through a grammar named after the
+/// binary: the BenchArgs rows named in `keys`, plus `full` (apply_run_scale
+/// reads it); every other token is a SimConfig override.
+inline BenchArgs parse_args(int argc, char** argv,
+                            std::initializer_list<std::string_view> keys) {
+  using A = BenchArgs;
+  static const std::vector<spec::Key> rows = {
+      loads<&A::loads>(), arbiters<&A::arbiters>(), threads<&A::threads>(),
+      spec::bind<&A::routers>({.name = "routers", .lo = 2}), full<&A::full>()};
+  const char* name = argc > 0 ? argv[0] : "bench";
+  if (const char* slash = std::strrchr(name, '/')) name = slash + 1;
+  spec::Grammar grammar{name, '=', {}};
+  for (const spec::Key& row : rows)
+    if (row.name == std::string_view("full") ||
+        std::find(keys.begin(), keys.end(), row.name) != keys.end())
+      grammar.keys.push_back(row);
+  MMR_ASSERT_MSG(grammar.keys.size() == keys.size() + 1, "unknown bench key");
   BenchArgs args;
-  if (const char* env = std::getenv("MMR_FULL");
-      env != nullptr && std::string(env) == "1") {
-    args.full = true;
-  }
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "loads") {
-      args.loads.clear();
-      for (const std::string& part : split(value, ',')) {
-        args.loads.push_back(std::stod(part));
-      }
-    } else if (key == "arbiters") {
-      args.arbiters = split(value, ',');
-    } else if (key == "threads") {
-      args.threads = std::stoul(value);
-    } else if (key == "full") {
-      args.full = value != "0";
-    } else {
-      args.config_overrides.push_back(arg);
-    }
-  }
+  spec::parse_command_line(grammar, &args, argc, argv, &args.config_overrides);
   return args;
 }
 
@@ -72,13 +95,7 @@ inline void apply_run_scale(SimConfig& config, const BenchArgs& args,
                             Cycle quick_measure, Cycle full_measure) {
   config.warmup_cycles = args.full ? 50'000 : 20'000;
   config.measure_cycles = args.full ? full_measure : quick_measure;
-  try {
-    apply_overrides(config, args.config_overrides);
-    validate_specs(config);
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    std::exit(1);
-  }
+  configure(config, args.config_overrides);
 }
 
 inline void print_header(const std::string& title, const SweepSpec& spec,

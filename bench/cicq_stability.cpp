@@ -49,7 +49,7 @@ mmr::Workload bursty_workload(const mmr::SimConfig& config) {
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args = bench::parse_args(argc, argv, {});
 
   snapshot::SignalGuard signals;
 

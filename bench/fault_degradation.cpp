@@ -6,10 +6,9 @@
 // percentiles, QoS-violation rates during vs outside the fault windows, and
 // per-class survival.
 //
-// Extra keys on top of the usual bench args:
-//   fault=SPEC      fault plan (default: drop:2e-4,corrupt:1e-4,
-//                   credit_loss:1e-4 plus one outage window per run)
-//   routers=N       ring size (default 4)
+// Keys: loads= arbiters= full= (bench_util.hpp), routers=N (ring size,
+// default 4), and SimConfig overrides; without a fault= override the plan
+// is drop:2e-4,corrupt:1e-4,credit_loss:1e-4 plus one outage window.
 
 #include <iostream>
 
@@ -18,49 +17,35 @@
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"loads", "arbiters", "routers"});
   if (args.loads.empty()) {
     args.loads = args.full ? std::vector<double>{0.30, 0.45, 0.60}
                            : std::vector<double>{0.40};
   }
-  std::uint32_t routers = 4;
-  std::string fault_spec;
-  for (const std::string& kv : args.config_overrides) {
-    if (kv.rfind("routers=", 0) == 0) {
-      routers = static_cast<std::uint32_t>(std::stoul(kv.substr(8)));
-    }
-    if (kv.rfind("fault=", 0) == 0) fault_spec = kv.substr(6);
-  }
-  std::erase_if(args.config_overrides, [](const std::string& kv) {
-    return kv.rfind("routers=", 0) == 0 || kv.rfind("fault=", 0) == 0;
-  });
-
   SimConfig base;
   bench::apply_run_scale(base, args, /*quick=*/120'000, /*full=*/500'000);
 
-  const NetworkTopology ring =
-      NetworkTopology::bidirectional_ring(routers, base.ports);
-  std::cout << "==== Fault injection: " << routers
+  const NetworkTopology ring = spec::or_exit([&] {
+    return NetworkTopology::bidirectional_ring(args.routers, base.ports);
+  });
+  std::cout << "==== Fault injection: " << args.routers
             << "-router ring under a deterministic fault plan ====\n"
             << "cycles: " << base.warmup_cycles << " warmup + "
             << base.measure_cycles << " measured\n";
 
   // One outage window in the middle of the measurement phase plus light
   // stochastic losses everywhere, unless the caller provided a spec.
-  if (fault_spec.empty()) {
+  if (base.fault_spec.empty()) {
     const Cycle down_at = base.warmup_cycles + base.measure_cycles / 3;
     const Cycle up_at = down_at + base.measure_cycles / 6;
-    fault_spec = "drop:2e-4,corrupt:1e-4,credit_loss:1e-4,down:0:" +
+    base.fault_spec = "drop:2e-4,corrupt:1e-4,credit_loss:1e-4,down:0:" +
                  std::to_string(down_at) + ":" + std::to_string(up_at);
   }
-  try {
-    // Fail fast on a bad fault= spec, channels included.
-    FaultPlan::parse(fault_spec).validate(ring.channels());
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
-  std::cout << "fault plan: " << fault_spec << "\n\n";
+  // Fail fast on a fault= window off the ring.
+  spec::or_exit(
+      [&] { FaultPlan::parse(base.fault_spec).validate(ring.channels()); });
+  std::cout << "fault plan: " << base.fault_spec << "\n\n";
 
   AsciiTable table({"load %", "arbiter", "delivered %", "dropped", "corrupted",
                     "cred lost/healed", "teardown/reroute/readmit",
@@ -71,7 +56,6 @@ int main(int argc, char** argv) {
     for (const std::string& arbiter : args.arbiters) {
       SimConfig config = base;
       config.arbiter = arbiter;
-      config.fault_spec = fault_spec;
       // Identical workload per arbiter: the comparison isolates scheduling.
       Rng rng(config.seed, 0xFA0 + static_cast<std::uint64_t>(load * 1000));
       CbrMixSpec spec;
@@ -80,8 +64,7 @@ int main(int argc, char** argv) {
       spec.class_weights = {1.0, 1.0, 1.0};
       Workload workload(ring);
       add_cbr_mix(workload, config, spec, rng);
-      MmrSimulation simulation(config, std::move(workload));
-      const SimulationMetrics m = simulation.run();
+      const SimulationMetrics m = run_or_exit(config, std::move(workload));
       const DegradationMetrics& deg = m.degradation;
       table.add_row(
           {AsciiTable::num(load * 100, 0), arbiter,

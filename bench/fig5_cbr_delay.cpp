@@ -10,7 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"loads", "arbiters", "threads"});
   if (args.loads.empty()) {
     args.loads = args.full
                      ? std::vector<double>{0.10, 0.20, 0.30, 0.40, 0.50, 0.60,

@@ -5,20 +5,31 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "mmr/sim/csv.hpp"
 #include "mmr/sim/rng.hpp"
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/traffic/mpeg.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  std::string sequence = "Flower Garden";
-  std::uint32_t gops = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("sequence=", 0) == 0) sequence = arg.substr(9);
-    if (arg.rfind("gops=", 0) == 0) gops = static_cast<std::uint32_t>(std::stoul(arg.substr(5)));
-  }
+  struct Options {
+    std::string sequence = "Flower Garden";
+    std::uint32_t gops = 4;
+  } options;
+  static const std::vector<const char*> sequences = [] {
+    std::vector<const char*> names;
+    for (const MpegSequenceParams& seq : mpeg_sequence_library())
+      names.push_back(seq.name.c_str());
+    return names;
+  }();
+  const spec::Grammar grammar{
+      "fig6_trace_profile", '=',
+      {spec::bind<&Options::sequence>({.name = "sequence", .words = sequences}),
+       spec::bind<&Options::gops>({.name = "gops", .lo = 1})}};
+  spec::parse_command_line(grammar, &options, argc, argv);
+  const auto& [sequence, gops] = options;
 
   Rng rng(0x5EED, 0xF16);
   const MpegTrace trace =

@@ -8,6 +8,7 @@
 
 #include "mmr/sim/config.hpp"
 #include "mmr/sim/rng.hpp"
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/traffic/vbr.hpp"
 
 namespace {
@@ -45,8 +46,10 @@ void render_model(const mmr::MpegTrace& trace, mmr::InjectionModel model,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mmr;
+  spec::parse_command_line({"fig7_injection_models", '=', {}}, nullptr, argc,
+                           argv);
   const SimConfig config;
   const TimeBase time_base = config.time_base();
 

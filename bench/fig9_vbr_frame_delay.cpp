@@ -11,7 +11,8 @@
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"loads", "arbiters", "threads"});
   if (args.loads.empty()) {
     args.loads = args.full ? std::vector<double>{0.40, 0.50, 0.60, 0.65, 0.70,
                                                  0.75, 0.78, 0.80, 0.85}

@@ -7,10 +7,12 @@
 
 #include "mmr/arbiter/factory.hpp"
 #include "mmr/arbiter/hardware_model.hpp"
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/sim/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mmr;
+  spec::parse_command_line({"hardware_cost", '=', {}}, nullptr, argc, argv);
   constexpr std::uint32_t kLevels = 4;
   constexpr std::uint32_t kPriorityBits = 16;
   const std::vector<std::uint32_t> port_counts = {4, 8, 16, 32};

@@ -46,7 +46,7 @@ mmr::Workload incast_workload(const mmr::SimConfig& config, double hot_load) {
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args = bench::parse_args(argc, argv, {"arbiters"});
 
   // Ctrl-C / SIGTERM: finish nothing mid-write.  Between runs the pending
   // flag is polled; mid-run a `snap=` override makes the managed loop write

@@ -9,7 +9,8 @@
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"loads", "arbiters", "threads"});
   if (args.loads.empty()) {
     args.loads = args.full
                      ? std::vector<double>{0.30, 0.45, 0.60, 0.70, 0.75}

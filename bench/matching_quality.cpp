@@ -12,6 +12,7 @@
 #include "mmr/arbiter/maxmatch.hpp"
 #include "mmr/arbiter/verify.hpp"
 #include "mmr/sim/rng.hpp"
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/sim/table.hpp"
 
 namespace {
@@ -43,11 +44,12 @@ mmr::CandidateSet random_candidates(std::uint32_t ports, std::uint32_t levels,
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  std::uint32_t trials = 2000;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("trials=", 0) == 0) trials = static_cast<std::uint32_t>(std::stoul(arg.substr(7)));
-  }
+  struct Options { std::uint32_t trials = 2000; } options;
+  const spec::Grammar grammar{
+      "matching_quality", '=',
+      {spec::bind<&Options::trials>({.name = "trials", .lo = 1})}};
+  spec::parse_command_line(grammar, &options, argc, argv);
+  const std::uint32_t trials = options.trials;
 
   std::cout << "==== Matching quality: mean matching size / maximum matching "
                "====\n"

@@ -12,33 +12,21 @@
 #include <iostream>
 #include <string>
 
+#include "bench_util.hpp"
 #include "mmr/core/simulation.hpp"
 #include "mmr/snapshot/signals.hpp"
 #include "mmr/snapshot/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  std::uint32_t seeds = 200;
-  std::string snap_spec;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("seeds=", 0) == 0) {
-      seeds = static_cast<std::uint32_t>(std::stoul(arg.substr(6)));
-    } else if (arg.rfind("snap=", 0) == 0) {
-      snap_spec = arg.substr(5);
-    } else {
-      std::cerr << "usage: mmu_soak [seeds=N] [snap=SPEC]\n";
-      return 2;
-    }
-  }
-  if (!snap_spec.empty()) {
-    try {
-      (void)snapshot::SnapSpec::parse(snap_spec);  // fail fast on bad grammar
-    } catch (const std::exception& error) {
-      std::cerr << "error: " << error.what() << '\n';
-      return 2;
-    }
-  }
+  struct Options { std::uint32_t seeds = 200; std::string snap; } options;
+  const spec::Grammar grammar{"mmu_soak", '=',
+                              {bench::seeds<&Options::seeds>(),
+                               spec::bind<&Options::snap>({.name = "snap"})}};
+  spec::parse_command_line(grammar, &options, argc, argv);
+  const auto& [seeds, snap_spec] = options;
+  if (!snap_spec.empty())  // fail fast on bad grammar
+    spec::or_exit([&] { (void)snapshot::SnapSpec::parse(snap_spec); });
 
   // A soak is exactly the run one wants to stop cleanly: poll for
   // SIGINT/SIGTERM between seeds so a partial soak still reports its

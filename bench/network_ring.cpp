@@ -3,53 +3,29 @@
 // hosts on different routers; the COA-vs-WFA comparison is repeated with
 // multi-hop paths and hop-by-hop credit flow control.
 
-#include <exception>
 #include <iostream>
 
 #include "bench_util.hpp"
 #include "mmr/core/simulation.hpp"
 
-namespace {
-int run_bench(int argc, char** argv);
-}
-
-// Topology/config validation throws (degenerate `routers=`, conflicting
-// `flow=shared`, ...); surface those as a clean diagnostic + exit 1 rather
-// than an uncaught-exception abort.
 int main(int argc, char** argv) {
-  try {
-    return run_bench(argc, argv);
-  } catch (const std::exception& error) {
-    const std::string what = error.what();
-    std::cerr << (what.rfind("error:", 0) == 0 ? "" : "error: ") << what
-              << '\n';
-    return 1;
-  }
-}
-
-namespace {
-int run_bench(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"loads", "arbiters", "routers"});
   if (args.loads.empty()) {
     args.loads = args.full
                      ? std::vector<double>{0.30, 0.45, 0.60, 0.70, 0.80, 0.90}
                      : std::vector<double>{0.40, 0.60, 0.80};
   }
-  std::uint32_t routers = 4;
-  for (const std::string& kv : args.config_overrides) {
-    if (kv.rfind("routers=", 0) == 0) routers = static_cast<std::uint32_t>(std::stoul(kv.substr(8)));
-  }
-  std::erase_if(args.config_overrides, [](const std::string& kv) {
-    return kv.rfind("routers=", 0) == 0;
-  });
 
   SimConfig base;
   bench::apply_run_scale(base, args, /*quick=*/120'000, /*full=*/500'000);
 
-  const NetworkTopology ring =
-      NetworkTopology::bidirectional_ring(routers, base.ports);
-  std::cout << "==== Network extension: " << routers
+  // A ring router needs >= 3 ports: a smaller ports= override throws.
+  const NetworkTopology ring = spec::or_exit([&] {
+    return NetworkTopology::bidirectional_ring(args.routers, base.ports);
+  });
+  std::cout << "==== Network extension: " << args.routers
             << "-router bidirectional ring of " << base.ports << "x"
             << base.ports << " MMRs ====\n"
             << "Per router: 2 channel ports, " << base.ports - 2
@@ -82,8 +58,7 @@ int run_bench(int argc, char** argv) {
       spec.target_load = load;
       Workload workload(ring);
       add_cbr_mix(workload, config, spec, rng);
-      MmrSimulation simulation(config, std::move(workload));
-      row.push_back(simulation.run());
+      row.push_back(run_or_exit(config, std::move(workload)));
     }
     std::vector<std::string> cells = {AsciiTable::num(load * 100, 0)};
     for (const SimulationMetrics& m : row) {
@@ -133,8 +108,7 @@ int run_bench(int argc, char** argv) {
       spec.trace_gops = 6;
       Workload workload(ring);
       add_vbr_mix(workload, config, spec, rng);
-      MmrSimulation simulation(config, std::move(workload));
-      const SimulationMetrics m = simulation.run();
+      const SimulationMetrics m = run_or_exit(config, std::move(workload));
       vbr_table.add_row(
           {AsciiTable::num(load * 100, 0), arbiter,
            AsciiTable::num(m.frame_delay_us.mean(), 1),
@@ -150,4 +124,3 @@ int run_bench(int argc, char** argv) {
   std::cout << vbr_table.render();
   return 0;
 }
-}  // namespace

@@ -9,8 +9,8 @@
 // Arguments (key=value):
 //   mode=smoke|quick|full  run scale (smoke: 64 routers only; quick adds
 //                          256; full adds 1024 and the fat-tree)
-//   threads=N              sharded engine width (default: hardware;
-//                          promoted to >= 2 so the parallel engine runs)
+//   threads=N              sharded engine width, 2..4096 (default:
+//                          hardware, at least 2, so the parallel engine runs)
 //   out=PATH               BENCH_network.json destination (default:
 //                          BENCH_network.json in the cwd)
 //   plus any SimConfig key (ports=, vcs=, seed=, ...)
@@ -41,27 +41,6 @@ struct ScaleArgs {
   std::uint32_t threads = std::max(2u, std::thread::hardware_concurrency());
   std::vector<std::string> config_overrides;
 };
-
-ScaleArgs parse(int argc, char** argv) {
-  ScaleArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "mode") {
-      args.mode = value;
-    } else if (key == "out") {
-      args.out = value;
-    } else if (key == "threads") {
-      args.threads =
-          std::max(2u, static_cast<std::uint32_t>(std::stoul(value)));
-    } else {
-      args.config_overrides.push_back(arg);
-    }
-  }
-  return args;
-}
 
 /// One timed run; returns the perf record and reports the wall rate.
 perf::PerfRecord timed_run(const SimConfig& base, const Fabric& fabric,
@@ -104,7 +83,14 @@ double rate(const perf::PerfRecord& record) {
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  const ScaleArgs args = parse(argc, argv);
+  ScaleArgs args;
+  static constexpr const char* kModes[] = {"smoke", "quick", "full"};
+  const spec::Grammar grammar{
+      "network_scale", '=',
+      {spec::bind<&ScaleArgs::mode>({.name = "mode", .words = kModes}),
+       spec::bind<&ScaleArgs::out>({.name = "out"}),
+       bench::threads<&ScaleArgs::threads>(2)}};
+  spec::parse_command_line(grammar, &args, argc, argv, &args.config_overrides);
 
   SimConfig base;
   base.ports = 5;
@@ -119,13 +105,7 @@ int main(int argc, char** argv) {
     base.warmup_cycles = 500;
     base.measure_cycles = 2'000;
   }
-  try {
-    apply_overrides(base, args.config_overrides);
-    validate_specs(base);
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  configure(base, args.config_overrides);
 
   std::vector<Fabric> fabrics;
   fabrics.push_back({"torus64", NetworkTopology::torus2d(8, 8, base.ports)});

@@ -5,7 +5,7 @@
 //
 // Arguments (key=value):
 //   seeds=N     seeds per fabric (default 50)
-//   threads=N   sharded width (default: hardware; 1 is promoted to 2 so
+//   threads=N   sharded width, 2..4096 (default: hardware, at least 2, so
 //               the parallel engine actually runs)
 //   big=1       append a single-seed 1024-router torus leg (the ISSUE 9
 //               acceptance fabric; short run, still hash-exact)
@@ -26,32 +26,11 @@ namespace mmr {
 namespace {
 
 struct SoakArgs {
-  std::uint64_t seeds = 50;
+  std::uint32_t seeds = 50;
   std::uint32_t threads = std::max(2u, std::thread::hardware_concurrency());
   bool big = false;
   std::vector<std::string> config_overrides;
 };
-
-SoakArgs parse(int argc, char** argv) {
-  SoakArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "seeds") {
-      args.seeds = std::stoull(value);
-    } else if (key == "threads") {
-      args.threads = std::max(
-          2u, static_cast<std::uint32_t>(std::stoul(value)));
-    } else if (key == "big") {
-      args.big = value != "0";
-    } else {
-      args.config_overrides.push_back(arg);
-    }
-  }
-  return args;
-}
 
 struct RunOutcome {
   std::uint64_t hash = 0;
@@ -102,20 +81,19 @@ bool check_pair(const std::string& fabric, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  const SoakArgs args = parse(argc, argv);
+  SoakArgs args;
+  const spec::Grammar grammar{
+      "network_scale_soak", '=',
+      {bench::seeds<&SoakArgs::seeds>(), bench::threads<&SoakArgs::threads>(2),
+       spec::bind<&SoakArgs::big>({.name = "big"})}};
+  spec::parse_command_line(grammar, &args, argc, argv, &args.config_overrides);
 
   SimConfig base;
   base.ports = 5;
   base.vcs_per_link = 32;
   base.warmup_cycles = 200;
   base.measure_cycles = 800;
-  try {
-    apply_overrides(base, args.config_overrides);
-    validate_specs(base);
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  configure(base, args.config_overrides);
 
   std::cout << "==== network shard equivalence soak: " << args.seeds
             << " seeds x {torus 4x4, fat-tree k=4}, serial vs "

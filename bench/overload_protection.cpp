@@ -32,7 +32,7 @@ struct Scenario {
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args = bench::parse_args(argc, argv, {"arbiters"});
 
   SimConfig base;
   bench::apply_run_scale(base, args, /*quick=*/100'000, /*full=*/400'000);
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
       Rng rng(config.seed, 1);
       CbrMixSpec mix;
       mix.target_load = qos_load;
-      MmrSimulation simulation(config, build_cbr_mix(config, mix, rng));
-      const SimulationMetrics m = simulation.run();
+      const SimulationMetrics m =
+          run_or_exit(config, build_cbr_mix(config, mix, rng));
       const OverloadMetrics& o = m.overload;
 
       table.add_row(

@@ -13,20 +13,16 @@
 #include <iostream>
 #include <string>
 
+#include "bench_util.hpp"
 #include "mmr/core/simulation.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  std::uint32_t seeds = 200;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("seeds=", 0) == 0) {
-      seeds = static_cast<std::uint32_t>(std::stoul(arg.substr(6)));
-    } else {
-      std::cerr << "usage: overload_soak [seeds=N]\n";
-      return 2;
-    }
-  }
+  struct Options { std::uint32_t seeds = 200; } options;
+  const spec::Grammar grammar{"overload_soak", '=',
+                              {bench::seeds<&Options::seeds>()}};
+  spec::parse_command_line(grammar, &options, argc, argv);
+  const std::uint32_t seeds = options.seeds;
 
   const char* policies[3] = {"drop", "shape,penalty:48", "demote"};
   const char* arbiters[2] = {"coa", "wfa"};

@@ -55,46 +55,6 @@ struct PerfBenchArgs {
   std::size_t threads = 0;
 };
 
-PerfBenchArgs parse(int argc, char** argv) {
-  PerfBenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "out") {
-      args.out = value;
-    } else if (key == "mode") {
-      args.mode = value;
-    } else if (key == "arbiters") {
-      args.arbiters = bench::split(value, ',');
-    } else if (key == "ports") {
-      args.ports.clear();
-      for (const std::string& part : bench::split(value, ',')) {
-        args.ports.push_back(
-            static_cast<std::uint32_t>(std::stoul(part)));
-      }
-    } else if (key == "micro_ports") {
-      args.micro_ports.clear();
-      for (const std::string& part : bench::split(value, ',')) {
-        args.micro_ports.push_back(
-            static_cast<std::uint32_t>(std::stoul(part)));
-      }
-    } else if (key == "threads") {
-      args.threads = std::stoul(value);
-    } else {
-      std::cerr << "unknown argument '" << arg << "'\n";
-      std::exit(2);
-    }
-  }
-  if (args.mode != "quick" && args.mode != "full" && args.mode != "smoke") {
-    std::cerr << "mode must be quick|full|smoke, got '" << args.mode << "'\n";
-    std::exit(2);
-  }
-  return args;
-}
-
 struct RunScale {
   Cycle warmup;
   Cycle measure;
@@ -256,7 +216,17 @@ perf::PerfRecord sweep_record(const PerfBenchArgs& args,
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  const PerfBenchArgs args = parse(argc, argv);
+  PerfBenchArgs args;
+  using A = PerfBenchArgs;
+  static constexpr const char* kModes[] = {"quick", "full", "smoke"};
+  const spec::Grammar grammar{
+      "perf_baseline", '=',
+      {spec::bind<&A::out>({.name = "out"}),
+       spec::bind<&A::mode>({.name = "mode", .words = kModes}),
+       bench::arbiters<&A::arbiters>(), bench::ports<&A::ports>(),
+       bench::ports<&A::micro_ports>("micro_ports"),
+       bench::threads<&A::threads>()}};
+  spec::parse_command_line(grammar, &args, argc, argv);
   const RunScale scale = scale_for(args.mode);
 
   std::cout << "==== perf baseline (" << args.mode << ") ====\n";

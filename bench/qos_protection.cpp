@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  bench::BenchArgs args = bench::parse_args(argc, argv);
+  bench::BenchArgs args = bench::parse_args(argc, argv, {"arbiters"});
   const double qos_load = 0.5;
   const std::vector<double> be_loads =
       args.full ? std::vector<double>{0.0, 0.1, 0.2, 0.3, 0.4, 0.5}
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
         be.connections_per_link = 6;
         add_best_effort(workload, config, be, rng);
       }
-      MmrSimulation simulation(config, std::move(workload));
-      const SimulationMetrics metrics = simulation.run();
+      const SimulationMetrics metrics =
+          run_or_exit(config, std::move(workload));
       const auto delay = [&metrics](const char* label) {
         const ClassMetrics* cls = metrics.find_class(label);
         return cls == nullptr || cls->flit_delay_us.empty()

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "mmr/core/simulation.hpp"
 #include "mmr/snapshot/manager.hpp"
 #include "mmr/snapshot/signals.hpp"
@@ -102,30 +103,17 @@ std::vector<std::string> resume_differences(
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  std::uint32_t seeds = 6;
-  std::string keep;  // move the first checkpoint here (lint smoke artifact)
-  std::vector<std::string> arbiters = {"coa", "wfa", "islip", "pim"};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("seeds=", 0) == 0) {
-      seeds = static_cast<std::uint32_t>(std::stoul(arg.substr(6)));
-    } else if (arg.rfind("keep=", 0) == 0) {
-      keep = arg.substr(5);
-    } else if (arg.rfind("arbiters=", 0) == 0) {
-      arbiters.clear();
-      std::string rest = arg.substr(9);
-      std::size_t pos = 0;
-      while ((pos = rest.find(',')) != std::string::npos) {
-        arbiters.push_back(rest.substr(0, pos));
-        rest.erase(0, pos + 1);
-      }
-      if (!rest.empty()) arbiters.push_back(rest);
-    } else {
-      std::cerr
-          << "usage: snapshot_soak [seeds=N] [arbiters=a,b,...] [keep=PATH]\n";
-      return 2;
-    }
-  }
+  struct Options {
+    std::uint32_t seeds = 6;
+    std::string keep;  // move the first checkpoint here (lint smoke artifact)
+    std::vector<std::string> arbiters = {"coa", "wfa", "islip", "pim"};
+  } options;
+  const spec::Grammar grammar{
+      "snapshot_soak", '=',
+      {bench::seeds<&Options::seeds>(), bench::arbiters<&Options::arbiters>(),
+       spec::bind<&Options::keep>({.name = "keep"})}};
+  spec::parse_command_line(grammar, &options, argc, argv);
+  auto& [seeds, keep, arbiters] = options;
 
   snapshot::SignalGuard signals;
 

@@ -7,18 +7,22 @@
 #include <iostream>
 
 #include "mmr/sim/rng.hpp"
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/sim/table.hpp"
 #include "mmr/traffic/mpeg.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
-  std::uint32_t gops = 40;  // long enough for stable extremes
-  std::uint64_t seed = 0x5EED;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("gops=", 0) == 0) gops = static_cast<std::uint32_t>(std::stoul(arg.substr(5)));
-    if (arg.rfind("seed=", 0) == 0) seed = std::stoull(arg.substr(5));
-  }
+  struct Options {
+    std::uint32_t gops = 40;  // long enough for stable extremes
+    std::uint64_t seed = 0x5EED;
+  } options;
+  const spec::Grammar grammar{
+      "table1_mpeg_stats", '=',
+      {spec::bind<&Options::gops>({.name = "gops", .lo = 1}),
+       spec::bind<&Options::seed>({.name = "seed"})}};
+  spec::parse_command_line(grammar, &options, argc, argv);
+  const auto [gops, seed] = options;
 
   std::cout << "==== Table 1: MPEG-2 video sequence statistics ====\n";
   std::cout << "synthetic traces, " << gops << " GOPs ("

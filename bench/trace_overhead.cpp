@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "mmr/core/simulation.hpp"
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/sim/table.hpp"
 #include "mmr/trace/export.hpp"
 #include "mmr/trace/tracer.hpp"
@@ -57,23 +58,13 @@ int main(int argc, char** argv) {
   config.measure_cycles = 50'000;
   config.arbiter = "coa";
 
-  std::string out_path;
+  struct Options { std::string out; } options;
   std::vector<std::string> overrides;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("out=", 0) == 0) {
-      out_path = arg.substr(4);
-    } else {
-      overrides.push_back(arg);
-    }
-  }
-  try {
-    mmr::apply_overrides(config, overrides);
-    config.validate();
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  const mmr::spec::Grammar grammar{
+      "trace_overhead", '=', {mmr::spec::bind<&Options::out>({.name = "out"})}};
+  mmr::spec::parse_command_line(grammar, &options, argc, argv, &overrides);
+  const std::string& out_path = options.out;
+  mmr::configure(config, overrides);
 
   std::cout << "==== trace overhead (" << config.ports << "x" << config.ports
             << ", " << config.vcs_per_link << " VCs, "

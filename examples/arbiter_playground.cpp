@@ -10,6 +10,7 @@
 
 #include "mmr/arbiter/factory.hpp"
 #include "mmr/arbiter/verify.hpp"
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/sim/table.hpp"
 
 namespace {
@@ -62,13 +63,8 @@ int main(int argc, char** argv) {
   AsciiTable table({"arbiter", "matching", "size", "hot output 2 went to",
                     "total granted priority"});
   for (const std::string& name : names) {
-    std::unique_ptr<SwitchArbiter> arbiter;
-    try {
-      arbiter = make_arbiter(name, 4, Rng(0x5EED, 0x9A9));
-    } catch (const std::exception& error) {
-      std::cerr << "error: " << error.what() << '\n';
-      return 1;
-    }
+    const std::unique_ptr<SwitchArbiter> arbiter = spec::or_exit(
+        [&] { return make_arbiter(name, 4, Rng(0x5EED, 0x9A9)); });
     const Matching matching = arbiter->arbitrate(set);
     const MatchingCheck check = check_matching(set, matching);
     if (!check.valid) {

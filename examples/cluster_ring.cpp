@@ -6,59 +6,38 @@
 //   ./cluster_ring [key=value ...] [routers=4] [load=0.6] [traffic=cbr|vbr]
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
-#include <stdexcept>
 
 #include "mmr/core/simulation.hpp"
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/sim/table.hpp"
-#include "mmr/snapshot/signals.hpp"
-#include "mmr/snapshot/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
   SimConfig config;
   config.measure_cycles = 150'000;
 
-  std::uint32_t routers = 4;
-  double load = 0.6;
-  bool vbr = false;
+  struct Options {
+    std::uint32_t routers = 4;
+    double load = 0.6;
+    std::string traffic = "cbr";
+  } options;
+  static constexpr const char* kTraffic[] = {"cbr", "vbr"};
+  const spec::Grammar grammar{
+      "cluster_ring", '=',
+      {spec::bind<&Options::routers>({.name = "routers", .lo = 2}),
+       spec::bind<&Options::load>({.name = "load", .dlo = spec::kPositive}),
+       spec::bind<&Options::traffic>({.name = "traffic", .words = kTraffic})}};
   std::vector<std::string> overrides;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("routers=", 0) == 0) {
-      routers = static_cast<std::uint32_t>(std::stoul(arg.substr(8)));
-    } else if (arg.rfind("load=", 0) == 0) {
-      load = std::stod(arg.substr(5));
-    } else if (arg == "traffic=vbr") {
-      vbr = true;
-    } else if (arg == "traffic=cbr") {
-      vbr = false;
-    } else {
-      overrides.push_back(arg);
-    }
-  }
-  try {
-    apply_overrides(config, overrides);
-    // Fail fast on a bad spec (parsed again at construction).
-    validate_specs(config);
-  } catch (const std::exception& error) {
-    const std::string what = error.what();
-    std::cerr << (what.rfind("error:", 0) == 0 ? "" : "error: ") << what
-              << '\n';
-    return 1;
-  }
+  spec::parse_command_line(grammar, &options, argc, argv, &overrides);
+  const auto& [routers, load, traffic] = options;
+  const bool vbr = traffic == "vbr";
+  configure(config, overrides);
 
-  // Degenerate routers= values throw from the topology factory; surface
-  // them as a clean diagnostic rather than an uncaught-exception abort.
-  const NetworkTopology ring = [&]() -> NetworkTopology {
-    try {
-      return NetworkTopology::bidirectional_ring(routers, config.ports);
-    } catch (const std::exception& error) {
-      std::cerr << "error: " << error.what() << '\n';
-      std::exit(1);
-    }
-  }();
+  // A ring router needs >= 3 ports: a smaller ports= override throws.
+  const NetworkTopology ring = spec::or_exit([&] {
+    return NetworkTopology::bidirectional_ring(routers, config.ports);
+  });
   Rng rng(config.seed, 0xC1);
   Workload workload(ring);
   if (vbr) {
@@ -78,16 +57,8 @@ int main(int argc, char** argv) {
               workload.connections.size(), vbr ? "MPEG-2 VBR" : "CBR",
               config.arbiter.c_str(), load * 100);
 
-  SimulationMetrics metrics;
-  try {
-    MmrSimulation simulation(config, std::move(workload));
-    metrics = simulation.run();
-  } catch (const snapshot::Interrupted& stop) {
-    return snapshot::report_interrupted(stop);
-  } catch (const std::invalid_argument& error) {  // fault= off the topology
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  const SimulationMetrics metrics =
+      run_or_exit(config, std::move(workload));
 
   std::printf("\nAfter %llu measured cycles:\n",
               static_cast<unsigned long long>(config.measure_cycles));

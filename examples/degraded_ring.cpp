@@ -10,45 +10,25 @@
 // e.g.  fault=drop:1e-3,down:0:30000:45000
 
 #include <cstdio>
-#include <cstdlib>
-#include <iostream>
-#include <stdexcept>
 
 #include "mmr/core/simulation.hpp"
-#include "mmr/snapshot/signals.hpp"
-#include "mmr/snapshot/spec.hpp"
+#include "mmr/sim/spec_parser.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
   SimConfig config;
   config.measure_cycles = 150'000;
 
-  std::uint32_t routers = 4;
-  double load = 0.5;
-  std::string fault_spec;
+  struct Options { std::uint32_t routers = 4; double load = 0.5; } options;
+  const spec::Grammar grammar{
+      "degraded_ring", '=',
+      {spec::bind<&Options::routers>({.name = "routers", .lo = 2}),
+       spec::bind<&Options::load>({.name = "load", .dlo = spec::kPositive})}};
   std::vector<std::string> overrides;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("routers=", 0) == 0) {
-      routers = static_cast<std::uint32_t>(std::stoul(arg.substr(8)));
-    } else if (arg.rfind("load=", 0) == 0) {
-      load = std::stod(arg.substr(5));
-    } else if (arg.rfind("fault=", 0) == 0) {
-      fault_spec = arg.substr(6);
-    } else {
-      overrides.push_back(arg);
-    }
-  }
-  try {
-    apply_overrides(config, overrides);
-    (void)FaultPlan::parse(fault_spec);  // fail fast on a bad fault= spec
-    validate_specs(config);
-  } catch (const std::exception& error) {
-    const std::string what = error.what();
-    std::cerr << (what.rfind("error:", 0) == 0 ? "" : "error: ") << what
-              << '\n';
-    return 1;
-  }
+  spec::parse_command_line(grammar, &options, argc, argv, &overrides);
+  const auto [routers, load] = options;
+  spec::or_exit([&] { apply_overrides(config, overrides); });
+  std::string& fault_spec = config.fault_spec;
   if (fault_spec.empty()) {
     // Default drama: light bit errors everywhere, and ring channel 0 fails
     // for a third of the run.
@@ -57,18 +37,12 @@ int main(int argc, char** argv) {
     fault_spec = "drop:2e-4,corrupt:1e-4,credit_loss:1e-4,down:0:" +
                  std::to_string(down_at) + ":" + std::to_string(up_at);
   }
-  config.fault_spec = fault_spec;
+  configure(config, {});  // validated with the plan in place: snap=resume:
 
-  // Degenerate routers= values throw from the topology factory; surface
-  // them as a clean diagnostic rather than an uncaught-exception abort.
-  const NetworkTopology ring = [&]() -> NetworkTopology {
-    try {
-      return NetworkTopology::bidirectional_ring(routers, config.ports);
-    } catch (const std::exception& error) {
-      std::cerr << "error: " << error.what() << '\n';
-      std::exit(1);
-    }
-  }();
+  // A ring router needs >= 3 ports: a smaller ports= override throws.
+  const NetworkTopology ring = spec::or_exit([&] {
+    return NetworkTopology::bidirectional_ring(routers, config.ports);
+  });
   Rng rng(config.seed, 0xC1);
   CbrMixSpec mix;
   mix.target_load = load;
@@ -80,16 +54,8 @@ int main(int argc, char** argv) {
               routers, workload.connections.size(), config.arbiter.c_str(),
               load * 100, fault_spec.c_str());
 
-  SimulationMetrics metrics;
-  try {
-    MmrSimulation simulation(config, std::move(workload));
-    metrics = simulation.run();
-  } catch (const snapshot::Interrupted& stop) {
-    return snapshot::report_interrupted(stop);
-  } catch (const std::invalid_argument& error) {  // fault= off the topology
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  const SimulationMetrics metrics =
+      run_or_exit(config, std::move(workload));
   const DegradationMetrics& deg = metrics.degradation;
 
   std::printf("\nAfter %llu measured cycles:\n",

@@ -11,37 +11,26 @@
 
 #include <cstdio>
 #include <iostream>
-#include <stdexcept>
 
 #include "mmr/core/simulation.hpp"
+#include "mmr/sim/spec_parser.hpp"
 #include "mmr/sim/table.hpp"
-#include "mmr/snapshot/signals.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
   SimConfig config;
   config.measure_cycles = 250'000;
 
-  double qos_load = 0.55;
-  double be_load = 0.35;
+  struct Options { double qos_load = 0.55; double be_load = 0.35; } options;
+  const spec::Grammar grammar{
+      "mixed_traffic", '=',
+      {spec::bind<&Options::qos_load>({.name = "qos_load", .dlo = 0}),
+       spec::bind<&Options::be_load>(
+           {.name = "be_load", .dlo = spec::kPositive})}};
   std::vector<std::string> overrides;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("qos_load=", 0) == 0) {
-      qos_load = std::stod(arg.substr(9));
-    } else if (arg.rfind("be_load=", 0) == 0) {
-      be_load = std::stod(arg.substr(8));
-    } else {
-      overrides.push_back(arg);
-    }
-  }
-  try {
-    apply_overrides(config, overrides);
-    validate_specs(config);
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  spec::parse_command_line(grammar, &options, argc, argv, &overrides);
+  const auto [qos_load, be_load] = options;
+  configure(config, overrides);
 
   // One workload, three traffic kinds: half the QoS budget as CBR, half as
   // MPEG-2 VBR, plus best-effort background on top.
@@ -67,16 +56,8 @@ int main(int argc, char** argv) {
               workload.size(),
               workload.generated_load(config.time_base()) * 100);
 
-  SimulationMetrics metrics;
-  try {
-    MmrSimulation simulation(config, std::move(workload));
-    metrics = simulation.run();
-  } catch (const snapshot::Interrupted& stop) {
-    return snapshot::report_interrupted(stop);
-  } catch (const std::invalid_argument& error) {  // fault= off the topology
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  const SimulationMetrics metrics =
+      run_or_exit(config, std::move(workload));
 
   AsciiTable table({"class", "delivered flits", "mean delay (us)",
                     "p99 (us)", "max (us)"});

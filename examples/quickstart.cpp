@@ -7,24 +7,15 @@
 
 #include <cstdio>
 #include <iostream>
-#include <stdexcept>
 
 #include "mmr/core/simulation.hpp"
 #include "mmr/sim/table.hpp"
-#include "mmr/snapshot/signals.hpp"
 
 int main(int argc, char** argv) {
   mmr::SimConfig config;
   config.measure_cycles = 150'000;
 
-  std::vector<std::string> overrides(argv + 1, argv + argc);
-  try {
-    mmr::apply_overrides(config, overrides);
-    mmr::validate_specs(config);
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  mmr::configure(config, {argv + 1, argv + argc});
 
   // A random mix of the paper's three CBR classes at 60% offered load.
   mmr::Rng rng(config.seed, /*stream=*/1);
@@ -39,16 +30,8 @@ int main(int argc, char** argv) {
               workload.size(),
               workload.generated_load(config.time_base()) * 100.0);
 
-  mmr::SimulationMetrics metrics;
-  try {
-    mmr::MmrSimulation simulation(config, std::move(workload));
-    metrics = simulation.run();
-  } catch (const mmr::snapshot::Interrupted& stop) {
-    return mmr::snapshot::report_interrupted(stop);
-  } catch (const std::invalid_argument& error) {  // fault= off the topology
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  const mmr::SimulationMetrics metrics =
+      mmr::run_or_exit(config, std::move(workload));
 
   std::printf("\nafter %llu warmup + %llu measured cycles (flit cycle %.3f us):\n",
               static_cast<unsigned long long>(config.warmup_cycles),

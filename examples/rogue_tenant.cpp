@@ -14,11 +14,9 @@
 
 #include <cstdio>
 #include <iostream>
-#include <stdexcept>
 
 #include "mmr/core/report.hpp"
 #include "mmr/core/simulation.hpp"
-#include "mmr/snapshot/signals.hpp"
 
 namespace {
 
@@ -28,9 +26,7 @@ mmr::SimulationMetrics run_once(mmr::SimConfig config) {
   mix.target_load = 0.55;
   mix.classes = {mmr::kCbrHigh, mmr::kCbrMedium};
   mix.class_weights = {3.0, 1.0};
-  mmr::MmrSimulation simulation(config,
-                                mmr::build_cbr_mix(config, mix, rng));
-  return simulation.run();
+  return mmr::run_or_exit(config, mmr::build_cbr_mix(config, mix, rng));
 }
 
 }  // namespace
@@ -44,14 +40,7 @@ int main(int argc, char** argv) {
   config.rogue_spec = "frac:0.25,scale:6";
   config.police_spec = "demote";
 
-  std::vector<std::string> overrides(argv + 1, argv + argc);
-  try {
-    mmr::apply_overrides(config, overrides);
-    mmr::validate_specs(config);
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  mmr::configure(config, {argv + 1, argv + argc});
 
   std::printf("Rogue tenant: %ux%u router, %s arbiter, rogue=%s\n\n",
               config.ports, config.ports, config.arbiter.c_str(),
@@ -60,28 +49,19 @@ int main(int argc, char** argv) {
   // Pass 1: same rogues, no protection.
   mmr::SimConfig unprotected = config;
   unprotected.police_spec.clear();
-  mmr::SimulationMetrics before;
-  mmr::SimulationMetrics after;
-  try {
-    before = run_once(unprotected);
-    std::printf("--- unprotected ---\n");
-    std::printf("  compliant deadline violations: %.2f%% (%llu of %llu)\n",
-                before.overload.compliant_violation_rate() * 100.0,
-                static_cast<unsigned long long>(
-                    before.overload.compliant_violations),
-                static_cast<unsigned long long>(
-                    before.overload.compliant_delivered));
-    std::printf("  end-of-run backlog: %llu flits\n\n",
-                static_cast<unsigned long long>(before.backlog_flits));
+  const mmr::SimulationMetrics before = run_once(unprotected);
+  std::printf("--- unprotected ---\n");
+  std::printf("  compliant deadline violations: %.2f%% (%llu of %llu)\n",
+              before.overload.compliant_violation_rate() * 100.0,
+              static_cast<unsigned long long>(
+                  before.overload.compliant_violations),
+              static_cast<unsigned long long>(
+                  before.overload.compliant_delivered));
+  std::printf("  end-of-run backlog: %llu flits\n\n",
+              static_cast<unsigned long long>(before.backlog_flits));
 
-    // Pass 2: injection policing on.
-    after = run_once(config);
-  } catch (const mmr::snapshot::Interrupted& stop) {
-    return mmr::snapshot::report_interrupted(stop);
-  } catch (const std::invalid_argument& error) {  // fault= off the topology
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  // Pass 2: injection policing on.
+  const mmr::SimulationMetrics after = run_once(config);
   std::printf("--- police=%s ---\n", config.police_spec.c_str());
   mmr::print_overload_summary(std::cout, after);
   std::cout << '\n' << mmr::overload_table(after).render() << '\n';

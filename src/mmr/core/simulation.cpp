@@ -129,6 +129,23 @@ void validate_specs(const SimConfig& config) {
         "mismatch); resume with the same seed/arbiter/traffic setup");
 }
 
+void configure(SimConfig& config, const std::vector<std::string>& overrides) {
+  spec::or_exit([&] {
+    apply_overrides(config, overrides);
+    validate_specs(config);
+  });
+}
+
+SimulationMetrics run_or_exit(const SimConfig& config, Workload workload) {
+  return spec::or_exit([&] {
+    try {
+      return MmrSimulation(config, std::move(workload)).run();
+    } catch (const snapshot::Interrupted& stop) {
+      std::exit(snapshot::report_interrupted(stop));
+    }
+  });
+}
+
 SimConfig MmrSimulation::with_flow_regime(SimConfig config) {
   if (config.flow_spec.empty()) return config;
   // Parsed eagerly, so a malformed spec fails before anything is built

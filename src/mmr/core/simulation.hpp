@@ -62,6 +62,17 @@ class Tracer;
 /// construction.
 void validate_specs(const SimConfig& config);
 
+/// A main's SimConfig overrides (the command-line tokens its own grammar
+/// lacks, spec::parse_command_line): applies them, then validate_specs().
+/// Bad input prints "error: <message>" and exits 1.
+void configure(SimConfig& config, const std::vector<std::string>& overrides);
+
+/// A main's run: builds and runs one simulation.  A signal that stops a
+/// `snap=` run exits with snapshot::report_interrupted()'s status; input
+/// only the topology rejects (a fault= channel off it) prints
+/// "error: <message>" and exits 1.
+SimulationMetrics run_or_exit(const SimConfig& config, Workload workload);
+
 class MmrSimulation {
  public:
   MmrSimulation(SimConfig config, Workload workload);

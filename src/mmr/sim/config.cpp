@@ -4,22 +4,22 @@
 #include <limits>
 #include <thread>
 
+#include "mmr/sim/thread_pool.hpp"
+
 namespace mmr {
 
 namespace {
 
 constexpr const char* kPriorityWords[] = {"siabp", "iabp", "fifo-age", "static"};
-/// Far above any machine; catches a typo before it allocates shard state.
-constexpr std::uint32_t kMaxNetThreads = 4096;
 /// The MMU sums both latencies into its 32-bit pause headroom.
 constexpr std::uint64_t kMaxLatency = 1'000'000;
 
 void set_net_threads(const spec::Key&, void* config, std::string_view value) {
   static_cast<SimConfig*>(config)->net_threads =
       value == "hw" ? std::clamp(std::thread::hardware_concurrency(), 1u,
-                                 kMaxNetThreads)
+                                 kMaxThreads)
                     : static_cast<std::uint32_t>(
-                          spec::parse_unsigned(value, 0, kMaxNetThreads));
+                          spec::parse_unsigned(value, 0, kMaxThreads));
 }
 
 std::vector<std::string> get_net_threads(const spec::Key&, const void* config) {

@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace mmr::spec {
@@ -10,19 +12,17 @@ namespace {
 
 bool is_mode(const Key& k) { return k.kind == Kind::kWord && *k.name == '\0'; }
 
-std::string join(Words words) {
-  std::string out;
-  for (const char* word : words)
-    out += (out.empty() ? "" : "|") + std::string(word);
-  return out;
+std::string listing(Words words) {
+  return join(std::vector<std::string>(words.begin(), words.end()), '|');
 }
 
 /// "drop|shape|demote, burst, ..." — the listing every message ends with.
 std::string valid_keys(const Grammar& grammar) {
   std::string out;
-  for (const Key& key : grammar.keys)
-    out += (out.empty() ? "" : ", ") +
-           (is_mode(key) ? join(key.words) : std::string(key.name));
+  for (const Key& key : grammar.keys) {
+    if (!out.empty()) out += ", ";
+    out += is_mode(key) ? listing(key.words) : key.name;
+  }
   return out;
 }
 
@@ -72,11 +72,11 @@ double parse_double(std::string_view text, double lo, double hi) {
 std::size_t word_index(Words words, std::string_view text) {
   for (std::size_t i = 0; i < words.size(); ++i)
     if (text == words[i]) return i;
-  throw std::invalid_argument("is not one of " + join(words));
+  throw std::invalid_argument("is not one of " + listing(words));
 }
 
 std::vector<std::string> show(const Key& key, std::uint64_t value) {
-  if (key.kind != Kind::kWord) return {std::to_string(value)};
+  if (key.words.empty()) return {std::to_string(value)};
   return {value < key.words.size() ? key.words[value] : "?"};
 }
 
@@ -86,14 +86,30 @@ std::vector<std::string> show(const Key&, double value) {
   return {std::string(buffer, end)};
 }
 
-std::vector<std::string_view> split(std::string_view text) {
+std::vector<std::string_view> split(std::string_view text, char separator) {
   std::vector<std::string_view> tokens;
   while (!text.empty()) {
-    const std::size_t comma = std::min(text.find(','), text.size());
+    const std::size_t comma = std::min(text.find(separator), text.size());
     if (comma > 0) tokens.push_back(text.substr(0, comma));
     text.remove_prefix(std::min(comma + 1, text.size()));
   }
   return tokens;
+}
+
+std::vector<std::string_view> list_elements(std::string_view text) {
+  if (text.empty() || text.front() == ',' || text.back() == ',' ||
+      text.find(",,") != std::string_view::npos)
+    throw std::invalid_argument("has an empty list element");
+  return split(text);
+}
+
+std::string join(const std::vector<std::string>& values, char separator) {
+  std::string out;
+  for (const std::string& value : values) {
+    if (!out.empty()) out += separator;
+    out += value;
+  }
+  return out;
 }
 
 void apply(const Grammar& grammar, void* spec,
@@ -121,7 +137,7 @@ void apply(const Grammar& grammar, void* spec,
     set(grammar, keys[row], spec, mode ? token : token.substr(separator + 1));
   }
   if (has_mode && grammar.mode_required && !seen[0])
-    fail(grammar, "must name one of " + join(keys.front().words));
+    fail(grammar, "must name one of " + listing(keys.front().words));
   if (grammar.keyed_mode < 0) return;
   const std::string keyed(keys.front().words[std::size_t(grammar.keyed_mode)]);
   if (keys.front().get(keys.front(), spec).front() == keyed) return;
@@ -152,6 +168,30 @@ std::vector<std::string> print_tokens(const Grammar& grammar, const void* spec,
 void fail(const Grammar& grammar, const std::string& what) {
   throw std::invalid_argument(std::string(grammar.name) + " spec: " + what +
                               "; valid keys: " + valid_keys(grammar));
+}
+
+void exit_rejected(const std::exception& error) {
+  std::cerr << "error: " << error.what() << '\n';
+  std::exit(1);
+}
+
+void parse_command_line(const Grammar& grammar, void* options, int argc,
+                        const char* const* argv,
+                        std::vector<std::string>* overrides) {
+  std::vector<std::string> own;
+  for (int i = 1; i < argc; ++i) {
+    const std::string token = argv[i];
+    const std::string name = token.substr(0, token.find('='));
+    const auto row = std::find_if(
+        grammar.keys.begin(), grammar.keys.end(),
+        [&name](const Key& key) { return !is_mode(key) && name == key.name; });
+    if (row == grammar.keys.end() && overrides != nullptr)
+      overrides->push_back(token);
+    else  // a bare flag: `twins` is `twins=1`
+      own.push_back(row != grammar.keys.end() && row->kind == Kind::kBool &&
+                            token == name ? token + "=1" : token);
+  }
+  or_exit([&] { apply(grammar, options, {own.begin(), own.end()}); });
 }
 
 }  // namespace mmr::spec

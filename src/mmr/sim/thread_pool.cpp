@@ -83,11 +83,12 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n, std::size_t threads,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  ThreadPool pool(threads);
+  // min(n, 0) is 0 again, which the pool reads as hardware concurrency.
+  ThreadPool pool(std::min<std::size_t>(
+      n, threads == 0 ? std::thread::hardware_concurrency() : threads));
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-  const std::size_t lanes = std::min(n, pool.size());
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
+  for (std::size_t lane = 0; lane < pool.size(); ++lane) {
     pool.submit([&] {
       while (!failed.load(std::memory_order_relaxed)) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);

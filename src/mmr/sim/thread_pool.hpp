@@ -6,6 +6,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -14,6 +15,10 @@
 #include <vector>
 
 namespace mmr {
+
+/// Far above any machine: a larger thread count on a command line is a
+/// typo, rejected before anything starts.
+inline constexpr std::uint32_t kMaxThreads = 4096;
 
 class ThreadPool {
  public:
@@ -35,7 +40,8 @@ class ThreadPool {
   /// exception any task raised since the last wait_idle().
   void wait_idle();
 
-  /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
+  /// Runs `fn(i)` for i in [0, n) on a pool of min(n, threads) workers
+  /// (`threads == 0`: hardware concurrency) and waits for completion.
   /// Exact per-task work order is unspecified; use per-index output slots.
   /// Rethrows the first exception `fn` raised (remaining indices may be
   /// skipped once a worker has thrown).

@@ -9,8 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iostream>
-#include <string>
+
+#include "mmr/sim/spec_parser.hpp"
 
 namespace mmr::oracle {
 
@@ -27,23 +27,11 @@ inline Args& args() {
 /// The test binary's main: strips gtest flags, parses the rest.
 inline int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("iterations=", 0) == 0) {
-        args().iterations = std::stoull(arg.substr(11));
-        continue;
-      }
-      if (arg.rfind("seed=", 0) == 0) {
-        args().seed = std::stoull(arg.substr(5));
-        continue;
-      }
-    } catch (const std::exception&) {
-    }
-    std::cerr << "usage: " << argv[0]
-              << " [--gtest_*] [iterations=N] [seed=S]\n";
-    return 2;
-  }
+  const spec::Grammar grammar{
+      "oracle", '=',
+      {spec::bind<&Args::iterations>({.name = "iterations", .lo = 1}),
+       spec::bind<&Args::seed>({.name = "seed"})}};
+  spec::parse_command_line(grammar, &args(), argc, argv);
   return RUN_ALL_TESTS();
 }
 

@@ -2,8 +2,9 @@
 // grammar's key table: each row accepts its bounds and rejects one past
 // them, every accepted spec survives parse(print(spec)), and the
 // unknown-key message lists exactly the table.  Plus regressions for inputs
-// the hand-written parsers truncated or coerced, and the spec strings the
-// docs, benches and examples use, pinned to their parsed meaning.
+// the hand-written parsers truncated or coerced, the spec strings the docs,
+// benches and examples use, pinned to their parsed meaning, and the
+// command-line rows the bench mains share (list rows included).
 
 #include "mmr/sim/spec_parser.hpp"
 
@@ -22,6 +23,7 @@
 #include "mmr/router/qd_spec.hpp"
 #include "mmr/sim/config.hpp"
 #include "mmr/snapshot/spec.hpp"
+#include "command_line_rows.hpp"
 #include "mmr/trace/spec.hpp"
 #include "spec_test_util.hpp"
 
@@ -91,6 +93,7 @@ std::pair<std::vector<std::string>, std::vector<std::string>> probes(
     case Kind::kString:
       return {{"", "out/x.jsonl"}, {}};
     case Kind::kSetter:
+    case Kind::kList:
       break;  // pinned by the grammar's own tests below
   }
   return {};
@@ -103,10 +106,9 @@ void check_table(const Grammar& grammar) {
   for (const Key& key : grammar.keys) {
     const std::string name = is_mode(key) ? "(mode)" : key.name;
     EXPECT_TRUE(names.insert(name).second) << "duplicate row " << name;
-    std::string entry;
-    for (const char* word : key.words)
-      entry += (entry.empty() ? "" : "|") + std::string(word);
-    listing += (listing.empty() ? "" : ", ") + (is_mode(key) ? entry : name);
+    std::vector<std::string> words(key.words.begin(), key.words.end());
+    if (!listing.empty()) listing += ", ";
+    listing += is_mode(key) ? spec::join(words, '|') : name;
 
     const auto [accept, reject] = probes(key);
     for (const std::string& value : accept) {
@@ -311,6 +313,60 @@ TEST(SpecDocs, DocumentedSpecsKeepTheirMeaning) {
       {"hash_every:500,prefix:soak_re,resume:soak.snap",
        "hash_every:500,prefix:soak_re,resume:soak.snap"},
   });
+}
+
+// The command-line rows the bench mains share, parse-only: no bound checked
+// here starts a thread or a run.  check_table() probes the scalar rows.
+TEST(SpecTable, CommandLine) {
+  check_table<CommandLine>(command_line_grammar());
+}
+
+CommandLine apply_line(const std::vector<std::string_view>& tokens) {
+  CommandLine line;
+  spec::apply(command_line_grammar(), &line, tokens);
+  return line;
+}
+
+TEST(CommandLine, ListRowsTakeCommaSeparatedElementsAndRoundTrip) {
+  const CommandLine line =
+      apply_line({"loads=0.2,0.85", "arbiters=coa,wfa-fixed", "ports=2,1024",
+                  "arbiter=coa", "arbiter=rr"});
+  EXPECT_EQ(line.loads, (std::vector<double>{0.2, 0.85}));
+  EXPECT_EQ(line.arbiters, (std::vector<std::string>{"coa", "wfa-fixed"}));
+  EXPECT_EQ(line.ports, (std::vector<std::uint32_t>{2, 1024}));
+  EXPECT_EQ(line.arbiter, (std::vector<std::string>{"coa", "rr"}));
+  const CommandLine defaults;
+  EXPECT_EQ(spec::print_tokens(command_line_grammar(), &line, &defaults),
+            (std::vector<std::string>{"loads=0.2,0.85",
+                                      "arbiters=coa,wfa-fixed", "ports=2,1024",
+                                      "arbiter=coa", "arbiter=rr"}));
+  EXPECT_TRUE(reparse(command_line_grammar(), line) == line);
+}
+
+TEST(CommandLine, RejectsEmptyListsAndElementsJunkAndOutOfRange) {
+  EXPECT_INVALID(apply_line({"loads="}), "'loads=' has an empty list element");
+  EXPECT_INVALID(apply_line({"loads=0.2,,0.4"}), "empty list element");
+  EXPECT_INVALID(apply_line({"arbiters=coa,"}), "empty list element");
+  EXPECT_INVALID(apply_line({"loads=0.5x"}), "'loads=0.5x' is not a finite");
+  EXPECT_INVALID(apply_line({"ports=4x"}), "is not an unsigned integer");
+  EXPECT_INVALID(apply_line({"loads=0.2,0"}), "out of range (0, max]");
+  EXPECT_INVALID(apply_line({"ports=4,1"}), "out of range [2, 1024]");
+  EXPECT_INVALID(apply_line({"arbiters=coa,bogus"}), "is not one of coa|");
+  EXPECT_INVALID(apply_line({"arbiter=coa,wfa"}), "is not one of coa|");
+  EXPECT_INVALID(apply_line({"threads=-1"}), "is not an unsigned integer");
+  EXPECT_INVALID(apply_line({"seeds=0x"}), "is not an unsigned integer");
+  EXPECT_INVALID(apply_line({"full=maybe"}), "is not an unsigned integer");
+}
+
+TEST(CommandLine, EntryPointRoutesFlagsOwnKeysAndOverrides) {
+  const char* argv[] = {"main", "full", "measure=100", "arbiter=wfa",
+                        "vcs=64"};
+  CommandLine line;
+  std::vector<std::string> overrides;
+  spec::parse_command_line(command_line_grammar(), &line, 5, argv, &overrides);
+  EXPECT_TRUE(line.full);
+  EXPECT_EQ(line.arbiter, std::vector<std::string>{"wfa"});
+  EXPECT_EQ(overrides, (std::vector<std::string>{"measure=100", "vcs=64"}));
 }
 
 }  // namespace

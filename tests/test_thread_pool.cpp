@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -75,6 +76,18 @@ TEST(ThreadPool, ParallelForResultsIndependentOfThreadCount) {
     return out;
   };
   EXPECT_EQ(compute(1), compute(4));
+}
+
+// A sweep of one point with threads=8 starts one worker, not eight.
+TEST(ThreadPool, ParallelForStartsNoMoreWorkersThanTasks) {
+  const auto threads = [] {  // the process's threads, as Linux lists them
+    using Dir = std::filesystem::directory_iterator;
+    return std::distance(Dir("/proc/self/task"), Dir());
+  };
+  const auto before = threads();
+  auto inside = before;
+  ThreadPool::parallel_for(1, 8, [&](std::size_t) { inside = threads(); });
+  EXPECT_LE(inside, before + 1);
 }
 
 TEST(ThreadPool, MoreItemsThanThreads) {
