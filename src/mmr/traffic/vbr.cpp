@@ -8,11 +8,7 @@
 namespace mmr {
 
 const char* to_string(InjectionModel m) {
-  switch (m) {
-    case InjectionModel::kBackToBack: return "BB";
-    case InjectionModel::kSmoothRate: return "SR";
-  }
-  return "?";
+  return kInjectionModelWords[static_cast<std::size_t>(m)];
 }
 
 VbrSource::VbrSource(ConnectionId connection, MpegTrace trace,

@@ -19,6 +19,8 @@
 namespace mmr {
 
 enum class InjectionModel : std::uint8_t { kBackToBack, kSmoothRate };
+/// The models' words in enum order: to_string() and the `model=` key.
+inline constexpr const char* kInjectionModelWords[] = {"BB", "SR"};
 
 [[nodiscard]] const char* to_string(InjectionModel m);
 
