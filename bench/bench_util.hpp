@@ -89,12 +89,18 @@ inline BenchArgs parse_args(int argc, char** argv,
   return args;
 }
 
-/// Applies run-length presets and user overrides to a config; a bad
-/// override or spec prints "error: ..." and exits 1.
-inline void apply_run_scale(SimConfig& config, const BenchArgs& args,
-                            Cycle quick_measure, Cycle full_measure) {
+/// The run-length presets: quick, or paper scale under `full`.
+inline void set_run_length(SimConfig& config, const BenchArgs& args,
+                           Cycle quick_measure, Cycle full_measure) {
   config.warmup_cycles = args.full ? 50'000 : 20'000;
   config.measure_cycles = args.full ? full_measure : quick_measure;
+}
+
+/// Applies run-length presets and user overrides to a one-router config
+/// (configure()); a bad override or spec prints "error: ..." and exits 1.
+inline void apply_run_scale(SimConfig& config, const BenchArgs& args,
+                            Cycle quick_measure, Cycle full_measure) {
+  set_run_length(config, args, quick_measure, full_measure);
   configure(config, args.config_overrides);
 }
 

@@ -24,27 +24,27 @@ int main(int argc, char** argv) {
                            : std::vector<double>{0.40};
   }
   SimConfig base;
-  bench::apply_run_scale(base, args, /*quick=*/120'000, /*full=*/500'000);
-
+  bench::set_run_length(base, args, /*quick=*/120'000, /*full=*/500'000);
   const NetworkTopology ring = spec::or_exit([&] {
-    return NetworkTopology::bidirectional_ring(args.routers, base.ports);
+    apply_overrides(base, args.config_overrides);
+    // One outage window in the middle of the measurement phase plus light
+    // stochastic losses everywhere, unless the caller provided a spec.
+    if (base.fault_spec.empty()) {
+      const Cycle down_at = base.warmup_cycles + base.measure_cycles / 3;
+      const Cycle up_at = down_at + base.measure_cycles / 6;
+      base.fault_spec = "drop:2e-4,corrupt:1e-4,credit_loss:1e-4,down:0:" +
+                        std::to_string(down_at) + ":" + std::to_string(up_at);
+    }
+    NetworkTopology built =
+        NetworkTopology::bidirectional_ring(args.routers, base.ports);
+    // With the plan in place, which a snap=resume: digest covers.
+    (void)validate(base, built);
+    return built;
   });
   std::cout << "==== Fault injection: " << args.routers
             << "-router ring under a deterministic fault plan ====\n"
             << "cycles: " << base.warmup_cycles << " warmup + "
             << base.measure_cycles << " measured\n";
-
-  // One outage window in the middle of the measurement phase plus light
-  // stochastic losses everywhere, unless the caller provided a spec.
-  if (base.fault_spec.empty()) {
-    const Cycle down_at = base.warmup_cycles + base.measure_cycles / 3;
-    const Cycle up_at = down_at + base.measure_cycles / 6;
-    base.fault_spec = "drop:2e-4,corrupt:1e-4,credit_loss:1e-4,down:0:" +
-                 std::to_string(down_at) + ":" + std::to_string(up_at);
-  }
-  // Fail fast on a fault= window off the ring.
-  spec::or_exit(
-      [&] { FaultPlan::parse(base.fault_spec).validate(ring.channels()); });
   std::cout << "fault plan: " << base.fault_spec << "\n\n";
 
   AsciiTable table({"load %", "arbiter", "delivered %", "dropped", "corrupted",

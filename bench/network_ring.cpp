@@ -19,11 +19,14 @@ int main(int argc, char** argv) {
   }
 
   SimConfig base;
-  bench::apply_run_scale(base, args, /*quick=*/120'000, /*full=*/500'000);
-
-  // A ring router needs >= 3 ports: a smaller ports= override throws.
+  bench::set_run_length(base, args, /*quick=*/120'000, /*full=*/500'000);
   const NetworkTopology ring = spec::or_exit([&] {
-    return NetworkTopology::bidirectional_ring(args.routers, base.ports);
+    apply_overrides(base, args.config_overrides);
+    // A ring router needs >= 3 ports: a smaller ports= override throws.
+    NetworkTopology built =
+        NetworkTopology::bidirectional_ring(args.routers, base.ports);
+    (void)validate(base, built);
+    return built;
   });
   std::cout << "==== Network extension: " << args.routers
             << "-router bidirectional ring of " << base.ports << "x"

@@ -42,14 +42,18 @@ struct ScaleArgs {
   std::vector<std::string> config_overrides;
 };
 
+/// `base` on `fabric`: the fat-tree needs more ports than the torus
+/// default, and the simulation requires the config to match the wiring.
+SimConfig on_fabric(SimConfig config, const Fabric& fabric) {
+  config.ports = fabric.topology.ports_per_router();
+  return config;
+}
+
 /// One timed run; returns the perf record and reports the wall rate.
 perf::PerfRecord timed_run(const SimConfig& base, const Fabric& fabric,
                            std::uint32_t net_threads, const char* engine) {
-  SimConfig config = base;
+  SimConfig config = on_fabric(base, fabric);
   config.net_threads = net_threads;
-  // The fat-tree needs more ports than the torus default; the simulation
-  // requires the config to match the fabric's wiring.
-  config.ports = fabric.topology.ports_per_router();
   Rng rng(config.seed, 0x5CA1E);
   CbrMixSpec mix;
   mix.target_load = 0.35;
@@ -105,20 +109,24 @@ int main(int argc, char** argv) {
     base.warmup_cycles = 500;
     base.measure_cycles = 2'000;
   }
-  configure(base, args.config_overrides);
-
-  std::vector<Fabric> fabrics;
-  fabrics.push_back({"torus64", NetworkTopology::torus2d(8, 8, base.ports)});
-  if (args.mode != "smoke") {
-    fabrics.push_back(
-        {"torus256", NetworkTopology::torus2d(16, 16, base.ports)});
-  }
-  if (args.mode == "full") {
-    fabrics.push_back(
-        {"torus1024", NetworkTopology::torus2d(32, 32, base.ports)});
-    fabrics.push_back(
-        {"fattree8", NetworkTopology::fat_tree(8, std::max(base.ports, 9u))});
-  }
+  const std::vector<Fabric> fabrics = spec::or_exit([&] {
+    apply_overrides(base, args.config_overrides);
+    std::vector<Fabric> built;
+    built.push_back({"torus64", NetworkTopology::torus2d(8, 8, base.ports)});
+    if (args.mode != "smoke") {
+      built.push_back(
+          {"torus256", NetworkTopology::torus2d(16, 16, base.ports)});
+    }
+    if (args.mode == "full") {
+      built.push_back(
+          {"torus1024", NetworkTopology::torus2d(32, 32, base.ports)});
+      built.push_back(
+          {"fattree8", NetworkTopology::fat_tree(8, std::max(base.ports, 9u))});
+    }
+    for (const Fabric& fabric : built)
+      (void)validate(on_fabric(base, fabric), fabric.topology);
+    return built;
+  });
 
   std::cout << "==== network scale (" << args.mode << ", "
             << base.total_cycles() << " cycles/run, sharded width "

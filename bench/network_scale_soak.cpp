@@ -93,14 +93,20 @@ int main(int argc, char** argv) {
   base.vcs_per_link = 32;
   base.warmup_cycles = 200;
   base.measure_cycles = 800;
-  configure(base, args.config_overrides);
+  // Torus 4x4, fat-tree k=4 and, with big=1, the 1024-router torus.
+  const std::vector<NetworkTopology> fabrics = spec::or_exit([&] {
+    apply_overrides(base, args.config_overrides);
+    std::vector<NetworkTopology> built = {
+        NetworkTopology::torus2d(4, 4, base.ports),
+        NetworkTopology::fat_tree(4, base.ports)};
+    if (args.big) built.push_back(NetworkTopology::torus2d(32, 32, base.ports));
+    for (const NetworkTopology& fabric : built) (void)validate(base, fabric);
+    return built;
+  });
 
   std::cout << "==== network shard equivalence soak: " << args.seeds
             << " seeds x {torus 4x4, fat-tree k=4}, serial vs "
             << args.threads << "-wide sharded ====\n";
-
-  const NetworkTopology torus = NetworkTopology::torus2d(4, 4, base.ports);
-  const NetworkTopology tree = NetworkTopology::fat_tree(4, base.ports);
 
   std::uint64_t checked = 0;
   std::uint64_t failures = 0;
@@ -113,13 +119,12 @@ int main(int argc, char** argv) {
       config.fault_spec =
           "drop:0.01,credit_loss:0.005,resync_period:256,resync_timeout:512";
     }
-    const std::pair<const char*, const NetworkTopology*> fabrics[] = {
-        {"torus4x4", &torus}, {"fattree4", &tree}};
-    for (const auto& [name, topology] : fabrics) {
-      const RunOutcome serial = run_engine(config, *topology, 0);
-      const RunOutcome sharded = run_engine(config, *topology, args.threads);
+    const char* const names[] = {"torus4x4", "fattree4"};
+    for (std::size_t f = 0; f < 2; ++f) {
+      const RunOutcome serial = run_engine(config, fabrics[f], 0);
+      const RunOutcome sharded = run_engine(config, fabrics[f], args.threads);
       ++checked;
-      if (!check_pair(name, seed, serial, sharded)) ++failures;
+      if (!check_pair(names[f], seed, serial, sharded)) ++failures;
     }
   }
 
@@ -127,8 +132,7 @@ int main(int argc, char** argv) {
     SimConfig config = base;
     config.warmup_cycles = 100;
     config.measure_cycles = 200;
-    const NetworkTopology big =
-        NetworkTopology::torus2d(32, 32, base.ports);
+    const NetworkTopology& big = fabrics[2];
     std::cout << "1024-router torus leg (" << config.total_cycles()
               << " cycles)...\n";
     const RunOutcome serial = run_engine(config, big, 0);

@@ -32,11 +32,13 @@ int main(int argc, char** argv) {
   spec::parse_command_line(grammar, &options, argc, argv, &overrides);
   const auto& [routers, load, traffic] = options;
   const bool vbr = traffic == "vbr";
-  configure(config, overrides);
-
-  // A ring router needs >= 3 ports: a smaller ports= override throws.
   const NetworkTopology ring = spec::or_exit([&] {
-    return NetworkTopology::bidirectional_ring(routers, config.ports);
+    apply_overrides(config, overrides);
+    // A ring router needs >= 3 ports: a smaller ports= override throws.
+    NetworkTopology built =
+        NetworkTopology::bidirectional_ring(routers, config.ports);
+    (void)validate(config, built);
+    return built;
   });
   Rng rng(config.seed, 0xC1);
   Workload workload(ring);

@@ -14,13 +14,6 @@ namespace mmr {
 void SweepSpec::validate() const {
   if (loads.empty()) throw std::invalid_argument("sweep has no loads");
   if (arbiters.empty()) throw std::invalid_argument("sweep has no arbiters");
-  if (base.ports < 2 || base.ports > kMaxPorts) {
-    std::ostringstream msg;
-    msg << "sweep ports = " << base.ports
-        << " out of range: arbiters represent 2.." << kMaxPorts
-        << " ports in a sweep (kMaxPorts, mmr/sim/config.hpp)";
-    throw std::invalid_argument(msg.str());
-  }
   for (std::size_t i = 0; i < loads.size(); ++i) {
     const double load = loads[i];
     if (!(load > 0.0) || !(load <= 2.0) || !std::isfinite(load)) {
@@ -37,7 +30,6 @@ void SweepSpec::validate() const {
       throw std::invalid_argument(msg.str());
     }
   }
-  base.validate();
 }
 
 Workload build_sweep_workload(const SweepSpec& spec, std::size_t load_index,
@@ -89,6 +81,10 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
       configs.push_back(std::move(config));
     }
   }
+  // Every run's config, before the pool starts: a bad one throws in the
+  // caller's thread, not from a worker.
+  const NetworkTopology router = NetworkTopology::single(spec.base.ports);
+  for (const SimConfig& config : configs) (void)validate(config, router);
 
   ThreadPool::parallel_for(grid * reps, spec.threads, [&](std::size_t index) {
     const std::size_t cell = index / reps;

@@ -39,7 +39,8 @@ struct SweepSpec {
 
   /// Rejects malformed sweeps with std::invalid_argument: loads must be
   /// non-empty, each in (0, ~2], and strictly ascending (duplicates are a
-  /// silent double-spend of simulation time, so they are errors too).
+  /// silent double-spend of simulation time, so they are errors too), and
+  /// arbiters non-empty.  run_sweep validate()s each run's config itself.
   void validate() const;
 };
 

@@ -80,10 +80,44 @@ std::uint32_t count_local(const NetworkTopology& topology, bool inputs) {
   return count;
 }
 
-/// Validates a built config, including the bound on the input buffer
-/// slots one router, and all `routers` of a run together, allocate.
-void validate_built(const SimConfig& built, std::uint32_t routers) {
-  built.validate();
+/// Throws SnapshotError unless checkpoint `path` was captured under `config`.
+void check_digest(const snapshot::Snapshot& snap, const SimConfig& config,
+                  const std::string& path) {
+  const std::uint64_t digest = snapshot::config_digest(config);
+  if (snap.config_digest != digest)
+    throw snapshot::SnapshotError(
+        "checkpoint " + path + " was written under a different SimConfig (" +
+        std::to_string(snap.config_digest) + " vs " + std::to_string(digest) +
+        "); resume requires the identical config and workload");
+}
+
+template <class S>
+std::optional<S> parse_unless_empty(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  return S::parse(text);
+}
+
+}  // namespace
+
+RunSpecs validate(const SimConfig& config, const NetworkTopology& topology) {
+  config.validate();
+  (void)arbiter_traits(config.arbiter);  // the name, without building one
+  if (config.ports != topology.ports_per_router())
+    throw std::invalid_argument(
+        "ports = " + std::to_string(config.ports) +
+        ", but the topology's routers have " +
+        std::to_string(topology.ports_per_router()));
+  RunSpecs specs;
+  SimConfig& built = specs.built = config;
+  if (!config.flow_spec.empty()) {
+    // resolve() never reads buffer_flits_per_vc, so the order is safe.
+    specs.flow = mmu::MmuSpec::parse(config.flow_spec);
+    if (specs.flow.mode == mmu::FlowMode::kShared) {
+      built.buffer_flits_per_vc = specs.flow.resolve(config).vc_slots();
+      built.validate();
+    }
+  }
+  const std::uint32_t routers = topology.routers();
   const std::uint64_t per_router = kMaxRouterBufferSlots / built.ports;
   const std::uint64_t slots = MmrRouter::buffer_slots(built);
   if (slots > per_router)
@@ -96,43 +130,26 @@ void validate_built(const SimConfig& built, std::uint32_t routers) {
         "routers x ports x input buffer slots (" + std::to_string(routers) +
         " x " + std::to_string(built.ports) + " x " + std::to_string(slots) +
         ") exceeds the 16777216 buffer slots of one run");
-}
-
-/// `built`, once validated for a run of `routers` routers.
-SimConfig validated(SimConfig built, std::uint32_t routers) {
-  validate_built(built, routers);
-  return built;
-}
-
-}  // namespace
-
-void validate_specs(const SimConfig& config) {
-  config.validate();
-  (void)make_arbiter(config.arbiter, config.ports, Rng(config.seed, 0));
-  const SimConfig built = MmrSimulation::with_flow_regime(config);
-  validate_built(built, 1);
-  if (!config.police_spec.empty())
-    (void)overload::PoliceSpec::parse(config.police_spec);
-  if (!config.rogue_spec.empty())
-    (void)overload::RogueSpec::parse(config.rogue_spec);
-  (void)QdSpec::parse(config.qd_spec);
-  if (!config.trace_spec.empty())
-    (void)trace::TraceSpec::parse(config.trace_spec);
-  (void)FaultPlan::parse(config.fault_spec);
-  if (config.snap_spec.empty()) return;
-  const snapshot::SnapSpec snap = snapshot::SnapSpec::parse(config.snap_spec);
-  if (!snap.resume.empty() && snapshot::load_file(snap.resume).config_digest !=
-                                  snapshot::config_digest(built))
-    throw std::invalid_argument(
-        "snapshot " + snap.resume +
-        " was captured under a different configuration (config digest "
-        "mismatch); resume with the same seed/arbiter/traffic setup");
+  specs.police = parse_unless_empty<overload::PoliceSpec>(config.police_spec);
+  specs.rogue = parse_unless_empty<overload::RogueSpec>(config.rogue_spec);
+  specs.qd = QdSpec::parse(config.qd_spec);
+  specs.trace = parse_unless_empty<trace::TraceSpec>(config.trace_spec);
+  if (!config.fault_spec.empty()) {
+    specs.fault = FaultPlan::parse(config.fault_spec);
+    specs.fault.validate(topology.channels());
+  }
+  specs.snap = parse_unless_empty<snapshot::SnapSpec>(config.snap_spec);
+  if (specs.snap && !specs.snap->resume.empty()) {
+    specs.resume = snapshot::load_file(specs.snap->resume);
+    check_digest(*specs.resume, built, specs.snap->resume);
+  }
+  return specs;
 }
 
 void configure(SimConfig& config, const std::vector<std::string>& overrides) {
   spec::or_exit([&] {
     apply_overrides(config, overrides);
-    validate_specs(config);
+    (void)validate(config, NetworkTopology::single(config.ports));
   });
 }
 
@@ -146,19 +163,12 @@ SimulationMetrics run_or_exit(const SimConfig& config, Workload workload) {
   });
 }
 
-SimConfig MmrSimulation::with_flow_regime(SimConfig config) {
-  if (config.flow_spec.empty()) return config;
-  // Parsed eagerly, so a malformed spec fails before anything is built
-  // (resolve() never reads buffer_flits_per_vc, so the order is safe).
-  const mmu::MmuSpec spec = mmu::MmuSpec::parse(config.flow_spec);
-  if (spec.mode == mmu::FlowMode::kShared)
-    config.buffer_flits_per_vc = spec.resolve(config).vc_slots();
-  return config;
+MmrSimulation::MmrSimulation(const SimConfig& config, Workload workload)
+    : MmrSimulation(validate(config, workload.topology), std::move(workload)) {
 }
 
-MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
-    : config_(validated(with_flow_regime(std::move(config)),
-                        workload.topology.routers())),
+MmrSimulation::MmrSimulation(RunSpecs specs, Workload&& workload)
+    : config_(std::move(specs.built)),
       workload_(std::move(workload)),
       collector_(workload_.table, config_,
                  count_local(workload_.topology, /*inputs=*/true),
@@ -169,16 +179,14 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
       shape_delay_us_(config_.time_base().flit_cycle_us()) {
   workload_.check_invariants();
   const NetworkTopology& topology = workload_.topology;
-  MMR_ASSERT(topology.ports_per_router() == config_.ports);
   const std::uint32_t routers = topology.routers();
   const std::size_t port_slots = static_cast<std::size_t>(routers) *
                                  config_.ports;
 
   // Rogue wrapping precedes the emission wheel, which indexes the wrapped
   // sources; it never changes mean_bps(), so the nominal load stands.
-  if (!config_.rogue_spec.empty()) {
-    rogue_ids_ = overload::apply_rogue(
-        workload_, overload::RogueSpec::parse(config_.rogue_spec));
+  if (specs.rogue) {
+    rogue_ids_ = overload::apply_rogue(workload_, *specs.rogue);
     is_rogue_.assign(workload_.size(), 0);
     for (const ConnectionId id : rogue_ids_) is_rogue_[id] = 1;
   }
@@ -227,15 +235,13 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
 
   // Routers.  One router keeps the paper setup's RNG lane; routed
   // topologies fork one lane per router.
-  const mmu::MmuSpec flow = config_.flow_spec.empty()
-                                ? mmu::MmuSpec{}
-                                : mmu::MmuSpec::parse(config_.flow_spec);
+  const mmu::MmuSpec& flow = specs.flow;
   nodes_.reserve(routers);
   for (std::uint32_t r = 0; r < routers; ++r) {
     const Rng rng = routers == 1 ? Rng(config_.seed, 0xA0)
                                  : Rng(config_.seed, 0x4E7).fork(r);
-    nodes_.push_back(Node{MmrRouter(config_, tables_[r], rng), nullptr,
-                          nullptr, {}});
+    nodes_.push_back(Node{MmrRouter(config_, tables_[r], rng, specs.qd),
+                          nullptr, nullptr, {}});
     Node& node = nodes_.back();
     if (flow.mode == mmu::FlowMode::kShared)
       node.mmu = std::make_unique<mmu::SharedBufferMmu>(flow, config_, r);
@@ -262,8 +268,8 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
   for (const NetworkConnection& connection : workload_.connections)
     install_path(connection.path);
 
-  if (!config_.police_spec.empty()) {
-    const auto spec = overload::PoliceSpec::parse(config_.police_spec);
+  if (specs.police) {
+    const overload::PoliceSpec& spec = *specs.police;
     qos_deadline_cycles_ = spec.qos_deadline_cycles;
     policer_ = std::make_unique<overload::InjectionPolicer>(workload_.table,
                                                             config_, spec);
@@ -278,13 +284,11 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
   for (std::uint32_t i = 0; i < workload_.sources.size(); ++i)
     wheel_.schedule(i, workload_.sources[i]->next_emission());
 
-  if (!config_.fault_spec.empty())
-    set_fault_plan(FaultPlan::parse(config_.fault_spec));
+  if (!config_.fault_spec.empty()) set_fault_plan(std::move(specs.fault));
 
-  if (!config_.trace_spec.empty())
+  if (specs.trace)
     tracer_ = std::make_unique<trace::Tracer>(
-        trace::TraceSpec::parse(config_.trace_spec),
-        trace::TraceMeta::from_config(config_));
+        std::move(*specs.trace), trace::TraceMeta::from_config(config_));
 
   // Shards: balanced contiguous router ranges [s*R/S, (s+1)*R/S).
   const std::uint32_t shard_count =
@@ -305,12 +309,10 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
 
   // Last: every subsystem the walk visits must already exist before a
   // `resume:` checkpoint is overlaid.
-  if (!config_.snap_spec.empty()) {
-    const snapshot::SnapSpec spec =
-        snapshot::SnapSpec::parse(config_.snap_spec);
+  if (specs.snap) {
     snap_mgr_ = std::make_unique<snapshot::SnapshotManager>(
-        spec, snapshot::config_digest(config_));
-    if (!spec.resume.empty()) restore_checkpoint(spec.resume);
+        std::move(*specs.snap), snapshot::config_digest(config_));
+    if (specs.resume) restore(*specs.resume);
   }
 }
 
@@ -891,7 +893,6 @@ void MmrSimulation::set_fault_plan(FaultPlan plan) {
   MMR_ASSERT_MSG(!ran_ && now_ == 0,
                  "the fault plan must be installed before the first step");
   const auto channels = static_cast<std::uint32_t>(channels_.size());
-  plan.validate(channels);
   if (plan.empty()) {
     fault_.reset();  // strict no-op: not even the machinery exists
     return;
@@ -1194,12 +1195,11 @@ void MmrSimulation::save_checkpoint(const std::string& path) {
 
 void MmrSimulation::restore_checkpoint(const std::string& path) {
   const snapshot::Snapshot snap = snapshot::load_file(path);
-  const std::uint64_t digest = snapshot::config_digest(config_);
-  if (snap.config_digest != digest)
-    throw snapshot::SnapshotError(
-        "checkpoint " + path + " was written under a different SimConfig (" +
-        std::to_string(snap.config_digest) + " vs " + std::to_string(digest) +
-        "); resume requires the identical config and workload");
+  check_digest(snap, config_, path);
+  restore(snap);
+}
+
+void MmrSimulation::restore(const snapshot::Snapshot& snap) {
   snapshot::LoadWalker reader(snap);
   snap_walk(reader);
   reader.finish();

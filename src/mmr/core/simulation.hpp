@@ -16,16 +16,22 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "mmr/core/metrics.hpp"
 #include "mmr/fault/fault_injector.hpp"
+#include "mmr/mmu/spec.hpp"
+#include "mmr/overload/spec.hpp"
 #include "mmr/qos/admission.hpp"
 #include "mmr/router/link.hpp"
 #include "mmr/router/nic.hpp"
 #include "mmr/router/router.hpp"
 #include "mmr/sim/config.hpp"
 #include "mmr/sim/emission_wheel.hpp"
+#include "mmr/snapshot/format.hpp"
+#include "mmr/snapshot/spec.hpp"
+#include "mmr/trace/spec.hpp"
 #include "mmr/traffic/mix.hpp"
 
 namespace mmr {
@@ -55,34 +61,53 @@ namespace trace {
 class Tracer;
 }  // namespace trace
 
-/// Validates `config` and parses every opt-in spec the way construction
-/// will, so a main can reject bad input before it builds anything.
-/// Throws std::invalid_argument (or SnapshotError) naming the first bad
-/// value.  Only the topology-dependent checks (fault channels) are left to
-/// construction.
-void validate_specs(const SimConfig& config);
+/// Every opt-in spec of a run, parsed once by validate(); the simulation is
+/// built from it, so a run validate() accepts constructs.
+struct RunSpecs {
+  /// The config the simulation runs: under `flow=shared` every VC's
+  /// buffer_flits is the MMU's per-port admission allowance
+  /// (MmuSpec::vc_slots), so the MMU, not credits, gates admission, and
+  /// each input buffer's pool holds that one allowance, not one per VC.
+  SimConfig built;
+  mmu::MmuSpec flow;  ///< credit mode when `flow=` is unset
+  QdSpec qd;
+  FaultPlan fault;
+  std::optional<overload::PoliceSpec> police;
+  std::optional<overload::RogueSpec> rogue;
+  std::optional<trace::TraceSpec> trace;
+  std::optional<snapshot::SnapSpec> snap;
+  std::optional<snapshot::Snapshot> resume;  ///< the `resume:` checkpoint
+};
 
-/// A main's SimConfig overrides (the command-line tokens its own grammar
-/// lacks, spec::parse_command_line): applies them, then validate_specs().
-/// Bad input prints "error: <message>" and exits 1.
+/// The one validator of a run of `config` on `topology`: SimConfig's own
+/// checks, the arbiter name, the input buffer slots of one router and of
+/// the run, every opt-in spec, the fault plan against the topology's
+/// channels, `ports` against its routers, and a `resume:` checkpoint's
+/// config digest.  Throws std::invalid_argument naming the first bad value;
+/// snapshot::SnapshotError (a std::runtime_error) for a checkpoint that is
+/// corrupt or was captured under another config.  Mains call it before
+/// they build a workload or start a thread; MmrSimulation's constructor
+/// calls it first and builds from its result.
+RunSpecs validate(const SimConfig& config, const NetworkTopology& topology);
+
+/// A single-router main's SimConfig overrides (the command-line tokens its
+/// own grammar lacks, spec::parse_command_line): applies them, then
+/// validate()s the config against NetworkTopology::single(config.ports).
+/// Bad input prints "error: <message>" and exits 1.  A network main applies
+/// its overrides and validates against each topology it builds instead.
 void configure(SimConfig& config, const std::vector<std::string>& overrides);
 
 /// A main's run: builds and runs one simulation.  A signal that stops a
 /// `snap=` run exits with snapshot::report_interrupted()'s status; input
-/// only the topology rejects (a fault= channel off it) prints
-/// "error: <message>" and exits 1.
+/// the constructor's validate() rejects prints "error: <message>" and
+/// exits 1, for mains that run a config they did not validate themselves.
 SimulationMetrics run_or_exit(const SimConfig& config, Workload workload);
 
 class MmrSimulation {
  public:
-  MmrSimulation(SimConfig config, Workload workload);
+  /// Throws what validate(config, workload.topology) throws.
+  MmrSimulation(const SimConfig& config, Workload workload);
   ~MmrSimulation();  ///< out-of-line for the forward-declared subsystems
-
-  /// `flow=shared` re-sizes the per-VC buffer/credit allowance to the MMU's
-  /// per-port admission allowance (MmuSpec::vc_slots), so the MMU, not
-  /// credits, gates admission; each input buffer's pool holds that one
-  /// allowance, not one per VC.
-  [[nodiscard]] static SimConfig with_flow_regime(SimConfig config);
 
   /// Runs warmup_cycles + measure_cycles (once per instance) and returns
   /// the metrics.
@@ -185,7 +210,8 @@ class MmrSimulation {
   void save_checkpoint(const std::string& path);
   /// Overlays a checkpoint onto this freshly constructed simulation, whose
   /// (config, workload) must match the saving run's: a config-digest
-  /// mismatch throws SnapshotError.  `snap=resume:PATH` calls this.
+  /// mismatch throws SnapshotError.  `snap=resume:PATH` overlays the
+  /// checkpoint validate() loaded the same way.
   void restore_checkpoint(const std::string& path);
 
   /// The snapshot manager, or nullptr when `snap=` is unset.
@@ -194,6 +220,10 @@ class MmrSimulation {
   }
 
  private:
+  MmrSimulation(RunSpecs specs, Workload&& workload);
+  /// Overlays a checkpoint whose config digest matches this simulation's.
+  void restore(const snapshot::Snapshot& snap);
+
   /// Directed inter-router channel from output `from` into input `to`,
   /// with its credit loop.
   struct Channel {

@@ -14,9 +14,9 @@
 namespace mmr {
 
 MmrRouter::MmrRouter(const SimConfig& config, const ConnectionTable& table,
-                     Rng rng)
+                     Rng rng, const QdSpec& qd)
     : ports_(config.ports),
-      qd_(QdSpec::parse(config.qd_spec)),
+      qd_(qd),
       eligibility_(config.ports, config.vcs_per_link),
       arbiter_(make_arbiter(config.arbiter, config.ports, rng.fork(0xA9B1))),
       crossbar_(config.ports),

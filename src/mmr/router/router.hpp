@@ -38,18 +38,22 @@ class Walker;
 }
 
 /// Largest number of input buffer slots one router may hold: every port's
-/// slot pool is allocated up front, so validate_specs rejects geometries
-/// whose buffers alone would not fit in memory.
+/// slot pool is allocated up front, so validate() (core/simulation.hpp)
+/// rejects geometries whose buffers alone would not fit in memory.
 inline constexpr std::uint64_t kMaxRouterBufferSlots = std::uint64_t{1} << 24;
 
 class MmrRouter {
  public:
-  MmrRouter(const SimConfig& config, const ConnectionTable& table, Rng rng);
+  MmrRouter(const SimConfig& config, const ConnectionTable& table, Rng rng)
+      : MmrRouter(config, table, rng, QdSpec::parse(config.qd_spec)) {}
+  /// With `config.qd_spec` already parsed as `qd`.
+  MmrRouter(const SimConfig& config, const ConnectionTable& table, Rng rng,
+            const QdSpec& qd);
 
   /// Slots of each input buffer's pool: the most flits one port can be
   /// admitted.  That is vcs x buffer_flits, or under `flow=shared` the
-  /// MMU's one per-port allowance, which MmrSimulation::with_flow_regime
-  /// made every VC's buffer_flits.
+  /// MMU's one per-port allowance, which validate() (RunSpecs::built) made
+  /// every VC's buffer_flits.
   [[nodiscard]] static std::uint64_t buffer_slots(const SimConfig& config);
 
   /// A flit leaving on an output link this cycle.

@@ -24,7 +24,7 @@ enum class PriorityScheme : std::uint8_t {
 
 /// Largest port count any arbiter can represent (bitset request rows of
 /// kMaxPorts / 64 words; Candidate stores ports in 16 bits).  The `ports`
-/// key and SweepSpec::validate reject counts outside [2, kMaxPorts].
+/// key rejects counts outside [2, kMaxPorts].
 inline constexpr std::uint32_t kMaxPorts = 1024;
 
 /// Most candidates a link scheduler offers per input: the selection buffer

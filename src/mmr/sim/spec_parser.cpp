@@ -6,6 +6,8 @@
 #include <iostream>
 #include <stdexcept>
 
+#include "mmr/sim/config.hpp"
+
 namespace mmr::spec {
 
 namespace {
@@ -178,18 +180,31 @@ void exit_rejected(const std::exception& error) {
 void parse_command_line(const Grammar& grammar, void* options, int argc,
                         const char* const* argv,
                         std::vector<std::string>* overrides) {
+  const auto row_of = [](const Grammar& g, const std::string& name) {
+    return std::find_if(g.keys.begin(), g.keys.end(), [&name](const Key& key) {
+      return !is_mode(key) && name == key.name;
+    });
+  };
+  const Grammar& config = SimConfig::grammar();
   std::vector<std::string> own;
   for (int i = 1; i < argc; ++i) {
     const std::string token = argv[i];
     const std::string name = token.substr(0, token.find('='));
-    const auto row = std::find_if(
-        grammar.keys.begin(), grammar.keys.end(),
-        [&name](const Key& key) { return !is_mode(key) && name == key.name; });
-    if (row == grammar.keys.end() && overrides != nullptr)
+    const auto row = row_of(grammar, name);
+    if (row == grammar.keys.end() && overrides != nullptr) {
+      if (row_of(config, name) == config.keys.end()) {
+        // Unknown to both grammars: list the main's rows and SimConfig's.
+        Grammar both = grammar;
+        for (const Key& key : config.keys)
+          if (row_of(grammar, key.name) == grammar.keys.end())
+            both.keys.push_back(key);
+        or_exit([&] { fail(both, "unknown key '" + name + "'"); });
+      }
       overrides->push_back(token);
-    else  // a bare flag: `twins` is `twins=1`
+    } else {  // a bare flag: `twins` is `twins=1`
       own.push_back(row != grammar.keys.end() && row->kind == Kind::kBool &&
                             token == name ? token + "=1" : token);
+    }
   }
   or_exit([&] { apply(grammar, options, {own.begin(), own.end()}); });
 }

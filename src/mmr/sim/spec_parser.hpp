@@ -98,8 +98,9 @@ auto or_exit(F&& f) -> decltype(f()) {
 /// A main's command line: applies argv[1..] to `options` through `grammar`
 /// (separator '=').  A bare word naming a 0|1 row sets it (`twins`, `full`).
 /// A token whose key `grammar` lacks goes to `*overrides` when the main
-/// takes SimConfig overrides (non-null), else it is an unknown key.  Bad
-/// input prints "error: <message>" and exits 1.
+/// takes SimConfig overrides (non-null) and SimConfig::grammar() has it;
+/// else it is an unknown key, and the message lists every key the main
+/// takes.  Bad input prints "error: <message>" and exits 1.
 void parse_command_line(const Grammar& grammar, void* options, int argc,
                         const char* const* argv,
                         std::vector<std::string>* overrides = nullptr);

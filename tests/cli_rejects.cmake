@@ -34,7 +34,17 @@ set(mains
   "bench/perf_baseline mode=fast" "bench/overload_soak seeds=0x"
   "bench/table1_mpeg_stats bogus=1" "bench/hardware_cost bogus=1"
   "bench/cicq_stability arbiters=islip warmup=100 measure=100"
-  "bench/network_scale threads=1 mode=smoke out=cli_rejects_network.json")
+  "bench/network_scale threads=1 mode=smoke out=cli_rejects_network.json"
+  # A fault= window off the topology, refused before anything runs: one
+  # router has no channels, the 64-router torus has 256.
+  "bench/cicq_stability warmup=100 measure=100 fault=down:0:10:20"
+  "bench/incast_survival warmup=100 measure=100 fault=down:0:10:20"
+  "bench/trace_overhead fault=down:0:10:20"
+  "bench/network_scale mode=smoke fault=down:99999:10:20
+   out=cli_rejects_network.json"
+  "bench/fig5_cbr_delay loads=0.2 warmup=100 measure=100 fault=down:0:10:20"
+  "bench/fig8_vbr_utilization loads=0.2 warmup=100 measure=100
+   fault=down:0:10:20")
 set(failures "")
 macro(expect_rejected input)
   separate_arguments(command UNIX_COMMAND "${input}")

@@ -4,10 +4,11 @@
 // corpus, numeric edge values (in a list, for its last element),
 // truncation, duplicated tokens.  Oracle, per mutant: parsing
 // either throws std::invalid_argument, or the spec satisfies
-// parse(print(x)) == x and a 4x4 MmrSimulation built from it constructs
-// without aborting (a topology-dependent fault= window or an unreadable
-// resume: file may still throw; both are clean rejections).  Path-valued keys point
-// into a temporary directory.  Override mutants are checked for the
+// parse(print(x)) == x, and on one 4-port router and on a 4x4 torus of
+// 5-port routers (64 channels) validate() either rejects it or an
+// MmrSimulation built from it constructs without throwing
+// std::invalid_argument.  Path-valued keys point into a temporary
+// directory.  Override mutants are checked for the
 // round trip and validate() only: an accepted vcs= or ports= may be far too
 // large to build; command-line mutants for the round trip.
 //
@@ -128,8 +129,10 @@ int run(std::uint64_t iterations, std::uint64_t seed) {
       (std::filesystem::temp_directory_path() / "mmr_fuzz_specs").string();
   std::filesystem::create_directories(dir);
   const std::vector<Target> targets = {
+      // Windows on both sides of the torus's 64 channels.
       {"fault", &SimConfig::fault_spec,
-       {"drop:1e-3,down:0:30000:45000", "corrupt:0.5,credit_loss:1",
+       {"drop:1e-3,down:0:30000:45000", "down:63:50:150,down:3:10:20",
+        "down:64:50:150", "corrupt:0.5,credit_loss:1",
         "drop:0.01,credit_loss:0.005,resync_period:256,resync_timeout:512",
         "deadline:250,seed:7"},
        round_trip<FaultPlan>},
@@ -164,6 +167,8 @@ int run(std::uint64_t iterations, std::uint64_t seed) {
        round_trip<snapshot::SnapSpec>},
   };
 
+  const NetworkTopology topologies[] = {NetworkTopology::single(4),
+                                        NetworkTopology::torus2d(4, 4, 5)};
   Rng rng(seed, 0xF022);
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
@@ -215,25 +220,34 @@ int run(std::uint64_t iterations, std::uint64_t seed) {
         continue;
       }
       ++accepted;
-      SimConfig config;
-      config.ports = 4;
-      config.vcs_per_link = 16;
-      config.warmup_cycles = 100;
-      config.measure_cycles = 100;
-      config.*target.field = mutant;
-      try {
-        validate_specs(config);
-        Rng workload_rng(config.seed, 1);
-        CbrMixSpec mix;
-        mix.target_load = 0.3;
-        MmrSimulation simulation(config,
-                                 build_cbr_mix(config, mix, workload_rng));
-      } catch (const std::invalid_argument&) {
-        // topology-dependent (fault channel) or spec-specific rejection
-      } catch (const std::runtime_error&) {
-        // resume: of a missing or unreadable checkpoint (SnapshotError, I/O)
-      } catch (const std::exception& error) {
-        fail(label + ": construction threw " + error.what());
+      for (const NetworkTopology& topology : topologies) {
+        SimConfig config;
+        config.ports = topology.ports_per_router();
+        config.vcs_per_link = 16;
+        config.warmup_cycles = 100;
+        config.measure_cycles = 100;
+        config.*target.field = mutant;
+        try {
+          (void)validate(config, topology);
+        } catch (const std::invalid_argument&) {
+          continue;
+        } catch (const std::runtime_error&) {
+          continue;  // resume: of a missing or unreadable checkpoint
+        }
+        try {
+          Rng workload_rng(config.seed, 1);
+          CbrMixSpec mix;
+          mix.target_load = 0.3;
+          Workload workload(topology);
+          add_cbr_mix(workload, config, mix, workload_rng);
+          MmrSimulation simulation(config, std::move(workload));
+        } catch (const std::runtime_error&) {
+          // I/O: a trace= output path that cannot be opened
+        } catch (const std::exception& error) {
+          fail(label + " on " + std::to_string(topology.routers()) +
+               " router(s): validate() accepted, construction threw " +
+               error.what());
+        }
       }
     }
   }

@@ -198,36 +198,70 @@ TEST(SimConfig, ValidateRejectsNonsense) {
   EXPECT_INVALID(config.validate(), "measure");
 }
 
+RunSpecs validate_single(const SimConfig& config) {
+  return validate(config, NetworkTopology::single(config.ports));
+}
+
 // Input buffer pools are allocated up front: 2^24 slots per router at most.
 // The bound is checked on the built config, where the flow regime is known.
-TEST(ValidateSpecs, BoundsTheBufferSlotsOfOneRouter) {
+TEST(Validate, BoundsTheBufferSlotsOfOneRouter) {
   SimConfig config;
   config.ports = 4;
   config.vcs_per_link = 1u << 20;
   config.buffer_flits_per_vc = 4;
-  EXPECT_NO_THROW(validate_specs(config));
+  EXPECT_NO_THROW(validate_single(config));
   config.buffer_flits_per_vc = 5;
   EXPECT_NO_THROW(config.validate());
-  EXPECT_INVALID(validate_specs(config), "buffer slots of one router");
+  EXPECT_INVALID(validate_single(config), "buffer slots of one router");
   config.round_multiple = 1;
   config.vcs_per_link = ~0u;  // the product must not wrap
   config.buffer_flits_per_vc = ~0u;
-  EXPECT_INVALID(validate_specs(config), "buffer slots of one router");
+  EXPECT_INVALID(validate_single(config), "buffer slots of one router");
 }
 
 // A ring of routers that each fit the per-router bound can still exceed
 // the bound on one run; the simulation refuses it before building anything.
-TEST(ValidateSpecs, BoundsTheBufferSlotsOfOneRun) {
+TEST(Validate, BoundsTheBufferSlotsOfOneRun) {
   SimConfig config;
   config.ports = 4;
   config.vcs_per_link = 256;
   config.buffer_flits_per_vc = 4096;  // 4 x 256 x 4096 = 2^22 per router
-  EXPECT_NO_THROW(validate_specs(config));
+  const NetworkTopology ring = NetworkTopology::bidirectional_ring(4, 4);
+  EXPECT_NO_THROW(validate(config, ring));
   config.buffer_flits_per_vc = 4097;  // four routers: just over 2^24
-  EXPECT_NO_THROW(validate_specs(config));
-  EXPECT_INVALID((void)MmrSimulation(
-                     config, Workload(NetworkTopology::bidirectional_ring(4, 4))),
+  EXPECT_NO_THROW(validate_single(config));
+  EXPECT_INVALID(validate(config, ring), "buffer slots of one run");
+  EXPECT_INVALID((void)MmrSimulation(config, Workload(ring)),
                  "buffer slots of one run");
+}
+
+// The checks that need the topology: its routers' port count and its
+// channels, which a fault= window must name.  A 4-router ring of 4-port
+// routers has 8 channels; one router has none.
+TEST(Validate, ChecksPortsAndFaultChannelsAgainstTheTopology) {
+  SimConfig config;
+  const NetworkTopology ring = NetworkTopology::bidirectional_ring(4, 4);
+  EXPECT_INVALID(validate(config, NetworkTopology::single(5)),
+                 "ports = 4, but the topology's routers have 5");
+  EXPECT_INVALID((void)MmrSimulation(config, Workload(5)), "ports = 4");
+  config.fault_spec = "down:7:10:20";
+  EXPECT_NO_THROW(validate(config, ring));
+  EXPECT_INVALID(validate_single(config), "unknown channel 7 (the topology "
+                                          "has 0)");
+  config.fault_spec = "down:8:10:20";
+  EXPECT_INVALID(validate(config, ring), "unknown channel 8");
+  EXPECT_INVALID((void)MmrSimulation(config, Workload(ring)),
+                 "unknown channel 8");
+}
+
+// The arbiter name is looked up in the factory's table: a run validates
+// without an arbiter being built, and a bad name is refused.
+TEST(Validate, RejectsAnUnknownArbiter) {
+  SimConfig config;
+  config.arbiter = "wfa-fixed";
+  EXPECT_NO_THROW(validate_single(config));
+  config.arbiter = "bogus";
+  EXPECT_INVALID(validate_single(config), "unknown arbiter 'bogus'");
 }
 
 }  // namespace

@@ -159,6 +159,21 @@ TEST(Sweep, ValidateRejectsNonAscendingLoads) {
   }
 }
 
+// run_sweep validates every run's config on its one router, fault windows
+// included, and throws in the caller before any point runs.
+TEST(Sweep, RejectsAConfigItsRouterCannotRun) {
+  SweepSpec spec = tiny_spec();
+  spec.base.fault_spec = "down:0:10:20";  // one router has no channels
+  try {
+    (void)run_sweep(spec);
+    FAIL() << "a fault window off the router must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown channel 0"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Sweep, ValidateRejectsOutOfRangeAndEmptyLoads) {
   SweepSpec spec = tiny_spec();
   spec.loads = {};

@@ -474,7 +474,7 @@ TEST(MmuSimulation, InputBuffersHoldOnePortAllowance) {
   const std::uint32_t allowance =
       MmuSpec::parse(config.flow_spec).resolve(config).vc_slots();
   EXPECT_GT(std::uint64_t{16} * 64 * allowance, kMaxRouterBufferSlots);
-  EXPECT_NO_THROW(validate_specs(config));
+  EXPECT_NO_THROW(validate(config, NetworkTopology::single(config.ports)));
 
   MmrSimulation simulation(config, incast_workload(config, 1.8 / 16));
   std::uint64_t slots = 0;

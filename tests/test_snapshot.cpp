@@ -232,10 +232,9 @@ TEST(SnapshotResume, DigestMismatchIsRejected) {
   std::remove(path.c_str());
 }
 
-// validate_specs() checks a resume: digest against the config the
-// simulation is built from — with flow=shared that is the flow-resolved one,
-// so the pre-check in the mains accepts exactly the checkpoints construction
-// does.
+// validate() checks a resume: digest against the config the simulation is
+// built from — with flow=shared that is the flow-resolved one, so the
+// pre-check in the mains accepts exactly the checkpoints construction does.
 TEST(SnapshotResume, PrecheckMatchesConstructionUnderSharedFlow) {
   const std::string path = ::testing::TempDir() + "/mmr_snap_precheck.snap";
   const SimConfig config = snap_config("coa", /*shared=*/true);
@@ -245,10 +244,11 @@ TEST(SnapshotResume, PrecheckMatchesConstructionUnderSharedFlow) {
 
   SimConfig resume = config;
   resume.snap_spec = "resume:" + path;
-  EXPECT_NO_THROW(validate_specs(resume));
+  const NetworkTopology router = NetworkTopology::single(resume.ports);
+  EXPECT_NO_THROW(validate(resume, router));
   EXPECT_NO_THROW(MmrSimulation(resume, make_workload(resume, false)));
   resume.seed = config.seed + 1;
-  EXPECT_THROW(validate_specs(resume), std::invalid_argument);
+  EXPECT_THROW(validate(resume, router), SnapshotError);
   std::remove(path.c_str());
 }
 

@@ -369,5 +369,20 @@ TEST(CommandLine, EntryPointRoutesFlagsOwnKeysAndOverrides) {
   EXPECT_EQ(overrides, (std::vector<std::string>{"measure=100", "vcs=64"}));
 }
 
+// A key neither the main's grammar nor SimConfig's has: the message lists
+// both, the main's rows first, a SimConfig key the main shadows (ports,
+// arbiter) once.
+TEST(CommandLineDeathTest, UnknownKeyListsTheMainsAndTheConfigKeys) {
+  const char* argv[] = {"main", "loads=0.2", "vcs=64", "bogus=1"};
+  CommandLine line;
+  std::vector<std::string> overrides;
+  EXPECT_EXIT(spec::parse_command_line(command_line_grammar(), &line, 4, argv,
+                                       &overrides),
+              ::testing::ExitedWithCode(1),
+              "error: command line spec: unknown key 'bogus'; valid keys: "
+              "loads, arbiters, threads, full, seeds, ports, arbiter, vcs, "
+              "link_bps, .*, net_threads\n");
+}
+
 }  // namespace
 }  // namespace mmr
